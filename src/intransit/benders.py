@@ -1,11 +1,13 @@
-"""Decomposition driver: fix containers, price the flows, cut, repeat.
+"""Decomposition solver: branch and Benders cut over the container counts.
 
 The integer container counts T are the complicating variables. Fixing
 ``T = T_bar`` leaves a pure LP over the flow variables (the subproblem);
 its duals yield an optimality cut, a Farkas ray yields a feasibility cut.
-The master minimizes ``q + fcl_costs . T`` over the accumulated cuts with
-T integer, providing a global lower bound; each feasible subproblem gives
-an upper bound. The loop stops when the bounds meet.
+The master minimizes ``q + fcl_costs . T`` over the cuts with T integer.
+It is solved as one branch-and-bound tree: at every node whose T is
+integral the subproblem is priced, which gives an upper bound, and its cut
+joins the tree's LP, so the tree's bound is the global lower bound. The
+search ends when the tree closes.
 
 Row convention: the monolithic rows are split as ``A x <=/= b - B T``
 where B holds the T coefficients (only capacity rows are nonzero, each
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TextIO
 
 import numpy as np
@@ -31,6 +33,7 @@ from .milp import (
     MILP_INFEASIBLE,
     MILP_OPTIMAL,
     MilpProblem,
+    Separator,
     lp_from_mip,
     solve_milp,
 )
@@ -52,8 +55,8 @@ from .simplex import (
 CUT_OPTIMALITY = "optimality"
 CUT_FEASIBILITY = "feasibility"
 
-DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 500
+LP_TOL = 1e-7  # simplex tolerance of the subproblem and the relaxation
 
 
 @dataclass(frozen=True)
@@ -162,14 +165,11 @@ def _prepare(model: MipModel) -> _SubStructure:
     A = model.A.tocsc()
     A_sub = A[:, non_t].tocsr()
     B = A[:, t_cols].tocsr()
-    k = model.instance.container_capacity
-    total = model.instance.total_demand()
-    t_upper = float(math.ceil(total / k)) if k > 0 else 0.0
     master = MasterData(
         B=B,
         b=model.rhs.copy(),
         h_costs=model.objective[t_cols].copy(),
-        t_upper=t_upper,
+        t_upper=float(model.instance.container_bound()),
         cuts=[Cut(CUT_OPTIMALITY, np.zeros(len(t_cols)), 0.0, 0)],  # q >= 0
     )
     return _SubStructure(
@@ -182,7 +182,9 @@ def _prepare(model: MipModel) -> _SubStructure:
     )
 
 
-def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray, tol: float) -> SubproblemResult:
+def _solve_sub(
+    sub: _SubStructure, t_fixed: np.ndarray, tol: float = LP_TOL
+) -> SubproblemResult:
     rhs = sub.master.b - sub.master.B @ t_fixed
     lp = LpProblem(
         objective=sub.obj_sub, A=sub.A_sub, senses=sub.model.senses, rhs=rhs
@@ -212,7 +214,7 @@ def solve_subproblem(
     t_fixed: np.ndarray,
     mode: str = MODE_WINDOW,
     *,
-    tol: float = 1e-7,
+    tol: float = LP_TOL,
     require_routes: bool = True,
 ) -> SubproblemResult:
     """Price the flow LP for fixed container counts.
@@ -268,33 +270,25 @@ def make_feasibility_cut(
     )
 
 
+def _cut_row(cut: Cut, n_t: int) -> tuple[np.ndarray, float]:
+    """A cut as the master row ``-w . T (- q) <= -constant`` over [T..., q]."""
+    row = np.zeros(n_t + 1)
+    row[:n_t] = -cut.t_coefficients
+    if cut.kind == CUT_OPTIMALITY:
+        row[n_t] = -1.0
+    return row, -cut.constant
+
+
 def master_problem(master: MasterData) -> MilpProblem:
     """Assemble the integer master over columns [T..., q]."""
     n_t = master.num_t
-    n = n_t + 1
-    rows, cols, vals, rhs, senses = [], [], [], [], []
-    r = 0
-    for cut in master.cuts:
-        for j, w in enumerate(cut.t_coefficients):
-            if w != 0.0:
-                rows.append(r)
-                cols.append(j)
-                vals.append(-w)
-        if cut.kind == CUT_OPTIMALITY:
-            rows.append(r)
-            cols.append(n_t)
-            vals.append(-1.0)
-        rhs.append(-cut.constant)
-        senses.append("<")
-        r += 1
+    rows = [_cut_row(cut, n_t) for cut in master.cuts]
     # T <= t_upper is carried by integer_upper below, not by explicit rows
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(r, n)).tocsr()
-    objective = np.concatenate([master.h_costs, [1.0]])
     lp = LpProblem(
-        objective=objective,
-        A=A,
-        senses=np.array(senses, dtype="<U1"),
-        rhs=np.asarray(rhs, dtype=np.float64),
+        objective=np.append(master.h_costs, 1.0),
+        A=np.array([row for row, _ in rows]),
+        senses=np.full(len(rows), "<"),
+        rhs=np.array([rhs for _, rhs in rows], dtype=np.float64),
     )
     return MilpProblem(
         lp=lp,
@@ -303,49 +297,26 @@ def master_problem(master: MasterData) -> MilpProblem:
     )
 
 
-def master_point(master: MasterData, t: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Lift an integer container schedule to a feasible master point.
-
-    Sets q to the largest optimality-cut value at ``t`` (at least 0) and
-    returns ``((T..., q), objective)``, or None when ``t`` violates a
-    feasibility cut or its upper bound.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if (t < 0).any() or (t > master.t_upper).any():
-        return None
-    q = 0.0
-    for cut in master.cuts:
-        v = cut.value_at(t)
-        if cut.kind == CUT_FEASIBILITY:
-            if v > 0.0:
-                return None
-        elif v > q:
-            q = v
-    x = np.concatenate([t, [q]])
-    return x, float(master.h_costs @ t) + q
-
-
 def solve_master(
     master: MasterData,
     gap_tol: float = 1e-9,
     node_limit: int = 100_000,
     *,
-    warm_t: np.ndarray | None = None,
+    separate: Separator | None = None,
 ) -> tuple[np.ndarray, float, float]:
-    """Solve the master; returns (T candidate, q value, lower bound).
+    """Solve the master; returns (T, q value, the tree's lower bound).
 
-    ``warm_t`` seeds the branch-and-bound with a known-good container
-    schedule (lifted via :func:`master_point`), which lets the search
-    prune from the start.
+    ``separate`` goes to :func:`solve_milp`, which calls it at every node
+    with integral T and adds the cuts it returns to the same tree; this is
+    how :func:`run_benders` prices the subproblem.
     """
     if not master.cuts:
         raise SolverError("cut pool must contain at least the q >= 0 bound")
-    warm = master_point(master, warm_t) if warm_t is not None else None
     outcome = solve_milp(
         master_problem(master),
         gap_tol=gap_tol,
         node_limit=node_limit,
-        warm_start=warm,
+        separate=separate,
     )
     if outcome.status == MILP_INFEASIBLE:
         raise InfeasibleInstanceError(
@@ -357,11 +328,11 @@ def solve_master(
         )
     t = np.round(outcome.x[: master.num_t])
     q = float(outcome.x[master.num_t])
-    return t, q, float(outcome.objective)
+    return t, q, float(outcome.bound)
 
 
 def lp_relaxation(
-    instance: Instance, mode: str = MODE_WINDOW, *, tol: float = 1e-7
+    instance: Instance, mode: str = MODE_WINDOW, *, tol: float = LP_TOL
 ) -> tuple[float, np.ndarray, CostBreakdown]:
     """Monolithic LP with T continuous; a global lower bound."""
     model = build_mip(instance, mode)
@@ -375,12 +346,17 @@ def lp_relaxation(
 
 @dataclass(frozen=True)
 class BendersParams:
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
+    max_iters: int = DEFAULT_MAX_ITERS  # subproblem solves
     gap_tol: float = 1e-9
     node_limit: int = 100_000
-    lp_tol: float = 1e-7
-    check_cuts: bool = True
+
+
+class _IterationLimit(Exception):
+    """Raised inside the master tree once ``max_iters`` subproblems are spent."""
+
+
+def _gap(ub: float, lb: float) -> float:
+    return (ub - lb) / (1.0 + abs(ub)) if math.isfinite(ub) else math.inf
 
 
 def run_benders(
@@ -390,13 +366,15 @@ def run_benders(
     *,
     validate: bool = True,
 ) -> BendersResult:
-    """Iterate master and subproblem until the bounds meet.
+    """Solve the master in one branch-and-cut tree that prices the flows at
+    every integral node and adds their cut there.
 
     Returns the incumbent container schedule, the assembled full solution
-    vector over the monolithic columns, the cost breakdown, and the trace.
-    Instances that fail route validation are reported infeasible up front
-    unless ``validate=False`` (then a feasibility cut makes the master
-    infeasible, which is reported the same way).
+    vector over the monolithic columns, the cost breakdown, and the trace,
+    one record per subproblem solve. Instances that fail route validation
+    are reported infeasible up front unless ``validate=False`` (then
+    feasibility cuts make the master infeasible, which is reported the same
+    way).
     """
     params = params or BendersParams()
     trace = BendersTrace()
@@ -419,104 +397,112 @@ def run_benders(
     model = build_mip(instance, mode, require_routes=False)
     sub = _prepare(model)
     master = sub.master
+    n_t = master.num_t
+    # the master tree's own objective, so the upper bound and the tree's
+    # incumbent are the same float
+    objective = np.append(master.h_costs, 1.0)
+    priced: dict[bytes, float | None] = {}  # subproblem value per T; None if infeasible
 
     lb = -math.inf
     ub = math.inf
     best_t: np.ndarray | None = None
     best_x: np.ndarray | None = None
-    prev_t: np.ndarray | None = None
-    status = "max_iters"
 
-    for it in range(1, params.max_iters + 1):
-        warm_t = None
-        warm_obj = math.inf
-        for cand in (best_t, prev_t):
-            if cand is None:
-                continue
-            lifted = master_point(master, cand)
-            if lifted is not None and lifted[1] < warm_obj:
-                warm_t, warm_obj = cand, lifted[1]
-        try:
-            t_bar, q_val, master_obj = solve_master(
-                master,
-                gap_tol=params.gap_tol,
-                node_limit=params.node_limit,
-                warm_t=warm_t,
-            )
-        except InfeasibleInstanceError:
-            return BendersResult(
-                status="infeasible",
-                objective=None,
-                t_values=None,
-                x_full=None,
-                breakdown=None,
-                trace=trace,
-                lower_bound=lb,
-                upper_bound=ub,
-                iterations=it - 1,
-                proven=True,
-                model=model,
-            )
-        lb = max(lb, master_obj)
-        prev_t = t_bar
-
-        result = _solve_sub(sub, t_bar, params.lp_tol)
-        cut_kind = None
-        sub_value = None
-        if result.status == STATUS_OPTIMAL:
-            sub_value = result.value
-            candidate_ub = sub_value + float(master.h_costs @ t_bar)
-            if candidate_ub < ub - 1e-12:
-                ub = candidate_ub
-                best_t = t_bar.copy()
-                best_x = result.x.copy()
-            cut = make_optimality_cut(result.duals, master, iteration=it)
-            if params.check_cuts:
-                tight = cut.value_at(t_bar)
-                if abs(tight - sub_value) > 1e-6 * (1.0 + abs(sub_value)):
-                    raise SolverError(
-                        f"optimality cut not tight at its generator: "
-                        f"{tight:.9g} vs q={sub_value:.9g}"
-                    )
-            cut_kind = CUT_OPTIMALITY
-        else:
-            cut = make_feasibility_cut(result.farkas_ray, master, iteration=it)
-            if params.check_cuts and cut.value_at(t_bar) <= 0.0:
+    def separate(x: np.ndarray, bound: float):
+        nonlocal lb, ub, best_t, best_x
+        t = x[:n_t] + 0.0  # folds -0.0 into 0.0 so equal schedules share a key
+        key = t.tobytes()
+        if key in priced:
+            # this T's cut is in the tree already; x misses it by round-off
+            if priced[key] is None:
                 raise SolverError(
                     "feasibility cut does not exclude the generating candidate"
                 )
-            cut_kind = CUT_FEASIBILITY
+            return None, np.append(t, priced[key])
+        if len(trace.records) >= params.max_iters:
+            raise _IterationLimit
+        it = len(trace.records) + 1
+        lb = max(lb, bound)
+        result = _solve_sub(sub, t)
+        point = None
+        if result.status == STATUS_OPTIMAL:
+            value = result.value
+            cut = make_optimality_cut(result.duals, master, iteration=it)
+            tight = cut.value_at(t)
+            if abs(tight - value) > 1e-6 * (1.0 + abs(value)):
+                raise SolverError(
+                    f"optimality cut not tight at its generator: "
+                    f"{tight:.9g} vs q={value:.9g}"
+                )
+            point = np.append(t, value)
+            candidate_ub = float(objective @ point)
+            if candidate_ub < ub - 1e-12:
+                ub = candidate_ub
+                best_t = t
+                best_x = result.x.copy()
+        else:
+            value = None
+            cut = make_feasibility_cut(result.farkas_ray, master, iteration=it)
+            if cut.value_at(t) <= 0.0:
+                raise SolverError(
+                    "feasibility cut does not exclude the generating candidate"
+                )
+        priced[key] = value
         master.cuts.append(cut)
-
-        gap = (ub - lb) / (1.0 + abs(ub)) if math.isfinite(ub) else math.inf
         trace.records.append(
             IterationRecord(
                 iteration=it,
                 lower=lb,
                 upper=ub,
-                gap=gap,
-                t_candidate=t_bar.copy(),
-                subproblem_value=sub_value,
-                cut_kind=cut_kind,
+                gap=_gap(ub, lb),
+                t_candidate=t.copy(),
+                subproblem_value=value,
+                cut_kind=cut.kind,
             )
         )
-        if gap <= params.tol:
-            status = "optimal"
-            break
+        if it >= params.max_iters and trace.records[-1].gap > params.gap_tol:
+            raise _IterationLimit  # the last allowed solve left the gap open
+        return _cut_row(cut, n_t), point
 
-    proven = status == "optimal"
+    status = "optimal"
+    try:
+        _, _, bound = solve_master(
+            master, params.gap_tol, params.node_limit, separate=separate
+        )
+    except InfeasibleInstanceError:
+        return BendersResult(
+            status="infeasible",
+            objective=None,
+            t_values=None,
+            x_full=None,
+            breakdown=None,
+            trace=trace,
+            lower_bound=lb,
+            upper_bound=ub,
+            iterations=len(trace.records),
+            proven=True,
+            model=model,
+        )
+    except _IterationLimit:
+        status = "max_iters"
+    else:
+        # the last subproblem solve ran before the tree closed; its record
+        # takes the bound the tree proved
+        lb = max(lb, bound)
+        trace.records[-1] = replace(trace.records[-1], lower=lb, gap=_gap(ub, lb))
+
     x_full = None
     breakdown = None
-    objective = None
+    objective_value = None
     if best_t is not None and best_x is not None:
         x_full = np.zeros(model.num_vars)
         x_full[sub.non_t_cols] = best_x
         x_full[sub.t_cols] = best_t
         breakdown = objective_breakdown(model, x_full)
-        objective = ub
+        objective_value = ub
     return BendersResult(
         status=status,
-        objective=objective,
+        objective=objective_value,
         t_values=best_t,
         x_full=x_full,
         breakdown=breakdown,
@@ -524,6 +510,6 @@ def run_benders(
         lower_bound=lb,
         upper_bound=ub,
         iterations=len(trace.records),
-        proven=proven,
+        proven=status == "optimal",
         model=model,
     )

@@ -45,7 +45,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9, help="bound-gap termination tolerance")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--gap-tol", type=float, default=1e-9)
     p.add_argument("--node-limit", type=int, default=100_000)
@@ -202,7 +201,6 @@ def _cmd_benders(args) -> int:
     instance = load_instance(args.instance)
     mode = _mode(args.mode)
     params = bd.BendersParams(
-        tol=args.tol,
         max_iters=args.max_iters,
         gap_tol=args.gap_tol,
         node_limit=args.node_limit,
@@ -240,7 +238,6 @@ def _cmd_compare(args) -> int:
     if not _require_routes(instance):
         return EXIT_INFEASIBLE
     params = bd.BendersParams(
-        tol=args.tol,
         max_iters=args.max_iters,
         gap_tol=args.gap_tol,
         node_limit=args.node_limit,

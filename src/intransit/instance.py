@@ -200,6 +200,12 @@ class Instance:
     def total_demand(self) -> float:
         return float(sum(self.pickups.values()))
 
+    def container_bound(self) -> int:
+        """Containers that carry the whole demand at once. No optimal plan
+        buys more on one gateway day, so this bounds every container count."""
+        k = self.container_capacity
+        return math.ceil(self.total_demand() / k) if k > 0 else 0
+
     def positive_pickups(self) -> list[tuple[str, str, int]]:
         """Pickup events with positive weight, in deterministic order."""
         pidx = {p: i for i, p in enumerate(self.products)}

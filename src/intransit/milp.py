@@ -1,8 +1,9 @@
 """Best-bound branch-and-bound over the LP engine.
 
-Serves two roles: the monolithic solver for small consolidation models and
-the integer master solver inside the decomposition loop. Branching picks
-the most fractional integer column (ties: lowest index); node selection is
+Serves two roles: the monolithic solver for small consolidation models and,
+with a separation callback that adds rows lazily, the one branch-and-cut
+tree of the decomposition's integer master. Branching picks the most
+fractional integer column (ties: lowest index); node selection is
 best-bound first (ties: insertion order). Both rules are deterministic.
 """
 
@@ -12,7 +13,7 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +37,10 @@ MILP_NODE_LIMIT = "node_limit"
 INTEGRALITY_TOL = 1e-6
 DEFAULT_GAP_TOL = 1e-9
 DEFAULT_NODE_LIMIT = 100_000
+
+# (coefficients, rhs) of a row ``coefficients @ x <= rhs``
+Row = tuple[np.ndarray, float]
+Separator = Callable[[np.ndarray, float], tuple[Row | None, np.ndarray | None]]
 
 
 @dataclass
@@ -73,11 +78,8 @@ def _as_milp(model) -> MilpProblem:
     if isinstance(model, MilpProblem):
         return model
     if isinstance(model, MipModel):
-        k = model.instance.container_capacity
-        total = model.instance.total_demand()
         # implied container bound keeps the tree finite
-        t_max = math.ceil(total / k) if k > 0 else 0
-        upper = np.full(len(model.integer_columns), float(t_max))
+        upper = np.full(len(model.integer_columns), float(model.instance.container_bound()))
         return MilpProblem(
             lp=lp_from_mip(model),
             integer_columns=np.asarray(model.integer_columns),
@@ -86,45 +88,40 @@ def _as_milp(model) -> MilpProblem:
     raise SolverError(f"cannot solve object of type {type(model).__name__}")
 
 
-def _node_lp(
-    base: LpProblem,
-    bounds: dict[int, tuple[float, float]],
-    base_dense: np.ndarray | None = None,
-) -> LpProblem:
+def _append_rows(base: LpProblem, extra, rhs: np.ndarray) -> LpProblem:
+    """``base`` plus the rows ``extra @ x <= rhs``, dense when ``base`` is."""
+    if sp.issparse(base.A):
+        A = sp.vstack([base.A, sp.csr_matrix(extra)], format="csr")
+    else:
+        A = np.concatenate([base.A, extra], axis=0)
+    # the base LP was validated on construction and the appended rows are
+    # built by the tree or its separator, so skip re-validation in this hot path
+    lp = LpProblem.__new__(LpProblem)
+    lp.objective = base.objective
+    lp.A = A
+    lp.senses = np.concatenate([base.senses, np.full(len(rhs), "<", dtype="<U1")])
+    lp.rhs = np.concatenate([base.rhs, rhs])
+    return lp
+
+
+def _node_lp(base: LpProblem, bounds: dict[int, tuple[float, float]]) -> LpProblem:
     """Base LP plus branching bounds encoded as extra <= rows."""
     if not bounds:
         return base
     rows, cols, vals, rhs = [], [], [], []
-    r = 0
-    for col in sorted(bounds):
+    for r, (col, kind) in enumerate(_bound_layout(bounds)):
         lo, hi = bounds[col]
-        if hi is not None and math.isfinite(hi):
-            rows.append(r)
-            cols.append(col)
-            vals.append(1.0)
-            rhs.append(hi)
-            r += 1
-        if lo is not None and lo > 0:
-            rows.append(r)
-            cols.append(col)
-            vals.append(-1.0)
-            rhs.append(-lo)
-            r += 1
-    if base_dense is not None:
-        extra_dense = np.zeros((r, base.num_cols))
-        extra_dense[rows, cols] = vals
-        A = np.concatenate([base_dense, extra_dense], axis=0)
+        rows.append(r)
+        cols.append(col)
+        vals.append(1.0 if kind == "hi" else -1.0)
+        rhs.append(hi if kind == "hi" else -lo)
+    shape = (len(rows), base.num_cols)
+    if sp.issparse(base.A):
+        extra = sp.coo_matrix((vals, (rows, cols)), shape=shape)
     else:
-        extra = sp.coo_matrix((vals, (rows, cols)), shape=(r, base.num_cols))
-        A = sp.vstack([base.A, extra], format="csr")
-    # the base LP was validated on construction and the appended rows are
-    # unit-coefficient bounds, so skip re-validation in this hot path
-    node = LpProblem.__new__(LpProblem)
-    node.objective = base.objective
-    node.A = A
-    node.senses = np.concatenate([base.senses, np.full(r, "<", dtype="<U1")])
-    node.rhs = np.concatenate([base.rhs, np.asarray(rhs, dtype=np.float64)])
-    return node
+        extra = np.zeros(shape)
+        extra[rows, cols] = vals
+    return _append_rows(base, extra, np.asarray(rhs, dtype=np.float64))
 
 
 def _bound_layout(bounds: dict[int, tuple[float, float]]) -> list[tuple[int, str]]:
@@ -142,23 +139,26 @@ def _bound_layout(bounds: dict[int, tuple[float, float]]) -> list[tuple[int, str
 def _translate_basis(
     parent: BasisLabels,
     parent_bounds: dict[int, tuple[float, float]],
+    parent_m0: int,
     child_bounds: dict[int, tuple[float, float]],
     m0: int,
 ) -> BasisLabels | None:
     """Re-index a parent node's basis for a child's row layout.
 
-    Base rows keep their indices; bound rows are matched by (column, kind);
-    rows the child adds get their own slack. Returns None when a referenced
-    row no longer exists.
+    The parent was solved over ``parent_m0`` base rows, the child has
+    ``m0``: base rows keep their indices; bound rows are matched by (column,
+    kind); rows the child adds, base rows appended since and its own bound
+    rows, get their own slack. Returns None when a referenced row no longer
+    exists.
     """
     parent_layout = _bound_layout(parent_bounds)
     child_layout = _bound_layout(child_bounds)
     child_row = {key: m0 + i for i, key in enumerate(child_layout)}
 
     def map_row(r: int) -> int | None:
-        if r < m0:
+        if r < parent_m0:
             return r
-        return child_row.get(parent_layout[r - m0])
+        return child_row.get(parent_layout[r - parent_m0])
 
     slack_rows: list[int] = []
     art_rows: list[int] = []
@@ -172,6 +172,7 @@ def _translate_basis(
         if mr is None:
             return None
         art_rows.append(mr)
+    slack_rows.extend(range(parent_m0, m0))
     parent_keys = set(parent_layout)
     for key in child_layout:
         if key not in parent_keys:
@@ -183,42 +184,13 @@ def _translate_basis(
     )
 
 
-def _check_warm_start(
-    prob: MilpProblem,
-    warm_start: tuple[np.ndarray, float],
-    int_cols: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, float]:
-    x, obj = warm_start
-    x = np.asarray(x, dtype=np.float64)
-    lp = prob.lp
-    if x.shape != (lp.num_cols,):
-        raise SolverError("warm start has the wrong length")
-    scale = 1.0 + float(np.abs(lp.rhs).max(initial=0.0))
-    resid = lp.A @ x - lp.rhs
-    le = lp.senses == "<"
-    bad = (
-        float((-x).max(initial=0.0)) > tol
-        or (le.any() and float(resid[le].max(initial=0.0)) > tol * scale)
-        or ((~le).any() and float(np.abs(resid[~le]).max(initial=0.0)) > tol * scale)
-    )
-    if len(int_cols):
-        vals = x[int_cols]
-        bad = bad or float(np.abs(vals - np.round(vals)).max()) > INTEGRALITY_TOL
-        if prob.integer_upper is not None:
-            bad = bad or bool((vals > np.asarray(prob.integer_upper) + INTEGRALITY_TOL).any())
-    if bad:
-        raise SolverError("warm start is not feasible for the integer problem")
-    return x.copy(), float(obj)
-
-
 def solve_milp(
     model,
     gap_tol: float = DEFAULT_GAP_TOL,
     node_limit: int = DEFAULT_NODE_LIMIT,
     *,
     tol: float = 1e-7,
-    warm_start: tuple[np.ndarray, float] | None = None,
+    separate: Separator | None = None,
     node_log: TextIO | None = None,
 ) -> MilpOutcome:
     """Solve a MipModel or MilpProblem to the requested gap.
@@ -227,18 +199,24 @@ def solve_milp(
     limit returns status ``node_limit`` with the best incumbent and bound,
     never a silent "optimal".
 
-    ``warm_start`` is an optional known feasible point ``(x, objective)``
-    used as the initial incumbent; it is verified before use. A good warm
-    incumbent lets the tree prune from the first node.
+    ``separate(x, bound)`` adds constraints lazily. It is called at every
+    node whose LP optimum ``x`` is integral on the integer columns (they
+    are rounded first), with ``bound`` the tree's global lower bound at that
+    moment, and returns ``(row, point)``. ``point`` is a feasible solution
+    with the integer values of ``x``, offered as incumbent, or None when
+    there is none. ``row`` is a valid constraint ``(coefficients, rhs)``
+    meaning ``coefficients @ x <= rhs``, or None when ``x`` violates
+    nothing. A row is appended to the LP of every node solved from then on,
+    and the node goes back on the heap to be solved again with it unless
+    the incumbent already closes its gap. Without a separator every
+    integral LP optimum is an incumbent.
     """
     prob = _as_milp(model)
     int_cols = np.asarray(prob.integer_columns, dtype=np.int64)
 
-    base_dense = None
-    if not sp.issparse(prob.lp.A):
-        base_dense = np.asarray(prob.lp.A, dtype=np.float64)
-    elif (prob.lp.num_rows + 2 * len(int_cols) + 8) * prob.lp.num_cols <= DENSE_LIMIT:
-        base_dense = prob.lp.A.toarray()
+    base = prob.lp
+    if sp.issparse(base.A) and (base.num_rows + 2 * len(int_cols) + 8) * base.num_cols <= DENSE_LIMIT:
+        base = LpProblem(base.objective, base.A.toarray(), base.senses, base.rhs)
 
     implied_upper: dict[int, float] = {}
     if prob.integer_upper is not None:
@@ -252,14 +230,13 @@ def solve_milp(
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
-    if warm_start is not None:
-        incumbent_x, incumbent_obj = _check_warm_start(prob, warm_start, int_cols, tol)
     nodes = 0
     counter = 0
-    m0 = prob.lp.num_rows
-    heap: list[tuple[float, int, int, dict, BasisLabels | None]] = []
+    # each entry carries the basis it was pushed with and the bounds and
+    # base row count that basis was solved under; it is re-indexed on pop
+    heap: list[tuple[float, int, int, dict, tuple | None]] = []
 
-    def push(bound: float, depth: int, bounds: dict, warm: BasisLabels | None) -> None:
+    def push(bound: float, depth: int, bounds: dict, warm: tuple | None) -> None:
         nonlocal counter
         heapq.heappush(heap, (bound, counter, depth, bounds, warm))
         counter += 1
@@ -282,7 +259,8 @@ def solve_milp(
             break
         nodes += 1
 
-        outcome = solve_lp(_node_lp(prob.lp, bounds, base_dense), tol=tol, warm=warm)
+        labels = None if warm is None else _translate_basis(*warm, bounds, base.num_rows)
+        outcome = solve_lp(_node_lp(base, bounds), tol=tol, warm=labels)
         if outcome.status == STATUS_INFEASIBLE:
             continue
         if outcome.status == STATUS_UNBOUNDED:
@@ -299,26 +277,43 @@ def solve_milp(
         x = outcome.x
         vals = x[int_cols]
         frac = np.abs(vals - np.round(vals))
-        if len(frac) == 0 or float(frac.max()) <= INTEGRALITY_TOL:
-            if lp_obj < incumbent_obj - 1e-12:
-                incumbent_obj = lp_obj
-                incumbent_x = x.copy()
-                if len(int_cols):
-                    incumbent_x[int_cols] = np.round(incumbent_x[int_cols])
+        # an LP without rows has no basis to carry
+        here = None if outcome.basis is None else (outcome.basis, bounds, base.num_rows)
+        if len(frac) and float(frac.max()) > INTEGRALITY_TOL:
+            j = int(np.argmax(frac))
+            col = int(int_cols[j])
+            val = float(vals[j])
+            lo, hi = bounds.get(col, (0.0, math.inf))
+            down = dict(bounds)
+            down[col] = (lo, math.floor(val))
+            push(lp_obj, depth + 1, down, here)
+            up_lo = math.ceil(val)
+            if up_lo <= min(hi, implied_upper.get(col, math.inf)):
+                up = dict(bounds)
+                up[col] = (up_lo, hi)
+                push(lp_obj, depth + 1, up, here)
             continue
 
-        j = int(np.argmax(frac))
-        col = int(int_cols[j])
-        val = float(vals[j])
-        lo, hi = bounds.get(col, (0.0, math.inf))
-        down = dict(bounds)
-        down[col] = (lo, math.floor(val))
-        push(lp_obj, depth + 1, down, _translate_basis(outcome.basis, bounds, down, m0))
-        up_lo = math.ceil(val)
-        if up_lo <= min(hi, implied_upper.get(col, math.inf)):
-            up = dict(bounds)
-            up[col] = (up_lo, hi)
-            push(lp_obj, depth + 1, up, _translate_basis(outcome.basis, bounds, up, m0))
+        x = x.copy()
+        x[int_cols] = np.round(vals)
+        if separate is None:
+            row, point, point_obj = None, x, lp_obj
+        else:
+            lower = min(lp_obj, incumbent_obj, heap[0][0] if heap else math.inf)
+            row, point = separate(x, lower)
+            point_obj = math.inf if point is None else float(base.objective @ point)
+        if point_obj < incumbent_obj - 1e-12:
+            incumbent_obj = point_obj
+            incumbent_x = point
+        if row is not None:
+            coefficients, rhs = row
+            base = _append_rows(
+                base,
+                np.asarray(coefficients, dtype=np.float64).reshape(1, -1),
+                np.array([rhs], dtype=np.float64),
+            )
+            if rel_gap(incumbent_obj, lp_obj) > gap_tol:
+                push(lp_obj, depth, bounds, here)
 
     open_bounds = [entry[0] for entry in heap]
     if incumbent_x is None:

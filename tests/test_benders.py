@@ -25,7 +25,7 @@ from intransit import (
     solve_milp,
     solve_subproblem,
 )
-from intransit.benders import Cut, master_point
+from intransit.benders import Cut
 from intransit.errors import InfeasibleInstanceError, SolverError
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
@@ -141,10 +141,11 @@ class TestFeasibilityCuts:
         A_sub, senses, master = self._harness()
         ray = self._farkas(A_sub, senses, master, [0.0])
         master.cuts.append(make_feasibility_cut(ray, master))
-        assert master_point(master, np.array([0.0])) is None
-        lifted = master_point(master, np.array([1.0]))
-        assert lifted is not None
-        assert lifted[1] == pytest.approx(4800.0)
+        # T = 0 is cut off; one container is the cheapest schedule left
+        t, q, lb = solve_master(master)
+        assert t.tolist() == [1.0]
+        assert q == 0.0
+        assert lb == pytest.approx(4800.0)
 
     def test_zero_ray_rejected(self):
         _, _, master = self._harness()
@@ -259,7 +260,7 @@ class TestRunBenders:
         assert all(l <= u + 1e-9 for l, u in zip(lows, ups))
 
     def test_every_cut_tight_at_generator(self):
-        # check_cuts re-verifies tightness inside the loop; run with it on
+        # every cut's tightness at its generator is re-checked as it is made
         cfg = GeneratorConfig(
             n_products=2, n_suppliers=2, n_gateways=2, horizon_days=8, window_days=4
         )

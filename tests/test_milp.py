@@ -1,4 +1,4 @@
-"""Branch and bound: small-model oracles, warm starts, limits, logging."""
+"""Branch and bound: small-model oracles, lazy rows, limits, logging."""
 
 import io
 import itertools
@@ -138,6 +138,46 @@ class TestSmallProblems:
         assert bounded.nodes < free.nodes
 
 
+class TestSeparation:
+    def _problem(self, cut_upfront):
+        # max 2 x0 + 3 x1 on the box [0, 3]^2; the lazy row 2 x0 + 2 x1 <= 9
+        # cuts off the integral box corner and leaves a fractional vertex
+        A = [[1.0, 0.0], [0.0, 1.0]] + ([[2.0, 2.0]] if cut_upfront else [])
+        return MilpProblem(
+            lp=LpProblem(
+                objective=np.array([-2.0, -3.0]),
+                A=np.array(A),
+                senses=np.array(["<"] * len(A)),
+                rhs=np.array([3.0, 3.0] + ([9.0] if cut_upfront else [])),
+            ),
+            integer_columns=np.array([0, 1]),
+        )
+
+    def test_lazy_row_matches_row_from_the_start(self):
+        seen = []
+
+        def separate(x, bound):
+            seen.append((x.copy(), bound))
+            if x[0] + x[1] > 4.5:
+                return (np.array([2.0, 2.0]), 9.0), None
+            return None, x
+
+        lazy = solve_milp(self._problem(False), separate=separate)
+        upfront = solve_milp(self._problem(True))
+        assert upfront.status == lazy.status == MILP_OPTIMAL
+        assert lazy.objective == pytest.approx(upfront.objective) == pytest.approx(-11.0)
+        np.testing.assert_allclose(lazy.x, upfront.x)
+        assert lazy.bound == pytest.approx(upfront.bound)
+        # the first integral point was the corner (3, 3), at the root bound
+        np.testing.assert_allclose(seen[0][0], [3.0, 3.0])
+        assert seen[0][1] == pytest.approx(-15.0)
+        # the root was solved again with the row, then branched like the
+        # tree that had the row from the start
+        assert upfront.nodes > 1
+        assert lazy.nodes == upfront.nodes + 1
+        assert len(seen) > 1
+
+
 class TestConsolidationModels:
     def test_window_optimum(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
@@ -233,33 +273,6 @@ class TestLimitsAndLogging:
 
 
 class TestWarmStart:
-    def test_valid_warm_start_prunes(self, tiny_instance):
-        model = build_mip(tiny_instance, MODE_WINDOW)
-        cold = solve_milp(model)
-        warm = solve_milp(model, warm_start=(cold.x, cold.objective))
-        assert warm.status == MILP_OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
-        assert warm.nodes <= cold.nodes
-
-    def test_infeasible_warm_start_rejected(self, tiny_instance):
-        model = build_mip(tiny_instance, MODE_WINDOW)
-        bad = np.zeros(model.num_vars)  # violates the pickup equality
-        with pytest.raises(SolverError, match="warm start"):
-            solve_milp(model, warm_start=(bad, 0.0))
-
-    def test_fractional_warm_start_rejected(self, tiny_instance):
-        model = build_mip(tiny_instance, MODE_WINDOW)
-        cold = solve_milp(model)
-        x = cold.x.copy()
-        x[model.integer_columns[0]] += 0.5
-        with pytest.raises(SolverError, match="warm start"):
-            solve_milp(model, warm_start=(x, cold.objective))
-
-    def test_wrong_length_rejected(self, tiny_instance):
-        model = build_mip(tiny_instance, MODE_WINDOW)
-        with pytest.raises(SolverError, match="length"):
-            solve_milp(model, warm_start=(np.zeros(3), 0.0))
-
     def test_unrelated_type_rejected(self):
         with pytest.raises(SolverError, match="cannot solve"):
             solve_milp({"not": "a model"})

@@ -30,6 +30,8 @@ import scipy.sparse as sp
 from .errors import InfeasibleInstanceError, SolverError
 from .instance import Instance, validate_routes
 from .milp import (
+    DEFAULT_GAP_TOL,
+    DEFAULT_NODE_LIMIT,
     MILP_INFEASIBLE,
     MILP_OPTIMAL,
     MilpProblem,
@@ -56,7 +58,6 @@ CUT_OPTIMALITY = "optimality"
 CUT_FEASIBILITY = "feasibility"
 
 DEFAULT_MAX_ITERS = 500
-LP_TOL = 1e-7  # simplex tolerance of the subproblem and the relaxation
 
 
 @dataclass(frozen=True)
@@ -182,16 +183,14 @@ def _prepare(model: MipModel) -> _SubStructure:
     )
 
 
-def _solve_sub(
-    sub: _SubStructure, t_fixed: np.ndarray, tol: float = LP_TOL
-) -> SubproblemResult:
+def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> SubproblemResult:
     rhs = sub.master.b - sub.master.B @ t_fixed
     lp = LpProblem(
         objective=sub.obj_sub, A=sub.A_sub, senses=sub.model.senses, rhs=rhs
     )
     # consecutive subproblems differ only in rhs, so the previous optimal
     # basis is dual feasible and a short warm run replaces a full solve
-    outcome = solve_lp(lp, tol=tol, warm=sub.warm_basis)
+    outcome = solve_lp(lp, warm=sub.warm_basis)
     if outcome.status == STATUS_OPTIMAL and outcome.basis is not None:
         sub.warm_basis = outcome.basis
     if outcome.status == STATUS_UNBOUNDED:
@@ -214,7 +213,6 @@ def solve_subproblem(
     t_fixed: np.ndarray,
     mode: str = MODE_WINDOW,
     *,
-    tol: float = LP_TOL,
     require_routes: bool = True,
 ) -> SubproblemResult:
     """Price the flow LP for fixed container counts.
@@ -231,7 +229,7 @@ def solve_subproblem(
         raise SolverError(
             f"t_fixed has shape {t_fixed.shape}, expected ({sub.master.num_t},)"
         )
-    return _solve_sub(sub, t_fixed, tol)
+    return _solve_sub(sub, t_fixed)
 
 
 def make_optimality_cut(
@@ -283,7 +281,8 @@ def master_problem(master: MasterData) -> MilpProblem:
     """Assemble the integer master over columns [T..., q]."""
     n_t = master.num_t
     rows = [_cut_row(cut, n_t) for cut in master.cuts]
-    # T <= t_upper is carried by integer_upper below, not by explicit rows
+    # T <= t_upper is carried by integer_upper below, not by explicit rows;
+    # A is dense, so the master's node LPs run on the dense basis
     lp = LpProblem(
         objective=np.append(master.h_costs, 1.0),
         A=np.array([row for row, _ in rows]),
@@ -299,8 +298,8 @@ def master_problem(master: MasterData) -> MilpProblem:
 
 def solve_master(
     master: MasterData,
-    gap_tol: float = 1e-9,
-    node_limit: int = 100_000,
+    gap_tol: float = DEFAULT_GAP_TOL,
+    node_limit: int = DEFAULT_NODE_LIMIT,
     *,
     separate: Separator | None = None,
 ) -> tuple[np.ndarray, float, float]:
@@ -332,11 +331,11 @@ def solve_master(
 
 
 def lp_relaxation(
-    instance: Instance, mode: str = MODE_WINDOW, *, tol: float = LP_TOL
+    instance: Instance, mode: str = MODE_WINDOW
 ) -> tuple[float, np.ndarray, CostBreakdown]:
     """Monolithic LP with T continuous; a global lower bound."""
     model = build_mip(instance, mode)
-    outcome = solve_lp(lp_from_mip(model), tol=tol)
+    outcome = solve_lp(lp_from_mip(model))
     if outcome.status == STATUS_INFEASIBLE:
         raise InfeasibleInstanceError("LP relaxation is infeasible")
     if outcome.status == STATUS_UNBOUNDED:
@@ -347,8 +346,8 @@ def lp_relaxation(
 @dataclass(frozen=True)
 class BendersParams:
     max_iters: int = DEFAULT_MAX_ITERS  # subproblem solves
-    gap_tol: float = 1e-9
-    node_limit: int = 100_000
+    gap_tol: float = DEFAULT_GAP_TOL
+    node_limit: int = DEFAULT_NODE_LIMIT
 
 
 class _IterationLimit(Exception):

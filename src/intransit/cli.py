@@ -15,7 +15,7 @@ import numpy as np
 from . import benders as bd
 from .errors import InfeasibleInstanceError, IntransitError, SolverError
 from .instance import GeneratorConfig, generate_synthetic, load_instance, save_instance, validate_routes
-from .milp import MILP_INFEASIBLE, MILP_OPTIMAL, solve_milp
+from .milp import DEFAULT_GAP_TOL, DEFAULT_NODE_LIMIT, MILP_INFEASIBLE, MILP_OPTIMAL, solve_milp
 from .model import MODE_EXACT_DAY, MODE_WINDOW, build_mip, expected_num_vars
 from .report import (
     ScenarioReport,
@@ -41,13 +41,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance directory")
     p.add_argument("--mode", choices=["window", "exact-day"], default="window")
     p.add_argument("--out", default=None, help="output directory for result files")
-    p.add_argument("--verbose", action="store_true")
 
 
 def _add_solver_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--gap-tol", type=float, default=1e-9)
-    p.add_argument("--node-limit", type=int, default=100_000)
+    p.add_argument("--max-iters", type=int, default=bd.DEFAULT_MAX_ITERS)
+    p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="route diagnostics for an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("relax", help="LP relaxation (containers continuous)")
     _add_common(p)
@@ -77,11 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benders", help="decomposition solve")
     _add_common(p)
     _add_solver_opts(p)
+    p.add_argument("--verbose", action="store_true", help="print the trace")
 
     p = sub.add_parser("compare", help="relaxation vs both decomposition modes")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--verbose", action="store_true")
     _add_solver_opts(p)
 
     p = sub.add_parser("generate", help="write a synthetic instance")
@@ -244,7 +242,7 @@ def _cmd_compare(args) -> int:
     )
     report = ScenarioReport()
 
-    relax_obj, relax_x, _ = bd.lp_relaxation(instance, MODE_WINDOW)
+    _, relax_x, _ = bd.lp_relaxation(instance, MODE_WINDOW)
     relax_model = build_mip(instance, MODE_WINDOW)
     report.rows.append(scenario_row("lp_relaxation", relax_model, relax_x))
 

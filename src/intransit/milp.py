@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from .errors import SolverError
 from .model import MipModel
 from .simplex import (
-    DENSE_LIMIT,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
@@ -189,7 +188,6 @@ def solve_milp(
     gap_tol: float = DEFAULT_GAP_TOL,
     node_limit: int = DEFAULT_NODE_LIMIT,
     *,
-    tol: float = 1e-7,
     separate: Separator | None = None,
     node_log: TextIO | None = None,
 ) -> MilpOutcome:
@@ -215,8 +213,6 @@ def solve_milp(
     int_cols = np.asarray(prob.integer_columns, dtype=np.int64)
 
     base = prob.lp
-    if sp.issparse(base.A) and (base.num_rows + 2 * len(int_cols) + 8) * base.num_cols <= DENSE_LIMIT:
-        base = LpProblem(base.objective, base.A.toarray(), base.senses, base.rhs)
 
     implied_upper: dict[int, float] = {}
     if prob.integer_upper is not None:
@@ -260,7 +256,7 @@ def solve_milp(
         nodes += 1
 
         labels = None if warm is None else _translate_basis(*warm, bounds, base.num_rows)
-        outcome = solve_lp(_node_lp(base, bounds), tol=tol, warm=labels)
+        outcome = solve_lp(_node_lp(base, bounds), warm=labels)
         if outcome.status == STATUS_INFEASIBLE:
             continue
         if outcome.status == STATUS_UNBOUNDED:

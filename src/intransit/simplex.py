@@ -10,13 +10,15 @@ one of three certified outcomes:
 * Unbounded: a primal ray r >= 0 with ``A_eq r = 0``, ``A_le r <= 0`` and
   ``c'r < 0``.
 
-The basis is held as a sparse LU factorization with product-form eta
-updates and periodic refactorization. Pricing uses Dantzig's rule,
-switching permanently to Bland's rule after a run of degenerate pivots so
-termination is guaranteed. Phase one uses artificial variables; in phase
-two any artificial still basic at zero is pinned there (a pivot that would
-move it forces it out of the basis instead), which also neutralizes
-linearly dependent rows.
+How the caller stores ``A`` picks the basis. A scipy sparse matrix (the
+tall, sparse flow LPs) runs on a sparse LU factorization with product-form
+eta updates; a numpy array (the short, dense Benders master) runs on an
+explicit inverse updated in place. Both refactorize periodically. Pricing
+uses Dantzig's rule, switching permanently to Bland's rule after a run of
+degenerate pivots so termination is guaranteed. Phase one uses artificial
+variables; in phase two any artificial still basic at zero is pinned there
+(a pivot that would move it forces it out of the basis instead), which also
+neutralizes linearly dependent rows.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 
-DEFAULT_TOL = 1e-7
+TOL = 1e-7  # primal and dual feasibility tolerance
 PIVOT_TOL = 1e-9
+BLAND_THRESHOLD = 1000  # degenerate pivots in a row before Bland's rule takes over
+REFACTOR_EVERY = 100  # pivots between refactorizations of the basis
 
 
 @dataclass
@@ -42,11 +46,13 @@ class LpProblem:
     """Minimization LP over nonnegative variables.
 
     ``senses`` holds ``"="`` or ``"<"`` per row; all column lower bounds
-    are zero and there are no upper bounds.
+    are zero and there are no upper bounds. ``A`` given as a scipy sparse
+    matrix is solved on the sparse LU basis; anything else is stored as a
+    dense array and solved on the explicit-inverse basis.
     """
 
     objective: np.ndarray
-    A: sp.spmatrix
+    A: sp.spmatrix | np.ndarray
     senses: np.ndarray
     rhs: np.ndarray
 
@@ -107,17 +113,13 @@ class LpOutcome:
     basis: BasisLabels | None = None
 
 
-# below this many matrix cells the dense basis path is faster
-DENSE_LIMIT = 1_000_000
-
-
 class _DenseBasis:
-    """Dense twin of :class:`_Basis` for small problems.
+    """Dense twin of :class:`_Basis` for LPs stored as numpy arrays.
 
     Keeps the full constraint matrix and an explicit basis inverse, which
-    avoids sparse-object overhead that dominates at small sizes. The
-    product-form update is applied to the inverse directly, so there is no
-    eta file.
+    avoids sparse-object overhead that dominates on short, dense LPs such
+    as the Benders master. The product-form update is applied to the
+    inverse directly, so there is no eta file.
     """
 
     def __init__(self, A_std: np.ndarray, n_struct: int):
@@ -163,7 +165,7 @@ class _DenseBasis:
 
 
 class _Basis:
-    """Basis bookkeeping: sparse LU of B plus an eta file.
+    """Basis bookkeeping for LPs stored sparse: sparse LU of B plus an eta file.
 
     Columns >= n_struct are the artificial identity columns; artificial
     j corresponds to row j - n_struct.
@@ -241,12 +243,9 @@ class _Basis:
 
 @dataclass
 class _State:
-    B: _Basis
+    B: _Basis | _DenseBasis
     x_B: np.ndarray
     b: np.ndarray
-    tol: float
-    bland_threshold: int
-    refactor_every: int
     max_pivots: int
     pivots: int = 0
     stalls: int = 0
@@ -267,11 +266,11 @@ def _iterate(state: _State, c_struct, art_cost, *, allow_unbounded, pin_artifici
     """Pivot to optimality; return (entering, direction) if unbounded."""
     B = state.B
     n_struct = B.n_struct
-    # absolute dual tolerance, well below the requested tol: the caller
-    # equilibrates first, so reduced-cost noise sits near machine epsilon
-    # and a leftover -1e-7 entry would be a real suboptimality, not dust
-    opt_tol = 0.01 * state.tol
-    zero_tol = state.tol * (1.0 + float(np.abs(state.b).max(initial=0.0)))
+    # absolute dual tolerance, well below TOL: the caller equilibrates
+    # first, so reduced-cost noise sits near machine epsilon and a leftover
+    # -1e-7 entry would be a real suboptimality, not dust
+    opt_tol = 0.01 * TOL
+    zero_tol = TOL * (1.0 + float(np.abs(state.b).max(initial=0.0)))
 
     # incremental bookkeeping: membership, artificial flags, basic costs
     basis = B.basis
@@ -341,11 +340,11 @@ def _iterate(state: _State, c_struct, art_cost, *, allow_unbounded, pin_artifici
         state.pivots += 1
         if theta <= PIVOT_TOL:
             state.stalls += 1
-            if state.stalls > state.bland_threshold:
+            if state.stalls > BLAND_THRESHOLD:
                 state.bland = True
         else:
             state.stalls = 0
-        if state.pivots % state.refactor_every == 0:
+        if state.pivots % REFACTOR_EVERY == 0:
             B.refactor()
             state.x_B = B.ftran(state.b)
             np.maximum(state.x_B, 0.0, out=state.x_B)
@@ -408,7 +407,7 @@ def _dual_iterate(
         reduced[q] = 0.0
         basis[r] = q
         state.pivots += 1
-        if state.pivots % state.refactor_every == 0:
+        if state.pivots % REFACTOR_EVERY == 0:
             B.refactor()
             state.x_B = B.ftran(state.b)
             state.fresh_at = state.pivots
@@ -512,15 +511,7 @@ def _equilibration(A) -> tuple[np.ndarray, np.ndarray]:
     return r, _pow2_scale(cmax)
 
 
-def solve_lp(
-    problem: LpProblem,
-    tol: float = DEFAULT_TOL,
-    *,
-    max_pivots: int | None = None,
-    bland_threshold: int = 1000,
-    refactor_every: int = 100,
-    warm: BasisLabels | None = None,
-) -> LpOutcome:
+def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcome:
     """Solve an LP; deterministic for identical input.
 
     Raises :class:`SolverError` on numerical breakdown (singular basis,
@@ -553,14 +544,7 @@ def solve_lp(
     scaled.A = A_s
     scaled.senses = problem.senses
     scaled.rhs = problem.rhs * r * sig_b
-    out = _solve_core(
-        scaled,
-        tol,
-        max_pivots=max_pivots,
-        bland_threshold=bland_threshold,
-        refactor_every=refactor_every,
-        warm=warm,
-    )
+    out = _solve_core(scaled, warm)
     if out.status == STATUS_OPTIMAL:
         x = out.x * s / sig_b
         return LpOutcome(
@@ -578,43 +562,31 @@ def solve_lp(
     return LpOutcome(status=STATUS_UNBOUNDED, ray=out.ray * s, pivots=out.pivots)
 
 
-def _solve_core(
-    problem: LpProblem,
-    tol: float,
-    *,
-    max_pivots: int | None,
-    bland_threshold: int,
-    refactor_every: int,
-    warm: BasisLabels | None,
-) -> LpOutcome:
-    m, n = problem.num_rows, problem.num_cols
-    if max_pivots is None:
-        max_pivots = 2000 + 200 * (m + n)
+def _max_pivots(problem: LpProblem) -> int:
+    # reaching this many pivots means numerical breakdown or extreme degeneracy
+    return 2000 + 200 * (problem.num_rows + problem.num_cols)
 
+
+def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
+    m, n = problem.num_rows, problem.num_cols
     le_rows = np.flatnonzero(problem.senses == "<")
     n_slack = len(le_rows)
     n_struct = n + n_slack
 
     flip = np.where(problem.rhs < 0, -1.0, 1.0)
     b = problem.rhs * flip
-    sparse_input = sp.issparse(problem.A)
-    use_dense = m * n_struct <= DENSE_LIMIT
-    if use_dense:
-        A_std_dense = np.zeros((m, n_struct))
-        A_std_dense[:, :n] = problem.A.toarray() if sparse_input else problem.A
-        if n_slack:
-            A_std_dense[le_rows, n + np.arange(n_slack)] = 1.0
-        A_std_dense *= flip[:, None]
+    if sp.issparse(problem.A):
+        basis_type = _Basis
+        slack = sp.coo_matrix(
+            (np.ones(n_slack), (le_rows, np.arange(n_slack))), shape=(m, n_slack)
+        )
+        A_std = (sp.diags(flip) @ sp.hstack([problem.A, slack], format="csr")).tocsc()
     else:
-        A_csr = problem.A.tocsr() if sparse_input else sp.csr_matrix(problem.A)
-        if n_slack:
-            slack = sp.coo_matrix(
-                (np.ones(n_slack), (le_rows, np.arange(n_slack))), shape=(m, n_slack)
-            )
-            A_full = sp.hstack([A_csr, slack], format="csr")
-        else:
-            A_full = A_csr
-        A_std = (sp.diags(flip) @ A_full).tocsc()
+        basis_type = _DenseBasis
+        A_std = np.zeros((m, n_struct))
+        A_std[:, :n] = problem.A
+        A_std[le_rows, n + np.arange(n_slack)] = 1.0
+        A_std *= flip[:, None]
 
     c_struct = np.concatenate([problem.objective, np.zeros(n_slack)])
     # slack column id per row, -1 on '=' rows
@@ -622,12 +594,11 @@ def _solve_core(
     slack_pos[le_rows] = n + np.arange(n_slack)
 
     def fresh_basis():
-        return _DenseBasis(A_std_dense, n_struct) if use_dense else _Basis(A_std, n_struct)
+        return basis_type(A_std, n_struct)
 
     if warm is not None:
         outcome = _try_warm_start(
-            problem, warm, fresh_basis, slack_pos, c_struct, b, flip, le_rows,
-            n, n_struct, tol, max_pivots, bland_threshold, refactor_every,
+            problem, warm, fresh_basis, slack_pos, c_struct, b, flip, le_rows
         )
         if outcome is not None:
             return outcome
@@ -640,16 +611,7 @@ def _solve_core(
     B.basis = basis
     B.refactor()
 
-    state = _State(
-        B=B,
-        x_B=b.copy(),
-        b=b,
-        tol=tol,
-        bland_threshold=bland_threshold,
-        refactor_every=refactor_every,
-        max_pivots=max_pivots,
-        fresh_at=0,
-    )
+    state = _State(B=B, x_B=b.copy(), b=b, max_pivots=_max_pivots(problem), fresh_at=0)
 
     # phase 1: minimize the artificial mass
     if any_artificial:
@@ -660,7 +622,7 @@ def _solve_core(
         )
         art_mask = state.B.basis >= n_struct
         phase1_obj = float(state.x_B[art_mask].sum())
-        feas_tol = tol * (1.0 + float(np.abs(b).max(initial=0.0)))
+        feas_tol = TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
         if phase1_obj > feas_tol:
             y_std = state.B.btran(_basic_costs(state, c_phase1, art_cost))
             return LpOutcome(
@@ -686,15 +648,9 @@ def _try_warm_start(
     b: np.ndarray,
     flip: np.ndarray,
     le_rows: np.ndarray,
-    n: int,
-    n_struct: int,
-    tol: float,
-    max_pivots: int,
-    bland_threshold: int,
-    refactor_every: int,
 ) -> LpOutcome | None:
     """Attempt a warm-started solve; None means fall back to the cold path."""
-    m = len(b)
+    m, n = problem.num_rows, problem.num_cols
     struct = np.asarray(warm.struct, dtype=np.int64)
     if len(struct) and (struct.min() < 0 or struct.max() >= n):
         return None
@@ -716,15 +672,7 @@ def _try_warm_start(
         B.refactor()
     except SolverError:
         return None
-    state = _State(
-        B=B,
-        x_B=B.ftran(b),
-        b=b,
-        tol=tol,
-        bland_threshold=bland_threshold,
-        refactor_every=refactor_every,
-        max_pivots=max_pivots,
-    )
+    state = _State(B=B, x_B=B.ftran(b), b=b, max_pivots=_max_pivots(problem))
 
     def price_basis() -> np.ndarray:
         # the warm basis holds no artificials, so basic costs index directly
@@ -736,7 +684,7 @@ def _try_warm_start(
     # the warm basis is useful only if it is dual feasible here, to the
     # same standard the primal iteration terminates at
     reduced = price_basis()
-    if float(reduced.min(initial=0.0)) < -0.01 * state.tol:
+    if float(reduced.min(initial=0.0)) < -0.01 * TOL:
         return None
 
     # absolute feasibility target: a slack left at -1e-5 and clamped would
@@ -749,7 +697,7 @@ def _try_warm_start(
                 reduced = price_basis()
             bad_row = _dual_iterate(state, c_struct, feas_tol, reduced)
             if bad_row is not None:
-                if state.x_B[bad_row] > -tol * (1.0 + float(np.abs(b).max(initial=0.0))):
+                if state.x_B[bad_row] > -TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
                     # margin too thin for a convincing certificate; decide cold
                     return None
                 e = np.zeros(m)
@@ -781,7 +729,7 @@ class CertificateReport:
 
 
 def verify_certificate(
-    problem: LpProblem, outcome: LpOutcome, tol: float = DEFAULT_TOL
+    problem: LpProblem, outcome: LpOutcome, tol: float = TOL
 ) -> CertificateReport:
     """Independently re-check the invariant bundle for an LpOutcome."""
     failures: list[str] = []

@@ -71,7 +71,7 @@ class TestOptimalityCuts:
 
         model = build_mip(instance, MODE_WINDOW)
         sub = _prepare(model)
-        result = _solve_sub(sub, t, 1e-7)
+        result = _solve_sub(sub, t)
         assert result.status == STATUS_OPTIMAL
         return sub.master, result
 
@@ -181,7 +181,7 @@ class TestMaster:
 
         sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
         master = sub.master
-        result = _solve_sub(sub, np.zeros(10), 1e-7)
+        result = _solve_sub(sub, np.zeros(10))
         master.cuts.append(make_optimality_cut(result.duals, master))
         t, q, lb = solve_master(master)
         # closed form: min over T of c3'T + max(0, q(0) - w'T)

@@ -106,6 +106,10 @@ class TestBenders:
     def test_infeasible(self, infeasible_dir):
         assert run(["benders", "--instance", infeasible_dir]) == 1
 
+    def test_verbose_prints_the_trace(self, instance_dir, capsys):
+        assert run(["benders", "--instance", instance_dir, "--verbose"]) == 0
+        assert "  iter 1: lb " in capsys.readouterr().out
+
 
 class TestCompare:
     def test_ordering_and_outputs(self, instance_dir, tmp_path, capsys):
@@ -177,3 +181,8 @@ class TestErrors:
 
     def test_no_arguments(self, capsys):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "relax", "solve", "compare"])
+    def test_verbose_only_on_benders(self, instance_dir, command, capsys):
+        # only benders has a trace to print
+        assert run([command, "--instance", instance_dir, "--verbose"]) == 2

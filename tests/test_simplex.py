@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from intransit import LpProblem, solve_lp, verify_certificate
+from intransit import LpProblem, simplex, solve_lp, verify_certificate
 from intransit.errors import SolverError
 from intransit.simplex import (
     STATUS_INFEASIBLE,
@@ -72,6 +73,11 @@ def has_improving_ray(problem: LpProblem) -> bool:
     return res.status == 0 and res.fun < -1e-9
 
 
+def stored_as(problem: LpProblem, representation) -> LpProblem:
+    """The same LP with ``A`` converted; the storage picks the basis class."""
+    return LpProblem(problem.objective, representation(problem.A), problem.senses, problem.rhs)
+
+
 def random_problem(rng: np.random.Generator) -> LpProblem:
     m = int(rng.integers(1, 5))
     n = int(rng.integers(1, 6))
@@ -91,13 +97,19 @@ def random_problem(rng: np.random.Generator) -> LpProblem:
 
 
 class TestRandomOracle:
-    @pytest.mark.parametrize("block", range(10))
-    def test_against_vertex_enumeration(self, block):
-        # 10 blocks x 60 instances: every outcome independently certified
-        # and optima matched against brute-force vertex enumeration
+    # dense cases keep their original ids, the bare block number
+    @pytest.mark.parametrize(
+        "block, representation",
+        [pytest.param(b, np.asarray, id=str(b)) for b in range(10)]
+        + [pytest.param(b, sp.csr_matrix, id=f"sparse-{b}") for b in range(10)],
+    )
+    def test_against_vertex_enumeration(self, block, representation):
+        # 10 blocks x 60 instances, once per basis class: every outcome
+        # independently certified and optima matched against brute-force
+        # vertex enumeration
         rng = np.random.default_rng(6800 + block)
         for _ in range(60):
-            problem = random_problem(rng)
+            problem = stored_as(random_problem(rng), representation)
             outcome = solve_lp(problem)
             report = verify_certificate(problem, outcome)
             assert report.ok, (outcome.status, report.failures)
@@ -253,7 +265,7 @@ class TestDegenerateCycling:
         assert out.status == STATUS_OPTIMAL
         assert out.objective == pytest.approx(0.0, abs=1e-9)
 
-    def test_bland_fallback_small_budget(self):
+    def test_bland_fallback_small_budget(self, monkeypatch):
         # force the Bland switch almost immediately; must still terminate
         rng = np.random.default_rng(9)
         A = np.round(rng.uniform(-3, 3, size=(4, 7)), 1)
@@ -264,7 +276,8 @@ class TestDegenerateCycling:
             rhs=np.array([4.0, 0.0, 0.0, 1.0]),
         )
         cold = solve_lp(problem)
-        switched = solve_lp(problem, bland_threshold=1)
+        monkeypatch.setattr(simplex, "BLAND_THRESHOLD", 1)
+        switched = solve_lp(problem)
         assert switched.status == cold.status
         if cold.status == STATUS_OPTIMAL:
             assert switched.objective == pytest.approx(cold.objective, rel=1e-9)
@@ -318,11 +331,14 @@ class TestWarmStart:
         assert out.status == STATUS_INFEASIBLE
         assert verify_certificate(infeasible, out).ok
 
-    def test_random_warm_cold_agreement(self):
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    def test_random_warm_cold_agreement(self, representation):
         rng = np.random.default_rng(42)
         checked = 0
         for _ in range(250):
-            problem = random_problem(rng)
+            problem = stored_as(random_problem(rng), representation)
             base = solve_lp(problem)
             if base.status != STATUS_OPTIMAL:
                 continue

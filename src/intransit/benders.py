@@ -334,7 +334,11 @@ def lp_relaxation(
     instance: Instance, mode: str = MODE_WINDOW
 ) -> tuple[float, np.ndarray, CostBreakdown]:
     """Monolithic LP with T continuous; a global lower bound."""
-    model = build_mip(instance, mode)
+    return relax_model(build_mip(instance, mode))
+
+
+def relax_model(model: MipModel) -> tuple[float, np.ndarray, CostBreakdown]:
+    """:func:`lp_relaxation` of a model already built."""
     outcome = solve_lp(lp_from_mip(model))
     if outcome.status == STATUS_INFEASIBLE:
         raise InfeasibleInstanceError("LP relaxation is infeasible")

@@ -148,8 +148,8 @@ def _cmd_relax(args) -> int:
     instance = load_instance(args.instance)
     if not _require_routes(instance):
         return EXIT_INFEASIBLE
-    objective, x, breakdown = bd.lp_relaxation(instance, _mode(args.mode))
-    model = build_mip(instance, _mode(args.mode))
+    model = build_mip(instance, _mode(args.mode), require_routes=False)
+    objective, x, breakdown = bd.relax_model(model)
     print(f"LP relaxation objective: {objective:,.2f}")
     print(
         f"  first leg {breakdown.first_leg:,.2f}  LCL+hold {breakdown.lcl_and_hold:,.2f}  "
@@ -242,8 +242,8 @@ def _cmd_compare(args) -> int:
     )
     report = ScenarioReport()
 
-    _, relax_x, _ = bd.lp_relaxation(instance, MODE_WINDOW)
-    relax_model = build_mip(instance, MODE_WINDOW)
+    relax_model = build_mip(instance, MODE_WINDOW, require_routes=False)
+    _, relax_x, _ = bd.relax_model(relax_model)
     report.rows.append(scenario_row("lp_relaxation", relax_model, relax_x))
 
     results = {}

@@ -1,4 +1,4 @@
-"""Two-phase revised simplex with dual values and infeasibility certificates.
+"""Revised simplex, dual and primal, with dual values and infeasibility certificates.
 
 Solves ``min c'x  s.t.  A_eq x = b_eq, A_le x <= b_le, x >= 0`` and returns
 one of three certified outcomes:
@@ -13,12 +13,20 @@ one of three certified outcomes:
 How the caller stores ``A`` picks the basis. A scipy sparse matrix (the
 tall, sparse flow LPs) runs on a sparse LU factorization with product-form
 eta updates; a numpy array (the short, dense Benders master) runs on an
-explicit inverse updated in place. Both refactorize periodically. Pricing
+explicit inverse updated in place. Both refactorize periodically.
+
+The costs pick the path. An LP with no negative cost (every consolidation
+LP) starts cold from the slack basis, with an artificial on each ``=`` row.
+That basis is dual feasible, so dual-simplex pivots drive out the
+artificials, which count as variables fixed at zero, and the negative basic
+variables; primal pivots then finish. A warm start from a related LP's
+basis takes the same dual path. The primal two-phase method runs only for
+an LP with a negative cost, or when the dual path gives up. Primal pricing
 uses Dantzig's rule, switching permanently to Bland's rule after a run of
 degenerate pivots so termination is guaranteed. Phase one uses artificial
-variables; in phase two any artificial still basic at zero is pinned there
-(a pivot that would move it forces it out of the basis instead), which also
-neutralizes linearly dependent rows.
+variables. In phase two, on either path, an artificial still basic at zero
+is pinned there (a pivot that would move it forces it out of the basis
+instead), which also neutralizes linearly dependent rows.
 """
 
 from __future__ import annotations
@@ -172,10 +180,14 @@ class _Basis:
     """
 
     def __init__(self, A_std: sp.csc_matrix, n_struct: int):
-        self.A = A_std
         self.AT = A_std.T.tocsr()
         self.m = A_std.shape[0]
         self.n_struct = n_struct
+        # [A_std | I] in CSC: every basis column, artificials included, is
+        # a slice of these arrays
+        self.indptr = np.concatenate([A_std.indptr, A_std.nnz + np.arange(1, self.m + 1)])
+        self.indices = np.concatenate([A_std.indices, np.arange(self.m)])
+        self.data = np.concatenate([A_std.data, np.ones(self.m)])
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.lu = None
         self.etas: list[tuple[int, np.ndarray]] = []
@@ -184,35 +196,20 @@ class _Basis:
         return self.AT @ y
 
     def column(self, j: int) -> np.ndarray:
-        if j < self.n_struct:
-            lo, hi = self.A.indptr[j], self.A.indptr[j + 1]
-            col = np.zeros(self.m)
-            col[self.A.indices[lo:hi]] = self.A.data[lo:hi]
-            return col
-        e = np.zeros(self.m)
-        e[j - self.n_struct] = 1.0
-        return e
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        col = np.zeros(self.m)
+        col[self.indices[lo:hi]] = self.data[lo:hi]
+        return col
 
     def refactor(self) -> None:
-        struct_pos = np.flatnonzero(self.basis < self.n_struct)
-        rows_list, cols_list, vals_list = [], [], []
-        if len(struct_pos):
-            sub = self.A[:, self.basis[struct_pos]].tocoo()
-            rows_list.append(sub.row)
-            cols_list.append(struct_pos[sub.col])
-            vals_list.append(sub.data)
-        art_pos = np.flatnonzero(self.basis >= self.n_struct)
-        if len(art_pos):
-            rows_list.append(self.basis[art_pos] - self.n_struct)
-            cols_list.append(art_pos)
-            vals_list.append(np.ones(len(art_pos)))
-        B = sp.coo_matrix(
-            (
-                np.concatenate(vals_list),
-                (np.concatenate(rows_list), np.concatenate(cols_list)),
-            ),
-            shape=(self.m, self.m),
-        ).tocsc()
+        starts = self.indptr[self.basis]
+        lengths = self.indptr[self.basis + 1] - starts
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        # positions of each basis column's entries, gathered in one pass
+        take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        B = sp.csc_matrix(
+            (self.data[take], self.indices[take], indptr), shape=(self.m, self.m)
+        )
         try:
             self.lu = splu(B)
         except RuntimeError as exc:
@@ -255,11 +252,10 @@ class _State:
     fresh_at: int = -1
 
 
-def _basic_costs(state: _State, c_struct: np.ndarray, art_cost: np.ndarray) -> np.ndarray:
-    basis = state.B.basis
-    struct = basis < state.B.n_struct
-    cb = np.where(struct, c_struct[np.minimum(basis, state.B.n_struct - 1)], art_cost)
-    return cb
+def _basic_costs(B, c_struct: np.ndarray, art_cost) -> np.ndarray:
+    basis = B.basis
+    struct = basis < B.n_struct
+    return np.where(struct, c_struct[np.minimum(basis, B.n_struct - 1)], art_cost)
 
 
 def _iterate(state: _State, c_struct, art_cost, *, allow_unbounded, pin_artificials):
@@ -356,41 +352,56 @@ def _iterate(state: _State, c_struct, art_cost, *, allow_unbounded, pin_artifici
             )
 
 
-def _dual_iterate(
-    state: _State, c_struct: np.ndarray, feas_tol: float, reduced: np.ndarray
-) -> int | None:
+def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | None:
     """Dual-simplex pivots from a dual-feasible basis toward primal feasibility.
 
     ``reduced`` holds the reduced costs at entry (basic entries zero) and is
-    maintained incrementally with each pivot. Returns None once
-    ``x_B >= -feas_tol`` everywhere, or the index of a row certifying
-    primal infeasibility. Raises on numerical breakdown or a pivot cap;
-    callers fall back to a cold solve.
+    maintained incrementally with each pivot. A basic artificial is a
+    variable fixed at zero: it is infeasible at any value off zero and,
+    once out, never re-enters. The leaving row is the basic artificial
+    farthest from zero, else the most negative basic variable. Returns None
+    once every basic variable is feasible to ``feas_tol`` at a freshly
+    factored basis, or the index of a row certifying primal infeasibility.
+    Raises on numerical breakdown or a pivot cap; callers fall back to the
+    primal path.
     """
     B = state.B
     n_struct = B.n_struct
     basis = B.basis
+    art = basis >= n_struct
     in_basis = np.zeros(n_struct, dtype=bool)
-    in_basis[basis[basis < n_struct]] = True
+    in_basis[basis[~art]] = True
     cap = state.pivots + 50 + 10 * B.m
     e = np.zeros(B.m)
     while True:
-        r = int(np.argmin(state.x_B))
-        if state.x_B[r] >= -feas_tol:
-            return None
+        r = int(np.argmax(np.where(art, np.abs(state.x_B), -1.0)))
+        if not (art[r] and abs(state.x_B[r]) > feas_tol):
+            r = int(np.argmin(state.x_B))
+            if state.x_B[r] >= -feas_tol:
+                if state.fresh_at == state.pivots:
+                    return None
+                # recompute the iterate exactly; if residual dust reappears
+                # at this basis, pivot it out too rather than clamping it away
+                B.refactor()
+                state.x_B = B.ftran(state.b)
+                state.fresh_at = state.pivots
+                continue
+        # the leaving variable moves down to zero from above (an artificial)
+        # or up to zero from below; entering candidates push it that way
+        sign = 1.0 if state.x_B[r] > 0.0 else -1.0
         e[:] = 0.0
         e[r] = 1.0
         rho = B.btran(e)
         alpha = B.price(rho)
         alpha[in_basis] = 0.0
-        candidates = np.flatnonzero(alpha < -PIVOT_TOL)
+        candidates = np.flatnonzero(sign * alpha > PIVOT_TOL)
         if len(candidates) == 0:
             return r
-        ratios = np.maximum(reduced[candidates], 0.0) / -alpha[candidates]
+        ratios = np.maximum(reduced[candidates], 0.0) / np.abs(alpha[candidates])
         q = int(candidates[np.argmin(ratios)])
         d = B.ftran(B.column(q))
         if abs(d[r]) <= 1e-7:
-            raise SolverError("dual pivot element too small; warm start abandoned")
+            raise SolverError("dual pivot element too small; dual path abandoned")
         theta = state.x_B[r] / d[r]
         state.x_B -= theta * d
         state.x_B[r] = theta
@@ -406,13 +417,14 @@ def _dual_iterate(
         in_basis[q] = True
         reduced[q] = 0.0
         basis[r] = q
+        art[r] = False
         state.pivots += 1
         if state.pivots % REFACTOR_EVERY == 0:
             B.refactor()
             state.x_B = B.ftran(state.b)
             state.fresh_at = state.pivots
         if state.pivots >= cap:
-            raise SolverError("dual pivot cap reached; warm start abandoned")
+            raise SolverError("dual pivot cap reached; dual path abandoned")
 
 
 def _basis_labels(B, n: int, n_struct: int, le_rows: np.ndarray) -> BasisLabels:
@@ -461,7 +473,7 @@ def _finish_phase2(
         if col < n:
             x[col] = state.x_B[pos]
     np.maximum(x, 0.0, out=x)
-    y_std = state.B.btran(_basic_costs(state, c_struct, art_cost))
+    y_std = state.B.btran(_basic_costs(state.B, c_struct, art_cost))
     y = flip * y_std
     objective = float(problem.objective @ x)
     return LpOutcome(
@@ -501,9 +513,9 @@ def _equilibration(A) -> tuple[np.ndarray, np.ndarray]:
     """Max-norm row scales then column scales for the constraint matrix."""
     if sp.issparse(A):
         Aabs = abs(A.tocsr())
-        rmax = Aabs.max(axis=1).toarray().ravel()
-        r = _pow2_scale(rmax)
-        cmax = (sp.diags(r) @ Aabs).max(axis=0).toarray().ravel()
+        r = _pow2_scale(Aabs.max(axis=1).toarray().ravel())
+        Aabs.data *= np.repeat(r, np.diff(Aabs.indptr))
+        cmax = Aabs.max(axis=0).toarray().ravel()
     else:
         Aabs = np.abs(A)
         r = _pow2_scale(Aabs.max(axis=1, initial=0.0))
@@ -519,8 +531,9 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
 
     ``warm`` is an optional basis from a related solved LP (same columns,
     overlapping rows). If it is dual feasible here, primal feasibility is
-    restored with dual-simplex pivots, which is much cheaper than the cold
-    two-phase start; on any trouble the cold path runs instead.
+    restored with dual-simplex pivots; on any trouble the cold path runs
+    instead. Cold, an LP with no negative cost takes the same dual path from
+    the slack basis, and the primal two-phase method is the fallback.
 
     The problem is equilibrated internally (power-of-two row and column
     scales, plus uniform scales bringing costs and rhs near 1) and the
@@ -534,7 +547,8 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
     sig_c = float(_pow2_scale(np.array([np.abs(problem.objective * s).max(initial=0.0)]))[0])
     sig_b = float(_pow2_scale(np.array([np.abs(problem.rhs * r).max(initial=0.0)]))[0])
     if sp.issparse(problem.A):
-        A_s = sp.diags(r) @ problem.A @ sp.diags(s)
+        A_s = problem.A.tocsc(copy=True)
+        A_s.data *= r[A_s.indices] * np.repeat(s, np.diff(A_s.indptr))
     else:
         A_s = problem.A * r[:, None] * s[None, :]
     # the input was validated on construction and the scales are finite
@@ -577,10 +591,16 @@ def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
     b = problem.rhs * flip
     if sp.issparse(problem.A):
         basis_type = _Basis
-        slack = sp.coo_matrix(
-            (np.ones(n_slack), (le_rows, np.arange(n_slack))), shape=(m, n_slack)
+        # [A | slack columns] with rows flipped, assembled directly in CSC
+        A = problem.A.tocsc()
+        A_std = sp.csc_matrix(
+            (
+                np.concatenate([A.data * flip[A.indices], flip[le_rows]]),
+                np.concatenate([A.indices, le_rows]),
+                np.concatenate([A.indptr, A.nnz + np.arange(1, n_slack + 1)]),
+            ),
+            shape=(m, n_struct),
         )
-        A_std = (sp.diags(flip) @ sp.hstack([problem.A, slack], format="csr")).tocsc()
     else:
         basis_type = _DenseBasis
         A_std = np.zeros((m, n_struct))
@@ -596,9 +616,20 @@ def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
     def fresh_basis():
         return basis_type(A_std, n_struct)
 
-    if warm is not None:
+    starts = [] if warm is None else [warm]
+    if float(problem.objective.min(initial=0.0)) >= 0.0:
+        # with no negative cost the slack basis, artificials on '=' rows,
+        # is dual feasible: the dual path starts there and skips phase one
+        starts.append(
+            BasisLabels(
+                struct=np.zeros(0, dtype=np.int64),
+                slack_rows=le_rows,
+                art_rows=np.flatnonzero(problem.senses == "="),
+            )
+        )
+    for start in starts:
         outcome = _try_warm_start(
-            problem, warm, fresh_basis, slack_pos, c_struct, b, flip, le_rows
+            problem, start, fresh_basis, slack_pos, c_struct, b, flip, le_rows
         )
         if outcome is not None:
             return outcome
@@ -624,7 +655,7 @@ def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
         phase1_obj = float(state.x_B[art_mask].sum())
         feas_tol = TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
         if phase1_obj > feas_tol:
-            y_std = state.B.btran(_basic_costs(state, c_phase1, art_cost))
+            y_std = state.B.btran(_basic_costs(state.B, c_phase1, art_cost))
             return LpOutcome(
                 status=STATUS_INFEASIBLE,
                 farkas_ray=flip * y_std,
@@ -643,26 +674,31 @@ def _try_warm_start(
     problem: LpProblem,
     warm: BasisLabels,
     fresh_basis,
-    slack_pos: dict[int, int],
+    slack_pos: np.ndarray,
     c_struct: np.ndarray,
     b: np.ndarray,
     flip: np.ndarray,
     le_rows: np.ndarray,
 ) -> LpOutcome | None:
-    """Attempt a warm-started solve; None means fall back to the cold path."""
+    """Solve with the dual path from ``warm``; None means fall back."""
     m, n = problem.num_rows, problem.num_cols
+    n_struct = len(c_struct)
     struct = np.asarray(warm.struct, dtype=np.int64)
     if len(struct) and (struct.min() < 0 or struct.max() >= n):
         return None
-    # an artificial would drift off zero under dual pivots; its row's
-    # slack spans the same direction and is a legitimate column
-    rows = np.concatenate([warm.slack_rows, warm.art_rows]).astype(np.int64)
+    slack_rows = np.asarray(warm.slack_rows, dtype=np.int64)
+    art_rows = np.asarray(warm.art_rows, dtype=np.int64)
+    rows = np.concatenate([slack_rows, art_rows])
     if len(rows) and (rows.min() < 0 or rows.max() >= m):
         return None
-    sids = slack_pos[rows]
+    sids = slack_pos[slack_rows]
     if len(sids) and sids.min() < 0:
         return None
-    cols = np.concatenate([struct, sids])
+    # an artificial on a '<' row gives way to the row's slack, which spans
+    # the same direction; on an '=' row it stays basic, pinned at zero
+    art_slack = slack_pos[art_rows]
+    arts = np.where(art_slack >= 0, art_slack, n_struct + art_rows)
+    cols = np.concatenate([struct, sids, arts])
     if len(cols) != m or len(np.unique(cols)) != m:
         return None
 
@@ -672,18 +708,12 @@ def _try_warm_start(
         B.refactor()
     except SolverError:
         return None
-    state = _State(B=B, x_B=B.ftran(b), b=b, max_pivots=_max_pivots(problem))
+    state = _State(B=B, x_B=B.ftran(b), b=b, max_pivots=_max_pivots(problem), fresh_at=0)
 
-    def price_basis() -> np.ndarray:
-        # the warm basis holds no artificials, so basic costs index directly
-        y = B.btran(c_struct[B.basis])
-        red = c_struct - B.price(y)
-        red[B.basis] = 0.0
-        return red
-
-    # the warm basis is useful only if it is dual feasible here, to the
-    # same standard the primal iteration terminates at
-    reduced = price_basis()
+    # the basis is useful only if it is dual feasible here, to the same
+    # standard the primal iteration terminates at
+    reduced = c_struct - B.price(B.btran(_basic_costs(B, c_struct, 0.0)))
+    reduced[cols[cols < n_struct]] = 0.0
     if float(reduced.min(initial=0.0)) < -0.01 * TOL:
         return None
 
@@ -692,33 +722,26 @@ def _try_warm_start(
     # is not acceptable
     feas_tol = 1e-9
     try:
-        for attempt in range(3):
-            if attempt:
-                reduced = price_basis()
-            bad_row = _dual_iterate(state, c_struct, feas_tol, reduced)
-            if bad_row is not None:
-                if state.x_B[bad_row] > -TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-                    # margin too thin for a convincing certificate; decide cold
-                    return None
-                e = np.zeros(m)
-                e[bad_row] = 1.0
-                y_std = -state.B.btran(e)
-                return LpOutcome(
-                    status=STATUS_INFEASIBLE,
-                    farkas_ray=flip * y_std,
-                    pivots=state.pivots,
-                )
-            # recompute the iterate exactly; if residual dust reappears at
-            # this basis, pivot it out too rather than clamping it away
-            state.B.refactor()
-            state.x_B = state.B.ftran(b)
-            if float(state.x_B.min(initial=0.0)) >= -feas_tol:
-                np.maximum(state.x_B, 0.0, out=state.x_B)
-                state.fresh_at = state.pivots
-                return _finish_phase2(problem, state, c_struct, flip, n, b, le_rows)
-        return None
+        bad_row = _dual_iterate(state, feas_tol, reduced)
+        if bad_row is not None:
+            gap = float(state.x_B[bad_row])
+            if abs(gap) <= TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
+                # margin too thin for a convincing certificate; decide cold
+                return None
+            # a variable stuck below zero certifies with -B^-T e_r, an
+            # artificial stuck above zero with +B^-T e_r
+            e = np.zeros(m)
+            e[bad_row] = 1.0
+            y_std = np.sign(gap) * state.B.btran(e)
+            return LpOutcome(
+                status=STATUS_INFEASIBLE,
+                farkas_ray=flip * y_std,
+                pivots=state.pivots,
+            )
+        np.maximum(state.x_B, 0.0, out=state.x_B)
+        return _finish_phase2(problem, state, c_struct, flip, n, b, le_rows)
     except SolverError:
-        # any breakdown on the warm path is recoverable by a cold start
+        # any breakdown on the dual path is recoverable by the primal path
         return None
 
 

@@ -125,6 +125,27 @@ def test_decomposition_matches_monolithic_on_100_random_instances():
     assert elapsed < 120.0, f"100-instance sweep took {elapsed:.1f} s"
 
 
+@pytest.mark.parametrize(
+    "mode, expected",
+    [(MODE_WINDOW, 36272.8545878), (MODE_EXACT_DAY, 37884.9638368)],
+    ids=["window", "exact-day"],
+)
+def test_readme_example_decomposition_matches_monolithic(mode, expected):
+    """On the README example (5 products, 2 suppliers, 2 gateways, 12 days,
+    window 6, seed 4) Benders and the monolithic MILP reach the optimum
+    HiGHS reports, in both delivery modes."""
+    cfg = GeneratorConfig(
+        n_products=5, n_suppliers=2, n_gateways=2, horizon_days=12, window_days=6
+    )
+    inst = generate_synthetic(cfg, seed=4)
+    benders = run_benders(inst, mode)
+    mono = solve_milp(build_mip(inst, mode))
+    assert benders.status == "optimal" and benders.proven
+    assert mono.status == "optimal"
+    assert benders.objective == pytest.approx(expected, abs=1e-6)
+    assert mono.objective == pytest.approx(expected, abs=1e-6)
+
+
 def test_branch_and_bound_matches_exhaustive_container_grid():
     """On small instances the MILP optimum equals the brute-force minimum
     over every integer container grid, each grid priced by the LP."""

@@ -44,6 +44,27 @@ class TestRelax:
         # fractional containers: no histogram for the relaxation
         assert not (out / "histogram.csv").exists()
 
+    def test_builds_and_validates_once(self, instance_dir, monkeypatch):
+        import intransit.benders as bd
+        import intransit.cli as cli
+        import intransit.model as model
+
+        calls = {"build_mip": 0, "validate_routes": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (cli, bd, model):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert run(["relax", "--instance", instance_dir]) == 0
+        assert calls == {"build_mip": 1, "validate_routes": 1}
+
 
 class TestSolve:
     def test_optimal(self, instance_dir, tmp_path, capsys):

@@ -78,12 +78,14 @@ def stored_as(problem: LpProblem, representation) -> LpProblem:
     return LpProblem(problem.objective, representation(problem.A), problem.senses, problem.rhs)
 
 
-def random_problem(rng: np.random.Generator) -> LpProblem:
+def random_problem(rng: np.random.Generator, *, nonnegative_costs: bool = False) -> LpProblem:
     m = int(rng.integers(1, 5))
     n = int(rng.integers(1, 6))
     A = np.round(rng.uniform(-5, 5, size=(m, n)), 1)
     A[rng.uniform(size=(m, n)) < 0.3] = 0.0
     c = np.round(rng.uniform(-4, 10, size=n), 1)
+    if nonnegative_costs:
+        c = np.abs(c)
     b = np.round(rng.uniform(-3, 10, size=m), 1)
     senses = np.where(rng.uniform(size=m) < 0.5, "<", "=")
     if m > 1 and rng.uniform() < 0.15:
@@ -96,21 +98,47 @@ def random_problem(rng: np.random.Generator) -> LpProblem:
     return LpProblem(objective=c, A=A, senses=senses, rhs=b)
 
 
+@pytest.fixture
+def dual_path(monkeypatch):
+    """Outcomes of the dual path, in call order; None where it fell back."""
+    results = []
+    original = simplex._try_warm_start
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(simplex, "_try_warm_start", recorded)
+    return results
+
+
 class TestRandomOracle:
-    # dense cases keep their original ids, the bare block number
+    # dense cases keep their original ids, the bare block number; the
+    # nonnegative-cost blocks draw the same kind of LP with |c|, which the
+    # dual path solves cold from the slack basis
     @pytest.mark.parametrize(
-        "block, representation",
-        [pytest.param(b, np.asarray, id=str(b)) for b in range(10)]
-        + [pytest.param(b, sp.csr_matrix, id=f"sparse-{b}") for b in range(10)],
+        "block, representation, nonnegative_costs",
+        [pytest.param(b, np.asarray, False, id=str(b)) for b in range(10)]
+        + [pytest.param(b, sp.csr_matrix, False, id=f"sparse-{b}") for b in range(10)]
+        + [pytest.param(b, np.asarray, True, id=f"nonneg-{b}") for b in range(5)]
+        + [pytest.param(b, sp.csr_matrix, True, id=f"sparse-nonneg-{b}") for b in range(5)],
     )
-    def test_against_vertex_enumeration(self, block, representation):
-        # 10 blocks x 60 instances, once per basis class: every outcome
-        # independently certified and optima matched against brute-force
-        # vertex enumeration
-        rng = np.random.default_rng(6800 + block)
+    def test_against_vertex_enumeration(
+        self, block, representation, nonnegative_costs, dual_path
+    ):
+        # 60 instances per block, each block once per basis class: every
+        # outcome independently certified and optima matched against
+        # brute-force vertex enumeration
+        seed = (7800 if nonnegative_costs else 6800) + block
+        rng = np.random.default_rng(seed)
         for _ in range(60):
-            problem = stored_as(random_problem(rng), representation)
+            problem = random_problem(rng, nonnegative_costs=nonnegative_costs)
+            problem = stored_as(problem, representation)
+            dual_path.clear()
             outcome = solve_lp(problem)
+            if nonnegative_costs:
+                # no phase one: the dual path decides every one of them
+                assert dual_path and dual_path[-1] is not None
             report = verify_certificate(problem, outcome)
             assert report.ok, (outcome.status, report.failures)
             best, feasible = enumerate_vertices(problem)
@@ -170,6 +198,28 @@ class TestBasicOutcomes:
         )
         out = solve_lp(problem)
         assert out.status == STATUS_INFEASIBLE
+        assert verify_certificate(problem, out).ok
+
+    @pytest.mark.parametrize(
+        "A, rhs",
+        [
+            # an artificial that no column can bring down to zero
+            pytest.param([[-1.0, -2.0], [1.0, 0.0]], [3.0, 1.0], id="artificial-above-zero"),
+            # a column that drives the other row's artificial below zero
+            pytest.param([[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0], id="variable-below-zero"),
+        ],
+    )
+    def test_infeasible_equalities_certified_by_dual_path(self, A, rhs, dual_path):
+        problem = LpProblem(
+            objective=np.array([1.0, 3.0]),
+            A=np.array(A),
+            senses=np.array(["=", "="]),
+            rhs=np.array(rhs),
+        )
+        out = solve_lp(problem)
+        assert out.status == STATUS_INFEASIBLE
+        # decided cold by the dual path, without phase one
+        assert len(dual_path) == 1 and dual_path[0].status == STATUS_INFEASIBLE
         assert verify_certificate(problem, out).ok
 
     def test_negative_rhs_inequality(self):
@@ -334,6 +384,34 @@ class TestWarmStart:
     @pytest.mark.parametrize(
         "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
     )
+    def test_basic_artificials_on_equality_rows(self, representation, dual_path):
+        # the second '=' row repeats the first, so its artificial stays
+        # basic at zero in the optimum; a warm start keeps it basic there
+        def problem(rhs):
+            A = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
+            return LpProblem(
+                objective=np.array([1.0, 2.0, 1.0]),
+                A=representation(A),
+                senses=np.array(["=", "=", "<"]),
+                rhs=np.asarray(rhs),
+            )
+
+        base = solve_lp(problem([4.0, 4.0, 3.0]))
+        assert base.status == STATUS_OPTIMAL
+        assert base.basis.art_rows.tolist() == [1]
+        for rhs in ([6.0, 6.0, 3.0], [4.0, 4.0, 1.0], [2.0, 2.0, 0.5]):
+            changed = problem(rhs)
+            dual_path.clear()
+            warm = solve_lp(changed, warm=base.basis)
+            assert len(dual_path) == 1 and dual_path[0] is not None
+            cold = solve_lp(changed)
+            assert warm.status == cold.status == STATUS_OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+            assert verify_certificate(changed, warm).ok
+
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
     def test_random_warm_cold_agreement(self, representation):
         rng = np.random.default_rng(42)
         checked = 0
@@ -393,3 +471,25 @@ class TestScaling:
             if a.status == STATUS_OPTIMAL:
                 want = a.objective * scale
                 assert b.objective == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+class TestBasisClasses:
+    def test_sparse_basis_matches_dense_reference(self):
+        # the sparse basis gathers its columns, artificials included,
+        # straight into CSC; the dense basis is the reference
+        rng = np.random.default_rng(11)
+        m, n_struct = 6, 9
+        A = np.round(rng.uniform(-3, 3, size=(m, n_struct)), 1)
+        A[rng.uniform(size=A.shape) < 0.5] = 0.0
+        A[:, :m] += 4.0 * np.eye(m)  # keeps the chosen bases nonsingular
+        sparse = simplex._Basis(sp.csc_matrix(A), n_struct)
+        dense = simplex._DenseBasis(A, n_struct)
+        v = rng.uniform(-1, 1, size=m)
+        for basis in ([0, 1, 2, 3, 4, 5], [9, 1, 11, 3, 13, 14], [10, 9, 12, 11, 14, 13]):
+            for B in (sparse, dense):
+                B.basis = np.array(basis, dtype=np.int64)
+                B.refactor()
+            np.testing.assert_allclose(sparse.ftran(v), dense.ftran(v), atol=1e-12)
+            np.testing.assert_allclose(sparse.btran(v), dense.btran(v), atol=1e-12)
+        for j in range(n_struct + m):
+            np.testing.assert_array_equal(sparse.column(j), dense.column(j))

@@ -1,4 +1,4 @@
-"""Revised simplex, dual and primal, with dual values and infeasibility certificates.
+"""Revised simplex, dual then primal, with dual values and infeasibility certificates.
 
 Solves ``min c'x  s.t.  A_eq x = b_eq, A_le x <= b_le, x >= 0`` and returns
 one of three certified outcomes:
@@ -15,18 +15,18 @@ tall, sparse flow LPs) runs on a sparse LU factorization with product-form
 eta updates; a numpy array (the short, dense Benders master) runs on an
 explicit inverse updated in place. Both refactorize periodically.
 
-The costs pick the path. An LP with no negative cost (every consolidation
-LP) starts cold from the slack basis, with an artificial on each ``=`` row.
-That basis is dual feasible, so dual-simplex pivots drive out the
-artificials, which count as variables fixed at zero, and the negative basic
-variables; primal pivots then finish. A warm start from a related LP's
-basis takes the same dual path. The primal two-phase method runs only for
-an LP with a negative cost, or when the dual path gives up. Primal pricing
+Every LP takes one path: the dual simplex, started from a warm basis if one
+is given, else (or when that basis is of no use) from the slack basis with
+an artificial on each ``=`` row. The dual phase prices with the costs
+clipped at zero, ``max(c, 0)`` (a cost modification, as in Koberstein's
+dual phase one), under which the slack basis is dual feasible for every
+LP; its pivots drive out the artificials, which count as variables fixed
+at zero, and the negative basic variables. Primal pivots with the true
+costs then finish, and find the ray of an unbounded LP. Primal pricing
 uses Dantzig's rule, switching permanently to Bland's rule after a run of
-degenerate pivots so termination is guaranteed. Phase one uses artificial
-variables. In phase two, on either path, an artificial still basic at zero
-is pinned there (a pivot that would move it forces it out of the basis
-instead), which also neutralizes linearly dependent rows.
+degenerate pivots so termination is guaranteed. An artificial still basic
+at zero is pinned there (a pivot that would move it forces it out of the
+basis instead), which also neutralizes linearly dependent rows.
 """
 
 from __future__ import annotations
@@ -252,14 +252,18 @@ class _State:
     fresh_at: int = -1
 
 
-def _basic_costs(B, c_struct: np.ndarray, art_cost) -> np.ndarray:
+def _basic_costs(B, c_struct: np.ndarray) -> np.ndarray:
+    # a basic artificial costs nothing
     basis = B.basis
     struct = basis < B.n_struct
-    return np.where(struct, c_struct[np.minimum(basis, B.n_struct - 1)], art_cost)
+    return np.where(struct, c_struct[np.minimum(basis, B.n_struct - 1)], 0.0)
 
 
-def _iterate(state: _State, c_struct, art_cost, *, allow_unbounded, pin_artificials):
-    """Pivot to optimality; return (entering, direction) if unbounded."""
+def _iterate(state: _State, c_struct):
+    """Primal pivots from a primal-feasible basis to optimality.
+
+    Returns None at an optimum, or (entering, direction) if unbounded.
+    """
     B = state.B
     n_struct = B.n_struct
     # absolute dual tolerance, well below TOL: the caller equilibrates
@@ -271,9 +275,7 @@ def _iterate(state: _State, c_struct, art_cost, *, allow_unbounded, pin_artifici
     # incremental bookkeeping: membership, artificial flags, basic costs
     basis = B.basis
     art_basic = basis >= n_struct
-    c_basic = np.where(
-        art_basic, art_cost, c_struct[np.minimum(basis, n_struct - 1)]
-    )
+    c_basic = _basic_costs(B, c_struct)
     in_basis = np.zeros(n_struct, dtype=bool)
     in_basis[basis[~art_basic]] = True
 
@@ -293,27 +295,18 @@ def _iterate(state: _State, c_struct, art_cost, *, allow_unbounded, pin_artifici
 
         d = B.ftran(B.column(q))
 
-        if pin_artificials and art_basic.any():
-            guard = art_basic & (np.abs(d) > PIVOT_TOL) & (state.x_B <= zero_tol)
-            blocking = (d > PIVOT_TOL) & ~guard
-        else:
-            guard = None
-            blocking = d > PIVOT_TOL
-
-        if guard is not None and guard.any():
+        # an artificial at zero that the step would move leaves at once
+        guard = art_basic & (np.abs(d) > PIVOT_TOL) & (state.x_B <= zero_tol)
+        if guard.any():
             theta = 0.0
             cand_pos = np.flatnonzero(guard)
-        elif blocking.any():
-            pos_idx = np.flatnonzero(blocking)
+        else:
+            pos_idx = np.flatnonzero(d > PIVOT_TOL)
+            if len(pos_idx) == 0:
+                return q, d
             ratios = np.maximum(state.x_B[pos_idx], 0.0) / d[pos_idx]
             theta = float(ratios.min())
             cand_pos = pos_idx[ratios <= theta + 1e-12 * (1.0 + abs(theta))]
-        else:
-            if not allow_unbounded:
-                raise SolverError(
-                    "no blocking variable in a bounded phase; numerical breakdown"
-                )
-            return q, d
 
         if state.bland:
             leave = int(cand_pos[np.argmin(basis[cand_pos])])
@@ -359,11 +352,13 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
     maintained incrementally with each pivot. A basic artificial is a
     variable fixed at zero: it is infeasible at any value off zero and,
     once out, never re-enters. The leaving row is the basic artificial
-    farthest from zero, else the most negative basic variable. Returns None
-    once every basic variable is feasible to ``feas_tol`` at a freshly
-    factored basis, or the index of a row certifying primal infeasibility.
-    Raises on numerical breakdown or a pivot cap; callers fall back to the
-    primal path.
+    farthest from zero, else the most negative basic variable. A row that no
+    column can move toward zero, but that is off by no more than rounding
+    allows (``TOL`` scaled by the rhs), is held at that margin. Returns
+    None once every basic variable is feasible to ``feas_tol``, or held, at
+    a freshly factored basis, or the index of a row certifying primal
+    infeasibility. Raises on numerical breakdown or a pivot cap; the caller
+    then tries its next starting basis.
     """
     B = state.B
     n_struct = B.n_struct
@@ -372,6 +367,7 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
     in_basis = np.zeros(n_struct, dtype=bool)
     in_basis[basis[~art]] = True
     cap = state.pivots + 50 + 10 * B.m
+    margin = TOL * (1.0 + float(np.abs(state.b).max(initial=0.0)))
     e = np.zeros(B.m)
     while True:
         r = int(np.argmax(np.where(art, np.abs(state.x_B), -1.0)))
@@ -396,7 +392,12 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
         alpha[in_basis] = 0.0
         candidates = np.flatnonzero(sign * alpha > PIVOT_TOL)
         if len(candidates) == 0:
-            return r
+            if abs(state.x_B[r]) > margin:
+                return r
+            # rounding dust: count the row as feasible until the next
+            # exact recompute of x_B shows it again
+            state.x_B[r] = 0.0
+            continue
         ratios = np.maximum(reduced[candidates], 0.0) / np.abs(alpha[candidates])
         q = int(candidates[np.argmin(ratios)])
         d = B.ftran(B.column(q))
@@ -448,10 +449,7 @@ def _finish_phase2(
 ) -> LpOutcome:
     """Run phase 2 from a primal-feasible basis and extract the outcome."""
     m = state.B.m
-    art_cost = np.zeros(m)
-    result = _iterate(
-        state, c_struct, art_cost, allow_unbounded=True, pin_artificials=True
-    )
+    result = _iterate(state, c_struct)
     if result is not None:
         q, d = result
         ray = np.zeros(n)
@@ -473,7 +471,7 @@ def _finish_phase2(
         if col < n:
             x[col] = state.x_B[pos]
     np.maximum(x, 0.0, out=x)
-    y_std = state.B.btran(_basic_costs(state.B, c_struct, art_cost))
+    y_std = state.B.btran(_basic_costs(state.B, c_struct))
     y = flip * y_std
     objective = float(problem.objective @ x)
     return LpOutcome(
@@ -530,10 +528,11 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
     pivot limit); breakdown is never reported as a solution status.
 
     ``warm`` is an optional basis from a related solved LP (same columns,
-    overlapping rows). If it is dual feasible here, primal feasibility is
-    restored with dual-simplex pivots; on any trouble the cold path runs
-    instead. Cold, an LP with no negative cost takes the same dual path from
-    the slack basis, and the primal two-phase method is the fallback.
+    overlapping rows). If it is dual feasible here under the costs clipped
+    at zero, primal feasibility is restored with dual-simplex pivots; if it
+    is not, or the dual path breaks down, the solve starts again from the
+    slack basis, where the dual path always starts and every cold solve
+    runs.
 
     The problem is equilibrated internally (power-of-two row and column
     scales, plus uniform scales bringing costs and rhs near 1) and the
@@ -616,58 +615,20 @@ def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
     def fresh_basis():
         return basis_type(A_std, n_struct)
 
-    starts = [] if warm is None else [warm]
-    if float(problem.objective.min(initial=0.0)) >= 0.0:
-        # with no negative cost the slack basis, artificials on '=' rows,
-        # is dual feasible: the dual path starts there and skips phase one
-        starts.append(
-            BasisLabels(
-                struct=np.zeros(0, dtype=np.int64),
-                slack_rows=le_rows,
-                art_rows=np.flatnonzero(problem.senses == "="),
-            )
-        )
-    for start in starts:
+    # the slack basis, artificials on '=' rows, is dual feasible under the
+    # costs the dual phase prices with, so it is always the last start
+    slack = BasisLabels(
+        struct=np.zeros(0, dtype=np.int64),
+        slack_rows=le_rows,
+        art_rows=np.flatnonzero(problem.senses == "="),
+    )
+    for start in ([] if warm is None else [warm]) + [slack]:
         outcome = _try_warm_start(
             problem, start, fresh_basis, slack_pos, c_struct, b, flip, le_rows
         )
         if outcome is not None:
             return outcome
-
-    slack_start = (problem.senses == "<") & (flip > 0)
-    basis = np.where(slack_start, slack_pos, n_struct + np.arange(m))
-    any_artificial = bool((~slack_start).any())
-
-    B = fresh_basis()
-    B.basis = basis
-    B.refactor()
-
-    state = _State(B=B, x_B=b.copy(), b=b, max_pivots=_max_pivots(problem), fresh_at=0)
-
-    # phase 1: minimize the artificial mass
-    if any_artificial:
-        c_phase1 = np.zeros(n_struct)
-        art_cost = np.ones(m)
-        _iterate(
-            state, c_phase1, art_cost, allow_unbounded=False, pin_artificials=False
-        )
-        art_mask = state.B.basis >= n_struct
-        phase1_obj = float(state.x_B[art_mask].sum())
-        feas_tol = TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
-        if phase1_obj > feas_tol:
-            y_std = state.B.btran(_basic_costs(state.B, c_phase1, art_cost))
-            return LpOutcome(
-                status=STATUS_INFEASIBLE,
-                farkas_ray=flip * y_std,
-                pivots=state.pivots,
-            )
-        state.B.refactor()
-        state.x_B = state.B.ftran(b)
-        np.maximum(state.x_B, 0.0, out=state.x_B)
-        state.fresh_at = state.pivots
-
-    # phase 2
-    return _finish_phase2(problem, state, c_struct, flip, n, b, le_rows)
+    raise SolverError("dual simplex broke down from every starting basis")
 
 
 def _try_warm_start(
@@ -680,7 +641,7 @@ def _try_warm_start(
     flip: np.ndarray,
     le_rows: np.ndarray,
 ) -> LpOutcome | None:
-    """Solve with the dual path from ``warm``; None means fall back."""
+    """Solve with the dual path from ``warm``; None means try the next start."""
     m, n = problem.num_rows, problem.num_cols
     n_struct = len(c_struct)
     struct = np.asarray(warm.struct, dtype=np.int64)
@@ -710,9 +671,12 @@ def _try_warm_start(
         return None
     state = _State(B=B, x_B=B.ftran(b), b=b, max_pivots=_max_pivots(problem), fresh_at=0)
 
-    # the basis is useful only if it is dual feasible here, to the same
-    # standard the primal iteration terminates at
-    reduced = c_struct - B.price(B.btran(_basic_costs(B, c_struct, 0.0)))
+    # the dual phase prices with the costs clipped at zero, which leaves c
+    # unchanged on every consolidation LP and makes the slack basis dual
+    # feasible on any LP; _finish_phase2 restores c. The basis is useful
+    # only if it is dual feasible, to the standard the primal phase ends at
+    c_plus = np.maximum(c_struct, 0.0)
+    reduced = c_plus - B.price(B.btran(_basic_costs(B, c_plus)))
     reduced[cols[cols < n_struct]] = 0.0
     if float(reduced.min(initial=0.0)) < -0.01 * TOL:
         return None
@@ -724,15 +688,11 @@ def _try_warm_start(
     try:
         bad_row = _dual_iterate(state, feas_tol, reduced)
         if bad_row is not None:
-            gap = float(state.x_B[bad_row])
-            if abs(gap) <= TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-                # margin too thin for a convincing certificate; decide cold
-                return None
             # a variable stuck below zero certifies with -B^-T e_r, an
             # artificial stuck above zero with +B^-T e_r
             e = np.zeros(m)
             e[bad_row] = 1.0
-            y_std = np.sign(gap) * state.B.btran(e)
+            y_std = np.sign(state.x_B[bad_row]) * state.B.btran(e)
             return LpOutcome(
                 status=STATUS_INFEASIBLE,
                 farkas_ray=flip * y_std,
@@ -741,7 +701,7 @@ def _try_warm_start(
         np.maximum(state.x_B, 0.0, out=state.x_B)
         return _finish_phase2(problem, state, c_struct, flip, n, b, le_rows)
     except SolverError:
-        # any breakdown on the dual path is recoverable by the primal path
+        # a breakdown from this start; the caller tries the next one
         return None
 
 

@@ -100,7 +100,10 @@ def random_problem(rng: np.random.Generator, *, nonnegative_costs: bool = False)
 
 @pytest.fixture
 def dual_path(monkeypatch):
-    """Outcomes of the dual path, in call order; None where it fell back."""
+    """Outcomes of the dual path, one per starting basis tried, in call order.
+
+    None marks a start the solve gave up on; it then tries the slack basis.
+    """
     results = []
     original = simplex._try_warm_start
 
@@ -114,8 +117,7 @@ def dual_path(monkeypatch):
 
 class TestRandomOracle:
     # dense cases keep their original ids, the bare block number; the
-    # nonnegative-cost blocks draw the same kind of LP with |c|, which the
-    # dual path solves cold from the slack basis
+    # nonnegative-cost blocks draw the same kind of LP with |c|
     @pytest.mark.parametrize(
         "block, representation, nonnegative_costs",
         [pytest.param(b, np.asarray, False, id=str(b)) for b in range(10)]
@@ -136,9 +138,8 @@ class TestRandomOracle:
             problem = stored_as(problem, representation)
             dual_path.clear()
             outcome = solve_lp(problem)
-            if nonnegative_costs:
-                # no phase one: the dual path decides every one of them
-                assert dual_path and dual_path[-1] is not None
+            # the dual path from the slack basis decides every one of them
+            assert len(dual_path) == 1 and dual_path[0] is not None
             report = verify_certificate(problem, outcome)
             assert report.ok, (outcome.status, report.failures)
             best, feasible = enumerate_vertices(problem)
@@ -218,9 +219,38 @@ class TestBasicOutcomes:
         )
         out = solve_lp(problem)
         assert out.status == STATUS_INFEASIBLE
-        # decided cold by the dual path, without phase one
+        # decided cold by the dual path from the slack basis
         assert len(dual_path) == 1 and dual_path[0].status == STATUS_INFEASIBLE
         assert verify_certificate(problem, out).ok
+
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    @pytest.mark.parametrize(
+        "costs", [[1.0, 2.0], [-1.0, 2.0]], ids=["nonneg-costs", "negative-cost"]
+    )
+    @pytest.mark.parametrize(
+        "gap, status",
+        [
+            pytest.param(1e-8, STATUS_OPTIMAL, id="gap-1e-8"),
+            pytest.param(1e-6, STATUS_INFEASIBLE, id="gap-1e-6"),
+        ],
+    )
+    def test_near_infeasible_equalities(self, gap, status, costs, representation):
+        # x1 + x2 = 1 and x1 + x2 = 1 + gap: no column can close the gap, so
+        # a gap within the feasibility tolerance is held there (x1 = 1 is
+        # optimal) and a wider one is certified infeasible
+        problem = LpProblem(
+            objective=np.array(costs),
+            A=representation(np.ones((2, 2))),
+            senses=np.array(["=", "="]),
+            rhs=np.array([1.0, 1.0 + gap]),
+        )
+        out = solve_lp(problem)
+        assert out.status == status
+        assert verify_certificate(problem, out).ok
+        if status == STATUS_OPTIMAL:
+            assert out.objective == pytest.approx(costs[0], abs=1e-7)
 
     def test_negative_rhs_inequality(self):
         # x <= -1 with x >= 0 is infeasible; -x <= -1 forces x >= 1
@@ -315,20 +345,51 @@ class TestDegenerateCycling:
         assert out.status == STATUS_OPTIMAL
         assert out.objective == pytest.approx(0.0, abs=1e-9)
 
-    def test_bland_fallback_small_budget(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, reaches_bland",
+        [
+            pytest.param("mixed-rows", False, id="mixed-rows"),
+            pytest.param("degenerate", True, id="degenerate"),
+        ],
+    )
+    def test_bland_fallback_small_budget(self, kind, reaches_bland, monkeypatch):
         # force the Bland switch almost immediately; must still terminate
-        rng = np.random.default_rng(9)
-        A = np.round(rng.uniform(-3, 3, size=(4, 7)), 1)
-        problem = LpProblem(
-            objective=np.round(rng.uniform(-2, 5, size=7), 1),
-            A=A,
-            senses=np.array(["<", "<", "=", "="]),
-            rhs=np.array([4.0, 0.0, 0.0, 1.0]),
-        )
+        if kind == "mixed-rows":
+            # its primal pivots never stall twice in a row
+            rng = np.random.default_rng(9)
+            A = np.round(rng.uniform(-3, 3, size=(4, 7)), 1)
+            problem = LpProblem(
+                objective=np.round(rng.uniform(-2, 5, size=7), 1),
+                A=A,
+                senses=np.array(["<", "<", "=", "="]),
+                rhs=np.array([4.0, 0.0, 0.0, 1.0]),
+            )
+        else:
+            # zero-rhs rows under one bounding row, with negative costs: the
+            # primal pivots stall at the origin before they move
+            rng = np.random.default_rng(6)
+            A = np.round(rng.uniform(-3, 3, size=(4, 6)), 1)
+            problem = LpProblem(
+                objective=np.round(rng.uniform(-3, 1, size=6), 1),
+                A=np.vstack([A, np.ones(6)]),
+                senses=np.array(["<"] * 5),
+                rhs=np.array([0.0, 0.0, 0.0, 0.0, 10.0]),
+            )
         cold = solve_lp(problem)
+        switches = []
+        original = simplex._iterate
+
+        def recorded(state, c_struct):
+            result = original(state, c_struct)
+            switches.append(state.bland)
+            return result
+
+        monkeypatch.setattr(simplex, "_iterate", recorded)
         monkeypatch.setattr(simplex, "BLAND_THRESHOLD", 1)
         switched = solve_lp(problem)
+        assert any(switches) is reaches_bland
         assert switched.status == cold.status
+        assert verify_certificate(problem, switched).ok
         if cold.status == STATUS_OPTIMAL:
             assert switched.objective == pytest.approx(cold.objective, rel=1e-9)
 
@@ -408,6 +469,39 @@ class TestWarmStart:
             assert warm.status == cold.status == STATUS_OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
             assert verify_certificate(changed, warm).ok
+
+    def test_dual_infeasible_warm_basis_falls_back_to_slack_basis(self, dual_path):
+        problem = self._problem()
+        base = solve_lp(problem)
+        # x4 now covers the '=' row at a quarter of x1's cost, so the old
+        # optimal basis prices x4 negative under the new costs
+        changed = LpProblem(
+            objective=np.array([2.0, 3.0, 1.0, 1.0]),
+            A=problem.A,
+            senses=problem.senses,
+            rhs=problem.rhs,
+        )
+        dual_path.clear()
+        warm = solve_lp(changed, warm=base.basis)
+        assert len(dual_path) == 2 and dual_path[0] is None
+        assert dual_path[1].status == STATUS_OPTIMAL
+        cold = solve_lp(changed)
+        assert warm.status == cold.status == STATUS_OPTIMAL
+        assert warm.objective == cold.objective == pytest.approx(2.0)
+        np.testing.assert_array_equal(warm.x, cold.x)
+
+    def test_breakdown_from_every_start_raises(self, dual_path, monkeypatch):
+        base = solve_lp(self._problem())
+
+        def breaks_down(*args, **kwargs):
+            raise SolverError("dual pivot element too small")
+
+        monkeypatch.setattr(simplex, "_dual_iterate", breaks_down)
+        for warm, tried in ((None, [None]), (base.basis, [None, None])):
+            dual_path.clear()
+            with pytest.raises(SolverError):
+                solve_lp(self._problem(), warm=warm)
+            assert dual_path == tried
 
     @pytest.mark.parametrize(
         "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]

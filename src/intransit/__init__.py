@@ -13,7 +13,6 @@ from .benders import (
     make_optimality_cut,
     run_benders,
     solve_master,
-    solve_subproblem,
 )
 from .errors import (
     InfeasibleInstanceError,

@@ -4,10 +4,14 @@ The integer container counts T are the complicating variables. Fixing
 ``T = T_bar`` leaves a pure LP over the flow variables (the subproblem);
 its duals yield an optimality cut, a Farkas ray yields a feasibility cut.
 The master minimizes ``q + fcl_costs . T`` over the cuts with T integer.
-It is solved as one branch-and-bound tree: at every node whose T is
-integral the subproblem is priced, which gives an upper bound, and its cut
-joins the tree's LP, so the tree's bound is the global lower bound. The
-search ends when the tree closes.
+It is solved as one branch-and-cut tree. While the root's LP optimum is
+fractional the subproblem is priced at that fractional T, and a cut that
+cuts off the root's (T, q) re-solves the root: the LP phase of McDaniel &
+Devine (1977), which lifts the root bound to the LP relaxation's before
+any branching. From then on the subproblem is priced at every node whose T
+is integral, which gives an upper bound, and its cut joins the tree's LP,
+so the tree's bound is the global lower bound. The search ends when the
+tree closes or a node or subproblem limit stops it.
 
 Row convention: the monolithic rows are split as ``A x <=/= b - B T``
 where B holds the T coefficients (only capacity rows are nonzero, each
@@ -33,7 +37,7 @@ from .milp import (
     DEFAULT_GAP_TOL,
     DEFAULT_NODE_LIMIT,
     MILP_INFEASIBLE,
-    MILP_OPTIMAL,
+    MilpOutcome,
     MilpProblem,
     Separator,
     lp_from_mip,
@@ -109,7 +113,8 @@ class IterationRecord:
     gap: float
     t_candidate: np.ndarray
     subproblem_value: float | None
-    cut_kind: str | None
+    cut_kind: str | None  # None when the solve added no cut
+    fractional: bool  # priced the root's fractional T, not an integral node
 
 
 @dataclass
@@ -118,11 +123,14 @@ class BendersTrace:
 
     def export_csv(self, stream: TextIO) -> None:
         writer = csv.writer(stream)
-        writer.writerow(["iteration", "lb", "ub", "gap", "cut_kind", "subproblem_value"])
+        writer.writerow(
+            ["iteration", "candidate", "lb", "ub", "gap", "cut_kind", "subproblem_value"]
+        )
         for r in self.records:
             writer.writerow(
                 [
                     r.iteration,
+                    "fractional" if r.fractional else "integral",
                     f"{r.lower:.9f}",
                     f"{r.upper:.9f}" if math.isfinite(r.upper) else "inf",
                     f"{r.gap:.3e}" if math.isfinite(r.gap) else "inf",
@@ -134,7 +142,7 @@ class BendersTrace:
 
 @dataclass
 class BendersResult:
-    status: str  # "optimal", "max_iters", "infeasible"
+    status: str  # "optimal", "max_iters", "node_limit", "infeasible"
     objective: float | None
     t_values: np.ndarray | None
     x_full: np.ndarray | None  # over monolithic columns
@@ -208,30 +216,6 @@ def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> SubproblemResult:
     )
 
 
-def solve_subproblem(
-    instance: Instance,
-    t_fixed: np.ndarray,
-    mode: str = MODE_WINDOW,
-    *,
-    require_routes: bool = True,
-) -> SubproblemResult:
-    """Price the flow LP for fixed container counts.
-
-    ``t_fixed`` is indexed like the model's T block: gateway-major, then
-    day. Returns duals on optimality or a Farkas ray on infeasibility.
-    """
-    t_fixed = np.asarray(t_fixed, dtype=np.float64)
-    if (t_fixed < 0).any():
-        raise SolverError("t_fixed must be componentwise nonnegative")
-    model = build_mip(instance, mode, require_routes=require_routes)
-    sub = _prepare(model)
-    if t_fixed.shape != (sub.master.num_t,):
-        raise SolverError(
-            f"t_fixed has shape {t_fixed.shape}, expected ({sub.master.num_t},)"
-        )
-    return _solve_sub(sub, t_fixed)
-
-
 def make_optimality_cut(
     duals: np.ndarray, master: MasterData, iteration: int = 0
 ) -> Cut:
@@ -302,12 +286,14 @@ def solve_master(
     node_limit: int = DEFAULT_NODE_LIMIT,
     *,
     separate: Separator | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """Solve the master; returns (T, q value, the tree's lower bound).
+) -> MilpOutcome:
+    """Solve the master over columns [T..., q].
 
-    ``separate`` goes to :func:`solve_milp`, which calls it at every node
-    with integral T and adds the cuts it returns to the same tree; this is
-    how :func:`run_benders` prices the subproblem.
+    Returns the tree's outcome: status optimal or, at the node limit,
+    node_limit with the best incumbent (None if there is none) and the
+    proven bound. ``separate`` goes to :func:`solve_milp`, which adds the
+    cuts it returns to the same tree; this is how :func:`run_benders`
+    prices the subproblem.
     """
     if not master.cuts:
         raise SolverError("cut pool must contain at least the q >= 0 bound")
@@ -321,13 +307,7 @@ def solve_master(
         raise InfeasibleInstanceError(
             "master problem is infeasible: the instance admits no feasible schedule"
         )
-    if outcome.status != MILP_OPTIMAL:
-        raise SolverError(
-            f"master solve hit the node limit at gap {outcome.gap:.3e}"
-        )
-    t = np.round(outcome.x[: master.num_t])
-    q = float(outcome.x[master.num_t])
-    return t, q, float(outcome.bound)
+    return outcome
 
 
 def lp_relaxation(
@@ -370,11 +350,15 @@ def run_benders(
     validate: bool = True,
 ) -> BendersResult:
     """Solve the master in one branch-and-cut tree that prices the flows at
-    every integral node and adds their cut there.
+    its fractional root, until no cut cuts the root off, then at every
+    integral node, and adds their cuts there.
 
     Returns the incumbent container schedule, the assembled full solution
     vector over the monolithic columns, the cost breakdown, and the trace,
-    one record per subproblem solve. Instances that fail route validation
+    one record per subproblem solve. Every solve counts against
+    ``max_iters``. A node or subproblem limit returns status ``node_limit``
+    or ``max_iters``, unproven, with the best incumbent (if any) and the
+    proven bounds. Instances that fail route validation
     are reported infeasible up front unless ``validate=False`` (then
     feasibility cuts make the master infeasible, which is reported the same
     way).
@@ -414,8 +398,10 @@ def run_benders(
     def separate(x: np.ndarray, bound: float):
         nonlocal lb, ub, best_t, best_x
         t = x[:n_t] + 0.0  # folds -0.0 into 0.0 so equal schedules share a key
+        # solve_milp rounds T exactly at integral nodes, never at the root
+        fractional = bool((t != np.round(t)).any())
         key = t.tobytes()
-        if key in priced:
+        if not fractional and key in priced:
             # this T's cut is in the tree already; x misses it by round-off
             if priced[key] is None:
                 raise SolverError(
@@ -437,21 +423,30 @@ def run_benders(
                     f"optimality cut not tight at its generator: "
                     f"{tight:.9g} vs q={value:.9g}"
                 )
-            point = np.append(t, value)
-            candidate_ub = float(objective @ point)
-            if candidate_ub < ub - 1e-12:
-                ub = candidate_ub
-                best_t = t
-                best_x = result.x.copy()
+            if not fractional:
+                point = np.append(t, value)
+                candidate_ub = float(objective @ point)
+                if candidate_ub < ub - 1e-12:
+                    ub = candidate_ub
+                    best_t = t
+                    best_x = result.x.copy()
         else:
             value = None
             cut = make_feasibility_cut(result.farkas_ray, master, iteration=it)
-            if cut.value_at(t) <= 0.0:
+            if not fractional and cut.value_at(t) <= 0.0:
                 raise SolverError(
                     "feasibility cut does not exclude the generating candidate"
                 )
-        priced[key] = value
-        master.cuts.append(cut)
+        row = _cut_row(cut, n_t)
+        if fractional:
+            # a root round pays off only if the cut moves the root's (T, q)
+            coefficients, rhs = row
+            if float(coefficients @ x) - rhs <= 1e-6 * (1.0 + abs(rhs)):
+                row = None
+        else:
+            priced[key] = value
+        if row is not None:
+            master.cuts.append(cut)
         trace.records.append(
             IterationRecord(
                 iteration=it,
@@ -460,16 +455,16 @@ def run_benders(
                 gap=_gap(ub, lb),
                 t_candidate=t.copy(),
                 subproblem_value=value,
-                cut_kind=cut.kind,
+                cut_kind=None if row is None else cut.kind,
+                fractional=fractional,
             )
         )
         if it >= params.max_iters and trace.records[-1].gap > params.gap_tol:
             raise _IterationLimit  # the last allowed solve left the gap open
-        return _cut_row(cut, n_t), point
+        return row, point
 
-    status = "optimal"
     try:
-        _, _, bound = solve_master(
+        outcome = solve_master(
             master, params.gap_tol, params.node_limit, separate=separate
         )
     except InfeasibleInstanceError:
@@ -489,10 +484,12 @@ def run_benders(
     except _IterationLimit:
         status = "max_iters"
     else:
-        # the last subproblem solve ran before the tree closed; its record
+        status = outcome.status
+        # the last subproblem solve ran before the tree stopped; its record
         # takes the bound the tree proved
-        lb = max(lb, bound)
-        trace.records[-1] = replace(trace.records[-1], lower=lb, gap=_gap(ub, lb))
+        lb = max(lb, outcome.bound)
+        if trace.records:
+            trace.records[-1] = replace(trace.records[-1], lower=lb, gap=_gap(ub, lb))
 
     x_full = None
     breakdown = None

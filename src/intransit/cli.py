@@ -116,6 +116,14 @@ def _emit_outputs(out_dir, model, x, objective, trace=None, label="solution") ->
             hist.export_csv(fh)
 
 
+def _limit_message(result) -> str:
+    limit = "node" if result.status == "node_limit" else "iteration"
+    return (
+        f"{limit} limit reached: bounds [{result.lower_bound:,.2f}, "
+        f"{result.upper_bound:,.2f}]"
+    )
+
+
 def _cmd_validate(args) -> int:
     instance = load_instance(args.instance)
     diag = validate_routes(instance)
@@ -208,11 +216,7 @@ def _cmd_benders(args) -> int:
         print("instance is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     if not result.proven:
-        print(
-            f"iteration limit reached: bounds [{result.lower_bound:,.2f}, "
-            f"{result.upper_bound:,.2f}]",
-            file=sys.stderr,
-        )
+        print(_limit_message(result), file=sys.stderr)
         return EXIT_SOLVER
     print(
         f"optimal objective: {result.objective:,.2f} "
@@ -220,7 +224,11 @@ def _cmd_benders(args) -> int:
     )
     if args.verbose:
         for r in result.trace.records:
-            print(f"  iter {r.iteration}: lb {r.lower:,.2f} ub {r.upper:,.2f} {r.cut_kind}")
+            candidate = "fractional" if r.fractional else "integral"
+            print(
+                f"  iter {r.iteration}: lb {r.lower:,.2f} ub {r.upper:,.2f} "
+                f"{r.cut_kind or 'no'} cut at {candidate} T"
+            )
     share = consolidation_share(result.model, result.x_full)
     if share is not None:
         print(f"consolidated (FCL) share of delivered weight: {share:.1%}")
@@ -253,7 +261,7 @@ def _cmd_compare(args) -> int:
             print("instance is infeasible", file=sys.stderr)
             return EXIT_INFEASIBLE
         if not result.proven:
-            print(f"{label}: iteration limit reached", file=sys.stderr)
+            print(f"{label}: {_limit_message(result)}", file=sys.stderr)
             return EXIT_SOLVER
         report.rows.append(scenario_row(label, result.model, result.x_full))
         results[label] = result

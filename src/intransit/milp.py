@@ -36,6 +36,10 @@ MILP_NODE_LIMIT = "node_limit"
 INTEGRALITY_TOL = 1e-6
 DEFAULT_GAP_TOL = 1e-9
 DEFAULT_NODE_LIMIT = 100_000
+# the root's separation rounds stop once the root bound rose by no more
+# than ROOT_STALL_TOL * (1 + |bound|) over the last ROOT_STALL_ROUNDS rounds
+ROOT_STALL_ROUNDS = 10
+ROOT_STALL_TOL = 1e-4
 
 # (coefficients, rhs) of a row ``coefficients @ x <= rhs``
 Row = tuple[np.ndarray, float]
@@ -101,6 +105,15 @@ def _append_rows(base: LpProblem, extra, rhs: np.ndarray) -> LpProblem:
     lp.senses = np.concatenate([base.senses, np.full(len(rhs), "<", dtype="<U1")])
     lp.rhs = np.concatenate([base.rhs, rhs])
     return lp
+
+
+def _append_row(base: LpProblem, row: Row) -> LpProblem:
+    coefficients, rhs = row
+    return _append_rows(
+        base,
+        np.asarray(coefficients, dtype=np.float64).reshape(1, -1),
+        np.array([rhs], dtype=np.float64),
+    )
 
 
 def _node_lp(base: LpProblem, bounds: dict[int, tuple[float, float]]) -> LpProblem:
@@ -197,17 +210,23 @@ def solve_milp(
     limit returns status ``node_limit`` with the best incumbent and bound,
     never a silent "optimal".
 
-    ``separate(x, bound)`` adds constraints lazily. It is called at every
-    node whose LP optimum ``x`` is integral on the integer columns (they
-    are rounded first), with ``bound`` the tree's global lower bound at that
-    moment, and returns ``(row, point)``. ``point`` is a feasible solution
-    with the integer values of ``x``, offered as incumbent, or None when
-    there is none. ``row`` is a valid constraint ``(coefficients, rhs)``
-    meaning ``coefficients @ x <= rhs``, or None when ``x`` violates
-    nothing. A row is appended to the LP of every node solved from then on,
-    and the node goes back on the heap to be solved again with it unless
-    the incumbent already closes its gap. Without a separator every
-    integral LP optimum is an incumbent.
+    ``separate(x, bound)`` adds constraints lazily, with ``bound`` the
+    tree's global lower bound at that moment. It returns ``(row, point)``:
+    ``row`` is a valid constraint ``(coefficients, rhs)`` meaning
+    ``coefficients @ x <= rhs``, or None when it has none to add, and
+    ``point`` is a feasible solution offered as incumbent, or None. A row
+    is appended to the LP of every node solved from then on. It is called
+
+    - at every node whose LP optimum ``x`` is integral on the integer
+      columns (they are rounded first). ``point`` must carry the integer
+      values of ``x``. The node goes back on the heap to be solved again
+      with the row unless the incumbent already closes its gap;
+    - at the root while its LP optimum is fractional, with ``x``
+      unrounded. ``point`` is ignored. A row re-solves the root from its
+      basis; no row, or a root bound that stalled (see
+      ``ROOT_STALL_ROUNDS``), ends these rounds and branching starts.
+
+    Without a separator every integral LP optimum is an incumbent.
     """
     prob = _as_milp(model)
     int_cols = np.asarray(prob.integer_columns, dtype=np.int64)
@@ -226,6 +245,8 @@ def solve_milp(
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
+    root_rounds = separate is not None
+    root_bounds: list[float] = []
     nodes = 0
     counter = 0
     # each entry carries the basis it was pushed with and the bounds and
@@ -275,7 +296,20 @@ def solve_milp(
         frac = np.abs(vals - np.round(vals))
         # an LP without rows has no basis to carry
         here = None if outcome.basis is None else (outcome.basis, bounds, base.num_rows)
-        if len(frac) and float(frac.max()) > INTEGRALITY_TOL:
+        fractional = bool(len(frac)) and float(frac.max()) > INTEGRALITY_TOL
+        if fractional and root_rounds and depth == 0:
+            root_bounds.append(lp_obj)
+            stalled = len(root_bounds) > ROOT_STALL_ROUNDS and (
+                lp_obj - root_bounds[-1 - ROOT_STALL_ROUNDS]
+                <= ROOT_STALL_TOL * (1.0 + abs(lp_obj))
+            )
+            row = None if stalled else separate(x, min(lp_obj, incumbent_obj))[0]
+            if row is not None:
+                base = _append_row(base, row)
+                push(lp_obj, depth, bounds, here)
+                continue
+            root_rounds = False
+        if fractional:
             j = int(np.argmax(frac))
             col = int(int_cols[j])
             val = float(vals[j])
@@ -302,12 +336,7 @@ def solve_milp(
             incumbent_obj = point_obj
             incumbent_x = point
         if row is not None:
-            coefficients, rhs = row
-            base = _append_rows(
-                base,
-                np.asarray(coefficients, dtype=np.float64).reshape(1, -1),
-                np.array([rhs], dtype=np.float64),
-            )
+            base = _append_row(base, row)
             if rel_gap(incumbent_obj, lp_obj) > gap_tol:
                 push(lp_obj, depth, bounds, here)
 

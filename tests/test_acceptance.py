@@ -14,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from intransit import (
     MODE_EXACT_DAY,
@@ -32,11 +34,10 @@ from intransit import (
     run_benders,
     solve_lp,
     solve_milp,
-    solve_subproblem,
     verify_certificate,
     zone_lookup,
 )
-from intransit.benders import _prepare
+from intransit.benders import _prepare, _solve_sub
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
 from test_simplex import enumerate_vertices, random_problem
@@ -107,19 +108,48 @@ def random_small_config(rng):
     )
 
 
+def highs_objective(model) -> float:
+    """The optimum HiGHS (``scipy.optimize.milp``) proves for the same
+    assembled model, container counts integer."""
+    A = sp.csr_matrix(model.A)
+    le = model.senses == "<"
+    constraints = []
+    if le.any():
+        constraints.append(LinearConstraint(A[le], -np.inf, model.rhs[le]))
+    if (~le).any():
+        constraints.append(LinearConstraint(A[~le], model.rhs[~le], model.rhs[~le]))
+    integrality = np.zeros(model.num_vars)
+    integrality[np.asarray(model.integer_columns)] = 1
+    res = milp(
+        model.objective,
+        constraints=constraints,
+        integrality=integrality,
+        bounds=Bounds(0, np.inf),
+        options={"mip_rel_gap": 1e-10},
+    )
+    assert res.status == 0, f"HiGHS stopped with status {res.status}: {res.message}"
+    return float(res.fun)
+
+
 def test_decomposition_matches_monolithic_on_100_random_instances():
-    """Benders and the one-shot MILP agree within 1e-6 relative, in < 120 s."""
+    """Benders, the one-shot MILP and HiGHS agree within 1e-6 relative,
+    in < 120 s."""
     rng = np.random.default_rng(20260823)
     started = time.perf_counter()
     for seed in range(100):
         inst = generate_synthetic(random_small_config(rng), seed=seed)
         benders = run_benders(inst, MODE_WINDOW)
-        mono = solve_milp(build_mip(inst, MODE_WINDOW))
+        model = build_mip(inst, MODE_WINDOW)
+        mono = solve_milp(model)
         assert benders.status == "optimal", f"seed {seed}: {benders.status}"
         assert mono.status == "optimal", f"seed {seed}: {mono.status}"
         scale = 1.0 + abs(mono.objective)
         assert abs(benders.objective - mono.objective) <= 1e-6 * scale, (
             f"seed {seed}: benders {benders.objective} vs milp {mono.objective}"
+        )
+        highs = highs_objective(model)
+        assert abs(benders.objective - highs) <= 1e-6 * (1.0 + abs(highs)), (
+            f"seed {seed}: benders {benders.objective} vs HiGHS {highs}"
         )
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"100-instance sweep took {elapsed:.1f} s"
@@ -162,11 +192,12 @@ def test_branch_and_bound_matches_exhaustive_container_grid():
     for seed in range(6):
         inst = generate_synthetic(cfg, seed=seed)
         model = build_mip(inst, MODE_WINDOW)
+        sub = _prepare(model)
         h_costs = model.objective[model.integer_columns]
         best = math.inf
         for grid in itertools.product(range(3), repeat=len(model.integer_columns)):
             t = np.asarray(grid, dtype=np.float64)
-            result = solve_subproblem(inst, t, MODE_WINDOW)
+            result = _solve_sub(sub, t)
             if result.status == STATUS_OPTIMAL:
                 best = min(best, result.value + float(h_costs @ t))
         out = solve_milp(model)
@@ -232,9 +263,11 @@ def test_scenario_cost_ordering(tiny_instance):
 
 def test_bounds_monotone_and_cuts_tight_at_generator():
     """Every trace has a nondecreasing lower bound, a nonincreasing upper
-    bound, and a closed final gap; every optimality cut touches its
+    bound, and a closed final gap; every optimality cut, priced at the
+    root's fractional containers or at an integral node, touches its
     generating subproblem value within 1e-6."""
     rng = np.random.default_rng(17)
+    fractional_checked = 0
     for seed in range(8):
         inst = generate_synthetic(random_small_config(rng), seed=seed)
         res = run_benders(inst, MODE_WINDOW)
@@ -246,16 +279,20 @@ def test_bounds_monotone_and_cuts_tight_at_generator():
         final = res.trace.records[-1]
         assert final.gap <= 1e-9
 
-        # rebuild each recorded optimality cut and check tightness
-        master = _prepare(build_mip(inst, MODE_WINDOW)).master
+        # re-price every feasible solve, with or without a cut added, and
+        # check the tightness of the optimality cut its duals give
+        sub = _prepare(build_mip(inst, MODE_WINDOW))
         for rec in res.trace.records:
-            if rec.cut_kind != "optimality" or rec.subproblem_value is None:
+            if rec.subproblem_value is None:
                 continue
-            sub = solve_subproblem(inst, rec.t_candidate, MODE_WINDOW)
-            assert sub.status == STATUS_OPTIMAL
-            cut = make_optimality_cut(sub.duals, master)
-            slack = cut.value_at(rec.t_candidate) - sub.value
-            assert abs(slack) <= 1e-6 * (1 + abs(sub.value))
+            priced = _solve_sub(sub, rec.t_candidate)
+            assert priced.status == STATUS_OPTIMAL
+            assert priced.value == pytest.approx(rec.subproblem_value, rel=1e-9)
+            cut = make_optimality_cut(priced.duals, sub.master)
+            slack = cut.value_at(rec.t_candidate) - priced.value
+            assert abs(slack) <= 1e-6 * (1 + abs(priced.value))
+            fractional_checked += rec.fractional
+    assert fractional_checked > 0
 
 
 def test_delivery_lag_never_exceeds_window():

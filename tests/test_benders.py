@@ -23,10 +23,10 @@ from intransit import (
     solve_lp,
     solve_master,
     solve_milp,
-    solve_subproblem,
 )
-from intransit.benders import Cut
+from intransit.benders import Cut, _prepare, _solve_sub
 from intransit.errors import InfeasibleInstanceError, SolverError
+from intransit.milp import MILP_NODE_LIMIT, MILP_OPTIMAL
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
 from conftest import build_instance
@@ -34,71 +34,60 @@ from conftest import build_instance
 
 class TestSubproblem:
     def test_zero_containers_means_all_lcl(self, tiny_instance):
-        result = solve_subproblem(tiny_instance, np.zeros(10), MODE_WINDOW)
+        result = _solve_sub(_prepare(build_mip(tiny_instance, MODE_WINDOW)), np.zeros(10))
         assert result.status == STATUS_OPTIMAL
         # land 0.30 + LCL 0.20 on 1000 lbs; no container appears
         assert result.value == pytest.approx(500.0, rel=1e-9)
 
     def test_container_unlocks_cheaper_leg(self, tiny_instance):
-        base = solve_subproblem(tiny_instance, np.zeros(10), MODE_WINDOW)
+        sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
+        base = _solve_sub(sub, np.zeros(10))
         t = np.zeros(10)
         t[2] = 1.0  # container on the day the land shipment reaches the gateway
-        with_box = solve_subproblem(tiny_instance, t, MODE_WINDOW)
+        with_box = _solve_sub(sub, t)
         assert with_box.status == STATUS_OPTIMAL
         # the 0.20/lb LCL charge on 1000 lbs disappears into the container
         assert base.value - with_box.value == pytest.approx(200.0, rel=1e-9)
 
-    def test_negative_t_rejected(self, tiny_instance):
-        with pytest.raises(SolverError):
-            solve_subproblem(tiny_instance, np.array([-1.0] + [0.0] * 9), MODE_WINDOW)
-
-    def test_wrong_shape_rejected(self, tiny_instance):
-        with pytest.raises(SolverError, match="shape"):
-            solve_subproblem(tiny_instance, np.zeros(3), MODE_WINDOW)
-
     def test_infeasible_instance_gives_farkas(self):
         inst = build_instance(window_days=2, land_time=4, air_time=3)
-        result = solve_subproblem(
-            inst, np.zeros(10), MODE_WINDOW, require_routes=False
-        )
+        sub = _prepare(build_mip(inst, MODE_WINDOW, require_routes=False))
+        result = _solve_sub(sub, np.zeros(10))
         assert result.status == STATUS_INFEASIBLE
         assert result.farkas_ray is not None
 
 
 class TestOptimalityCuts:
     def _master_and_duals(self, instance, t):
-        from intransit.benders import _prepare, _solve_sub
-
-        model = build_mip(instance, MODE_WINDOW)
-        sub = _prepare(model)
+        sub = _prepare(build_mip(instance, MODE_WINDOW))
         result = _solve_sub(sub, t)
         assert result.status == STATUS_OPTIMAL
-        return sub.master, result
+        return sub, result
 
     def test_tight_at_generator(self, tiny_instance):
         t = np.zeros(10)
-        master, result = self._master_and_duals(tiny_instance, t)
-        cut = make_optimality_cut(result.duals, master)
+        sub, result = self._master_and_duals(tiny_instance, t)
+        cut = make_optimality_cut(result.duals, sub.master)
         assert cut.value_at(t) == pytest.approx(result.value, rel=1e-6)
 
     def test_valid_at_other_points(self, tiny_instance):
         t0 = np.zeros(10)
-        master, result = self._master_and_duals(tiny_instance, t0)
-        cut = make_optimality_cut(result.duals, master)
+        sub, result = self._master_and_duals(tiny_instance, t0)
+        cut = make_optimality_cut(result.duals, sub.master)
         rng = np.random.default_rng(1)
         for _ in range(6):
             t = rng.integers(0, 3, size=10).astype(np.float64)
-            other = solve_subproblem(tiny_instance, t, MODE_WINDOW)
+            other = _solve_sub(sub, t)
             assert other.status == STATUS_OPTIMAL
             assert cut.value_at(t) <= other.value + 1e-6 * (1.0 + abs(other.value))
 
     def test_dimension_mismatch(self, tiny_instance):
-        master, _ = self._master_and_duals(tiny_instance, np.zeros(10))
+        sub, _ = self._master_and_duals(tiny_instance, np.zeros(10))
         with pytest.raises(SolverError, match="rows"):
-            make_optimality_cut(np.zeros(3), master)
+            make_optimality_cut(np.zeros(3), sub.master)
 
     def test_zero_duals_reproduce_init_bound(self, tiny_instance):
-        master, _ = self._master_and_duals(tiny_instance, np.zeros(10))
+        master = self._master_and_duals(tiny_instance, np.zeros(10))[0].master
         cut = make_optimality_cut(np.zeros(master.B.shape[0]), master)
         assert cut.constant == 0.0
         assert not cut.t_coefficients.any()
@@ -142,10 +131,10 @@ class TestFeasibilityCuts:
         ray = self._farkas(A_sub, senses, master, [0.0])
         master.cuts.append(make_feasibility_cut(ray, master))
         # T = 0 is cut off; one container is the cheapest schedule left
-        t, q, lb = solve_master(master)
-        assert t.tolist() == [1.0]
-        assert q == 0.0
-        assert lb == pytest.approx(4800.0)
+        out = solve_master(master)
+        assert out.status == MILP_OPTIMAL
+        assert out.x.tolist() == [1.0, 0.0]  # [T, q]
+        assert out.bound == pytest.approx(4800.0)
 
     def test_zero_ray_rejected(self):
         _, _, master = self._harness()
@@ -160,30 +149,23 @@ class TestFeasibilityCuts:
 
 class TestMaster:
     def test_init_pool_picks_zero(self, tiny_instance):
-        from intransit.benders import _prepare
-
         master = _prepare(build_mip(tiny_instance, MODE_WINDOW)).master
-        t, q, lb = solve_master(master)
-        assert not t.any()
-        assert q == 0.0
-        assert lb == 0.0
+        out = solve_master(master)
+        assert not out.x.any()  # T = 0, q = 0
+        assert out.bound == 0.0
 
     def test_empty_pool_rejected(self, tiny_instance):
-        from intransit.benders import _prepare
-
         master = _prepare(build_mip(tiny_instance, MODE_WINDOW)).master
         master.cuts = []
         with pytest.raises(SolverError):
             solve_master(master)
 
     def test_lower_bound_after_first_cut(self, tiny_instance):
-        from intransit.benders import _prepare, _solve_sub
-
         sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
         master = sub.master
         result = _solve_sub(sub, np.zeros(10))
         master.cuts.append(make_optimality_cut(result.duals, master))
-        t, q, lb = solve_master(master)
+        lb = solve_master(master).bound
         # closed form: min over T of c3'T + max(0, q(0) - w'T)
         w = master.cuts[-1].t_coefficients
         candidates = [result.value]  # T = 0
@@ -297,8 +279,60 @@ class TestRunBenders:
         buf = io.StringIO()
         res.trace.export_csv(buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "iteration,lb,ub,gap,cut_kind,subproblem_value"
+        assert lines[0] == "iteration,candidate,lb,ub,gap,cut_kind,subproblem_value"
         assert len(lines) == res.iterations + 1
+        assert lines[1].startswith("1,integral,")
+
+    @staticmethod
+    def _readme_instance():
+        cfg = GeneratorConfig(
+            n_products=5, n_suppliers=2, n_gateways=2, horizon_days=12, window_days=6
+        )
+        return generate_synthetic(cfg, seed=4)
+
+    def test_root_rounds_reach_the_lp_relaxation(self, monkeypatch):
+        import intransit.benders as bd
+
+        outcomes = []
+        solve = bd.solve_milp
+
+        def recorded(*args, **kwargs):
+            outcomes.append(solve(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(bd, "solve_milp", recorded)
+        inst = self._readme_instance()
+        res = run_benders(inst, MODE_WINDOW)
+        relax, _, _ = lp_relaxation(inst, MODE_WINDOW)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(36272.8545878, abs=1e-6)
+        records = res.trace.records
+        # the root starts integral at T = 0, then turns fractional until no
+        # cut cuts it off; only integral nodes are priced after that
+        kinds = [r.fractional for r in records]
+        assert kinds[0] is False
+        last_root = max(i for i, fractional in enumerate(kinds) if fractional)
+        assert all(kinds[1 : last_root + 1])
+        assert not any(kinds[last_root + 1 :])
+        assert records[last_root].cut_kind is None
+        assert records[last_root].lower == pytest.approx(relax, rel=1e-9)
+        first_after = records[last_root + 1]
+        assert first_after.lower >= relax * (1 - 1e-9)
+        # fractional solves never give an upper bound
+        assert records[last_root].upper == records[0].upper
+        assert len(outcomes) == 1 and outcomes[0].nodes <= 150
+
+    def test_node_limit_returns_bounds(self):
+        from intransit import BendersParams
+
+        res = run_benders(
+            self._readme_instance(), MODE_WINDOW, BendersParams(node_limit=30)
+        )
+        assert res.status == MILP_NODE_LIMIT
+        assert not res.proven
+        assert res.lower_bound <= res.upper_bound
+        assert res.objective == res.upper_bound
+        assert res.lower_bound < res.upper_bound - 1.0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_oracle_equivalence_sample(self, seed):

@@ -94,8 +94,14 @@ class TestBenders:
         assert "consolidated" in captured
         with open(out / "trace.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert rows
-        assert rows[-1]["cut_kind"] in ("optimality", "feasibility")
+        assert {r["candidate"] for r in rows} == {"integral", "fractional"}
+        for r in rows:
+            # an integral solve always cuts; a fractional one only when the
+            # cut moves the root
+            cut_kinds = ("optimality", "feasibility")
+            if r["candidate"] == "fractional":
+                cut_kinds += ("",)
+            assert r["cut_kind"] in cut_kinds
         with open(out / "histogram.csv", newline="") as fh:
             hist = list(csv.DictReader(fh))
         assert all(int(r["lag_days"]) <= 4 for r in hist)
@@ -122,14 +128,28 @@ class TestBenders:
     def test_iteration_limit_is_solver_failure(self, instance_dir, capsys):
         code = run(["benders", "--instance", instance_dir, "--max-iters", "1"])
         assert code == 3
-        assert "iteration limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "iteration limit reached: bounds [" in err
+        assert "node limit" not in err
+
+    @pytest.mark.parametrize("command", ["benders", "compare"])
+    def test_node_limit_is_solver_failure(self, instance_dir, command, capsys):
+        # the root is priced at T = 0, gets its cut, and the limit stops the
+        # tree before the root is solved again
+        code = run([command, "--instance", instance_dir, "--node-limit", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "node limit reached: bounds [0.00, 500.00]" in err
+        assert "iteration limit" not in err
 
     def test_infeasible(self, infeasible_dir):
         assert run(["benders", "--instance", infeasible_dir]) == 1
 
     def test_verbose_prints_the_trace(self, instance_dir, capsys):
         assert run(["benders", "--instance", instance_dir, "--verbose"]) == 0
-        assert "  iter 1: lb " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "  iter 1: lb " in out
+        assert "optimality cut at integral T" in out
 
 
 class TestCompare:

@@ -17,7 +17,7 @@ from intransit import (
     lp_from_mip,
     solve_milp,
 )
-from intransit.benders import solve_subproblem
+from intransit.benders import _prepare, _solve_sub
 from intransit.errors import SolverError
 from intransit.milp import MILP_INFEASIBLE, MILP_NODE_LIMIT, MILP_OPTIMAL
 from intransit.simplex import STATUS_OPTIMAL
@@ -28,12 +28,13 @@ from conftest import build_instance
 def t_grid_minimum(instance, mode, t_max=2):
     """Exhaustive oracle: try every integer container grid up to t_max."""
     model = build_mip(instance, mode)
+    sub = _prepare(model)
     n_t = len(model.integer_columns)
     h_costs = model.objective[model.integer_columns]
     best = math.inf
     for grid in itertools.product(range(t_max + 1), repeat=n_t):
         t = np.asarray(grid, dtype=np.float64)
-        result = solve_subproblem(instance, t, mode)
+        result = _solve_sub(sub, t)
         if result.status != STATUS_OPTIMAL:
             continue
         best = min(best, result.value + float(h_costs @ t))
@@ -176,6 +177,65 @@ class TestSeparation:
         assert upfront.nodes > 1
         assert lazy.nodes == upfront.nodes + 1
         assert len(seen) > 1
+
+    def test_fractional_root_is_separated_before_branching(self):
+        # min -x0 - x1 on x0 + x1 <= 3.5, x integer in [0, 3]: the root
+        # (3, 0.5) is fractional; the row x1 <= 0.25 re-solves it at
+        # (3, 0.25), and returning no row there ends the rounds; the point
+        # offered there is not an incumbent
+        prob = MilpProblem(
+            lp=LpProblem(
+                objective=np.array([-1.0, -1.0]),
+                A=np.array([[1.0, 1.0], [1.0, 0.0]]),
+                senses=np.array(["<", "<"]),
+                rhs=np.array([3.5, 3.0]),
+            ),
+            integer_columns=np.array([0, 1]),
+            integer_upper=np.array([3.0, 3.0]),
+        )
+        seen = []
+
+        def separate(x, bound):
+            seen.append((x.copy(), bound))
+            if len(seen) == 1:
+                return (np.array([0.0, 1.0]), 0.25), None
+            # the point is ignored at the fractional root
+            return None, x
+
+        out = solve_milp(prob, separate=separate)
+        assert out.status == MILP_OPTIMAL
+        assert out.objective == pytest.approx(-3.0)
+        # called at the unrounded root, then at the root re-solved with the
+        # row, whose bound rose
+        np.testing.assert_allclose(seen[0][0], [3.0, 0.5])
+        assert seen[0][1] == pytest.approx(-3.5)
+        np.testing.assert_allclose(seen[1][0], [3.0, 0.25])
+        assert seen[1][1] == pytest.approx(-3.25)
+        # the rounds ended there: every later call is at an integral node
+        for x, _ in seen[2:]:
+            np.testing.assert_array_equal(x, np.round(x))
+        # two root solves, then branching on x1
+        assert out.nodes > 2
+
+    def test_root_rounds_stop_when_the_bound_stalls(self):
+        # a separator that always returns a row the root LP already meets:
+        # the bound never rises, so the rounds stop after ROOT_STALL_ROUNDS
+        from intransit.milp import ROOT_STALL_ROUNDS
+
+        prob = TestLimitsAndLogging()._fractional_problem()
+        fractional_calls = []
+
+        def separate(x, bound):
+            if (x != np.round(x)).any():
+                fractional_calls.append(bound)
+                return (np.zeros(len(x)), 0.0), None
+            return None, x
+
+        out = solve_milp(prob, separate=separate)
+        plain = solve_milp(prob)
+        assert out.objective == pytest.approx(plain.objective)
+        assert len(fractional_calls) == ROOT_STALL_ROUNDS
+        assert out.nodes == plain.nodes + ROOT_STALL_ROUNDS
 
 
 class TestConsolidationModels:

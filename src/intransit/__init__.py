@@ -45,16 +45,17 @@ from .model import (
     VarKey,
     build_mip,
     check_solution,
-    expected_num_vars,
     objective_breakdown,
 )
 from .report import (
     DeliveryHistogram,
     ScenarioReport,
+    audit_flows,
     consolidation_share,
     delivery_histogram,
     export_solution_json,
     scenario_row,
+    solution_flows,
 )
 from .simplex import LpOutcome, LpProblem, solve_lp, verify_certificate
 

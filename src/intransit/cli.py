@@ -16,7 +16,7 @@ from . import benders as bd
 from .errors import InfeasibleInstanceError, IntransitError, SolverError
 from .instance import GeneratorConfig, generate_synthetic, load_instance, save_instance, validate_routes
 from .milp import DEFAULT_GAP_TOL, DEFAULT_NODE_LIMIT, MILP_INFEASIBLE, MILP_OPTIMAL, solve_milp
-from .model import MODE_EXACT_DAY, MODE_WINDOW, build_mip, expected_num_vars
+from .model import MODE_EXACT_DAY, MODE_WINDOW, VarIndexer, build_mip
 from .report import (
     ScenarioReport,
     delivery_histogram,
@@ -172,13 +172,7 @@ def _cmd_solve(args) -> int:
     if not _require_routes(instance):
         return EXIT_INFEASIBLE
     mode = _mode(args.mode)
-    ix_size = expected_num_vars(
-        len(instance.products),
-        len(instance.suppliers),
-        len(instance.gateways),
-        instance.horizon_days,
-        mode,
-    )
+    ix_size = VarIndexer(instance, mode).num_vars
     if ix_size > args.max_vars:
         print(
             f"model has {ix_size} variables, above the monolithic limit "

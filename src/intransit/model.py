@@ -2,14 +2,22 @@
 
 Variables (all nonnegative; times 0-based days):
 
-  X[p,s,h,d]  lbs sent supplier->gateway by land on day d
-  Y[p,s,h,d]  lbs sent supplier->gateway by air on day d
+  X[p,s,h,d]  lbs of pickup (p,s,d) sent supplier->gateway by land
+  Y[p,s,h,d]  lbs of pickup (p,s,d) sent supplier->gateway by air
   Z[p,h,d]    lbs sent gateway->customer as LCL on day d
   U[p,h,d]    lbs sent gateway->customer inside containers on day d
   T[h,d]      container count at gateway h on day d (integer)
   I[p,h,d]    lbs of product p held at gateway h at the start of day d
   N[p,d]      lbs of product p delivered early, on hand at the customer
               at the start of day d (absent in exact-day mode)
+
+Z and U exist only on departure days ``d < horizon - t2(h)``, whose
+arrival lies inside the horizon; a later departure could only act as a
+sink for unwanted freight. First-leg columns exist only per positive
+pickup, gateway and mode, and only when the shipment lands at the gateway
+on one of its departure days (``d + t1 + t2 < horizon``), so no gateway
+can receive freight that was never picked up, or freight that could never
+leave again.
 
 Constraint families:
 
@@ -19,11 +27,12 @@ Constraint families:
   customer_balance_late  per (p,d), d >= window: arrivals + stock = due + carry
   customer_balance_early per (p,d), d < window: arrivals + stock = carry
 
-Lagged references falling before day 0 contribute nothing; inventories
-carried past the last day are fixed to zero, so every picked-up pound must
-be delivered within the horizon. Start-of-horizon stocks I[.,.,0] and
-N[.,0] are likewise empty: those columns exist in the index map but appear
-in no constraint row.
+A pickup on day d is due on day ``min(d + window, horizon - 1)``: one whose
+window runs past the horizon is due on the last day. Lagged references
+falling before day 0 contribute nothing; inventories carried past the last
+day are fixed to zero, so every picked-up pound is delivered within the
+horizon. Start-of-horizon stocks I[.,.,0] and N[.,0] are likewise empty:
+those columns exist in the index map but appear in no constraint row.
 """
 
 from __future__ import annotations
@@ -65,10 +74,14 @@ class VarKey(NamedTuple):
 
 
 class VarIndexer:
-    """Bijective, arithmetic key <-> column mapping for one instance/mode.
+    """Bijective key <-> column mapping for one instance/mode.
 
-    Column order is X, Y, Z, U, T, I, N blocks, each in C order over the
-    instance's (product, supplier, gateway, day) list order.
+    Column order is X, Y, Z, U, T, I, N blocks. X and Y hold one column per
+    positive pickup and gateway whose arrival lands on one of the gateway's
+    departure days, in C order over (product, supplier, gateway, day)
+    positions. Z and U hold, per (product, gateway) in C order, the
+    departure days ``0 .. departures[h] - 1``. T, I and N are full
+    (gateway, day), (product, gateway, day) and (product, day) grids.
     """
 
     def __init__(self, instance: Instance, mode: str):
@@ -80,11 +93,42 @@ class VarIndexer:
         self.nS = len(instance.suppliers)
         self.nH = len(instance.gateways)
         self.nD = instance.horizon_days
-        psh = self.nP * self.nS * self.nH * self.nD
+        self.p_index = {p: i for i, p in enumerate(instance.products)}
+        self.s_index = {s: i for i, s in enumerate(instance.suppliers)}
+        self.h_index = {h: i for i, h in enumerate(instance.gateways)}
+
+        # second leg: departure days whose arrival lands inside the horizon
+        self.departures = np.array(
+            [max(0, self.nD - instance.second_leg_time[h]) for h in instance.gateways],
+            dtype=np.int64,
+        )
+        # first leg: the (p, s, h, d) positions of each shipment that lands
+        # at its gateway on one of the departure days there, per mode
+        self.legs: dict[str, np.ndarray] = {}
+        self._leg_pos: dict[str, dict[tuple[int, int, int, int], int]] = {}
+        for kind, times in (("X", instance.land_time), ("Y", instance.air_time)):
+            legs = sorted(
+                (self.p_index[p], self.s_index[s], hi, d)
+                for (p, s, d) in instance.positive_pickups()
+                for hi, h in enumerate(instance.gateways)
+                if d + times[s, h] < self.departures[hi]
+            )
+            self.legs[kind] = np.array(legs, dtype=np.int64).reshape(-1, 4)
+            self._leg_pos[kind] = {leg: i for i, leg in enumerate(legs)}
+
+        self._dep_start = np.concatenate(([0], np.cumsum(self.departures)))
+        self._dep_total = int(self._dep_start[-1])
+
         ph = self.nP * self.nH * self.nD
-        hd = self.nH * self.nD
-        pd = self.nP * self.nD if mode == MODE_WINDOW else 0
-        sizes = {"X": psh, "Y": psh, "Z": ph, "U": ph, "T": hd, "I": ph, "N": pd}
+        sizes = {
+            "X": len(self.legs["X"]),
+            "Y": len(self.legs["Y"]),
+            "Z": self.nP * self._dep_total,
+            "U": self.nP * self._dep_total,
+            "T": self.nH * self.nD,
+            "I": ph,
+            "N": self.nP * self.nD if mode == MODE_WINDOW else 0,
+        }
         self.offsets: dict[str, int] = {}
         total = 0
         for kind in KINDS:
@@ -92,22 +136,19 @@ class VarIndexer:
             total += sizes[kind]
         self.sizes = sizes
         self.num_vars = total
-        self.p_index = {p: i for i, p in enumerate(instance.products)}
-        self.s_index = {s: i for i, s in enumerate(instance.suppliers)}
-        self.h_index = {h: i for i, h in enumerate(instance.gateways)}
 
     # index arguments below are integer positions, not ids
     def col_x(self, p: int, s: int, h: int, d: int) -> int:
-        return self.offsets["X"] + ((p * self.nS + s) * self.nH + h) * self.nD + d
+        return self._leg_col("X", p, s, h, d)
 
     def col_y(self, p: int, s: int, h: int, d: int) -> int:
-        return self.offsets["Y"] + ((p * self.nS + s) * self.nH + h) * self.nD + d
+        return self._leg_col("Y", p, s, h, d)
 
     def col_z(self, p: int, h: int, d: int) -> int:
-        return self.offsets["Z"] + (p * self.nH + h) * self.nD + d
+        return self._departure_col("Z", p, h, d)
 
     def col_u(self, p: int, h: int, d: int) -> int:
-        return self.offsets["U"] + (p * self.nH + h) * self.nD + d
+        return self._departure_col("U", p, h, d)
 
     def col_t(self, h: int, d: int) -> int:
         return self.offsets["T"] + h * self.nD + d
@@ -120,6 +161,28 @@ class VarIndexer:
             raise ModelError("N columns do not exist in exact-day mode")
         return self.offsets["N"] + p * self.nD + d
 
+    def departure_cols(self, kind: str, p: int, h: int) -> np.ndarray:
+        """The Z or U columns of product p at gateway h, one per departure day."""
+        start = self.offsets[kind] + p * self._dep_total + int(self._dep_start[h])
+        return np.arange(start, start + int(self.departures[h]))
+
+    def _leg_col(self, kind: str, p: int, s: int, h: int, d: int) -> int:
+        pos = self._leg_pos[kind].get((p, s, h, d))
+        if pos is None:
+            raise ModelError(
+                f"no {kind} column at positions {(p, s, h, d)}: "
+                "no pickup there, or it lands after the gateway's last departure"
+            )
+        return self.offsets[kind] + pos
+
+    def _departure_col(self, kind: str, p: int, h: int, d: int) -> int:
+        if not 0 <= d < self.departures[h]:
+            raise ModelError(
+                f"no {kind} column on day {d} at gateway position {h}: "
+                "it would arrive after the horizon"
+            )
+        return self.offsets[kind] + p * self._dep_total + int(self._dep_start[h]) + d
+
     def key_of(self, col: int) -> VarKey:
         if not 0 <= col < self.num_vars:
             raise ModelError(f"column {col} out of range")
@@ -128,19 +191,17 @@ class VarIndexer:
             if col >= self.offsets[kind] and self.sizes[kind] > 0:
                 rem = col - self.offsets[kind]
                 if kind in ("X", "Y"):
-                    d = rem % self.nD
-                    rem //= self.nD
-                    h = rem % self.nH
-                    rem //= self.nH
-                    s = rem % self.nS
-                    p = rem // self.nS
+                    p, s, h, d = self.legs[kind][rem].tolist()
                     return VarKey(kind, inst.products[p], inst.suppliers[s], inst.gateways[h], d)
-                if kind in ("Z", "U", "I"):
-                    d = rem % self.nD
-                    rem //= self.nD
-                    h = rem % self.nH
-                    p = rem // self.nH
+                if kind in ("Z", "U"):
+                    p, rem = divmod(rem, self._dep_total)
+                    h = int(np.searchsorted(self._dep_start, rem, side="right")) - 1
+                    d = rem - int(self._dep_start[h])
                     return VarKey(kind, inst.products[p], None, inst.gateways[h], d)
+                if kind == "I":
+                    rem, d = divmod(rem, self.nD)
+                    p, h = divmod(rem, self.nH)
+                    return VarKey("I", inst.products[p], None, inst.gateways[h], d)
                 if kind == "T":
                     return VarKey("T", None, None, inst.gateways[rem // self.nD], rem % self.nD)
                 return VarKey("N", inst.products[rem // self.nD], None, None, rem % self.nD)
@@ -198,14 +259,6 @@ class MipModel:
             )
 
 
-def expected_num_vars(nP: int, nS: int, nH: int, nD: int, mode: str = MODE_WINDOW) -> int:
-    """Closed-form column tally for given dimensions."""
-    n = 2 * nP * nS * nH * nD + 3 * nP * nH * nD + nH * nD
-    if mode == MODE_WINDOW:
-        n += nP * nD
-    return n
-
-
 def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bool = True) -> MipModel:
     """Assemble the full consolidation MIP for an instance.
 
@@ -223,8 +276,10 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
             )
 
     ix = VarIndexer(instance, mode)
-    nP, nS, nH, nD = ix.nP, ix.nS, ix.nH, ix.nD
+    nP, nH, nD = ix.nP, ix.nH, ix.nD
     k = instance.container_capacity
+    dep = ix.departures
+    obj = np.zeros(ix.num_vars)
 
     rows_r: list[np.ndarray] = []
     rows_c: list[np.ndarray] = []
@@ -240,26 +295,41 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
     tags: list[str] = []
     row = 0
 
-    # pickup rows: one per positive-demand (p,s,d)
+    # pickup rows: one per positive-demand (p,s,d), over its first-leg
+    # columns; each column also lands in the gateway balance row of its
+    # arrival day, and costs its lane's rate
     pickup_keys = instance.positive_pickups()
-    for (p, s, d) in pickup_keys:
-        pi, si = ix.p_index[p], ix.s_index[s]
-        cols = [ix.col_x(pi, si, h, d) for h in range(nH)]
-        cols += [ix.col_y(pi, si, h, d) for h in range(nH)]
-        add([row] * len(cols), cols, [1.0] * len(cols))
-        senses.append("=")
-        rhs.append(instance.pickups[p, s, d])
-        tags.append(FAMILY_PICKUP)
-        row += 1
+    pickup_row = {
+        (ix.p_index[p], ix.s_index[s], d): r for r, (p, s, d) in enumerate(pickup_keys)
+    }
+    gw_row0 = len(pickup_keys) + nH * nD
+
+    def gw_row(p, h, d) -> np.ndarray:
+        return gw_row0 + ((p * nH + h) * nD) + d
+
+    for kind, times, costs in (
+        ("X", instance.land_time, instance.land_cost),
+        ("Y", instance.air_time, instance.air_cost),
+    ):
+        legs = ix.legs[kind]
+        cols = ix.offsets[kind] + np.arange(len(legs))
+        lanes = [(instance.suppliers[s], instance.gateways[h]) for _, s, h, _ in legs.tolist()]
+        t1 = np.array([times[lane] for lane in lanes], dtype=np.int64)
+        add([pickup_row[p, s, d] for p, s, _, d in legs.tolist()], cols, np.ones(len(cols)))
+        add(gw_row(legs[:, 0], legs[:, 2], legs[:, 3] + t1), cols, -np.ones(len(cols)))
+        obj[cols] = [costs[lane] for lane in lanes]
+    senses += ["="] * len(pickup_keys)
+    rhs += [instance.pickups[key] for key in pickup_keys]
+    tags += [FAMILY_PICKUP] * len(pickup_keys)
+    row += len(pickup_keys)
 
     # capacity rows: one per (h,d)
     cap_row0 = row
     days = np.arange(nD)
     for h in range(nH):
-        r0 = cap_row0 + h * nD
-        rr = r0 + days
+        rr = cap_row0 + h * nD + days
         for p in range(nP):
-            add(rr, ix.col_u(p, h, 0) + days, np.ones(nD))
+            add(rr[: dep[h]], ix.departure_cols("U", p, h), np.ones(dep[h]))
         add(rr, ix.col_t(h, 0) + days, np.full(nD, -k))
     senses += ["<"] * (nH * nD)
     rhs += [0.0] * (nH * nD)
@@ -267,36 +337,16 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
     row += nH * nD
 
     # gateway balance rows: one per (p,h,d)
-    gw_row0 = row
-
-    def gw_row(p: int, h: int, d) -> np.ndarray:
-        return gw_row0 + ((p * nH + h) * nD) + d
-
+    assert row == gw_row0, "first-leg arrivals were placed in the wrong rows"
     for p in range(nP):
         for h in range(nH):
             rr = gw_row(p, h, days)
-            add(rr, ix.col_u(p, h, 0) + days, np.ones(nD))
-            add(rr, ix.col_z(p, h, 0) + days, np.ones(nD))
+            add(rr[: dep[h]], ix.departure_cols("U", p, h), np.ones(dep[h]))
+            add(rr[: dep[h]], ix.departure_cols("Z", p, h), np.ones(dep[h]))
             # carried stock: +I[d+1] (d < nD-1), -I[d] (d > 0)
             if nD > 1:
                 add(rr[:-1], ix.col_i(p, h, 0) + days[1:], np.ones(nD - 1))
                 add(rr[1:], ix.col_i(p, h, 0) + days[1:], -np.ones(nD - 1))
-    # first-leg arrivals: X/Y sent on day d land on day d + t1
-    for s in range(nS):
-        sid = instance.suppliers[s]
-        for h in range(nH):
-            hid = instance.gateways[h]
-            for kind, t1 in (
-                ("X", instance.land_time[sid, hid]),
-                ("Y", instance.air_time[sid, hid]),
-            ):
-                if t1 >= nD:
-                    continue
-                send_days = np.arange(nD - t1)
-                for p in range(nP):
-                    rr = gw_row(p, h, send_days + t1)
-                    col0 = ix.col_x(p, s, h, 0) if kind == "X" else ix.col_y(p, s, h, 0)
-                    add(rr, col0 + send_days, -np.ones(len(send_days)))
     senses += ["="] * (nP * nH * nD)
     rhs += [0.0] * (nP * nH * nD)
     tags += [FAMILY_GATEWAY] * (nP * nH * nD)
@@ -311,13 +361,9 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
 
     for p in range(nP):
         for h in range(nH):
-            t2 = instance.second_leg_time[instance.gateways[h]]
-            if t2 >= nD:
-                continue
-            send_days = np.arange(nD - t2)
-            rr = cust_row(p, send_days + t2)
-            add(rr, ix.col_u(p, h, 0) + send_days, np.ones(len(send_days)))
-            add(rr, ix.col_z(p, h, 0) + send_days, np.ones(len(send_days)))
+            rr = cust_row(p, np.arange(dep[h]) + instance.second_leg_time[instance.gateways[h]])
+            add(rr, ix.departure_cols("U", p, h), np.ones(dep[h]))
+            add(rr, ix.departure_cols("Z", p, h), np.ones(dep[h]))
         if mode == MODE_WINDOW:
             # +N[d] for d >= 1, -N[d+1] for d <= nD-2
             if nD > 1:
@@ -325,9 +371,7 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
                 add(cust_row(p, days[:-1]), ix.col_n(p, 0) + days[1:], -np.ones(nD - 1))
     cust_rhs = np.zeros(nP * nD)
     for (p, s, d) in pickup_keys:
-        due = d + tw
-        if due < nD:
-            cust_rhs[ix.p_index[p] * nD + due] += instance.pickups[p, s, d]
+        cust_rhs[ix.p_index[p] * nD + min(d + tw, nD - 1)] += instance.pickups[p, s, d]
     senses += ["="] * (nP * nD)
     rhs += cust_rhs.tolist()
     for p in range(nP):
@@ -342,25 +386,13 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
     A = sp.coo_matrix((v_all, (r_all, c_all)), shape=(m, ix.num_vars)).tocsr()
     A.sum_duplicates()
 
-    # objective and cost partition
-    obj = np.zeros(ix.num_vars)
+    # rest of the objective and the cost partition
     cost_class = np.full(ix.num_vars, " ", dtype="<U1")
-    for s in range(nS):
-        sid = instance.suppliers[s]
-        for h in range(nH):
-            hid = instance.gateways[h]
-            xs = ix.col_x(0, s, h, 0)
-            ys = ix.col_y(0, s, h, 0)
-            stride = nS * nH * nD
-            for p in range(nP):
-                obj[xs + p * stride : xs + p * stride + nD] = instance.land_cost[sid, hid]
-                obj[ys + p * stride : ys + p * stride + nD] = instance.air_cost[sid, hid]
     for h in range(nH):
         hid = instance.gateways[h]
         for p in range(nP):
-            z0 = ix.col_z(p, h, 0)
             i0 = ix.col_i(p, h, 0)
-            obj[z0 : z0 + nD] = instance.lcl_cost[hid]
+            obj[ix.departure_cols("Z", p, h)] = instance.lcl_cost[hid]
             obj[i0 : i0 + nD] = instance.hold_cost[hid]
         t0 = ix.col_t(h, 0)
         obj[t0 : t0 + nD] = instance.fcl_cost[hid]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
@@ -11,9 +13,105 @@ from typing import TextIO
 import numpy as np
 
 from .errors import IntransitError
-from .model import MipModel, check_solution, lcl_hold_split, objective_breakdown
+from .instance import Instance
+from .model import MipModel, VarKey, check_solution, lcl_hold_split, objective_breakdown
 
 LAG_TOL = 1e-6
+AUDIT_TOL = 1e-6
+
+
+def audit_flows(instance: Instance, flows: Mapping[VarKey, float]) -> tuple[str, ...]:
+    """Trace every pound of a plan from a real pickup to an on-time delivery.
+
+    Reads only the instance and the plan's shipments keyed by
+    :class:`VarKey`, never a model's rows, so a wrong model cannot vouch
+    for itself. Stocks (I, N) are recomputed from the shipments and their
+    values ignored. Weight of one product is interchangeable at a gateway
+    and at the customer, as in the model. The plan passes when:
+
+    - the first-leg shipments of each pickup carry exactly its weight, and
+      none leaves from a supplier on a day without a pickup;
+    - every shipment arrives inside the horizon;
+    - no gateway ships weight it has not yet received or keeps any at the
+      end of the horizon;
+    - container loads fit in the containers bought;
+    - matched first in first out, each pickup reaches the customer within
+      ``window_days`` of its pickup day.
+
+    Returns one message per fault found; the plan passes when there are
+    none. It checks the window, not exact-day timing. Weights are compared
+    to ``AUDIT_TOL`` times one plus the largest pickup.
+    """
+    nD = instance.horizon_days
+    eps = AUDIT_TOL * (1.0 + max(instance.pickups.values(), default=0.0))
+    faults: list[str] = []
+    picked: dict[tuple[str, str, int], float] = defaultdict(float)
+    gateway_net: dict[tuple[str, str], np.ndarray] = defaultdict(lambda: np.zeros(nD))
+    arrivals: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(nD))
+    loads: dict[tuple[str, int], float] = defaultdict(float)
+    boxes: dict[tuple[str, int], float] = {}
+
+    for key, w in flows.items():
+        if key.kind in ("I", "N"):
+            continue
+        if w < -eps:
+            faults.append(f"{key} is negative ({w:.6g})")
+        if key.kind == "T":
+            boxes[key.h, key.d] = w
+            continue
+        if key.kind in ("X", "Y"):
+            times = instance.land_time if key.kind == "X" else instance.air_time
+            picked[key.p, key.s, key.d] += w
+            lands = key.d + times[key.s, key.h]
+            if lands < nD:
+                gateway_net[key.p, key.h][lands] += w
+        else:
+            gateway_net[key.p, key.h][key.d] -= w
+            lands = key.d + instance.second_leg_time[key.h]
+            if lands < nD:
+                arrivals[key.p][lands] += w
+            if key.kind == "U":
+                loads[key.h, key.d] += w
+        if lands >= nD and w > eps:
+            faults.append(f"{key} carries {w:.6g} lb that land on day {lands}, past the horizon")
+
+    for pickup in sorted(set(picked) | {k for k, w in instance.pickups.items() if w > 0}):
+        want, sent = instance.pickups.get(pickup, 0.0), picked.get(pickup, 0.0)
+        if abs(sent - want) > eps:
+            p, s, d = pickup
+            faults.append(f"first leg moves {sent:.6g} lb of {p} from {s} on day {d}, picked up {want:.6g}")
+    for (p, h), net in sorted(gateway_net.items()):
+        stock = np.cumsum(net)
+        if stock.min() < -eps:
+            d = int(np.argmin(stock))
+            faults.append(f"{h} ships {-stock[d]:.6g} lb of {p} it has not received by day {d}")
+        if stock[-1] > eps:
+            faults.append(f"{stock[-1]:.6g} lb of {p} stay at {h} past the horizon")
+    for (h, d), load in sorted(loads.items()):
+        room = instance.container_capacity * boxes.get((h, d), 0.0)
+        if load > room + eps:
+            faults.append(f"{h} loads {load:.6g} lb into {room:.6g} lb of containers on day {d}")
+
+    # the checks above keep every arrival after its pickup; by each day,
+    # cumulative arrivals must also cover what is due, so that the
+    # first-in-first-out match is on time
+    due_on: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(nD))
+    for (p, _, d), w in instance.pickups.items():
+        if w > 0:
+            due_on[p][min(d + instance.window_days, nD - 1)] += w
+    for p in instance.products:
+        late = np.cumsum(due_on[p]) - np.cumsum(arrivals[p])
+        if late.max() > eps:
+            d = int(np.argmax(late))
+            faults.append(f"{late[d]:.6g} lb of {p} due by day {d} have not reached the customer")
+    return tuple(faults)
+
+
+def solution_flows(model: MipModel, solution: np.ndarray, threshold: float = 1e-9) -> dict[VarKey, float]:
+    """The solution's values above ``threshold`` in magnitude, by VarKey."""
+    x = np.asarray(solution, dtype=np.float64)
+    nz = np.flatnonzero(np.abs(x) > threshold)
+    return {model.indexer.key_of(int(c)): float(x[c]) for c in nz}
 
 
 @dataclass(frozen=True)
@@ -228,9 +326,7 @@ def export_solution_json(
     model: MipModel, solution: np.ndarray, objective: float, path: Path, *, threshold: float = 1e-9
 ) -> None:
     """Write nonzero variable values keyed by their VarKey string form."""
-    x = np.asarray(solution, dtype=np.float64)
-    nz = np.flatnonzero(np.abs(x) > threshold)
-    variables = {str(model.indexer.key_of(int(c))): float(x[c]) for c in nz}
+    variables = {str(k): v for k, v in solution_flows(model, solution, threshold).items()}
     payload = {
         "mode": model.mode,
         "objective": objective,

@@ -448,17 +448,15 @@ def _finish_phase2(
     le_rows: np.ndarray,
 ) -> LpOutcome:
     """Run phase 2 from a primal-feasible basis and extract the outcome."""
-    m = state.B.m
     result = _iterate(state, c_struct)
+    basis = state.B.basis
+    struct = basis < n
     if result is not None:
         q, d = result
         ray = np.zeros(n)
         if q < n:
             ray[q] = 1.0
-        for pos in range(m):
-            col = state.B.basis[pos]
-            if col < n:
-                ray[col] = max(0.0, -d[pos])
+        ray[basis[struct]] = np.maximum(0.0, -d[struct])
         return LpOutcome(status=STATUS_UNBOUNDED, ray=ray, pivots=state.pivots)
 
     # clean final iterate and extract the solution
@@ -466,10 +464,7 @@ def _finish_phase2(
         state.B.refactor()
         state.x_B = state.B.ftran(b)
     x = np.zeros(n)
-    for pos in range(m):
-        col = state.B.basis[pos]
-        if col < n:
-            x[col] = state.x_B[pos]
+    x[basis[struct]] = state.x_B[struct]
     np.maximum(x, 0.0, out=x)
     y_std = state.B.btran(_basic_costs(state.B, c_struct))
     y = flip * y_std

@@ -121,3 +121,23 @@ def solution_vector(model, assignments: dict) -> np.ndarray:
     for col, val in assignments.items():
         x[col] = val
     return x
+
+
+def expected_num_vars(instance, mode) -> int:
+    """Column count, worked out from the instance: a first-leg column per
+    positive pickup, gateway and mode whose freight can still leave the
+    gateway and arrive inside the horizon, Z and U on each departure day
+    that arrives inside it, and full T, I and N grids."""
+    nP, nH, nD = len(instance.products), len(instance.gateways), instance.horizon_days
+    legs = sum(
+        d + t1 + instance.second_leg_time[h] < nD
+        for (p, s, d), w in instance.pickups.items()
+        if w > 0
+        for h in instance.gateways
+        for t1 in (instance.land_time[s, h], instance.air_time[s, h])
+    )
+    departures = sum(max(0, nD - instance.second_leg_time[h]) for h in instance.gateways)
+    n = legs + 2 * nP * departures + nH * nD + nP * nH * nD
+    if mode == "window":
+        n += nP * nD
+    return n

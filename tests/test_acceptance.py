@@ -22,10 +22,10 @@ from intransit import (
     MODE_WINDOW,
     GeneratorConfig,
     Instance,
+    audit_flows,
     build_mip,
     default_zone_table,
     delivery_histogram,
-    expected_num_vars,
     fcl_threshold,
     generate_synthetic,
     lp_relaxation,
@@ -34,12 +34,15 @@ from intransit import (
     run_benders,
     solve_lp,
     solve_milp,
+    solution_flows,
     verify_certificate,
     zone_lookup,
 )
 from intransit.benders import _prepare, _solve_sub
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
+from conftest import build_instance, expected_num_vars
+from test_report import phantom_prone_instance
 from test_simplex import enumerate_vertices, random_problem
 
 GIGABYTE = 1024**3
@@ -131,9 +134,16 @@ def highs_objective(model) -> float:
     return float(res.fun)
 
 
+def assert_flows_trace(inst, model, x, label):
+    """The independent auditor follows every pound of ``x`` from a real
+    pickup to an on-time delivery."""
+    faults = audit_flows(inst, solution_flows(model, x))
+    assert not faults, f"{label}: {faults}"
+
+
 def test_decomposition_matches_monolithic_on_100_random_instances():
     """Benders, the one-shot MILP and HiGHS agree within 1e-6 relative,
-    in < 120 s."""
+    and the flow auditor passes both solvers' plans, in < 120 s."""
     rng = np.random.default_rng(20260823)
     started = time.perf_counter()
     for seed in range(100):
@@ -151,6 +161,8 @@ def test_decomposition_matches_monolithic_on_100_random_instances():
         assert abs(benders.objective - highs) <= 1e-6 * (1.0 + abs(highs)), (
             f"seed {seed}: benders {benders.objective} vs HiGHS {highs}"
         )
+        assert_flows_trace(inst, benders.model, benders.x_full, f"seed {seed} benders")
+        assert_flows_trace(inst, model, mono.x, f"seed {seed} milp")
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"100-instance sweep took {elapsed:.1f} s"
 
@@ -163,17 +175,60 @@ def test_decomposition_matches_monolithic_on_100_random_instances():
 def test_readme_example_decomposition_matches_monolithic(mode, expected):
     """On the README example (5 products, 2 suppliers, 2 gateways, 12 days,
     window 6, seed 4) Benders and the monolithic MILP reach the optimum
-    HiGHS reports, in both delivery modes."""
+    HiGHS reports, in both delivery modes, with plans the flow auditor
+    passes."""
     cfg = GeneratorConfig(
         n_products=5, n_suppliers=2, n_gateways=2, horizon_days=12, window_days=6
     )
     inst = generate_synthetic(cfg, seed=4)
     benders = run_benders(inst, mode)
-    mono = solve_milp(build_mip(inst, mode))
+    model = build_mip(inst, mode)
+    mono = solve_milp(model)
     assert benders.status == "optimal" and benders.proven
     assert mono.status == "optimal"
     assert benders.objective == pytest.approx(expected, abs=1e-6)
     assert mono.objective == pytest.approx(expected, abs=1e-6)
+    assert_flows_trace(inst, benders.model, benders.x_full, "benders")
+    assert_flows_trace(inst, model, mono.x, "milp")
+
+
+def test_phantom_freight_reproducer_costs_the_honest_optimum():
+    """Where an idle lane could carry freight nobody picked up and the real
+    freight could leave past the horizon, every solver pays the honest
+    1100: air to the gateway, LCL to the customer."""
+    inst = phantom_prone_instance()
+    model = build_mip(inst, MODE_WINDOW)
+    mono = solve_milp(model)
+    benders = run_benders(inst, MODE_WINDOW)
+    assert mono.status == "optimal" and benders.status == "optimal"
+    assert mono.objective == pytest.approx(1100.0, abs=1e-6)
+    assert benders.objective == pytest.approx(1100.0, abs=1e-6)
+    assert highs_objective(model) == pytest.approx(1100.0, abs=1e-6)
+    assert_flows_trace(inst, model, mono.x, "milp")
+    assert_flows_trace(inst, benders.model, benders.x_full, "benders")
+
+
+@pytest.mark.parametrize(
+    "mode, expected",
+    [(MODE_WINDOW, 1050.0), (MODE_EXACT_DAY, 1055.0)],
+    ids=["window", "exact-day"],
+)
+def test_pickup_due_past_the_horizon_is_due_on_the_last_day(mode, expected):
+    """A day-7 pickup with a 4-day window in a 10-day horizon is due on day
+    9. By land it would reach the gateway on day 9, after the last
+    departure there (day 8), so it has no land column and flies: 500 lb at
+    0.90 + 0.20. The day-0 pickup goes by land and LCL, in exact-day mode
+    after one day held at the gateway."""
+    inst = build_instance(pickups={("p0", "s0", 0): 1000.0, ("p0", "s0", 7): 500.0})
+    model = build_mip(inst, mode)
+    mono = solve_milp(model)
+    benders = run_benders(inst, mode)
+    assert mono.status == "optimal" and benders.status == "optimal"
+    assert mono.objective == pytest.approx(expected, abs=1e-6)
+    assert benders.objective == pytest.approx(expected, abs=1e-6)
+    assert highs_objective(model) == pytest.approx(expected, abs=1e-6)
+    assert_flows_trace(inst, model, mono.x, "milp")
+    assert_flows_trace(inst, benders.model, benders.x_full, "benders")
 
 
 def test_branch_and_bound_matches_exhaustive_container_grid():
@@ -360,7 +415,7 @@ def test_simplex_matches_vertex_enumeration_on_500_random_lps():
 def test_scale_assembly_and_full_solve():
     """A 100x20x3x60 model assembles in < 10 s and < 2 GB with the
     closed-form variable and row counts; a 20x5x3x30 instance solves to
-    proven optimality in < 5 min."""
+    proven optimality in < 5 min, with a plan the flow auditor passes."""
     cfg = GeneratorConfig(
         n_products=100, n_suppliers=20, n_gateways=3, horizon_days=60
     )
@@ -370,7 +425,7 @@ def test_scale_assembly_and_full_solve():
     build_seconds = time.perf_counter() - started
     assert build_seconds < 10.0, f"assembly took {build_seconds:.1f} s"
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 < 2 * GIGABYTE
-    assert model.num_vars == expected_num_vars(100, 20, 3, 60, MODE_WINDOW)
+    assert model.num_vars == expected_num_vars(inst, MODE_WINDOW)
     n_p, n_h, n_d = 100, 3, 60
     expected_rows = len(inst.pickups) + n_h * n_d + n_p * n_h * n_d + n_p * n_d
     assert model.num_rows == expected_rows
@@ -385,3 +440,4 @@ def test_scale_assembly_and_full_solve():
     # frozen from an independent MILP solve of the monolithic model
     assert res.objective == pytest.approx(67599.1768, rel=1e-6)
     assert float(res.t_values.sum()) == 3.0
+    assert_flows_trace(inst, res.model, res.x_full, "port")

@@ -8,9 +8,10 @@ import pytest
 from intransit import (
     MODE_EXACT_DAY,
     MODE_WINDOW,
+    GeneratorConfig,
     build_mip,
     check_solution,
-    expected_num_vars,
+    generate_synthetic,
     objective_breakdown,
 )
 from intransit.errors import ModelError
@@ -24,7 +25,7 @@ from intransit.model import (
     lcl_hold_split,
 )
 
-from conftest import build_instance, solution_vector
+from conftest import build_instance, expected_num_vars, solution_vector
 
 
 class TestVariableCount:
@@ -34,20 +35,46 @@ class TestVariableCount:
     )
     @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
     def test_closed_form(self, nP, nS, nH, nD, mode):
-        want = 2 * nP * nS * nH * nD + 3 * nP * nH * nD + nH * nD
-        if mode == MODE_WINDOW:
-            want += nP * nD
-        assert expected_num_vars(nP, nS, nH, nD, mode) == want
+        inst = generate_synthetic(GeneratorConfig(nP, nS, nH, nD, window_days=5), seed=3)
+        assert VarIndexer(inst, mode).num_vars == expected_num_vars(inst, mode)
 
     def test_indexer_matches_closed_form(self, tiny_instance):
         for mode in (MODE_WINDOW, MODE_EXACT_DAY):
             ix = VarIndexer(tiny_instance, mode)
-            assert ix.num_vars == expected_num_vars(1, 1, 1, 10, mode)
+            assert ix.num_vars == expected_num_vars(tiny_instance, mode)
 
     def test_single_cell_window_example(self, tiny_instance):
-        # 1 product, 1 supplier, 1 gateway, 10 days, window mode: 70 columns
-        assert expected_num_vars(1, 1, 1, 10, MODE_WINDOW) == 70
-        assert expected_num_vars(1, 1, 1, 10, MODE_EXACT_DAY) == 60
+        # one pickup, 10 days, second leg 1 day: X and Y for the pickup,
+        # Z and U on departure days 0-8, T and I on days 0-9, N in window mode
+        ix = VarIndexer(tiny_instance, MODE_WINDOW)
+        assert ix.sizes == {"X": 1, "Y": 1, "Z": 9, "U": 9, "T": 10, "I": 10, "N": 10}
+        assert ix.num_vars == 50
+        assert VarIndexer(tiny_instance, MODE_EXACT_DAY).num_vars == 40
+
+    def test_first_leg_columns_only_where_freight_can_leave_the_gateway(self):
+        # land takes 3 days, air 1, the last departure from g0 is day 8:
+        # by land the day-6 pickup lands on day 9, inside the horizon but
+        # too late to leave, so it can only fly
+        inst = build_instance(
+            suppliers=("s0", "s1"),
+            pickups={("p0", "s0", 0): 10.0, ("p0", "s0", 6): 20.0},
+            land_time=3,
+        )
+        ix = VarIndexer(inst, MODE_WINDOW)
+        keys = [ix.key_of(c) for c in range(ix.num_vars)]
+        first_leg = [str(k) for k in keys if k.kind in ("X", "Y")]
+        assert first_leg == ["X[p0,s0,g0,0]", "Y[p0,s0,g0,0]", "Y[p0,s0,g0,6]"]
+        with pytest.raises(ModelError):
+            ix.col_x(0, 0, 0, 6)
+        with pytest.raises(ModelError):
+            ix.col_x(0, 1, 0, 0)  # no pickup at s1
+
+    def test_no_departure_arrives_after_the_horizon(self, tiny_instance):
+        ix = VarIndexer(tiny_instance, MODE_WINDOW)
+        last = max(k.d for k in map(ix.key_of, range(ix.num_vars)) if k.kind in ("Z", "U"))
+        assert last == 8
+        with pytest.raises(ModelError):
+            ix.col_z(0, 0, 9)
 
 
 class TestVarIndexer:
@@ -56,8 +83,9 @@ class TestVarIndexer:
             products=("p0", "p1"),
             suppliers=("s0", "s1"),
             gateways=("g0", "g1"),
-            pickups={("p0", "s0", 0): 10.0},
+            pickups={("p0", "s0", 0): 10.0, ("p1", "s1", 1): 5.0, ("p1", "s0", 3): 7.0},
             horizon_days=5,
+            second_leg_time={"g0": 1, "g1": 2},
         )
         ix = VarIndexer(inst, MODE_WINDOW)
         for col in range(ix.num_vars):
@@ -79,7 +107,8 @@ class TestVarIndexer:
     def test_key_string_form(self, tiny_instance):
         ix = VarIndexer(tiny_instance, MODE_WINDOW)
         assert str(ix.key_of(ix.col_t(0, 3))) == "T[g0,3]"
-        assert str(ix.key_of(ix.col_x(0, 0, 0, 1))) == "X[p0,s0,g0,1]"
+        assert str(ix.key_of(ix.col_x(0, 0, 0, 0))) == "X[p0,s0,g0,0]"
+        assert str(ix.key_of(ix.col_z(0, 0, 8))) == "Z[p0,g0,8]"
 
     def test_no_n_columns_in_exact_day(self, tiny_instance):
         ix = VarIndexer(tiny_instance, MODE_EXACT_DAY)
@@ -120,7 +149,10 @@ class TestRowFamilies:
         for d in range(10):
             r = np.flatnonzero(cap)[d]
             assert A[r, ix.col_t(0, d)] == -48000.0
-            assert A[r, ix.col_u(0, 0, d)] == 1.0
+            # the day-9 departure would arrive after the horizon
+            assert (A[r] != 0).sum() == (2 if d < 9 else 1)
+            if d < 9:
+                assert A[r, ix.col_u(0, 0, d)] == 1.0
 
     def test_pickup_rows_cover_both_modes(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
@@ -172,8 +204,8 @@ class TestObjective:
         model = build_mip(tiny_instance, MODE_WINDOW)
         ix = model.indexer
         obj = model.objective
-        assert obj[ix.col_x(0, 0, 0, 3)] == 0.30
-        assert obj[ix.col_y(0, 0, 0, 3)] == pytest.approx(0.90)
+        assert obj[ix.col_x(0, 0, 0, 0)] == 0.30
+        assert obj[ix.col_y(0, 0, 0, 0)] == pytest.approx(0.90)
         assert obj[ix.col_z(0, 0, 3)] == 0.20
         assert obj[ix.col_t(0, 3)] == 4800.0
         assert obj[ix.col_i(0, 0, 3)] == 0.005

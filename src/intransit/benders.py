@@ -5,20 +5,26 @@ The integer container counts T are the complicating variables. Fixing
 its duals yield an optimality cut, a Farkas ray yields a feasibility cut.
 The master minimizes ``q + fcl_costs . T`` over the cuts with T integer.
 It is solved as one branch-and-cut tree. While the root's LP optimum is
-fractional the subproblem is priced at that fractional T, and a cut that
-cuts off the root's (T, q) re-solves the root: the LP phase of McDaniel &
-Devine (1977), which lifts the root bound to the LP relaxation's before
+fractional the subproblem is priced at that fractional T, and the strong
+linking rows ``U <= W_p·T`` its flow violates there join the subproblem;
+a cut that cuts off the root's (T, q), or a round in which rows joined,
+re-solves the root: the LP phase of McDaniel & Devine (1977), which lifts
+the root bound to the LP bound of the model plus its linking rows before
 any branching. From then on the subproblem is priced at every node whose T
 is integral, which gives an upper bound, and its cut joins the tree's LP,
 so the tree's bound is the global lower bound. The search ends when the
 tree closes or a node or subproblem limit stops it.
 
-Row convention: the monolithic rows are split as ``A x <=/= b - B T``
-where B holds the T coefficients (only capacity rows are nonzero, each
-entry ``-capacity``). A dual vector a that is feasible for the subproblem
-dual satisfies ``a'(b - B T) <= q(T)`` for every T, with equality at the
+Row convention: the subproblem's rows are split as ``A x <=/= b - B T``
+where B holds the T coefficients. They are the model's rows, where only
+capacity rows hold T (each entry ``-capacity``), followed by the linking
+rows that joined (``U - W_p·T <= 0``: entry ``-W_p``, rhs 0). The linking
+rows cut off no integral T, so ``q(T)`` at integral T is the same with or
+without them. A dual vector a that is feasible for the subproblem dual
+satisfies ``a'(b - B T) <= q(T)`` for every T, with equality at the
 generating T_bar; a Farkas ray r of an infeasible subproblem satisfies
-``r'(b - B T) <= 0`` for every feasible T.
+``r'(b - B T) <= 0`` for every feasible T. Rows that join later only raise
+``q``, so earlier cuts stay valid.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from .simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    BasisLabels,
     LpProblem,
     solve_lp,
 )
@@ -85,7 +92,7 @@ class Cut:
 class MasterData:
     """Everything the master needs: T-coefficient matrix, rhs, costs, cuts."""
 
-    B: sp.csr_matrix  # monolithic rows x T columns; -capacity in capacity rows
+    B: sp.csr_matrix  # subproblem rows x T columns (see the row convention)
     b: np.ndarray
     h_costs: np.ndarray  # container cost per T column
     t_upper: float
@@ -103,6 +110,7 @@ class SubproblemResult:
     x: np.ndarray | None = None  # over subproblem (non-T) columns
     duals: np.ndarray | None = None
     farkas_ray: np.ndarray | None = None
+    joined: int = 0  # linking rows that joined the subproblem after this solve
 
 
 @dataclass(frozen=True)
@@ -160,10 +168,19 @@ class _SubStructure:
     model: MipModel
     non_t_cols: np.ndarray
     t_cols: np.ndarray
-    A_sub: sp.csr_matrix
+    A_sub: sp.csr_matrix  # the model's rows, then the linking rows that joined
+    senses: np.ndarray
     obj_sub: np.ndarray
     master: MasterData
-    warm_basis: object = None  # optimal basis of the previous subproblem solve
+    link_u: np.ndarray  # each linking entry's U position among the columns of A_sub
+    link_t: np.ndarray  # ... and its T position among the master's T
+    warm_basis: BasisLabels | None = None  # optimal basis of the previous solve
+
+
+def _split(rows: sp.spmatrix, non_t: np.ndarray, t_cols: np.ndarray):
+    """Rows over the monolithic columns as (subproblem part, T part)."""
+    rows = rows.tocsc()
+    return rows[:, non_t].tocsr(), rows[:, t_cols].tocsr()
 
 
 def _prepare(model: MipModel) -> _SubStructure:
@@ -171,9 +188,7 @@ def _prepare(model: MipModel) -> _SubStructure:
     mask = np.ones(model.num_vars, dtype=bool)
     mask[t_cols] = False
     non_t = np.flatnonzero(mask)
-    A = model.A.tocsc()
-    A_sub = A[:, non_t].tocsr()
-    B = A[:, t_cols].tocsr()
+    A_sub, B = _split(model.A, non_t, t_cols)
     master = MasterData(
         B=B,
         b=model.rhs.copy(),
@@ -186,16 +201,23 @@ def _prepare(model: MipModel) -> _SubStructure:
         non_t_cols=non_t,
         t_cols=t_cols,
         A_sub=A_sub,
+        senses=model.senses,
         obj_sub=model.objective[non_t].copy(),
         master=master,
+        link_u=np.searchsorted(non_t, model.linking.u_cols),
+        link_t=np.searchsorted(t_cols, model.linking.t_cols),
     )
 
 
-def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> SubproblemResult:
+def _solve_sub(
+    sub: _SubStructure, t_fixed: np.ndarray, *, linking: bool = False
+) -> SubproblemResult:
+    """Price the flows at ``t_fixed``. With ``linking``, the linking rows
+    the optimal flow violates at ``t_fixed`` then join the subproblem, and
+    the duals returned are padded with zeros on them: still dual feasible,
+    so the cut they give stays valid and tight at ``t_fixed``."""
     rhs = sub.master.b - sub.master.B @ t_fixed
-    lp = LpProblem(
-        objective=sub.obj_sub, A=sub.A_sub, senses=sub.model.senses, rhs=rhs
-    )
+    lp = LpProblem(objective=sub.obj_sub, A=sub.A_sub, senses=sub.senses, rhs=rhs)
     # consecutive subproblems differ only in rhs, so the previous optimal
     # basis is dual feasible and a short warm run replaces a full solve
     outcome = solve_lp(lp, warm=sub.warm_basis)
@@ -208,12 +230,42 @@ def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> SubproblemResult:
         )
     if outcome.status == STATUS_INFEASIBLE:
         return SubproblemResult(status=STATUS_INFEASIBLE, farkas_ray=outcome.farkas_ray)
+    joined = 0
+    if linking:
+        entries = sub.model.linking.violated(
+            outcome.x[sub.link_u], t_fixed[sub.link_t]
+        )
+        joined = len(entries)
+        if joined:
+            _join_linking(sub, entries)
     return SubproblemResult(
         status=STATUS_OPTIMAL,
         value=outcome.objective,
         x=outcome.x,
-        duals=outcome.y,
+        duals=np.concatenate([outcome.y, np.zeros(joined)]),
+        joined=joined,
     )
+
+
+def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
+    """Append the given linking rows to the subproblem (its flow part to
+    ``A_sub``, its T part to ``B``) with their slacks basic in the warm basis."""
+    m = sub.A_sub.shape[0]
+    rows_sub, rows_t = _split(
+        sub.model.linking.block(entries, sub.model.num_vars), sub.non_t_cols, sub.t_cols
+    )
+    master = sub.master
+    sub.A_sub = sp.vstack([sub.A_sub, rows_sub], format="csr")
+    master.B = sp.vstack([master.B, rows_t], format="csr")
+    master.b = np.concatenate([master.b, np.zeros(len(entries))])
+    sub.senses = np.concatenate([sub.senses, np.full(len(entries), "<")])
+    if sub.warm_basis is not None:
+        sub.warm_basis = replace(
+            sub.warm_basis,
+            slack_rows=np.concatenate(
+                [sub.warm_basis.slack_rows, np.arange(m, m + len(entries))]
+            ),
+        )
 
 
 def make_optimality_cut(
@@ -313,7 +365,9 @@ def solve_master(
 def lp_relaxation(
     instance: Instance, mode: str = MODE_WINDOW
 ) -> tuple[float, np.ndarray, CostBreakdown]:
-    """Monolithic LP with T continuous; a global lower bound."""
+    """Monolithic LP with T continuous: the weak bound of the model's own
+    rows, without the strong linking rows that both solvers separate at
+    their root. A global lower bound."""
     return relax_model(build_mip(instance, mode))
 
 
@@ -412,7 +466,7 @@ def run_benders(
             raise _IterationLimit
         it = len(trace.records) + 1
         lb = max(lb, bound)
-        result = _solve_sub(sub, t)
+        result = _solve_sub(sub, t, linking=fractional)
         point = None
         if result.status == STATUS_OPTIMAL:
             value = result.value
@@ -438,8 +492,9 @@ def run_benders(
                     "feasibility cut does not exclude the generating candidate"
                 )
         row = _cut_row(cut, n_t)
-        if fractional:
+        if fractional and not result.joined:
             # a root round pays off only if the cut moves the root's (T, q)
+            # or linking rows joined, which the next round prices
             coefficients, rhs = row
             if float(coefficients @ x) - rhs <= 1e-6 * (1.0 + abs(rhs)):
                 row = None

@@ -7,6 +7,7 @@ failure. All outputs are deterministic for fixed inputs and parameters.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -70,6 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SOLVE_VAR_LIMIT,
         help="refuse models above this variable count (use benders instead)",
+    )
+    p.add_argument(
+        "--node-log", default=None, help="write one CSV row per node LP to this file"
     )
 
     p = sub.add_parser("benders", help="decomposition solve")
@@ -181,7 +185,15 @@ def _cmd_solve(args) -> int:
         )
         return EXIT_USAGE
     model = build_mip(instance, mode)
-    outcome = solve_milp(model, gap_tol=args.gap_tol, node_limit=args.node_limit)
+    with contextlib.ExitStack() as stack:
+        node_log = None
+        if args.node_log is not None:
+            node_log = stack.enter_context(
+                open(args.node_log, "w", newline="", encoding="utf-8")
+            )
+        outcome = solve_milp(
+            model, gap_tol=args.gap_tol, node_limit=args.node_limit, node_log=node_log
+        )
     if outcome.status == MILP_INFEASIBLE:
         print("instance is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -1,10 +1,12 @@
 """Best-bound branch-and-bound over the LP engine.
 
-Serves two roles: the monolithic solver for small consolidation models and,
-with a separation callback that adds rows lazily, the one branch-and-cut
-tree of the decomposition's integer master. Branching picks the most
-fractional integer column (ties: lowest index); node selection is
-best-bound first (ties: insertion order). Both rules are deterministic.
+Serves two roles: the monolithic solver for small consolidation models,
+which separates the model's strong linking rows at the fractional root,
+and, with a separation callback that adds rows lazily, the one
+branch-and-cut tree of the decomposition's integer master. Branching
+picks the most fractional integer column (ties: lowest index); node
+selection is best-bound first (ties: insertion order). Both rules are
+deterministic.
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ DEFAULT_NODE_LIMIT = 100_000
 ROOT_STALL_ROUNDS = 10
 ROOT_STALL_TOL = 1e-4
 
-# (coefficients, rhs) of a row ``coefficients @ x <= rhs``
-Row = tuple[np.ndarray, float]
-Separator = Callable[[np.ndarray, float], tuple[Row | None, np.ndarray | None]]
+# (coefficients, rhs) of rows ``coefficients @ x <= rhs``: one row (a
+# vector and a float) or a block (a dense or sparse matrix and a vector)
+Rows = tuple[np.ndarray | sp.spmatrix, np.ndarray | float]
+Separator = Callable[[np.ndarray, float], tuple[Rows | None, np.ndarray | None]]
 
 
 @dataclass
@@ -68,6 +71,7 @@ class MilpOutcome:
     bound: float
     gap: float
     nodes: int
+    root_bound: float  # the root LP's last optimum, after its rounds; -inf if none
 
 
 def lp_from_mip(model: MipModel) -> LpProblem:
@@ -91,11 +95,14 @@ def _as_milp(model) -> MilpProblem:
     raise SolverError(f"cannot solve object of type {type(model).__name__}")
 
 
-def _append_rows(base: LpProblem, extra, rhs: np.ndarray) -> LpProblem:
+def _append_rows(base: LpProblem, extra, rhs) -> LpProblem:
     """``base`` plus the rows ``extra @ x <= rhs``, dense when ``base`` is."""
+    rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
     if sp.issparse(base.A):
         A = sp.vstack([base.A, sp.csr_matrix(extra)], format="csr")
     else:
+        extra = extra.toarray() if sp.issparse(extra) else np.asarray(extra, dtype=np.float64)
+        extra = extra.reshape(len(rhs), -1)
         A = np.concatenate([base.A, extra], axis=0)
     # the base LP was validated on construction and the appended rows are
     # built by the tree or its separator, so skip re-validation in this hot path
@@ -107,13 +114,19 @@ def _append_rows(base: LpProblem, extra, rhs: np.ndarray) -> LpProblem:
     return lp
 
 
-def _append_row(base: LpProblem, row: Row) -> LpProblem:
-    coefficients, rhs = row
-    return _append_rows(
-        base,
-        np.asarray(coefficients, dtype=np.float64).reshape(1, -1),
-        np.array([rhs], dtype=np.float64),
-    )
+def _linking_separator(model: MipModel) -> Separator:
+    """Separates the model's strong linking rows, every violated one as one
+    block. Used at the fractional root only: no integral point violates
+    them (see :class:`~intransit.model.Linking`)."""
+    link = model.linking
+
+    def separate(x: np.ndarray, bound: float):
+        entries = link.violated(x[link.u_cols], x[link.t_cols])
+        if not len(entries):
+            return None, None
+        return (link.block(entries, model.num_vars), np.zeros(len(entries))), None
+
+    return separate
 
 
 def _node_lp(base: LpProblem, bounds: dict[int, tuple[float, float]]) -> LpProblem:
@@ -211,24 +224,33 @@ def solve_milp(
     never a silent "optimal".
 
     ``separate(x, bound)`` adds constraints lazily, with ``bound`` the
-    tree's global lower bound at that moment. It returns ``(row, point)``:
-    ``row`` is a valid constraint ``(coefficients, rhs)`` meaning
-    ``coefficients @ x <= rhs``, or None when it has none to add, and
-    ``point`` is a feasible solution offered as incumbent, or None. A row
-    is appended to the LP of every node solved from then on. It is called
+    tree's global lower bound at that moment. It returns ``(rows, point)``:
+    ``rows`` are valid constraints ``(coefficients, rhs)`` meaning
+    ``coefficients @ x <= rhs``, one row (a vector and a float) or a block
+    (a dense or sparse matrix and a vector), or None when it has none to
+    add, and ``point`` is a feasible solution offered as incumbent, or
+    None. The rows are appended to the LP of every node solved from then
+    on. It is called
 
     - at every node whose LP optimum ``x`` is integral on the integer
       columns (they are rounded first). ``point`` must carry the integer
       values of ``x``. The node goes back on the heap to be solved again
-      with the row unless the incumbent already closes its gap;
+      with the rows unless the incumbent already closes its gap;
     - at the root while its LP optimum is fractional, with ``x``
-      unrounded. ``point`` is ignored. A row re-solves the root from its
-      basis; no row, or a root bound that stalled (see
-      ``ROOT_STALL_ROUNDS``), ends these rounds and branching starts.
+      unrounded. ``point`` is ignored. Rows re-solve the root from its
+      basis, their slacks basic; no rows, or a root bound that stalled
+      (see ``ROOT_STALL_ROUNDS``), end these rounds and branching starts.
 
-    Without a separator every integral LP optimum is an incumbent.
+    Without a separator every integral LP optimum is an incumbent. A
+    MipModel without a separator runs the root rounds on its strong
+    linking rows (:class:`~intransit.model.Linking`): each round appends
+    every linking row the root's LP optimum violates, as one block. They
+    cut off no integral point, so integral nodes are not separated.
     """
     prob = _as_milp(model)
+    root_separate = separate
+    if separate is None and isinstance(model, MipModel):
+        root_separate = _linking_separator(model)
     int_cols = np.asarray(prob.integer_columns, dtype=np.int64)
 
     base = prob.lp
@@ -245,8 +267,9 @@ def solve_milp(
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
-    root_rounds = separate is not None
-    root_bounds: list[float] = []
+    root_rounds = root_separate is not None
+    round_bounds: list[float] = []
+    root_bound = -math.inf
     nodes = 0
     counter = 0
     # each entry carries the basis it was pushed with and the bounds and
@@ -286,6 +309,8 @@ def solve_milp(
             )
         assert outcome.status == STATUS_OPTIMAL
         lp_obj = outcome.objective
+        if depth == 0:
+            root_bound = lp_obj
         if log_writer is not None:
             log_writer.writerow([nodes, depth, f"{lp_obj:.9g}", f"{incumbent_obj:.9g}"])
         if rel_gap(incumbent_obj, lp_obj) <= gap_tol:
@@ -298,14 +323,14 @@ def solve_milp(
         here = None if outcome.basis is None else (outcome.basis, bounds, base.num_rows)
         fractional = bool(len(frac)) and float(frac.max()) > INTEGRALITY_TOL
         if fractional and root_rounds and depth == 0:
-            root_bounds.append(lp_obj)
-            stalled = len(root_bounds) > ROOT_STALL_ROUNDS and (
-                lp_obj - root_bounds[-1 - ROOT_STALL_ROUNDS]
+            round_bounds.append(lp_obj)
+            stalled = len(round_bounds) > ROOT_STALL_ROUNDS and (
+                lp_obj - round_bounds[-1 - ROOT_STALL_ROUNDS]
                 <= ROOT_STALL_TOL * (1.0 + abs(lp_obj))
             )
-            row = None if stalled else separate(x, min(lp_obj, incumbent_obj))[0]
-            if row is not None:
-                base = _append_row(base, row)
+            rows = None if stalled else root_separate(x, min(lp_obj, incumbent_obj))[0]
+            if rows is not None:
+                base = _append_rows(base, *rows)
                 push(lp_obj, depth, bounds, here)
                 continue
             root_rounds = False
@@ -327,16 +352,16 @@ def solve_milp(
         x = x.copy()
         x[int_cols] = np.round(vals)
         if separate is None:
-            row, point, point_obj = None, x, lp_obj
+            rows, point, point_obj = None, x, lp_obj
         else:
             lower = min(lp_obj, incumbent_obj, heap[0][0] if heap else math.inf)
-            row, point = separate(x, lower)
+            rows, point = separate(x, lower)
             point_obj = math.inf if point is None else float(base.objective @ point)
         if point_obj < incumbent_obj - 1e-12:
             incumbent_obj = point_obj
             incumbent_x = point
-        if row is not None:
-            base = _append_row(base, row)
+        if rows is not None:
+            base = _append_rows(base, *rows)
             if rel_gap(incumbent_obj, lp_obj) > gap_tol:
                 push(lp_obj, depth, bounds, here)
 
@@ -344,10 +369,10 @@ def solve_milp(
     if incumbent_x is None:
         if open_bounds:
             lb = min(open_bounds)
-            return MilpOutcome(MILP_NODE_LIMIT, None, None, lb, math.inf, nodes)
-        return MilpOutcome(MILP_INFEASIBLE, None, None, math.inf, math.inf, nodes)
+            return MilpOutcome(MILP_NODE_LIMIT, None, None, lb, math.inf, nodes, root_bound)
+        return MilpOutcome(MILP_INFEASIBLE, None, None, math.inf, math.inf, nodes, root_bound)
     lb = min(open_bounds) if open_bounds else incumbent_obj
     lb = min(lb, incumbent_obj)
     gap = (incumbent_obj - lb) / (1.0 + abs(incumbent_obj))
     status = MILP_OPTIMAL if gap <= gap_tol else MILP_NODE_LIMIT
-    return MilpOutcome(status, incumbent_x, incumbent_obj, lb, gap, nodes)
+    return MilpOutcome(status, incumbent_x, incumbent_obj, lb, gap, nodes, root_bound)

@@ -27,6 +27,12 @@ Constraint families:
   customer_balance_late  per (p,d), d >= window: arrivals + stock = due + carry
   customer_balance_early per (p,d), d < window: arrivals + stock = carry
 
+The strong linking rows ``U[p,h,d] <= W_p·T[h,d]``, with ``W_p`` the
+smaller of the container capacity and p's total pickup weight, are valid
+but not among the rows: :class:`Linking` lists them for the solvers to
+separate where a fractional point violates them (Gendron, Crainic &
+Frangioni, 1999).
+
 A pickup on day d is due on day ``min(d + window, horizon - 1)``: one whose
 window runs past the horizon is due on the last day. Lagged references
 falling before day 0 contribute nothing; inventories carried past the last
@@ -56,6 +62,10 @@ FAMILY_CAPACITY = "capacity"
 FAMILY_GATEWAY = "gateway_balance"
 FAMILY_CUSTOMER_LATE = "customer_balance_late"
 FAMILY_CUSTOMER_EARLY = "customer_balance_early"
+
+
+# a linking row is violated when U exceeds W_p·T by more than this times 1 + W_p
+LINKING_TOL = 1e-6
 
 
 class VarKey(NamedTuple):
@@ -208,6 +218,39 @@ class VarIndexer:
         raise ModelError(f"column {col} out of range")
 
 
+class Linking(NamedTuple):
+    """The strong linking rows ``U[p,h,d] - W_p·T[h,d] <= 0``, one per U column.
+
+    They never cut off an integral point: at ``T >= 1`` the rows already
+    bound U by both the capacity and p's own weight, and at ``T = 0`` the
+    capacity row forces ``U = 0``. At a fractional T they tighten the weak
+    aggregate capacity row.
+    """
+
+    u_cols: np.ndarray
+    t_cols: np.ndarray  # the T column of the same gateway and day
+    weights: np.ndarray  # W_p
+
+    def violated(self, u_values: np.ndarray, t_values: np.ndarray) -> np.ndarray:
+        """Entries whose U value exceeds ``W_p·T`` by more than the tolerance."""
+        excess = u_values - self.weights * t_values
+        return np.flatnonzero(excess > LINKING_TOL * (1.0 + self.weights))
+
+    def block(self, entries: np.ndarray, num_cols: int) -> sp.csr_matrix:
+        """The rows of ``entries`` over the model's columns, each ``<= 0``."""
+        k = len(entries)
+        return sp.csr_matrix(
+            (
+                np.concatenate([np.ones(k), -self.weights[entries]]),
+                (
+                    np.tile(np.arange(k), 2),
+                    np.concatenate([self.u_cols[entries], self.t_cols[entries]]),
+                ),
+            ),
+            shape=(k, num_cols),
+        )
+
+
 @dataclass
 class MipModel:
     """Sparse constraint system with objective and integrality marks.
@@ -225,6 +268,7 @@ class MipModel:
     row_tags: np.ndarray
     integer_columns: np.ndarray
     cost_class: np.ndarray
+    linking: Linking
 
     @property
     def instance(self) -> Instance:
@@ -404,6 +448,17 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
 
     integer_columns = np.arange(ix.offsets["T"], ix.offsets["T"] + ix.sizes["T"])
 
+    # one linking entry per U column, in the U block's (p, h, d) order
+    weight = np.zeros(nP)
+    for (p, s, d) in pickup_keys:
+        weight[ix.p_index[p]] += instance.pickups[p, s, d]
+    t_of_u = np.concatenate([ix.col_t(h, 0) + np.arange(dep[h]) for h in range(nH)])
+    linking = Linking(
+        u_cols=ix.offsets["U"] + np.arange(ix.sizes["U"]),
+        t_cols=np.tile(t_of_u, nP),
+        weights=np.repeat(np.minimum(k, weight), len(t_of_u)),
+    )
+
     return MipModel(
         indexer=ix,
         objective=obj,
@@ -413,6 +468,7 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
         row_tags=np.array(tags),
         integer_columns=integer_columns,
         cost_class=cost_class,
+        linking=linking,
     )
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from intransit import Instance
 
@@ -70,6 +72,22 @@ def build_instance(
 @pytest.fixture
 def tiny_instance():
     return build_instance()
+
+
+@pytest.fixture
+def master_outcomes(monkeypatch):
+    """The outcome of every master tree ``run_benders`` solves in the test."""
+    import intransit.benders as bd
+
+    outcomes = []
+    solve = bd.solve_milp
+
+    def recorded(*args, **kwargs):
+        outcomes.append(solve(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(bd, "solve_milp", recorded)
+    return outcomes
 
 
 @pytest.fixture
@@ -141,3 +159,22 @@ def expected_num_vars(instance, mode) -> int:
     if mode == "window":
         n += nP * nD
     return n
+
+
+def strong_lp_bound(model) -> float:
+    """The LP optimum HiGHS (``scipy.optimize.linprog``) finds for the
+    model's own rows plus every strong linking row, containers continuous."""
+    link = model.linking
+    linking_rows = link.block(np.arange(len(link.u_cols)), model.num_vars)
+    le = model.senses == "<"
+    res = linprog(
+        model.objective,
+        A_ub=sp.vstack([model.A[le], linking_rows]),
+        b_ub=np.concatenate([model.rhs[le], np.zeros(len(link.u_cols))]),
+        A_eq=model.A[~le],
+        b_eq=model.rhs[~le],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status == 0, f"HiGHS stopped with status {res.status}: {res.message}"
+    return float(res.fun)

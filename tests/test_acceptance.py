@@ -41,7 +41,7 @@ from intransit import (
 from intransit.benders import _prepare, _solve_sub
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
-from conftest import build_instance, expected_num_vars
+from conftest import build_instance, expected_num_vars, strong_lp_bound
 from test_report import phantom_prone_instance
 from test_simplex import enumerate_vertices, random_problem
 
@@ -141,9 +141,17 @@ def assert_flows_trace(inst, model, x, label):
     assert not faults, f"{label}: {faults}"
 
 
+def assert_linking_holds(model, x, label):
+    """``x`` meets every strong linking row ``U <= W_p·T``."""
+    link = model.linking
+    violated = link.violated(x[link.u_cols], x[link.t_cols])
+    assert not len(violated), f"{label}: linking rows {violated.tolist()} violated"
+
+
 def test_decomposition_matches_monolithic_on_100_random_instances():
     """Benders, the one-shot MILP and HiGHS agree within 1e-6 relative,
-    and the flow auditor passes both solvers' plans, in < 120 s."""
+    and the flow auditor passes both solvers' plans, which meet every
+    strong linking row, in < 120 s."""
     rng = np.random.default_rng(20260823)
     started = time.perf_counter()
     for seed in range(100):
@@ -163,8 +171,17 @@ def test_decomposition_matches_monolithic_on_100_random_instances():
         )
         assert_flows_trace(inst, benders.model, benders.x_full, f"seed {seed} benders")
         assert_flows_trace(inst, model, mono.x, f"seed {seed} milp")
+        assert_linking_holds(model, benders.x_full, f"seed {seed} benders")
+        assert_linking_holds(model, mono.x, f"seed {seed} milp")
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"100-instance sweep took {elapsed:.1f} s"
+
+
+def readme_instance():
+    cfg = GeneratorConfig(
+        n_products=5, n_suppliers=2, n_gateways=2, horizon_days=12, window_days=6
+    )
+    return generate_synthetic(cfg, seed=4)
 
 
 @pytest.mark.parametrize(
@@ -177,10 +194,7 @@ def test_readme_example_decomposition_matches_monolithic(mode, expected):
     window 6, seed 4) Benders and the monolithic MILP reach the optimum
     HiGHS reports, in both delivery modes, with plans the flow auditor
     passes."""
-    cfg = GeneratorConfig(
-        n_products=5, n_suppliers=2, n_gateways=2, horizon_days=12, window_days=6
-    )
-    inst = generate_synthetic(cfg, seed=4)
+    inst = readme_instance()
     benders = run_benders(inst, mode)
     model = build_mip(inst, mode)
     mono = solve_milp(model)
@@ -190,6 +204,33 @@ def test_readme_example_decomposition_matches_monolithic(mode, expected):
     assert mono.objective == pytest.approx(expected, abs=1e-6)
     assert_flows_trace(inst, benders.model, benders.x_full, "benders")
     assert_flows_trace(inst, model, mono.x, "milp")
+
+
+@pytest.mark.parametrize("solver", ["milp", "benders"])
+@pytest.mark.parametrize(
+    "instance, mode",
+    [
+        (readme_instance, MODE_WINDOW),
+        (readme_instance, MODE_EXACT_DAY),
+        (port_network_instance, MODE_WINDOW),
+    ],
+    ids=["readme-window", "readme-exact-day", "port"],
+)
+def test_root_bound_after_linking_rounds_is_the_strong_lp_bound(
+    master_outcomes, instance, mode, solver
+):
+    """The root bound of the monolithic tree, and of the Benders master,
+    after their separation rounds equals HiGHS's LP optimum over the
+    model's rows plus every strong linking row, within 1e-9."""
+    inst = instance()
+    model = build_mip(inst, mode)
+    if solver == "milp":
+        outcome = solve_milp(model)
+    else:
+        assert run_benders(inst, mode).status == "optimal"
+        (outcome,) = master_outcomes
+    assert outcome.status == "optimal"
+    assert outcome.root_bound == pytest.approx(strong_lp_bound(model), rel=1e-9)
 
 
 def test_phantom_freight_reproducer_costs_the_honest_optimum():
@@ -335,12 +376,15 @@ def test_bounds_monotone_and_cuts_tight_at_generator():
         assert final.gap <= 1e-9
 
         # re-price every feasible solve, with or without a cut added, and
-        # check the tightness of the optimality cut its duals give
+        # check the tightness of the optimality cut its duals give. The
+        # solves are replayed in order on a fresh subproblem, so each is
+        # priced with the linking rows that had joined before it, and the
+        # rows a fractional solve separates join after it, as in the run
         sub = _prepare(build_mip(inst, MODE_WINDOW))
         for rec in res.trace.records:
             if rec.subproblem_value is None:
                 continue
-            priced = _solve_sub(sub, rec.t_candidate)
+            priced = _solve_sub(sub, rec.t_candidate, linking=rec.fractional)
             assert priced.status == STATUS_OPTIMAL
             assert priced.value == pytest.approx(rec.subproblem_value, rel=1e-9)
             cut = make_optimality_cut(priced.duals, sub.master)

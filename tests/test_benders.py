@@ -29,7 +29,7 @@ from intransit.errors import InfeasibleInstanceError, SolverError
 from intransit.milp import MILP_NODE_LIMIT, MILP_OPTIMAL
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
-from conftest import build_instance
+from conftest import build_instance, strong_lp_bound
 
 
 class TestSubproblem:
@@ -290,43 +290,37 @@ class TestRunBenders:
         )
         return generate_synthetic(cfg, seed=4)
 
-    def test_root_rounds_reach_the_lp_relaxation(self, monkeypatch):
-        import intransit.benders as bd
-
-        outcomes = []
-        solve = bd.solve_milp
-
-        def recorded(*args, **kwargs):
-            outcomes.append(solve(*args, **kwargs))
-            return outcomes[-1]
-
-        monkeypatch.setattr(bd, "solve_milp", recorded)
+    def test_root_rounds_reach_the_lp_relaxation(self, master_outcomes):
         inst = self._readme_instance()
         res = run_benders(inst, MODE_WINDOW)
         relax, _, _ = lp_relaxation(inst, MODE_WINDOW)
+        strong = strong_lp_bound(build_mip(inst, MODE_WINDOW))
+        # the linking rows lift the LP bound of the model's own rows
+        assert strong > relax * 1.05
         assert res.status == "optimal"
         assert res.objective == pytest.approx(36272.8545878, abs=1e-6)
         records = res.trace.records
-        # the root starts integral at T = 0, then turns fractional until no
-        # cut cuts it off; only integral nodes are priced after that
+        # the root starts integral at T = 0, then turns fractional until the
+        # rounds end; only integral nodes are priced after that
         kinds = [r.fractional for r in records]
         assert kinds[0] is False
         last_root = max(i for i, fractional in enumerate(kinds) if fractional)
         assert all(kinds[1 : last_root + 1])
         assert not any(kinds[last_root + 1 :])
-        assert records[last_root].cut_kind is None
-        assert records[last_root].lower == pytest.approx(relax, rel=1e-9)
-        first_after = records[last_root + 1]
-        assert first_after.lower >= relax * (1 - 1e-9)
+        # the rounds lift the root to the strong bound, and the first solve
+        # after them starts from it
+        (master,) = master_outcomes
+        assert master.nodes <= 30
+        assert master.root_bound == pytest.approx(strong, rel=1e-9)
+        assert records[last_root + 1].lower == pytest.approx(strong, rel=1e-9)
         # fractional solves never give an upper bound
         assert records[last_root].upper == records[0].upper
-        assert len(outcomes) == 1 and outcomes[0].nodes <= 150
 
     def test_node_limit_returns_bounds(self):
         from intransit import BendersParams
 
         res = run_benders(
-            self._readme_instance(), MODE_WINDOW, BendersParams(node_limit=30)
+            self._readme_instance(), MODE_WINDOW, BendersParams(node_limit=10)
         )
         assert res.status == MILP_NODE_LIMIT
         assert not res.proven

@@ -75,6 +75,20 @@ class TestSolve:
         assert (out / "solution.json").exists()
         assert (out / "histogram.csv").exists()
 
+    def test_node_log(self, instance_dir, tmp_path):
+        log = tmp_path / "nodes.csv"
+        code = run(["solve", "--instance", instance_dir, "--node-log", str(log)])
+        assert code == 0
+        with open(log, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["node", "depth", "bound", "incumbent"]
+        # the tiny instance closes at the root: its linking rounds lift the
+        # bound from the LP relaxation's 400 to the 500.00 optimum
+        assert [r["node"] for r in rows] == [str(i + 1) for i in range(len(rows))]
+        assert {r["depth"] for r in rows} == {"0"}
+        assert float(rows[0]["bound"]) == pytest.approx(400.0)
+        assert float(rows[-1]["bound"]) == pytest.approx(500.0)
+
     def test_size_guard(self, instance_dir, capsys):
         code = run(["solve", "--instance", instance_dir, "--max-vars", "10"])
         assert code == 2

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from intransit import (
     MODE_EXACT_DAY,
@@ -217,6 +218,38 @@ class TestSeparation:
         # two root solves, then branching on x1
         assert out.nodes > 2
 
+    def test_block_of_rows_joins_the_root_in_one_round(self):
+        # min -x0 - x1 - x2 on x0 + x1 + x2 <= 7.5 and the box [0, 3]^3:
+        # the root is fractional; one round returns the block x0 <= 2,
+        # x1 <= 2 as a sparse matrix, and the root re-solved with both
+        # rows at once is (2, 2, 3)
+        prob = MilpProblem(
+            lp=LpProblem(
+                objective=-np.ones(3),
+                A=np.vstack([np.ones(3), np.eye(3)]),
+                senses=np.array(["<"] * 4),
+                rhs=np.array([7.5, 3.0, 3.0, 3.0]),
+            ),
+            integer_columns=np.arange(3),
+        )
+        block = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        seen = []
+
+        def separate(x, bound):
+            seen.append(x.copy())
+            if len(seen) == 1:
+                assert (x != np.round(x)).any()
+                return (block, np.array([2.0, 2.0])), None
+            return None, x
+
+        out = solve_milp(prob, separate=separate)
+        assert out.status == MILP_OPTIMAL
+        assert out.objective == pytest.approx(-7.0)
+        # both rows held at the second root solve, which was integral
+        np.testing.assert_allclose(seen[1], [2.0, 2.0, 3.0])
+        assert out.root_bound == pytest.approx(-7.0)
+        assert out.nodes == len(seen) == 2
+
     def test_root_rounds_stop_when_the_bound_stalls(self):
         # a separator that always returns a row the root LP already meets:
         # the bound never rises, so the rounds stop after ROOT_STALL_ROUNDS
@@ -283,6 +316,18 @@ class TestConsolidationModels:
         assert out.status == MILP_OPTIMAL
         want = t_grid_minimum(instance, MODE_WINDOW, t_max=2)
         assert abs(out.objective - want) <= 1e-7 * (1.0 + abs(want))
+
+
+    def test_linking_rounds_close_generated_20x5x3x30_seed_1(self):
+        # the weak capacity rows alone needed 751 nodes here
+        from intransit import GeneratorConfig, generate_synthetic
+
+        cfg = GeneratorConfig(n_products=20, n_suppliers=5, n_gateways=3, horizon_days=30)
+        out = solve_milp(build_mip(generate_synthetic(cfg, seed=1), MODE_WINDOW))
+        assert out.status == MILP_OPTIMAL
+        # frozen from HiGHS on the same model
+        assert out.objective == pytest.approx(45052.70, abs=5e-3)
+        assert out.nodes <= 30
 
 
 class TestLimitsAndLogging:

@@ -199,6 +199,50 @@ class TestRowFamilies:
         assert model.num_rows > 0
 
 
+class TestLinking:
+    def test_one_entry_per_u_column_with_its_t_and_weight(self):
+        # p0 ships 60,000 lb in all, above the 48,000 lb box; p1 1,500 lb
+        inst = build_instance(
+            products=("p0", "p1"),
+            gateways=("g0", "g1"),
+            pickups={
+                ("p0", "s0", 0): 40000.0,
+                ("p0", "s0", 2): 20000.0,
+                ("p1", "s0", 1): 1500.0,
+            },
+            second_leg_time={"g0": 1, "g1": 3},
+        )
+        model = build_mip(inst, MODE_WINDOW)
+        ix, link = model.indexer, model.linking
+        u_keys = [ix.key_of(int(c)) for c in link.u_cols]
+        assert sorted(link.u_cols.tolist()) == list(
+            range(ix.offsets["U"], ix.offsets["U"] + ix.sizes["U"])
+        )
+        for key, t_col, weight in zip(u_keys, link.t_cols, link.weights):
+            assert key.kind == "U"
+            assert ix.key_of(int(t_col)) == ("T", None, None, key.h, key.d)
+            assert weight == (48000.0 if key.p == "p0" else 1500.0)
+
+    def test_violated_rows_and_their_block(self, tiny_instance):
+        model = build_mip(tiny_instance, MODE_WINDOW)
+        ix, link = model.indexer, model.linking
+        u, t = ix.col_u(0, 0, 2), ix.col_t(0, 2)
+        x = solution_vector(model, {u: 1000.0, t: 1000.0 / 48000.0})
+        # the capacity row holds; U <= 1000 T does not
+        assert check_solution(model, x).family_residuals[FAMILY_CAPACITY] == 0.0
+        entries = link.violated(x[link.u_cols], x[link.t_cols])
+        assert [int(link.u_cols[e]) for e in entries] == [u]
+        block = link.block(entries, model.num_vars)
+        assert block.shape == (1, model.num_vars)
+        assert block[0, u] == 1.0 and block[0, t] == -1000.0 and block.nnz == 2
+        # a whole container meets it, and so does the tolerance's margin
+        x[t] = 1.0
+        assert not len(link.violated(x[link.u_cols], x[link.t_cols]))
+        x[t] = 0.0
+        x[u] = 1e-3
+        assert not len(link.violated(x[link.u_cols], x[link.t_cols]))
+
+
 class TestObjective:
     def test_cost_placement(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)

@@ -5,14 +5,14 @@ The integer container counts T are the complicating variables. Fixing
 its duals yield an optimality cut, a Farkas ray yields a feasibility cut.
 The master minimizes ``q + fcl_costs . T`` over the cuts with T integer.
 It is solved as one branch-and-cut tree. While the root's LP optimum is
-fractional the subproblem is priced at that fractional T, and the strong
-linking rows ``U <= W_p·T`` its flow violates there join the subproblem;
-a cut that cuts off the root's (T, q), or a round in which rows joined,
-re-solves the root: the LP phase of McDaniel & Devine (1977), which lifts
-the root bound to the LP bound of the model plus its linking rows before
-any branching. From then on the subproblem is priced at every node whose T
-is integral, which gives an upper bound, and its cut joins the tree's LP,
-so the tree's bound is the global lower bound. The search ends when the
+fractional the subproblem is priced at that fractional T, re-solved with
+the strong linking rows ``U <= W_p·T`` its flow violates there until it
+violates none, and a cut that cuts off the root's (T, q) re-solves the
+root: the LP phase of McDaniel & Devine (1977), which lifts the root bound
+to the LP bound of the model plus its linking rows before any branching.
+From then on the subproblem is priced at every node whose T is integral,
+which gives an upper bound, and its cut joins the tree's LP, so the
+tree's bound is the global lower bound. The search ends when the
 tree closes or a node or subproblem limit stops it.
 
 Row convention: the subproblem's rows are split as ``A x <=/= b - B T``
@@ -110,7 +110,6 @@ class SubproblemResult:
     x: np.ndarray | None = None  # over subproblem (non-T) columns
     duals: np.ndarray | None = None
     farkas_ray: np.ndarray | None = None
-    joined: int = 0  # linking rows that joined the subproblem after this solve
 
 
 @dataclass(frozen=True)
@@ -174,6 +173,7 @@ class _SubStructure:
     master: MasterData
     link_u: np.ndarray  # each linking entry's U position among the columns of A_sub
     link_t: np.ndarray  # ... and its T position among the master's T
+    link_joined: np.ndarray  # which linking entries joined the subproblem
     warm_basis: BasisLabels | None = None  # optimal basis of the previous solve
 
 
@@ -206,45 +206,45 @@ def _prepare(model: MipModel) -> _SubStructure:
         master=master,
         link_u=np.searchsorted(non_t, model.linking.u_cols),
         link_t=np.searchsorted(t_cols, model.linking.t_cols),
+        link_joined=np.zeros(len(model.linking.u_cols), dtype=bool),
     )
 
 
-def _solve_sub(
-    sub: _SubStructure, t_fixed: np.ndarray, *, linking: bool = False
-) -> SubproblemResult:
-    """Price the flows at ``t_fixed``. With ``linking``, the linking rows
-    the optimal flow violates at ``t_fixed`` then join the subproblem, and
-    the duals returned are padded with zeros on them: still dual feasible,
-    so the cut they give stays valid and tight at ``t_fixed``."""
-    rhs = sub.master.b - sub.master.B @ t_fixed
-    lp = LpProblem(objective=sub.obj_sub, A=sub.A_sub, senses=sub.senses, rhs=rhs)
-    # consecutive subproblems differ only in rhs, so the previous optimal
-    # basis is dual feasible and a short warm run replaces a full solve
-    outcome = solve_lp(lp, warm=sub.warm_basis)
-    if outcome.status == STATUS_OPTIMAL and outcome.basis is not None:
-        sub.warm_basis = outcome.basis
-    if outcome.status == STATUS_UNBOUNDED:
-        raise SolverError(
-            "subproblem reported unbounded; with nonnegative costs this "
-            "signals a model-assembly bug"
-        )
-    if outcome.status == STATUS_INFEASIBLE:
-        return SubproblemResult(status=STATUS_INFEASIBLE, farkas_ray=outcome.farkas_ray)
-    joined = 0
-    if linking:
+def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> SubproblemResult:
+    """Price the flows at ``t_fixed``. The linking rows the optimal flow
+    violates there join the subproblem, which is solved again until it
+    violates none; at integral T it never does."""
+    while True:
+        rhs = sub.master.b - sub.master.B @ t_fixed
+        lp = LpProblem(objective=sub.obj_sub, A=sub.A_sub, senses=sub.senses, rhs=rhs)
+        # consecutive subproblems differ only in rhs (or in rows that join
+        # with their slacks basic), so the previous optimal basis is dual
+        # feasible and a short warm run replaces a full solve
+        outcome = solve_lp(lp, warm=sub.warm_basis)
+        if outcome.status == STATUS_OPTIMAL and outcome.basis is not None:
+            sub.warm_basis = outcome.basis
+        if outcome.status == STATUS_UNBOUNDED:
+            raise SolverError(
+                "subproblem reported unbounded; with nonnegative costs this "
+                "signals a model-assembly bug"
+            )
+        if outcome.status == STATUS_INFEASIBLE:
+            return SubproblemResult(
+                status=STATUS_INFEASIBLE, farkas_ray=outcome.farkas_ray
+            )
         entries = sub.model.linking.violated(
             outcome.x[sub.link_u], t_fixed[sub.link_t]
         )
-        joined = len(entries)
-        if joined:
-            _join_linking(sub, entries)
-    return SubproblemResult(
-        status=STATUS_OPTIMAL,
-        value=outcome.objective,
-        x=outcome.x,
-        duals=np.concatenate([outcome.y, np.zeros(joined)]),
-        joined=joined,
-    )
+        # a row that joined already is met up to the LP's own tolerance
+        entries = entries[~sub.link_joined[entries]]
+        if not len(entries):
+            return SubproblemResult(
+                status=STATUS_OPTIMAL,
+                value=outcome.objective,
+                x=outcome.x,
+                duals=outcome.y,
+            )
+        _join_linking(sub, entries)
 
 
 def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
@@ -255,6 +255,7 @@ def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
         sub.model.linking.block(entries, sub.model.num_vars), sub.non_t_cols, sub.t_cols
     )
     master = sub.master
+    sub.link_joined[entries] = True
     sub.A_sub = sp.vstack([sub.A_sub, rows_sub], format="csr")
     master.B = sp.vstack([master.B, rows_t], format="csr")
     master.b = np.concatenate([master.b, np.zeros(len(entries))])
@@ -409,13 +410,13 @@ def run_benders(
 
     Returns the incumbent container schedule, the assembled full solution
     vector over the monolithic columns, the cost breakdown, and the trace,
-    one record per subproblem solve. Every solve counts against
-    ``max_iters``. A node or subproblem limit returns status ``node_limit``
-    or ``max_iters``, unproven, with the best incumbent (if any) and the
-    proven bounds. Instances that fail route validation
-    are reported infeasible up front unless ``validate=False`` (then
-    feasibility cuts make the master infeasible, which is reported the same
-    way).
+    one record per T the subproblem prices (with its re-solves as linking
+    rows join). Every record counts against ``max_iters``. A node or
+    subproblem limit returns status ``node_limit`` or ``max_iters``,
+    unproven, with the best incumbent (if any) and the proven bounds.
+    Instances that fail route validation are reported infeasible up front
+    unless ``validate=False`` (then feasibility cuts make the master
+    infeasible, which is reported the same way).
     """
     params = params or BendersParams()
     trace = BendersTrace()
@@ -466,7 +467,7 @@ def run_benders(
             raise _IterationLimit
         it = len(trace.records) + 1
         lb = max(lb, bound)
-        result = _solve_sub(sub, t, linking=fractional)
+        result = _solve_sub(sub, t)
         point = None
         if result.status == STATUS_OPTIMAL:
             value = result.value
@@ -492,9 +493,8 @@ def run_benders(
                     "feasibility cut does not exclude the generating candidate"
                 )
         row = _cut_row(cut, n_t)
-        if fractional and not result.joined:
+        if fractional:
             # a root round pays off only if the cut moves the root's (T, q)
-            # or linking rows joined, which the next round prices
             coefficients, rhs = row
             if float(coefficients @ x) - rhs <= 1e-6 * (1.0 + abs(rhs)):
                 row = None

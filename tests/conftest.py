@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from intransit import Instance
+from intransit import GeneratorConfig, Instance, generate_synthetic
 
 
 def build_instance(
@@ -72,6 +72,15 @@ def build_instance(
 @pytest.fixture
 def tiny_instance():
     return build_instance()
+
+
+def readme_instance():
+    """The README example: 5 products, 2 suppliers, 2 gateways, 12 days,
+    window 6, seed 4."""
+    cfg = GeneratorConfig(
+        n_products=5, n_suppliers=2, n_gateways=2, horizon_days=12, window_days=6
+    )
+    return generate_synthetic(cfg, seed=4)
 
 
 @pytest.fixture

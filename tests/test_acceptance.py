@@ -41,7 +41,12 @@ from intransit import (
 from intransit.benders import _prepare, _solve_sub
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
-from conftest import build_instance, expected_num_vars, strong_lp_bound
+from conftest import (
+    build_instance,
+    expected_num_vars,
+    readme_instance,
+    strong_lp_bound,
+)
 from test_report import phantom_prone_instance
 from test_simplex import enumerate_vertices, random_problem
 
@@ -175,13 +180,6 @@ def test_decomposition_matches_monolithic_on_100_random_instances():
         assert_linking_holds(model, mono.x, f"seed {seed} milp")
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"100-instance sweep took {elapsed:.1f} s"
-
-
-def readme_instance():
-    cfg = GeneratorConfig(
-        n_products=5, n_suppliers=2, n_gateways=2, horizon_days=12, window_days=6
-    )
-    return generate_synthetic(cfg, seed=4)
 
 
 @pytest.mark.parametrize(
@@ -375,16 +373,17 @@ def test_bounds_monotone_and_cuts_tight_at_generator():
         final = res.trace.records[-1]
         assert final.gap <= 1e-9
 
-        # re-price every feasible solve, with or without a cut added, and
-        # check the tightness of the optimality cut its duals give. The
-        # solves are replayed in order on a fresh subproblem, so each is
-        # priced with the linking rows that had joined before it, and the
-        # rows a fractional solve separates join after it, as in the run
+        # re-price every solve, with or without a cut added, and check the
+        # tightness of the optimality cut a feasible one's duals give. The
+        # solves are replayed in order on a fresh subproblem, so each starts
+        # from the linking rows that had joined before it and adds the ones
+        # its flow violates, as in the run
         sub = _prepare(build_mip(inst, MODE_WINDOW))
         for rec in res.trace.records:
+            priced = _solve_sub(sub, rec.t_candidate)
             if rec.subproblem_value is None:
+                assert priced.status == STATUS_INFEASIBLE
                 continue
-            priced = _solve_sub(sub, rec.t_candidate, linking=rec.fractional)
             assert priced.status == STATUS_OPTIMAL
             assert priced.value == pytest.approx(rec.subproblem_value, rel=1e-9)
             cut = make_optimality_cut(priced.duals, sub.master)

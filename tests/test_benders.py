@@ -29,7 +29,7 @@ from intransit.errors import InfeasibleInstanceError, SolverError
 from intransit.milp import MILP_NODE_LIMIT, MILP_OPTIMAL
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
-from conftest import build_instance, strong_lp_bound
+from conftest import build_instance, readme_instance, strong_lp_bound
 
 
 class TestSubproblem:
@@ -48,6 +48,29 @@ class TestSubproblem:
         assert with_box.status == STATUS_OPTIMAL
         # the 0.20/lb LCL charge on 1000 lbs disappears into the container
         assert base.value - with_box.value == pytest.approx(200.0, rel=1e-9)
+
+    def test_fractional_containers_are_priced_with_the_linking_rows(
+        self, tiny_instance
+    ):
+        # 1000 lbs, so W_p = 1000: a 1/48 container carries at most 1000/48
+        # lbs under U <= W_p·T, not the 1000 the capacity row alone allows
+        sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
+        t = np.zeros(10)
+        t[2] = 1.0 / 48.0
+        result = _solve_sub(sub, t)
+        assert result.status == STATUS_OPTIMAL
+        assert result.value == pytest.approx(500.0 - 200.0 / 48.0, rel=1e-9)
+        link = sub.model.linking
+        assert not len(link.violated(result.x[sub.link_u], t[sub.link_t]))
+        assert sub.link_joined.sum() == 1
+        # the cut is tight at the fractional T and valid at integral ones,
+        # whose value the joined row leaves unchanged
+        cut = make_optimality_cut(result.duals, sub.master)
+        assert cut.value_at(t) == pytest.approx(result.value, rel=1e-9)
+        t[2] = 1.0
+        whole = _solve_sub(sub, t)
+        assert whole.value == pytest.approx(300.0, rel=1e-9)
+        assert cut.value_at(t) <= whole.value + 1e-6
 
     def test_infeasible_instance_gives_farkas(self):
         inst = build_instance(window_days=2, land_time=4, air_time=3)
@@ -283,15 +306,8 @@ class TestRunBenders:
         assert len(lines) == res.iterations + 1
         assert lines[1].startswith("1,integral,")
 
-    @staticmethod
-    def _readme_instance():
-        cfg = GeneratorConfig(
-            n_products=5, n_suppliers=2, n_gateways=2, horizon_days=12, window_days=6
-        )
-        return generate_synthetic(cfg, seed=4)
-
     def test_root_rounds_reach_the_lp_relaxation(self, master_outcomes):
-        inst = self._readme_instance()
+        inst = readme_instance()
         res = run_benders(inst, MODE_WINDOW)
         relax, _, _ = lp_relaxation(inst, MODE_WINDOW)
         strong = strong_lp_bound(build_mip(inst, MODE_WINDOW))
@@ -320,7 +336,7 @@ class TestRunBenders:
         from intransit import BendersParams
 
         res = run_benders(
-            self._readme_instance(), MODE_WINDOW, BendersParams(node_limit=10)
+            readme_instance(), MODE_WINDOW, BendersParams(node_limit=10)
         )
         assert res.status == MILP_NODE_LIMIT
         assert not res.proven

@@ -249,8 +249,8 @@ def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> SubproblemResult:
 
 def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
     """Append the given linking rows to the subproblem (its flow part to
-    ``A_sub``, its T part to ``B``) with their slacks basic in the warm basis."""
-    m = sub.A_sub.shape[0]
+    ``A_sub``, its T part to ``B``). The warm basis names the rows before
+    them, so the next solve starts with their slacks basic."""
     rows_sub, rows_t = _split(
         sub.model.linking.block(entries, sub.model.num_vars), sub.non_t_cols, sub.t_cols
     )
@@ -260,13 +260,6 @@ def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
     master.B = sp.vstack([master.B, rows_t], format="csr")
     master.b = np.concatenate([master.b, np.zeros(len(entries))])
     sub.senses = np.concatenate([sub.senses, np.full(len(entries), "<")])
-    if sub.warm_basis is not None:
-        sub.warm_basis = replace(
-            sub.warm_basis,
-            slack_rows=np.concatenate(
-                [sub.warm_basis.slack_rows, np.arange(m, m + len(entries))]
-            ),
-        )
 
 
 def make_optimality_cut(
@@ -318,19 +311,15 @@ def master_problem(master: MasterData) -> MilpProblem:
     """Assemble the integer master over columns [T..., q]."""
     n_t = master.num_t
     rows = [_cut_row(cut, n_t) for cut in master.cuts]
-    # T <= t_upper is carried by integer_upper below, not by explicit rows;
     # A is dense, so the master's node LPs run on the dense basis
     lp = LpProblem(
         objective=np.append(master.h_costs, 1.0),
         A=np.array([row for row, _ in rows]),
         senses=np.full(len(rows), "<"),
         rhs=np.array([rhs for _, rhs in rows], dtype=np.float64),
+        upper=np.append(np.full(n_t, master.t_upper), np.inf),
     )
-    return MilpProblem(
-        lp=lp,
-        integer_columns=np.arange(n_t),
-        integer_upper=np.full(n_t, master.t_upper),
-    )
+    return MilpProblem(lp=lp, integer_columns=np.arange(n_t))
 
 
 def solve_master(

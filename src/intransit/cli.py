@@ -184,7 +184,7 @@ def _cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    model = build_mip(instance, mode)
+    model = build_mip(instance, mode, require_routes=False)
     with contextlib.ExitStack() as stack:
         node_log = None
         if args.node_log is not None:

@@ -1,14 +1,22 @@
 """Revised simplex, dual then primal, with dual values and infeasibility certificates.
 
-Solves ``min c'x  s.t.  A_eq x = b_eq, A_le x <= b_le, x >= 0`` and returns
-one of three certified outcomes:
+Solves ``min c'x  s.t.  A_eq x = b_eq, A_le x <= b_le, lower <= x <= upper``
+(``lower`` finite, ``upper`` possibly infinite) and returns one of three
+certified outcomes:
 
 * Optimal: primal vector, dual vector y (free on ``=`` rows, nonpositive on
-  ``<=`` rows), and the objective; strong duality holds within tolerance.
-* Infeasible: a Farkas ray y over the rows with ``A'y <= 0`` (respecting
-  row signs) and ``y'b > 0``.
-* Unbounded: a primal ray r >= 0 with ``A_eq r = 0``, ``A_le r <= 0`` and
-  ``c'r < 0``.
+  ``<=`` rows), and the objective; strong duality holds within tolerance,
+  the reduced costs ``c - A'y`` pricing the bounds.
+* Infeasible: a Farkas ray y over the rows (respecting row signs) whose
+  ``y'b`` exceeds the largest ``(A'y)'x`` over the box; where a column has
+  no upper bound this needs ``(A'y)_j <= 0``.
+* Unbounded: a primal ray r >= 0 with ``A_eq r = 0``, ``A_le r <= 0``,
+  ``c'r < 0`` and no component on a column with an upper bound.
+
+A shift ``x = lower + x'`` moves every lower bound to zero. A nonbasic
+column sits at zero or at its upper bound, from where both ratio tests
+move it down; an entering column may flip to its other bound, and a basic
+one above its upper bound leaves there (Koberstein, 2005; Maros, 2003).
 
 How the caller stores ``A`` picks the basis. A scipy sparse matrix (the
 tall, sparse flow LPs) runs on a sparse LU factorization with product-form
@@ -21,12 +29,12 @@ an artificial on each ``=`` row. The dual phase prices with the costs
 clipped at zero, ``max(c, 0)`` (a cost modification, as in Koberstein's
 dual phase one), under which the slack basis is dual feasible for every
 LP; its pivots drive out the artificials, which count as variables fixed
-at zero, and the negative basic variables. Primal pivots with the true
-costs then finish, and find the ray of an unbounded LP. Primal pricing
-uses Dantzig's rule, switching permanently to Bland's rule after a run of
-degenerate pivots so termination is guaranteed. An artificial still basic
-at zero is pinned there (a pivot that would move it forces it out of the
-basis instead), which also neutralizes linearly dependent rows.
+at zero, and the basic variables outside their bounds. Primal pivots with
+the true costs then finish, and find the ray of an unbounded LP. Primal
+pricing uses Dantzig's rule, switching permanently to Bland's rule after a
+run of degenerate pivots so termination is guaranteed. An artificial still
+basic at zero is pinned there (a pivot that would move it forces it out of
+the basis instead), which also neutralizes linearly dependent rows.
 """
 
 from __future__ import annotations
@@ -51,18 +59,20 @@ REFACTOR_EVERY = 100  # pivots between refactorizations of the basis
 
 @dataclass
 class LpProblem:
-    """Minimization LP over nonnegative variables.
+    """Minimization LP over bounded variables, ``lower <= x <= upper``.
 
-    ``senses`` holds ``"="`` or ``"<"`` per row; all column lower bounds
-    are zero and there are no upper bounds. ``A`` given as a scipy sparse
-    matrix is solved on the sparse LU basis; anything else is stored as a
-    dense array and solved on the explicit-inverse basis.
+    ``senses`` holds ``"="`` or ``"<"`` per row. ``lower`` defaults to
+    zero and must be finite; ``upper`` defaults to +inf. ``A`` given as a
+    scipy sparse matrix is solved on the sparse LU basis; anything else is
+    stored as a dense array and solved on the explicit-inverse basis.
     """
 
     objective: np.ndarray
     A: sp.spmatrix | np.ndarray
     senses: np.ndarray
     rhs: np.ndarray
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.objective = np.asarray(self.objective, dtype=np.float64)
@@ -72,15 +82,21 @@ class LpProblem:
             # small matrices stay dense and skip sparse-object overhead
             self.A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
         m, n = self.A.shape
+        self.lower = np.asarray(np.zeros(n) if self.lower is None else self.lower, dtype=float)
+        self.upper = np.asarray(np.full(n, np.inf) if self.upper is None else self.upper, dtype=float)
         if self.objective.shape != (n,):
             raise SolverError("objective length does not match column count")
+        if self.lower.shape != (n,) or self.upper.shape != (n,):
+            raise SolverError("bound length does not match column count")
         if self.rhs.shape != (m,) or self.senses.shape != (m,):
             raise SolverError("rhs/senses length does not match row count")
         if not set(self.senses.tolist()) <= {"=", "<"}:
             raise SolverError("senses must be '=' or '<'")
-        for name, arr in (("objective", self.objective), ("rhs", self.rhs)):
+        for name, arr in (("objective", self.objective), ("rhs", self.rhs), ("lower", self.lower)):
             if not np.all(np.isfinite(arr)):
                 raise SolverError(f"{name} contains NaN or infinite entries")
+        if not (self.lower <= self.upper).all():
+            raise SolverError("upper is NaN or below lower somewhere")
         entries = self.A.data if sp.issparse(self.A) else self.A
         if not np.all(np.isfinite(entries)):
             raise SolverError("constraint matrix contains NaN or infinite entries")
@@ -242,7 +258,12 @@ class _Basis:
 class _State:
     B: _Basis | _DenseBasis
     x_B: np.ndarray
+    # the rhs the basis sees, b minus every column nonbasic at its upper bound
     b: np.ndarray
+    upper: np.ndarray  # per basis column id: structurals, slacks (inf), artificials (inf)
+    # per structural or slack column, the way it can move while nonbasic:
+    # 1.0 at zero, -1.0 at its upper bound
+    move: np.ndarray
     max_pivots: int
     pivots: int = 0
     stalls: int = 0
@@ -266,6 +287,7 @@ def _iterate(state: _State, c_struct):
     """
     B = state.B
     n_struct = B.n_struct
+    upper, move = state.upper, state.move
     # absolute dual tolerance, well below TOL: the caller equilibrates
     # first, so reduced-cost noise sits near machine epsilon and a leftover
     # -1e-7 entry would be a real suboptimality, not dust
@@ -278,11 +300,14 @@ def _iterate(state: _State, c_struct):
     c_basic = _basic_costs(B, c_struct)
     in_basis = np.zeros(n_struct, dtype=bool)
     in_basis[basis[~art_basic]] = True
+    u_B = upper[basis]
 
     while True:
         y = B.btran(c_basic)
         reduced = c_struct - B.price(y)
         reduced[in_basis] = 0.0
+        # a column at its upper bound improves by moving down
+        reduced *= move
         if state.bland:
             candidates = np.flatnonzero(reduced < -opt_tol)
             if len(candidates) == 0:
@@ -294,6 +319,8 @@ def _iterate(state: _State, c_struct):
                 return None
 
         d = B.ftran(B.column(q))
+        # the change of x_B per unit the entering column moves
+        dd = d if move[q] > 0.0 else -d
 
         # an artificial at zero that the step would move leaves at once
         guard = art_basic & (np.abs(d) > PIVOT_TOL) & (state.x_B <= zero_tol)
@@ -301,12 +328,26 @@ def _iterate(state: _State, c_struct):
             theta = 0.0
             cand_pos = np.flatnonzero(guard)
         else:
-            pos_idx = np.flatnonzero(d > PIVOT_TOL)
-            if len(pos_idx) == 0:
+            # basic columns fall to zero or rise to their upper bound
+            down = np.flatnonzero(dd > PIVOT_TOL)
+            up = np.flatnonzero((dd < -PIVOT_TOL) & (u_B < np.inf))
+            ratios = np.concatenate(
+                [
+                    np.maximum(state.x_B[down], 0.0) / dd[down],
+                    np.maximum(u_B[up] - state.x_B[up], 0.0) / -dd[up],
+                ]
+            )
+            theta = float(ratios.min(initial=np.inf))
+            if theta == np.inf and upper[q] == np.inf:
                 return q, d
-            ratios = np.maximum(state.x_B[pos_idx], 0.0) / d[pos_idx]
-            theta = float(ratios.min())
-            cand_pos = pos_idx[ratios <= theta + 1e-12 * (1.0 + abs(theta))]
+            if upper[q] <= theta:
+                # the entering column reaches its other bound first: a flip
+                state.x_B -= upper[q] * dd
+                state.b = state.b - move[q] * upper[q] * B.column(q)
+                move[q] = -move[q]
+                continue
+            ties = np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))
+            cand_pos = np.concatenate([down, up])[ties]
 
         if state.bland:
             leave = int(cand_pos[np.argmin(basis[cand_pos])])
@@ -314,17 +355,25 @@ def _iterate(state: _State, c_struct):
             leave = int(cand_pos[np.argmax(np.abs(d[cand_pos]))])
 
         if theta > 0.0:
-            state.x_B -= theta * d
-        state.x_B[leave] = theta
+            state.x_B -= theta * dd
+        state.x_B[leave] = theta if move[q] > 0.0 else upper[q] - theta
         np.maximum(state.x_B, 0.0, out=state.x_B)
         B.update(leave, d)
         leaving_col = int(basis[leave])
+        if move[q] < 0.0:
+            move[q] = 1.0
+            state.b = state.b + upper[q] * B.column(q)
         if leaving_col < n_struct:
             in_basis[leaving_col] = False
+            # a basic column that the step moved up stops at its upper bound
+            if dd[leave] < 0.0:
+                move[leaving_col] = -1.0
+                state.b = state.b - upper[leaving_col] * B.column(leaving_col)
         in_basis[q] = True
         art_basic[leave] = False
         c_basic[leave] = c_struct[q]
         basis[leave] = q
+        u_B[leave] = upper[q]
 
         state.pivots += 1
         if theta <= PIVOT_TOL:
@@ -348,24 +397,27 @@ def _iterate(state: _State, c_struct):
 def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | None:
     """Dual-simplex pivots from a dual-feasible basis toward primal feasibility.
 
-    ``reduced`` holds the reduced costs at entry (basic entries zero) and is
-    maintained incrementally with each pivot. A basic artificial is a
-    variable fixed at zero: it is infeasible at any value off zero and,
-    once out, never re-enters. The leaving row is the basic artificial
-    farthest from zero, else the most negative basic variable. A row that no
-    column can move toward zero, but that is off by no more than rounding
-    allows (``TOL`` scaled by the rhs), is held at that margin. Returns
-    None once every basic variable is feasible to ``feas_tol``, or held, at
-    a freshly factored basis, or the index of a row certifying primal
-    infeasibility. Raises on numerical breakdown or a pivot cap; the caller
-    then tries its next starting basis.
+    ``reduced`` holds the reduced costs at entry (basic entries zero,
+    nonnegative at zero, nonpositive at an upper bound) and is maintained
+    incrementally with each pivot. A basic artificial is a variable fixed
+    at zero: it is infeasible at any value off zero and, once out, never
+    re-enters. The leaving row is the basic artificial farthest from zero,
+    else the most negative basic variable, else the one farthest above its
+    upper bound; it leaves at the bound it crossed. A row that no column can move toward that bound, but
+    that is off by no more than rounding allows (``TOL`` scaled by the
+    rhs), is held at that margin. Returns None once every basic variable
+    is feasible to ``feas_tol``, or held, at a freshly factored basis, or
+    the index of a row certifying primal infeasibility. Raises on numerical
+    breakdown or a pivot cap; the caller then tries its next starting basis.
     """
     B = state.B
     n_struct = B.n_struct
+    upper, move = state.upper, state.move
     basis = B.basis
     art = basis >= n_struct
     in_basis = np.zeros(n_struct, dtype=bool)
     in_basis[basis[~art]] = True
+    u_B = upper[basis]
     cap = state.pivots + 50 + 10 * B.m
     margin = TOL * (1.0 + float(np.abs(state.b).max(initial=0.0)))
     e = np.zeros(B.m)
@@ -374,50 +426,66 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
         if not (art[r] and abs(state.x_B[r]) > feas_tol):
             r = int(np.argmin(state.x_B))
             if state.x_B[r] >= -feas_tol:
-                if state.fresh_at == state.pivots:
-                    return None
-                # recompute the iterate exactly; if residual dust reappears
-                # at this basis, pivot it out too rather than clamping it away
-                B.refactor()
-                state.x_B = B.ftran(state.b)
-                state.fresh_at = state.pivots
-                continue
-        # the leaving variable moves down to zero from above (an artificial)
-        # or up to zero from below; entering candidates push it that way
+                over = state.x_B - u_B
+                r = int(np.argmax(over))
+                if over[r] <= feas_tol:
+                    if state.fresh_at == state.pivots:
+                        return None
+                    # recompute the iterate exactly; if residual dust reappears
+                    # at this basis, pivot it out too rather than clamping it away
+                    B.refactor()
+                    state.x_B = B.ftran(state.b)
+                    state.fresh_at = state.pivots
+                    continue
+        # the leaving variable moves down, an artificial to zero and any
+        # other to its upper bound, or up to zero from below; entering
+        # candidates push it that way, a column at its upper bound by
+        # moving down
         sign = 1.0 if state.x_B[r] > 0.0 else -1.0
+        to_upper = sign > 0.0 and not art[r]
+        target = u_B[r] if to_upper else 0.0
         e[:] = 0.0
         e[r] = 1.0
         rho = B.btran(e)
         alpha = B.price(rho)
         alpha[in_basis] = 0.0
-        candidates = np.flatnonzero(sign * alpha > PIVOT_TOL)
+        candidates = np.flatnonzero(sign * alpha * move > PIVOT_TOL)
         if len(candidates) == 0:
-            if abs(state.x_B[r]) > margin:
+            if abs(state.x_B[r] - target) > margin:
                 return r
             # rounding dust: count the row as feasible until the next
             # exact recompute of x_B shows it again
-            state.x_B[r] = 0.0
+            state.x_B[r] = target
             continue
-        ratios = np.maximum(reduced[candidates], 0.0) / np.abs(alpha[candidates])
+        # |reduced| / |alpha|, or 0 where the reduced cost sits on the
+        # wrong side of zero by rounding
+        ratios = np.maximum(reduced[candidates] / (sign * alpha[candidates]), 0.0)
         q = int(candidates[np.argmin(ratios)])
         d = B.ftran(B.column(q))
         if abs(d[r]) <= 1e-7:
             raise SolverError("dual pivot element too small; dual path abandoned")
-        theta = state.x_B[r] / d[r]
+        theta = (state.x_B[r] - target) / d[r]
         state.x_B -= theta * d
-        state.x_B[r] = theta
+        state.x_B[r] = theta if move[q] > 0.0 else theta + upper[q]
         B.update(r, d)
         # dual step: shift reduced costs along the pivot row
         delta = reduced[q] / alpha[q]
         if delta != 0.0:
             reduced -= delta * alpha
         leaving = int(basis[r])
+        if move[q] < 0.0:
+            move[q] = 1.0
+            state.b = state.b + upper[q] * B.column(q)
         if leaving < n_struct:
             in_basis[leaving] = False
             reduced[leaving] = -delta
+            if to_upper:
+                move[leaving] = -1.0
+                state.b = state.b - upper[leaving] * B.column(leaving)
         in_basis[q] = True
         reduced[q] = 0.0
         basis[r] = q
+        u_B[r] = upper[q]
         art[r] = False
         state.pivots += 1
         if state.pivots % REFACTOR_EVERY == 0:
@@ -444,7 +512,6 @@ def _finish_phase2(
     c_struct: np.ndarray,
     flip: np.ndarray,
     n: int,
-    b: np.ndarray,
     le_rows: np.ndarray,
 ) -> LpOutcome:
     """Run phase 2 from a primal-feasible basis and extract the outcome."""
@@ -462,10 +529,12 @@ def _finish_phase2(
     # clean final iterate and extract the solution
     if state.fresh_at != state.pivots:
         state.B.refactor()
-        state.x_B = state.B.ftran(b)
+        state.x_B = state.B.ftran(state.b)
     x = np.zeros(n)
     x[basis[struct]] = state.x_B[struct]
-    np.maximum(x, 0.0, out=x)
+    upper, at_upper = state.upper[:n], state.move[:n] < 0.0
+    x[at_upper] = upper[at_upper]
+    np.clip(x, 0.0, upper, out=x)
     y_std = state.B.btran(_basic_costs(state.B, c_struct))
     y = flip * y_std
     objective = float(problem.objective @ x)
@@ -479,17 +548,17 @@ def _finish_phase2(
     )
 
 
-def _solve_trivial(problem: LpProblem) -> LpOutcome:
-    # no rows: each variable sits at 0 unless its cost is negative
-    n = problem.num_cols
-    neg = np.flatnonzero(problem.objective < 0)
-    if len(neg):
+def _solve_trivial(objective: np.ndarray, upper: np.ndarray) -> LpOutcome:
+    # no rows, lower bounds zero: each variable sits at 0 unless its cost
+    # is negative, then at its upper bound; without one the LP is unbounded
+    n = len(objective)
+    neg = objective < 0
+    free = np.flatnonzero(neg & (upper == np.inf))
+    if len(free):
         ray = np.zeros(n)
-        ray[int(neg[np.argmin(problem.objective[neg])])] = 1.0
+        ray[int(free[np.argmin(objective[free])])] = 1.0
         return LpOutcome(status=STATUS_UNBOUNDED, ray=ray)
-    return LpOutcome(
-        status=STATUS_OPTIMAL, x=np.zeros(n), y=np.zeros(0), objective=0.0
-    )
+    return LpOutcome(status=STATUS_OPTIMAL, x=np.where(neg, upper, 0.0), y=np.zeros(0))
 
 
 def _pow2_scale(v: np.ndarray) -> np.ndarray:
@@ -522,52 +591,59 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
     Raises :class:`SolverError` on numerical breakdown (singular basis,
     pivot limit); breakdown is never reported as a solution status.
 
-    ``warm`` is an optional basis from a related solved LP (same columns,
-    overlapping rows). If it is dual feasible here under the costs clipped
-    at zero, primal feasibility is restored with dual-simplex pivots; if it
-    is not, or the dual path breaks down, the solve starts again from the
-    slack basis, where the dual path always starts and every cold solve
-    runs.
+    ``warm`` is an optional basis from a related solved LP: same columns,
+    overlapping rows, bounds that may differ. Rows past the count it names
+    are taken as ``<`` rows appended since, their slacks basic. Each
+    nonbasic column with an upper bound starts at the bound its reduced
+    cost makes dual feasible. If the basis is then dual feasible here under
+    the costs clipped at zero, primal feasibility is restored with
+    dual-simplex pivots; if it is not, or the dual path breaks down, the
+    solve starts again from the slack basis, where the dual path always
+    starts and every cold solve runs.
 
-    The problem is equilibrated internally (power-of-two row and column
-    scales, plus uniform scales bringing costs and rhs near 1) and the
-    outcome mapped back, so tolerances behave the same across instances
-    whose raw coefficients differ by orders of magnitude.
+    The lower bounds are shifted out first (``b - A·lower``). The problem
+    is then equilibrated internally (power-of-two row and column scales,
+    plus uniform scales bringing costs and rhs near 1) and the outcome
+    mapped back, so tolerances behave the same across instances whose raw
+    coefficients differ by orders of magnitude.
     """
+    lower = problem.lower
+    rhs, upper = problem.rhs, problem.upper
+    if lower.any():
+        rhs = rhs - problem.A @ lower
+        upper = upper - lower
     if problem.num_rows == 0:
-        return _solve_trivial(problem)
-
-    r, s = _equilibration(problem.A)
-    sig_c = float(_pow2_scale(np.array([np.abs(problem.objective * s).max(initial=0.0)]))[0])
-    sig_b = float(_pow2_scale(np.array([np.abs(problem.rhs * r).max(initial=0.0)]))[0])
-    if sp.issparse(problem.A):
-        A_s = problem.A.tocsc(copy=True)
-        A_s.data *= r[A_s.indices] * np.repeat(s, np.diff(A_s.indptr))
+        out = _solve_trivial(problem.objective, upper)
     else:
-        A_s = problem.A * r[:, None] * s[None, :]
-    # the input was validated on construction and the scales are finite
-    # powers of two, so skip a second validation pass
-    scaled = LpProblem.__new__(LpProblem)
-    scaled.objective = problem.objective * s * sig_c
-    scaled.A = A_s
-    scaled.senses = problem.senses
-    scaled.rhs = problem.rhs * r * sig_b
-    out = _solve_core(scaled, warm)
+        r, s = _equilibration(problem.A)
+        sig_c = float(_pow2_scale(np.array([np.abs(problem.objective * s).max(initial=0.0)]))[0])
+        sig_b = float(_pow2_scale(np.array([np.abs(rhs * r).max(initial=0.0)]))[0])
+        if sp.issparse(problem.A):
+            A_s = problem.A.tocsc(copy=True)
+            A_s.data *= r[A_s.indices] * np.repeat(s, np.diff(A_s.indptr))
+        else:
+            A_s = problem.A * r[:, None] * s[None, :]
+        # the input was validated on construction and the scales are finite
+        # powers of two, so skip a second validation pass
+        scaled = LpProblem.__new__(LpProblem)
+        scaled.objective = problem.objective * s * sig_c
+        scaled.A = A_s
+        scaled.senses = problem.senses
+        scaled.rhs = rhs * r * sig_b
+        scaled.lower = np.zeros(problem.num_cols)
+        scaled.upper = upper / s * sig_b
+        out = _solve_core(scaled, warm)
+        if out.status == STATUS_OPTIMAL:
+            out.x = out.x * s / sig_b
+            out.y = out.y * r / sig_c
+        elif out.status == STATUS_INFEASIBLE:
+            out.farkas_ray = out.farkas_ray * r
+        else:
+            out.ray = out.ray * s
     if out.status == STATUS_OPTIMAL:
-        x = out.x * s / sig_b
-        return LpOutcome(
-            status=STATUS_OPTIMAL,
-            x=x,
-            y=out.y * r / sig_c,
-            objective=float(problem.objective @ x),
-            pivots=out.pivots,
-            basis=out.basis,
-        )
-    if out.status == STATUS_INFEASIBLE:
-        return LpOutcome(
-            status=STATUS_INFEASIBLE, farkas_ray=out.farkas_ray * r, pivots=out.pivots
-        )
-    return LpOutcome(status=STATUS_UNBOUNDED, ray=out.ray * s, pivots=out.pivots)
+        out.x = lower + out.x
+        out.objective = float(problem.objective @ out.x)
+    return out
 
 
 def _max_pivots(problem: LpProblem) -> int:
@@ -576,6 +652,7 @@ def _max_pivots(problem: LpProblem) -> int:
 
 
 def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
+    """Solve an LP whose lower bounds are zero."""
     m, n = problem.num_rows, problem.num_cols
     le_rows = np.flatnonzero(problem.senses == "<")
     n_slack = len(le_rows)
@@ -603,6 +680,7 @@ def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
         A_std *= flip[:, None]
 
     c_struct = np.concatenate([problem.objective, np.zeros(n_slack)])
+    upper = np.concatenate([problem.upper, np.full(n_slack + m, np.inf)])
     # slack column id per row, -1 on '=' rows
     slack_pos = np.full(m, -1, dtype=np.int64)
     slack_pos[le_rows] = n + np.arange(n_slack)
@@ -619,7 +697,7 @@ def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
     )
     for start in ([] if warm is None else [warm]) + [slack]:
         outcome = _try_warm_start(
-            problem, start, fresh_basis, slack_pos, c_struct, b, flip, le_rows
+            problem, start, fresh_basis, slack_pos, c_struct, upper, b, flip, le_rows
         )
         if outcome is not None:
             return outcome
@@ -632,6 +710,7 @@ def _try_warm_start(
     fresh_basis,
     slack_pos: np.ndarray,
     c_struct: np.ndarray,
+    upper: np.ndarray,
     b: np.ndarray,
     flip: np.ndarray,
     le_rows: np.ndarray,
@@ -650,11 +729,13 @@ def _try_warm_start(
     sids = slack_pos[slack_rows]
     if len(sids) and sids.min() < 0:
         return None
-    # an artificial on a '<' row gives way to the row's slack, which spans
-    # the same direction; on an '=' row it stays basic, pinned at zero
-    art_slack = slack_pos[art_rows]
-    arts = np.where(art_slack >= 0, art_slack, n_struct + art_rows)
-    cols = np.concatenate([struct, sids, arts])
+    # a basis of fewer rows than this LP's: the rows past them are '<'
+    # rows appended since, and their slacks join it
+    appended = slack_pos[len(struct) + len(rows) :]
+    if len(appended) and appended.min() < 0:
+        return None
+    # a basic artificial stays basic, pinned at zero
+    cols = np.concatenate([struct, sids, n_struct + art_rows, appended])
     if len(cols) != m or len(np.unique(cols)) != m:
         return None
 
@@ -664,17 +745,24 @@ def _try_warm_start(
         B.refactor()
     except SolverError:
         return None
-    state = _State(B=B, x_B=B.ftran(b), b=b, max_pivots=_max_pivots(problem), fresh_at=0)
 
     # the dual phase prices with the costs clipped at zero, which leaves c
     # unchanged on every consolidation LP and makes the slack basis dual
-    # feasible on any LP; _finish_phase2 restores c. The basis is useful
-    # only if it is dual feasible, to the standard the primal phase ends at
+    # feasible on any LP; _finish_phase2 restores c. A column with an upper
+    # bound sits at the bound its reduced cost makes dual feasible; the
+    # basis is useful only if the other columns are dual feasible, to the
+    # standard the primal phase ends at
+    dual_tol = 0.01 * TOL
     c_plus = np.maximum(c_struct, 0.0)
     reduced = c_plus - B.price(B.btran(_basic_costs(B, c_plus)))
     reduced[cols[cols < n_struct]] = 0.0
-    if float(reduced.min(initial=0.0)) < -0.01 * TOL:
+    at_upper = reduced < -dual_tol
+    if (upper[:n_struct][at_upper] == np.inf).any():
         return None
+    for j in np.flatnonzero(at_upper):
+        b = b - upper[j] * B.column(j)
+    move = np.where(at_upper, -1.0, 1.0)
+    state = _State(B, B.ftran(b), b, upper, move, _max_pivots(problem), fresh_at=0)
 
     # absolute feasibility target: a slack left at -1e-5 and clamped would
     # shift the objective below the true optimum, so rhs-scaled slack here
@@ -683,8 +771,9 @@ def _try_warm_start(
     try:
         bad_row = _dual_iterate(state, feas_tol, reduced)
         if bad_row is not None:
-            # a variable stuck below zero certifies with -B^-T e_r, an
-            # artificial stuck above zero with +B^-T e_r
+            # a variable stuck below zero certifies with -B^-T e_r, one
+            # stuck above its upper bound or an artificial above zero with
+            # +B^-T e_r
             e = np.zeros(m)
             e[bad_row] = 1.0
             y_std = np.sign(state.x_B[bad_row]) * state.B.btran(e)
@@ -694,7 +783,7 @@ def _try_warm_start(
                 pivots=state.pivots,
             )
         np.maximum(state.x_B, 0.0, out=state.x_B)
-        return _finish_phase2(problem, state, c_struct, flip, n, b, le_rows)
+        return _finish_phase2(problem, state, c_struct, flip, n, le_rows)
     except SolverError:
         # a breakdown from this start; the caller tries the next one
         return None
@@ -714,6 +803,8 @@ def verify_certificate(
     A = problem.A.tocsr() if sp.issparse(problem.A) else problem.A
     le = problem.senses == "<"
     eq = ~le
+    lower, upper = problem.lower, problem.upper
+    boxed = upper < np.inf
     scale_b = 1.0 + float(np.abs(problem.rhs).max(initial=0.0))
     scale_c = 1.0 + float(np.abs(problem.objective).max(initial=0.0))
 
@@ -721,8 +812,10 @@ def verify_certificate(
         x, y = outcome.x, outcome.y
         if x is None or y is None:
             return CertificateReport(False, ["optimal outcome lacks x or y"])
-        if len(x) and float((-x).max(initial=0.0)) > tol:
-            failures.append("primal negativity")
+        if len(x) and float((lower - x).max(initial=0.0)) > tol:
+            failures.append("primal below a lower bound")
+        if float((x[boxed] - upper[boxed]).max(initial=0.0)) > tol:
+            failures.append("primal above an upper bound")
         resid = A @ x - problem.rhs
         if eq.any() and float(np.abs(resid[eq]).max()) > tol * scale_b:
             failures.append("equality-row residual")
@@ -731,10 +824,15 @@ def verify_certificate(
         if le.any() and float(y[le].max(initial=0.0)) > tol:
             failures.append("dual sign on <= rows")
         dual_slack = problem.objective - A.T @ y
-        if float((-dual_slack).max(initial=0.0)) > tol * scale_c * 10:
+        if float((-dual_slack[~boxed]).max(initial=0.0)) > tol * scale_c * 10:
             failures.append("dual feasibility A'y <= c")
         cx = float(problem.objective @ x)
-        yb = float(y @ problem.rhs)
+        # dual objective: the rows, then each reduced cost at the bound it prices
+        yb = float(
+            y @ problem.rhs
+            + lower @ np.maximum(dual_slack, 0.0)
+            + upper[boxed] @ np.minimum(dual_slack[boxed], 0.0)
+        )
         if abs(cx - yb) > tol * (1.0 + abs(cx)) * 10:
             failures.append(f"strong-duality gap {cx - yb:.3e}")
     elif outcome.status == STATUS_INFEASIBLE:
@@ -748,10 +846,12 @@ def verify_certificate(
         if le.any() and float(r[le].max(initial=0.0)) > tol:
             failures.append("Farkas sign on <= rows")
         aty = A.T @ r
-        if float(aty.max(initial=0.0)) > tol * 100:
+        if float(aty[~boxed].max(initial=0.0)) > tol * 100:
             failures.append("Farkas column condition A'y <= 0")
-        if float(r @ problem.rhs) <= tol:
-            failures.append("Farkas ray fails to certify: y'b not positive")
+        # y'b against the largest (A'y)'x over the box
+        reach = lower @ np.minimum(aty, 0.0) + upper[boxed] @ np.maximum(aty[boxed], 0.0)
+        if float(r @ problem.rhs - reach) <= tol:
+            failures.append("Farkas ray fails to certify: y'b not above (A'y)'x on the box")
     elif outcome.status == STATUS_UNBOUNDED:
         ray = outcome.ray
         if ray is None:
@@ -762,6 +862,8 @@ def verify_certificate(
         r = ray / norm
         if float((-r).max(initial=0.0)) > tol:
             failures.append("ray negativity")
+        if float(np.abs(r[boxed]).max(initial=0.0)) > tol:
+            failures.append("ray moves a column with an upper bound")
         ar = A @ r
         if eq.any() and float(np.abs(ar[eq]).max()) > tol * 100:
             failures.append("ray not in equality null space")

@@ -67,6 +67,22 @@ class TestRelax:
 
 
 class TestSolve:
+    def test_validates_once(self, instance_dir, monkeypatch):
+        import intransit.cli as cli
+        import intransit.model as model
+
+        calls = []
+        for module in (cli, model):
+            original = module.validate_routes
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "validate_routes", counted)
+        assert run(["solve", "--instance", instance_dir]) == 0
+        assert len(calls) == 1
+
     def test_optimal(self, instance_dir, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(["solve", "--instance", instance_dir, "--out", str(out)])

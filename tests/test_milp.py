@@ -119,8 +119,9 @@ class TestSmallProblems:
         assert solve_milp(prob).status == MILP_INFEASIBLE
 
     def test_integer_upper_prunes_up_branches(self):
-        # root LP sits at x0 = 2.5; the up branch x0 >= 3 is dropped without
-        # a solve when the implied bound says no optimum lies above 2
+        # without a bound the root LP sits at x0 = 2.5 and branches; the
+        # column bound x0 <= 2 holds the root at x0 = 2, and no branch
+        # above it is made
         def prob(upper):
             return MilpProblem(
                 lp=LpProblem(
@@ -128,12 +129,12 @@ class TestSmallProblems:
                     A=np.array([[1.0, 1.0]]),
                     senses=np.array(["="]),
                     rhs=np.array([2.5]),
+                    upper=upper,
                 ),
                 integer_columns=np.array([0]),
-                integer_upper=upper,
             )
 
-        bounded = solve_milp(prob(np.array([2.0])))
+        bounded = solve_milp(prob(np.array([2.0, np.inf])))
         free = solve_milp(prob(None))
         assert bounded.status == free.status == MILP_OPTIMAL
         assert bounded.objective == free.objective == pytest.approx(-2.0)
@@ -190,9 +191,9 @@ class TestSeparation:
                 A=np.array([[1.0, 1.0], [1.0, 0.0]]),
                 senses=np.array(["<", "<"]),
                 rhs=np.array([3.5, 3.0]),
+                upper=np.array([3.0, 3.0]),
             ),
             integer_columns=np.array([0, 1]),
-            integer_upper=np.array([3.0, 3.0]),
         )
         seen = []
 
@@ -368,6 +369,15 @@ class TestLimitsAndLogging:
         assert min(bounds) >= bounds[0] - 1e-9
         incumbents = [line.split(",")[3] for line in lines[1:]]
         assert incumbents[0] == "inf"
+
+    def test_node_log_keeps_every_digit_of_the_bound(self):
+        from conftest import readme_instance
+
+        log = io.StringIO()
+        out = solve_milp(build_mip(readme_instance(), MODE_WINDOW), node_log=log)
+        rows = [line.split(",") for line in log.getvalue().strip().splitlines()[1:]]
+        root_rows = [row for row in rows if row[1] == "0"]
+        assert float(root_rows[-1][2]) == out.root_bound
 
     def test_loose_gap_stops_early(self):
         prob = self._fractional_problem()

@@ -587,3 +587,233 @@ class TestBasisClasses:
             np.testing.assert_allclose(sparse.btran(v), dense.btran(v), atol=1e-12)
         for j in range(n_struct + m):
             np.testing.assert_array_equal(sparse.column(j), dense.column(j))
+
+
+def bounded_problem(
+    rng: np.random.Generator, representation, *, nonnegative_costs: bool = False
+) -> LpProblem:
+    """A random LP whose columns carry positive lower bounds (about 30%)
+    and finite upper bounds (about half)."""
+    problem = random_problem(rng, nonnegative_costs=nonnegative_costs)
+    n = problem.num_cols
+    lower = np.where(rng.uniform(size=n) < 0.3, np.round(rng.uniform(0.1, 2.0, n), 1), 0.0)
+    width = np.round(rng.uniform(0.0, 4.0, n), 1)
+    upper = np.where(rng.uniform(size=n) < 0.5, lower + width, np.inf)
+    return LpProblem(
+        problem.objective,
+        representation(problem.A),
+        problem.senses,
+        problem.rhs,
+        lower=lower,
+        upper=upper,
+    )
+
+
+def highs(problem: LpProblem):
+    """``scipy.optimize.linprog`` (HiGHS) on the same LP, bounds included."""
+    from scipy.optimize import linprog
+
+    A = problem.A.toarray() if sp.issparse(problem.A) else problem.A
+    le = problem.senses == "<"
+    return linprog(
+        problem.objective,
+        A_ub=A[le] if le.any() else None,
+        b_ub=problem.rhs[le] if le.any() else None,
+        A_eq=A[~le] if (~le).any() else None,
+        b_eq=problem.rhs[~le] if (~le).any() else None,
+        bounds=[(lo, None if hi == np.inf else hi) for lo, hi in zip(problem.lower, problem.upper)],
+        method="highs",
+    )
+
+
+HIGHS_STATUS = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: STATUS_UNBOUNDED}
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    @pytest.mark.parametrize("block", range(5))
+    def test_against_highs(self, block, representation):
+        # 80 draws per block, negative costs included; every outcome is
+        # certified and matches HiGHS in status and objective
+        rng = np.random.default_rng(9800 + block)
+        for _ in range(80):
+            problem = bounded_problem(rng, representation)
+            outcome = solve_lp(problem)
+            report = verify_certificate(problem, outcome)
+            assert report.ok, (outcome.status, report.failures)
+            reference = highs(problem)
+            assert outcome.status == HIGHS_STATUS[reference.status]
+            if outcome.status == STATUS_OPTIMAL:
+                scale = 1.0 + abs(reference.fun)
+                assert abs(outcome.objective - reference.fun) <= ORACLE_TOL * scale
+                assert (outcome.x >= problem.lower).all()
+                assert (outcome.x <= problem.upper).all()
+
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    def test_infeasible_only_through_the_bounds_is_certified(self, representation):
+        rng = np.random.default_rng(9900)
+        certified = 0
+        for _ in range(300):
+            problem = bounded_problem(rng, representation)
+            unbounded_box = LpProblem(problem.objective, problem.A, problem.senses, problem.rhs)
+            if solve_lp(unbounded_box).status == STATUS_INFEASIBLE:
+                continue
+            outcome = solve_lp(problem)
+            if outcome.status == STATUS_INFEASIBLE:
+                assert verify_certificate(problem, outcome).ok
+                certified += 1
+        assert certified > 20
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            pytest.param([0.0, 0.0], [1.0, 2.0], id="upper-bounds"),
+            pytest.param([3.0, 2.5], [np.inf, np.inf], id="lower-bounds"),
+        ],
+    )
+    def test_rows_feasible_box_not(self, lower, upper):
+        # x1 + x2 = 5 holds on the nonnegative orthant, not on either box
+        problem = LpProblem(
+            objective=np.array([1.0, 2.0]),
+            A=np.array([[1.0, 1.0]]),
+            senses=np.array(["="]),
+            rhs=np.array([5.0]),
+            lower=np.array(lower),
+            upper=np.array(upper),
+        )
+        out = solve_lp(problem)
+        assert out.status == STATUS_INFEASIBLE
+        assert verify_certificate(problem, out).ok
+
+    def test_no_rows(self):
+        problem = LpProblem(
+            objective=np.array([1.0, -2.0]),
+            A=np.zeros((0, 2)),
+            senses=np.array([], dtype="<U1"),
+            rhs=np.array([]),
+            lower=np.array([0.5, 1.0]),
+            upper=np.array([np.inf, 3.0]),
+        )
+        out = solve_lp(problem)
+        assert out.status == STATUS_OPTIMAL
+        np.testing.assert_array_equal(out.x, [0.5, 3.0])
+        assert out.objective == pytest.approx(-5.5)
+        assert verify_certificate(problem, out).ok
+
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    @pytest.mark.parametrize("nonnegative_costs", [True, False], ids=["nonneg", "any-cost"])
+    def test_warm_start_after_tightening_one_bound(
+        self, representation, nonnegative_costs, dual_path
+    ):
+        # a branching step: the most fractional column of an optimum gets
+        # a new upper bound below it or a new lower bound above it
+        rng = np.random.default_rng(4242)
+        checked = held = 0
+        for _ in range(300):
+            problem = bounded_problem(rng, representation, nonnegative_costs=nonnegative_costs)
+            base = solve_lp(problem)
+            if base.status != STATUS_OPTIMAL:
+                continue
+            j = int(np.argmax(base.x - np.floor(base.x)))
+            lower, upper = problem.lower.copy(), problem.upper.copy()
+            if rng.uniform() < 0.5:
+                lower[j] = np.ceil(base.x[j] + 1e-9)
+                if lower[j] > upper[j]:
+                    continue
+            else:
+                upper[j] = max(np.floor(base.x[j] - 1e-9), lower[j])
+            child = LpProblem(
+                problem.objective, problem.A, problem.senses, problem.rhs, lower=lower, upper=upper
+            )
+            dual_path.clear()
+            warm = solve_lp(child, warm=base.basis)
+            held += dual_path[0] is not None
+            cold = solve_lp(child)
+            assert warm.status == cold.status
+            assert verify_certificate(child, warm).ok
+            if cold.status == STATUS_OPTIMAL:
+                scale = 1.0 + abs(cold.objective)
+                assert abs(warm.objective - cold.objective) <= 1e-8 * scale
+            checked += 1
+        assert checked > 100
+        # the parent's basis stays dual feasible under nonnegative costs;
+        # with negative ones the max(c, 0) pricing may reject it
+        if nonnegative_costs:
+            assert held == checked
+
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    def test_warm_basis_of_fewer_rows_takes_the_appended_slacks(
+        self, representation, dual_path
+    ):
+        # '<' rows appended after the solve: the warm basis names fewer
+        # basic columns than the LP has rows, and the rows past them give
+        # their slacks; the start holds and reaches the cold optimum
+        rng = np.random.default_rng(77)
+        checked = 0
+        for _ in range(200):
+            problem = bounded_problem(rng, representation, nonnegative_costs=True)
+            base = solve_lp(problem)
+            if base.status != STATUS_OPTIMAL:
+                continue
+            k = int(rng.integers(1, 3))
+            extra = np.round(rng.uniform(-2, 3, size=(k, problem.num_cols)), 1)
+            # each new row cuts the optimum off by a margin
+            rhs = np.round(extra @ base.x - rng.uniform(0.1, 1.0, size=k), 1)
+            A = np.vstack([sp.csr_matrix(problem.A).toarray(), extra])
+            grown = LpProblem(
+                problem.objective,
+                representation(A),
+                np.concatenate([problem.senses, ["<"] * k]),
+                np.concatenate([problem.rhs, rhs]),
+                lower=problem.lower,
+                upper=problem.upper,
+            )
+            dual_path.clear()
+            warm = solve_lp(grown, warm=base.basis)
+            assert len(dual_path) == 1 and dual_path[0] is not None
+            cold = solve_lp(grown)
+            assert warm.status == cold.status
+            assert verify_certificate(grown, warm).ok
+            if cold.status == STATUS_OPTIMAL:
+                scale = 1.0 + abs(cold.objective)
+                assert abs(warm.objective - cold.objective) <= 1e-8 * scale
+            checked += 1
+        assert checked > 40
+
+
+class TestBoundChecks:
+    def _problem(self, **bounds):
+        return LpProblem(
+            objective=np.array([1.0, 1.0]),
+            A=np.array([[1.0, 1.0]]),
+            senses=np.array(["<"]),
+            rhs=np.array([4.0]),
+            **bounds,
+        )
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_rejects_nan_bound(self, side):
+        with pytest.raises(SolverError):
+            self._problem(**{side: np.array([0.0, np.nan])})
+
+    @pytest.mark.parametrize("value", [-np.inf, np.inf])
+    def test_rejects_infinite_lower(self, value):
+        with pytest.raises(SolverError):
+            self._problem(lower=np.array([value, 0.0]))
+
+    def test_rejects_lower_above_upper(self):
+        with pytest.raises(SolverError):
+            self._problem(lower=np.array([2.0, 0.0]), upper=np.array([1.0, 3.0]))
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_rejects_bound_of_wrong_length(self, side):
+        with pytest.raises(SolverError):
+            self._problem(**{side: np.zeros(3)})

@@ -13,10 +13,14 @@ certified outcomes:
 * Unbounded: a primal ray r >= 0 with ``A_eq r = 0``, ``A_le r <= 0``,
   ``c'r < 0`` and no component on a column with an upper bound.
 
-A shift ``x = lower + x'`` moves every lower bound to zero. A nonbasic
-column sits at zero or at its upper bound, from where both ratio tests
-move it down; an entering column may flip to its other bound, and a basic
-one above its upper bound leaves there (Koberstein, 2005; Maros, 2003).
+A shift ``x = lower + x'`` moves every lower bound to zero. Each row then
+gets one slack column, so the LP solved is ``[A | I] (x, s) = b``; a
+slack is bounded by ``[0, inf)`` on a ``<`` row and fixed at ``[0, 0]``
+on an ``=`` row. A nonbasic column sits at zero or at its upper bound,
+from where both ratio tests move it; an entering column may flip to its
+other bound, and a basic one outside its bounds leaves at the bound it
+crossed (Koberstein, 2005; Maros, 2003). A column fixed at zero never
+enters the basis.
 
 How the caller stores ``A`` picks the basis. A scipy sparse matrix (the
 tall, sparse flow LPs) runs on a sparse LU factorization with product-form
@@ -24,17 +28,16 @@ eta updates; a numpy array (the short, dense Benders master) runs on an
 explicit inverse updated in place. Both refactorize periodically.
 
 Every LP takes one path: the dual simplex, started from a warm basis if one
-is given, else (or when that basis is of no use) from the slack basis with
-an artificial on each ``=`` row. The dual phase prices with the costs
-clipped at zero, ``max(c, 0)`` (a cost modification, as in Koberstein's
-dual phase one), under which the slack basis is dual feasible for every
-LP; its pivots drive out the artificials, which count as variables fixed
-at zero, and the basic variables outside their bounds. Primal pivots with
-the true costs then finish, and find the ray of an unbounded LP. Primal
-pricing uses Dantzig's rule, switching permanently to Bland's rule after a
-run of degenerate pivots so termination is guaranteed. An artificial still
-basic at zero is pinned there (a pivot that would move it forces it out of
-the basis instead), which also neutralizes linearly dependent rows.
+is given, else (or when that basis is of no use) from the slack basis. The
+dual phase prices with the costs clipped at zero, ``max(c, 0)`` (a cost
+modification, as in Koberstein's dual phase one), under which the slack
+basis is dual feasible for every LP; its pivots drive each basic variable
+outside its bounds, a fixed slack off zero among them, back inside. Primal
+pivots with the true costs then finish, and find the ray of an unbounded
+LP. Primal pricing uses Dantzig's rule, switching permanently to Bland's
+rule after a run of degenerate pivots so termination is guaranteed. A
+fixed slack that stays basic at zero blocks every step that would move
+it, which also neutralizes linearly dependent rows.
 """
 
 from __future__ import annotations
@@ -115,14 +118,13 @@ class BasisLabels:
     """Row-independent description of an optimal basis.
 
     ``struct`` holds basic structural column indices, ``slack_rows`` the
-    rows whose slack is basic, ``art_rows`` the rows whose artificial is
-    basic (degenerate leftovers pinned at zero). Used to warm-start a
-    related LP that shares columns and most rows.
+    rows whose slack is basic (on an ``=`` row a slack fixed at zero, a
+    degenerate leftover). Used to warm-start a related LP that shares
+    columns and most rows.
     """
 
     struct: np.ndarray
     slack_rows: np.ndarray
-    art_rows: np.ndarray
 
 
 @dataclass
@@ -146,10 +148,9 @@ class _DenseBasis:
     inverse directly, so there is no eta file.
     """
 
-    def __init__(self, A_std: np.ndarray, n_struct: int):
+    def __init__(self, A_std: np.ndarray):
         self.A = A_std
         self.m = A_std.shape[0]
-        self.n_struct = n_struct
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.Binv: np.ndarray | None = None
 
@@ -157,22 +158,11 @@ class _DenseBasis:
         return y @ self.A
 
     def column(self, j: int) -> np.ndarray:
-        if j < self.n_struct:
-            return self.A[:, j].copy()
-        e = np.zeros(self.m)
-        e[j - self.n_struct] = 1.0
-        return e
+        return self.A[:, j].copy()
 
     def refactor(self) -> None:
-        B = np.zeros((self.m, self.m))
-        struct_pos = np.flatnonzero(self.basis < self.n_struct)
-        if len(struct_pos):
-            B[:, struct_pos] = self.A[:, self.basis[struct_pos]]
-        art_pos = np.flatnonzero(self.basis >= self.n_struct)
-        if len(art_pos):
-            B[self.basis[art_pos] - self.n_struct, art_pos] = 1.0
         try:
-            self.Binv = np.linalg.inv(B)
+            self.Binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis during refactorization: {exc}") from None
 
@@ -189,21 +179,13 @@ class _DenseBasis:
 
 
 class _Basis:
-    """Basis bookkeeping for LPs stored sparse: sparse LU of B plus an eta file.
+    """Basis bookkeeping for LPs stored sparse: sparse LU of B plus an eta file."""
 
-    Columns >= n_struct are the artificial identity columns; artificial
-    j corresponds to row j - n_struct.
-    """
-
-    def __init__(self, A_std: sp.csc_matrix, n_struct: int):
+    def __init__(self, A_std: sp.csc_matrix):
         self.AT = A_std.T.tocsr()
         self.m = A_std.shape[0]
-        self.n_struct = n_struct
-        # [A_std | I] in CSC: every basis column, artificials included, is
-        # a slice of these arrays
-        self.indptr = np.concatenate([A_std.indptr, A_std.nnz + np.arange(1, self.m + 1)])
-        self.indices = np.concatenate([A_std.indices, np.arange(self.m)])
-        self.data = np.concatenate([A_std.data, np.ones(self.m)])
+        # every basis column is a slice of these CSC arrays
+        self.indptr, self.indices, self.data = A_std.indptr, A_std.indices, A_std.data
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.lu = None
         self.etas: list[tuple[int, np.ndarray]] = []
@@ -260,9 +242,9 @@ class _State:
     x_B: np.ndarray
     # the rhs the basis sees, b minus every column nonbasic at its upper bound
     b: np.ndarray
-    upper: np.ndarray  # per basis column id: structurals, slacks (inf), artificials (inf)
-    # per structural or slack column, the way it can move while nonbasic:
-    # 1.0 at zero, -1.0 at its upper bound
+    upper: np.ndarray  # per column of [A | I]
+    # per column, the way it can move while nonbasic: 1.0 at zero, -1.0 at
+    # its upper bound
     move: np.ndarray
     max_pivots: int
     pivots: int = 0
@@ -273,39 +255,30 @@ class _State:
     fresh_at: int = -1
 
 
-def _basic_costs(B, c_struct: np.ndarray) -> np.ndarray:
-    # a basic artificial costs nothing
-    basis = B.basis
-    struct = basis < B.n_struct
-    return np.where(struct, c_struct[np.minimum(basis, B.n_struct - 1)], 0.0)
-
-
-def _iterate(state: _State, c_struct):
+def _iterate(state: _State, c_std):
     """Primal pivots from a primal-feasible basis to optimality.
 
     Returns None at an optimum, or (entering, direction) if unbounded.
     """
     B = state.B
-    n_struct = B.n_struct
     upper, move = state.upper, state.move
     # absolute dual tolerance, well below TOL: the caller equilibrates
     # first, so reduced-cost noise sits near machine epsilon and a leftover
     # -1e-7 entry would be a real suboptimality, not dust
     opt_tol = 0.01 * TOL
-    zero_tol = TOL * (1.0 + float(np.abs(state.b).max(initial=0.0)))
 
-    # incremental bookkeeping: membership, artificial flags, basic costs
+    # incremental bookkeeping: basic costs and bounds, and the columns
+    # that may not enter, the basic ones and those fixed at zero
     basis = B.basis
-    art_basic = basis >= n_struct
-    c_basic = _basic_costs(B, c_struct)
-    in_basis = np.zeros(n_struct, dtype=bool)
-    in_basis[basis[~art_basic]] = True
+    c_basic = c_std[basis]
     u_B = upper[basis]
+    barred = upper == 0.0
+    barred[basis] = True
 
     while True:
         y = B.btran(c_basic)
-        reduced = c_struct - B.price(y)
-        reduced[in_basis] = 0.0
+        reduced = c_std - B.price(y)
+        reduced[barred] = 0.0
         # a column at its upper bound improves by moving down
         reduced *= move
         if state.bland:
@@ -322,32 +295,27 @@ def _iterate(state: _State, c_struct):
         # the change of x_B per unit the entering column moves
         dd = d if move[q] > 0.0 else -d
 
-        # an artificial at zero that the step would move leaves at once
-        guard = art_basic & (np.abs(d) > PIVOT_TOL) & (state.x_B <= zero_tol)
-        if guard.any():
-            theta = 0.0
-            cand_pos = np.flatnonzero(guard)
-        else:
-            # basic columns fall to zero or rise to their upper bound
-            down = np.flatnonzero(dd > PIVOT_TOL)
-            up = np.flatnonzero((dd < -PIVOT_TOL) & (u_B < np.inf))
-            ratios = np.concatenate(
-                [
-                    np.maximum(state.x_B[down], 0.0) / dd[down],
-                    np.maximum(u_B[up] - state.x_B[up], 0.0) / -dd[up],
-                ]
-            )
-            theta = float(ratios.min(initial=np.inf))
-            if theta == np.inf and upper[q] == np.inf:
-                return q, d
-            if upper[q] <= theta:
-                # the entering column reaches its other bound first: a flip
-                state.x_B -= upper[q] * dd
-                state.b = state.b - move[q] * upper[q] * B.column(q)
-                move[q] = -move[q]
-                continue
-            ties = np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))
-            cand_pos = np.concatenate([down, up])[ties]
+        # basic columns fall to zero or rise to their upper bound; a fixed
+        # slack basic at zero blocks at once
+        down = np.flatnonzero(dd > PIVOT_TOL)
+        up = np.flatnonzero((dd < -PIVOT_TOL) & (u_B < np.inf))
+        ratios = np.concatenate(
+            [
+                np.maximum(state.x_B[down], 0.0) / dd[down],
+                np.maximum(u_B[up] - state.x_B[up], 0.0) / -dd[up],
+            ]
+        )
+        theta = float(ratios.min(initial=np.inf))
+        if theta == np.inf and upper[q] == np.inf:
+            return q, d
+        if upper[q] <= theta:
+            # the entering column reaches its other bound first: a flip
+            state.x_B -= upper[q] * dd
+            state.b = state.b - move[q] * upper[q] * B.column(q)
+            move[q] = -move[q]
+            continue
+        ties = np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))
+        cand_pos = np.concatenate([down, up])[ties]
 
         if state.bland:
             leave = int(cand_pos[np.argmin(basis[cand_pos])])
@@ -363,15 +331,13 @@ def _iterate(state: _State, c_struct):
         if move[q] < 0.0:
             move[q] = 1.0
             state.b = state.b + upper[q] * B.column(q)
-        if leaving_col < n_struct:
-            in_basis[leaving_col] = False
-            # a basic column that the step moved up stops at its upper bound
-            if dd[leave] < 0.0:
-                move[leaving_col] = -1.0
-                state.b = state.b - upper[leaving_col] * B.column(leaving_col)
-        in_basis[q] = True
-        art_basic[leave] = False
-        c_basic[leave] = c_struct[q]
+        barred[leaving_col] = upper[leaving_col] == 0.0
+        # a basic column that the step moved up stops at its upper bound
+        if dd[leave] < 0.0 and upper[leaving_col] > 0.0:
+            move[leaving_col] = -1.0
+            state.b = state.b - upper[leaving_col] * B.column(leaving_col)
+        barred[q] = True
+        c_basic[leave] = c_std[q]
         basis[leave] = q
         u_B[leave] = upper[q]
 
@@ -398,57 +364,49 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
     """Dual-simplex pivots from a dual-feasible basis toward primal feasibility.
 
     ``reduced`` holds the reduced costs at entry (basic entries zero,
-    nonnegative at zero, nonpositive at an upper bound) and is maintained
-    incrementally with each pivot. A basic artificial is a variable fixed
-    at zero: it is infeasible at any value off zero and, once out, never
-    re-enters. The leaving row is the basic artificial farthest from zero,
-    else the most negative basic variable, else the one farthest above its
-    upper bound; it leaves at the bound it crossed. A row that no column can move toward that bound, but
-    that is off by no more than rounding allows (``TOL`` scaled by the
-    rhs), is held at that margin. Returns None once every basic variable
-    is feasible to ``feas_tol``, or held, at a freshly factored basis, or
-    the index of a row certifying primal infeasibility. Raises on numerical
-    breakdown or a pivot cap; the caller then tries its next starting basis.
+    nonnegative at zero, nonpositive at an upper bound, either sign on a
+    column fixed at zero) and is maintained incrementally with each pivot.
+    The basic variable farthest outside its bounds leaves, at the bound it
+    crossed. A row that no column can move toward that bound, but that is
+    off by no more than rounding allows (``TOL`` scaled by the rhs), is held
+    at that bound. Returns None once every basic variable is feasible to
+    ``feas_tol``, or held, at a freshly factored basis, or the index of a
+    row certifying primal infeasibility. Raises on numerical breakdown or a
+    pivot cap; the caller then tries its next starting basis.
     """
     B = state.B
-    n_struct = B.n_struct
     upper, move = state.upper, state.move
     basis = B.basis
-    art = basis >= n_struct
-    in_basis = np.zeros(n_struct, dtype=bool)
-    in_basis[basis[~art]] = True
     u_B = upper[basis]
+    # the columns that may not enter: the basic ones and those fixed at zero
+    barred = upper == 0.0
+    barred[basis] = True
     cap = state.pivots + 50 + 10 * B.m
     margin = TOL * (1.0 + float(np.abs(state.b).max(initial=0.0)))
     e = np.zeros(B.m)
     while True:
-        r = int(np.argmax(np.where(art, np.abs(state.x_B), -1.0)))
-        if not (art[r] and abs(state.x_B[r]) > feas_tol):
-            r = int(np.argmin(state.x_B))
-            if state.x_B[r] >= -feas_tol:
-                over = state.x_B - u_B
-                r = int(np.argmax(over))
-                if over[r] <= feas_tol:
-                    if state.fresh_at == state.pivots:
-                        return None
-                    # recompute the iterate exactly; if residual dust reappears
-                    # at this basis, pivot it out too rather than clamping it away
-                    B.refactor()
-                    state.x_B = B.ftran(state.b)
-                    state.fresh_at = state.pivots
-                    continue
-        # the leaving variable moves down, an artificial to zero and any
-        # other to its upper bound, or up to zero from below; entering
-        # candidates push it that way, a column at its upper bound by
-        # moving down
+        outside = np.maximum(-state.x_B, state.x_B - u_B)
+        r = int(np.argmax(outside))
+        if outside[r] <= feas_tol:
+            if state.fresh_at == state.pivots:
+                return None
+            # recompute the iterate exactly; if residual dust reappears
+            # at this basis, pivot it out too rather than clamping it away
+            B.refactor()
+            state.x_B = B.ftran(state.b)
+            state.fresh_at = state.pivots
+            continue
+        # the leaving variable moves down to its upper bound, or up to zero
+        # from below; entering candidates push it that way, a column at its
+        # upper bound by moving down
         sign = 1.0 if state.x_B[r] > 0.0 else -1.0
-        to_upper = sign > 0.0 and not art[r]
+        to_upper = sign > 0.0
         target = u_B[r] if to_upper else 0.0
         e[:] = 0.0
         e[r] = 1.0
         rho = B.btran(e)
         alpha = B.price(rho)
-        alpha[in_basis] = 0.0
+        alpha[barred] = 0.0
         candidates = np.flatnonzero(sign * alpha * move > PIVOT_TOL)
         if len(candidates) == 0:
             if abs(state.x_B[r] - target) > margin:
@@ -476,17 +434,15 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
         if move[q] < 0.0:
             move[q] = 1.0
             state.b = state.b + upper[q] * B.column(q)
-        if leaving < n_struct:
-            in_basis[leaving] = False
-            reduced[leaving] = -delta
-            if to_upper:
-                move[leaving] = -1.0
-                state.b = state.b - upper[leaving] * B.column(leaving)
-        in_basis[q] = True
+        barred[leaving] = upper[leaving] == 0.0
+        reduced[leaving] = -delta
+        if to_upper and upper[leaving] > 0.0:
+            move[leaving] = -1.0
+            state.b = state.b - upper[leaving] * B.column(leaving)
+        barred[q] = True
         reduced[q] = 0.0
         basis[r] = q
         u_B[r] = upper[q]
-        art[r] = False
         state.pivots += 1
         if state.pivots % REFACTOR_EVERY == 0:
             B.refactor()
@@ -496,26 +452,10 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
             raise SolverError("dual pivot cap reached; dual path abandoned")
 
 
-def _basis_labels(B, n: int, n_struct: int, le_rows: np.ndarray) -> BasisLabels:
-    basis = B.basis
-    is_slack = (basis >= n) & (basis < n_struct)
-    return BasisLabels(
-        struct=basis[basis < n].copy(),
-        slack_rows=le_rows[basis[is_slack] - n].astype(np.int64),
-        art_rows=(basis[basis >= n_struct] - n_struct).astype(np.int64),
-    )
-
-
-def _finish_phase2(
-    problem: LpProblem,
-    state: _State,
-    c_struct: np.ndarray,
-    flip: np.ndarray,
-    n: int,
-    le_rows: np.ndarray,
-) -> LpOutcome:
+def _finish_phase2(problem: LpProblem, state: _State, c_std: np.ndarray) -> LpOutcome:
     """Run phase 2 from a primal-feasible basis and extract the outcome."""
-    result = _iterate(state, c_struct)
+    n = problem.num_cols
+    result = _iterate(state, c_std)
     basis = state.B.basis
     struct = basis < n
     if result is not None:
@@ -535,16 +475,13 @@ def _finish_phase2(
     upper, at_upper = state.upper[:n], state.move[:n] < 0.0
     x[at_upper] = upper[at_upper]
     np.clip(x, 0.0, upper, out=x)
-    y_std = state.B.btran(_basic_costs(state.B, c_struct))
-    y = flip * y_std
-    objective = float(problem.objective @ x)
     return LpOutcome(
         status=STATUS_OPTIMAL,
         x=x,
-        y=y,
-        objective=objective,
+        y=state.B.btran(c_std[basis]),
+        objective=float(problem.objective @ x),
         pivots=state.pivots,
-        basis=_basis_labels(state.B, n, state.B.n_struct, le_rows),
+        basis=BasisLabels(struct=basis[struct].copy(), slack_rows=basis[~struct] - n),
     )
 
 
@@ -582,7 +519,10 @@ def _equilibration(A) -> tuple[np.ndarray, np.ndarray]:
         Aabs = np.abs(A)
         r = _pow2_scale(Aabs.max(axis=1, initial=0.0))
         cmax = (Aabs * r[:, None]).max(axis=0)
-    return r, _pow2_scale(cmax)
+    # a column of dust alone (a 1e-13 entry of a Benders cut row) is scaled
+    # as an empty column: scaled up to 1 it would set sig_c so small that
+    # every real scaled cost falls below the optimality tolerance
+    return r, _pow2_scale(np.where(cmax > 1e-9, cmax, 0.0))
 
 
 def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcome:
@@ -593,7 +533,7 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
 
     ``warm`` is an optional basis from a related solved LP: same columns,
     overlapping rows, bounds that may differ. Rows past the count it names
-    are taken as ``<`` rows appended since, their slacks basic. Each
+    are taken as rows appended since, their slacks basic. Each
     nonbasic column with an upper bound starts at the bound its reduced
     cost makes dual feasible. If the basis is then dual feasible here under
     the costs clipped at zero, primal feasibility is restored with
@@ -654,51 +594,34 @@ def _max_pivots(problem: LpProblem) -> int:
 def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
     """Solve an LP whose lower bounds are zero."""
     m, n = problem.num_rows, problem.num_cols
-    le_rows = np.flatnonzero(problem.senses == "<")
-    n_slack = len(le_rows)
-    n_struct = n + n_slack
-
-    flip = np.where(problem.rhs < 0, -1.0, 1.0)
-    b = problem.rhs * flip
     if sp.issparse(problem.A):
         basis_type = _Basis
-        # [A | slack columns] with rows flipped, assembled directly in CSC
+        # [A | I], assembled directly in CSC
         A = problem.A.tocsc()
         A_std = sp.csc_matrix(
             (
-                np.concatenate([A.data * flip[A.indices], flip[le_rows]]),
-                np.concatenate([A.indices, le_rows]),
-                np.concatenate([A.indptr, A.nnz + np.arange(1, n_slack + 1)]),
+                np.concatenate([A.data, np.ones(m)]),
+                np.concatenate([A.indices, np.arange(m)]),
+                np.concatenate([A.indptr, A.nnz + np.arange(1, m + 1)]),
             ),
-            shape=(m, n_struct),
+            shape=(m, n + m),
         )
     else:
         basis_type = _DenseBasis
-        A_std = np.zeros((m, n_struct))
-        A_std[:, :n] = problem.A
-        A_std[le_rows, n + np.arange(n_slack)] = 1.0
-        A_std *= flip[:, None]
+        A_std = np.hstack([problem.A, np.eye(m)])
 
-    c_struct = np.concatenate([problem.objective, np.zeros(n_slack)])
-    upper = np.concatenate([problem.upper, np.full(n_slack + m, np.inf)])
-    # slack column id per row, -1 on '=' rows
-    slack_pos = np.full(m, -1, dtype=np.int64)
-    slack_pos[le_rows] = n + np.arange(n_slack)
+    c_std = np.concatenate([problem.objective, np.zeros(m)])
+    # a slack is nonnegative on a '<' row and fixed at zero on an '=' row
+    upper = np.concatenate([problem.upper, np.where(problem.senses == "<", np.inf, 0.0)])
 
     def fresh_basis():
-        return basis_type(A_std, n_struct)
+        return basis_type(A_std)
 
-    # the slack basis, artificials on '=' rows, is dual feasible under the
-    # costs the dual phase prices with, so it is always the last start
-    slack = BasisLabels(
-        struct=np.zeros(0, dtype=np.int64),
-        slack_rows=le_rows,
-        art_rows=np.flatnonzero(problem.senses == "="),
-    )
+    # the slack basis is dual feasible under the costs the dual phase
+    # prices with, so it is always the last start
+    slack = BasisLabels(struct=np.zeros(0, dtype=np.int64), slack_rows=np.arange(m))
     for start in ([] if warm is None else [warm]) + [slack]:
-        outcome = _try_warm_start(
-            problem, start, fresh_basis, slack_pos, c_struct, upper, b, flip, le_rows
-        )
+        outcome = _try_warm_start(problem, start, fresh_basis, c_std, upper)
         if outcome is not None:
             return outcome
     raise SolverError("dual simplex broke down from every starting basis")
@@ -708,34 +631,21 @@ def _try_warm_start(
     problem: LpProblem,
     warm: BasisLabels,
     fresh_basis,
-    slack_pos: np.ndarray,
-    c_struct: np.ndarray,
+    c_std: np.ndarray,
     upper: np.ndarray,
-    b: np.ndarray,
-    flip: np.ndarray,
-    le_rows: np.ndarray,
 ) -> LpOutcome | None:
     """Solve with the dual path from ``warm``; None means try the next start."""
     m, n = problem.num_rows, problem.num_cols
-    n_struct = len(c_struct)
     struct = np.asarray(warm.struct, dtype=np.int64)
     if len(struct) and (struct.min() < 0 or struct.max() >= n):
         return None
     slack_rows = np.asarray(warm.slack_rows, dtype=np.int64)
-    art_rows = np.asarray(warm.art_rows, dtype=np.int64)
-    rows = np.concatenate([slack_rows, art_rows])
-    if len(rows) and (rows.min() < 0 or rows.max() >= m):
+    if len(slack_rows) and (slack_rows.min() < 0 or slack_rows.max() >= m):
         return None
-    sids = slack_pos[slack_rows]
-    if len(sids) and sids.min() < 0:
-        return None
-    # a basis of fewer rows than this LP's: the rows past them are '<'
-    # rows appended since, and their slacks join it
-    appended = slack_pos[len(struct) + len(rows) :]
-    if len(appended) and appended.min() < 0:
-        return None
-    # a basic artificial stays basic, pinned at zero
-    cols = np.concatenate([struct, sids, n_struct + art_rows, appended])
+    # a basis of fewer rows than this LP's: the rows past them were
+    # appended since, and their slacks join it
+    appended = np.arange(len(struct) + len(slack_rows), m)
+    cols = np.concatenate([struct, n + slack_rows, n + appended])
     if len(cols) != m or len(np.unique(cols)) != m:
         return None
 
@@ -749,16 +659,17 @@ def _try_warm_start(
     # the dual phase prices with the costs clipped at zero, which leaves c
     # unchanged on every consolidation LP and makes the slack basis dual
     # feasible on any LP; _finish_phase2 restores c. A column with an upper
-    # bound sits at the bound its reduced cost makes dual feasible; the
-    # basis is useful only if the other columns are dual feasible, to the
-    # standard the primal phase ends at
+    # bound sits at the bound its reduced cost makes dual feasible (a column
+    # fixed at zero at either); the basis is useful only if the other
+    # columns are dual feasible, to the standard the primal phase ends at
     dual_tol = 0.01 * TOL
-    c_plus = np.maximum(c_struct, 0.0)
-    reduced = c_plus - B.price(B.btran(_basic_costs(B, c_plus)))
-    reduced[cols[cols < n_struct]] = 0.0
-    at_upper = reduced < -dual_tol
-    if (upper[:n_struct][at_upper] == np.inf).any():
+    c_plus = np.maximum(c_std, 0.0)
+    reduced = c_plus - B.price(B.btran(c_plus[cols]))
+    reduced[cols] = 0.0
+    at_upper = (reduced < -dual_tol) & (upper > 0.0)
+    if (upper[at_upper] == np.inf).any():
         return None
+    b = problem.rhs
     for j in np.flatnonzero(at_upper):
         b = b - upper[j] * B.column(j)
     move = np.where(at_upper, -1.0, 1.0)
@@ -772,18 +683,16 @@ def _try_warm_start(
         bad_row = _dual_iterate(state, feas_tol, reduced)
         if bad_row is not None:
             # a variable stuck below zero certifies with -B^-T e_r, one
-            # stuck above its upper bound or an artificial above zero with
-            # +B^-T e_r
+            # stuck above its upper bound with +B^-T e_r
             e = np.zeros(m)
             e[bad_row] = 1.0
-            y_std = np.sign(state.x_B[bad_row]) * state.B.btran(e)
             return LpOutcome(
                 status=STATUS_INFEASIBLE,
-                farkas_ray=flip * y_std,
+                farkas_ray=np.sign(state.x_B[bad_row]) * state.B.btran(e),
                 pivots=state.pivots,
             )
         np.maximum(state.x_B, 0.0, out=state.x_B)
-        return _finish_phase2(problem, state, c_struct, flip, n, le_rows)
+        return _finish_phase2(problem, state, c_std)
     except SolverError:
         # a breakdown from this start; the caller tries the next one
         return None

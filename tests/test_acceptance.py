@@ -231,6 +231,43 @@ def test_root_bound_after_linking_rounds_is_the_strong_lp_bound(
     assert outcome.root_bound == pytest.approx(strong_lp_bound(model), rel=1e-9)
 
 
+@pytest.mark.parametrize("solver", ["milp", "benders"])
+@pytest.mark.parametrize(
+    "instance, mode",
+    [
+        (readme_instance, MODE_WINDOW),
+        (readme_instance, MODE_EXACT_DAY),
+        (port_network_instance, MODE_WINDOW),
+    ],
+    ids=["readme-window", "readme-exact-day", "port"],
+)
+def test_every_lp_of_a_solve_is_certified(monkeypatch, instance, mode, solver):
+    """Every LP outcome a solve rests on, each node LP of the monolithic
+    tree and of the Benders master and each subproblem, passes
+    ``verify_certificate``."""
+    import intransit.benders as bd
+    import intransit.milp as mp
+
+    statuses, failures = [], []
+
+    def certified(problem, **kwargs):
+        outcome = solve_lp(problem, **kwargs)
+        report = verify_certificate(problem, outcome)
+        statuses.append(outcome.status)
+        if not report.ok:
+            failures.append((len(statuses), outcome.status, report.failures))
+        return outcome
+
+    monkeypatch.setattr(mp, "solve_lp", certified)
+    monkeypatch.setattr(bd, "solve_lp", certified)
+    inst = instance()
+    if solver == "milp":
+        assert solve_milp(build_mip(inst, mode)).status == "optimal"
+    else:
+        assert run_benders(inst, mode).status == "optimal"
+    assert statuses and not failures, failures
+
+
 def test_phantom_freight_reproducer_costs_the_honest_optimum():
     """Where an idle lane could carry freight nobody picked up and the real
     freight could leave past the horizon, every solver pays the honest

@@ -204,9 +204,9 @@ class TestBasicOutcomes:
     @pytest.mark.parametrize(
         "A, rhs",
         [
-            # an artificial that no column can bring down to zero
+            # an '=' row's slack that no column can bring down to zero
             pytest.param([[-1.0, -2.0], [1.0, 0.0]], [3.0, 1.0], id="artificial-above-zero"),
-            # a column that drives the other row's artificial below zero
+            # a column that drives the other row's slack below zero
             pytest.param([[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0], id="variable-below-zero"),
         ],
     )
@@ -446,8 +446,8 @@ class TestWarmStart:
         "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
     )
     def test_basic_artificials_on_equality_rows(self, representation, dual_path):
-        # the second '=' row repeats the first, so its artificial stays
-        # basic at zero in the optimum; a warm start keeps it basic there
+        # the second '=' row repeats the first, so its slack, fixed at
+        # zero, stays basic in the optimum; a warm start keeps it basic there
         def problem(rhs):
             A = np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [1.0, 0.0, 0.0]])
             return LpProblem(
@@ -459,16 +459,42 @@ class TestWarmStart:
 
         base = solve_lp(problem([4.0, 4.0, 3.0]))
         assert base.status == STATUS_OPTIMAL
-        assert base.basis.art_rows.tolist() == [1]
+        assert 1 in base.basis.slack_rows.tolist()
         for rhs in ([6.0, 6.0, 3.0], [4.0, 4.0, 1.0], [2.0, 2.0, 0.5]):
             changed = problem(rhs)
             dual_path.clear()
             warm = solve_lp(changed, warm=base.basis)
             assert len(dual_path) == 1 and dual_path[0] is not None
+            assert 1 in warm.basis.slack_rows.tolist()
             cold = solve_lp(changed)
             assert warm.status == cold.status == STATUS_OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
             assert verify_certificate(changed, warm).ok
+
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    def test_warm_basis_with_a_slack_on_an_equality_row(self, representation, dual_path):
+        # the first row was '<' when the basis was found, its slack basic;
+        # as an '=' row that slack is fixed at zero, and the start holds
+        def problem(senses):
+            return LpProblem(
+                objective=np.array([1.0, 2.0, 1.0]),
+                A=representation(np.array([[1.0, 1.0, 2.0], [1.0, 0.0, 0.0]])),
+                senses=np.array(senses),
+                rhs=np.array([4.0, 3.0]),
+            )
+
+        base = solve_lp(problem(["<", "<"]))
+        assert base.objective == 0.0
+        assert sorted(base.basis.slack_rows.tolist()) == [0, 1]
+        changed = problem(["=", "<"])
+        dual_path.clear()
+        warm = solve_lp(changed, warm=base.basis)
+        assert len(dual_path) == 1 and dual_path[0] is not None
+        assert warm.status == STATUS_OPTIMAL
+        assert warm.objective == pytest.approx(2.0, rel=1e-12)
+        assert verify_certificate(changed, warm).ok
 
     def test_dual_infeasible_warm_basis_falls_back_to_slack_basis(self, dual_path):
         problem = self._problem()
@@ -531,6 +557,26 @@ class TestWarmStart:
 
 
 class TestScaling:
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_dust_column_does_not_swamp_the_costs(self, representation, warm):
+        # x3's only entry is dust, as a Benders cut row can hold; scaled up
+        # like a real column it shrank every scaled cost below the
+        # optimality tolerance, and the warm start from {x1} stopped at 2
+        problem = LpProblem(
+            objective=np.array([2.0, 1.0, 1.0]),
+            A=representation(np.array([[-1.0, -1.0, -1e-13]])),
+            senses=np.array(["<"]),
+            rhs=np.array([-1.0]),
+        )
+        start = simplex.BasisLabels(struct=np.array([0]), slack_rows=np.zeros(0, dtype=np.int64))
+        out = solve_lp(problem, warm=start if warm else None)
+        assert out.status == STATUS_OPTIMAL
+        assert out.objective == pytest.approx(1.0, rel=1e-12)
+        assert verify_certificate(problem, out).ok
+
     def test_wide_coefficient_range(self):
         # rows mixing unit and 1e5-size coefficients must still certify
         problem = LpProblem(
@@ -569,15 +615,16 @@ class TestScaling:
 
 class TestBasisClasses:
     def test_sparse_basis_matches_dense_reference(self):
-        # the sparse basis gathers its columns, artificials included,
+        # the sparse basis gathers its columns of [A | I], slacks included,
         # straight into CSC; the dense basis is the reference
         rng = np.random.default_rng(11)
-        m, n_struct = 6, 9
-        A = np.round(rng.uniform(-3, 3, size=(m, n_struct)), 1)
+        m, n = 6, 9
+        A = np.round(rng.uniform(-3, 3, size=(m, n)), 1)
         A[rng.uniform(size=A.shape) < 0.5] = 0.0
         A[:, :m] += 4.0 * np.eye(m)  # keeps the chosen bases nonsingular
-        sparse = simplex._Basis(sp.csc_matrix(A), n_struct)
-        dense = simplex._DenseBasis(A, n_struct)
+        A_std = np.hstack([A, np.eye(m)])
+        sparse = simplex._Basis(sp.csc_matrix(A_std))
+        dense = simplex._DenseBasis(A_std)
         v = rng.uniform(-1, 1, size=m)
         for basis in ([0, 1, 2, 3, 4, 5], [9, 1, 11, 3, 13, 14], [10, 9, 12, 11, 14, 13]):
             for B in (sparse, dense):
@@ -585,7 +632,7 @@ class TestBasisClasses:
                 B.refactor()
             np.testing.assert_allclose(sparse.ftran(v), dense.ftran(v), atol=1e-12)
             np.testing.assert_allclose(sparse.btran(v), dense.btran(v), atol=1e-12)
-        for j in range(n_struct + m):
+        for j in range(n + m):
             np.testing.assert_array_equal(sparse.column(j), dense.column(j))
 
 

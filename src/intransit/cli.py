@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from pathlib import Path
 
@@ -120,12 +121,9 @@ def _emit_outputs(out_dir, model, x, objective, trace=None, label="solution") ->
             hist.export_csv(fh)
 
 
-def _limit_message(result) -> str:
-    limit = "node" if result.status == "node_limit" else "iteration"
-    return (
-        f"{limit} limit reached: bounds [{result.lower_bound:,.2f}, "
-        f"{result.upper_bound:,.2f}]"
-    )
+def _limit_message(status: str, lower: float, upper: float) -> str:
+    limit = "node" if status == "node_limit" else "iteration"
+    return f"{limit} limit reached: bounds [{lower:,.2f}, {upper:,.2f}]"
 
 
 def _cmd_validate(args) -> int:
@@ -198,11 +196,8 @@ def _cmd_solve(args) -> int:
         print("instance is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     if outcome.status != MILP_OPTIMAL:
-        print(
-            f"node limit reached; best bound {outcome.bound:,.2f}, "
-            f"incumbent {outcome.objective}",
-            file=sys.stderr,
-        )
+        upper = math.inf if outcome.objective is None else outcome.objective
+        print(_limit_message(outcome.status, outcome.bound, upper), file=sys.stderr)
         return EXIT_SOLVER
     print(f"optimal objective: {outcome.objective:,.2f} ({outcome.nodes} nodes)")
     _emit_outputs(args.out, model, outcome.x, outcome.objective, label="monolithic")
@@ -222,7 +217,7 @@ def _cmd_benders(args) -> int:
         print("instance is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     if not result.proven:
-        print(_limit_message(result), file=sys.stderr)
+        print(_limit_message(result.status, result.lower_bound, result.upper_bound), file=sys.stderr)
         return EXIT_SOLVER
     print(
         f"optimal objective: {result.objective:,.2f} "
@@ -267,7 +262,8 @@ def _cmd_compare(args) -> int:
             print("instance is infeasible", file=sys.stderr)
             return EXIT_INFEASIBLE
         if not result.proven:
-            print(f"{label}: {_limit_message(result)}", file=sys.stderr)
+            message = _limit_message(result.status, result.lower_bound, result.upper_bound)
+            print(f"{label}: {message}", file=sys.stderr)
             return EXIT_SOLVER
         report.rows.append(scenario_row(label, result.model, result.x_full))
         results[label] = result

@@ -23,9 +23,11 @@ crossed (Koberstein, 2005; Maros, 2003). A column fixed at zero never
 enters the basis.
 
 How the caller stores ``A`` picks the basis. A scipy sparse matrix (the
-tall, sparse flow LPs) runs on a sparse LU factorization with product-form
-eta updates; a numpy array (the short, dense Benders master) runs on an
-explicit inverse updated in place. Both refactorize periodically.
+tall, sparse flow LPs) runs on a sparse LU factorization plus the pivots
+since, kept as one sparse matrix of eta columns and a small triangular
+inverse that chains them, so FTRAN and BTRAN apply every eta at once; a
+numpy array (the short, dense Benders master) runs on an explicit inverse
+updated in place. Both refactorize every ``REFACTOR_EVERY`` pivots.
 
 Every LP takes one path: the dual simplex, started from a warm basis if one
 is given, else (or when that basis is of no use) from the slack basis. The
@@ -179,7 +181,19 @@ class _DenseBasis:
 
 
 class _Basis:
-    """Basis bookkeeping for LPs stored sparse: sparse LU of B plus an eta file."""
+    """Basis bookkeeping for LPs stored sparse: sparse LU of B0 plus an eta file.
+
+    The k-th pivot since the last refactorization left row ``r_k`` with eta
+    column ``eta_k`` (``-d / d_r``, with ``1 / d_r`` at ``r_k``), so that
+    ``B^-1 = E_K ... E_1 B0^-1`` with ``E_k = I + h_k e_{r_k}'`` and
+    ``h_k = eta_k - e_{r_k}``. The file keeps the h_k as the columns of one
+    sparse m x K matrix ``H``, in flat COO arrays, so the product of all K
+    etas is ``I + H Minv P``: ``P`` picks the rows ``R = (r_1 .. r_K)``, and
+    ``Minv`` is the inverse of the unit lower triangle ``I - L``,
+    ``L[k, j] = H[r_k, j]`` for j < k, which carries what earlier etas
+    wrote onto each later pivot row. FTRAN and BTRAN then cost a fixed
+    number of array operations whatever K is.
+    """
 
     def __init__(self, A_std: sp.csc_matrix):
         self.AT = A_std.T.tocsr()
@@ -188,7 +202,19 @@ class _Basis:
         self.indptr, self.indices, self.data = A_std.indptr, A_std.indices, A_std.data
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.lu = None
-        self.etas: list[tuple[int, np.ndarray]] = []
+        # Both iterations refactorize at every multiple of REFACTOR_EVERY
+        # pivots, so no more than REFACTOR_EVERY etas are ever on file and
+        # none of these buffers needs to grow. Pages of the H arrays that no
+        # eta reaches are never touched.
+        self.K = 0  # etas on file
+        self.nnz = 0  # entries of H on file
+        self.R = np.zeros(REFACTOR_EVERY, dtype=np.int64)
+        self.h_row = np.empty(REFACTOR_EVERY * self.m, dtype=np.int64)
+        self.h_col = np.empty(REFACTOR_EVERY * self.m, dtype=np.int64)
+        self.h_val = np.empty(REFACTOR_EVERY * self.m)
+        # only the strict lower triangle is ever written: the diagonal and
+        # the upper triangle keep the identity's ones and zeros
+        self.Minv = np.eye(REFACTOR_EVERY)
 
     def price(self, y: np.ndarray) -> np.ndarray:
         return self.AT @ y
@@ -212,28 +238,44 @@ class _Basis:
             self.lu = splu(B)
         except RuntimeError as exc:
             raise SolverError(f"singular basis during refactorization: {exc}") from None
-        self.etas = []
+        self.K = self.nnz = 0
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         x = self.lu.solve(np.asarray(v, dtype=np.float64))
-        for r, eta in self.etas:
-            xr = x[r]
-            if xr != 0.0:
-                x[r] = 0.0
-                x += eta * xr
+        K, nnz = self.K, self.nnz
+        if K:
+            s = self.Minv[:K, :K] @ x[self.R[:K]]
+            x += np.bincount(
+                self.h_row[:nnz], self.h_val[:nnz] * s[self.h_col[:nnz]], minlength=self.m
+            )
         return x
 
     def btran(self, w: np.ndarray) -> np.ndarray:
         y = np.array(w, dtype=np.float64)
-        for r, eta in reversed(self.etas):
-            y[r] = eta @ y
+        K, nnz = self.K, self.nnz
+        if K:
+            Hty = np.bincount(self.h_col[:nnz], self.h_val[:nnz] * y[self.h_row[:nnz]], minlength=K)
+            # a row that left twice collects both terms
+            y += np.bincount(self.R[:K], Hty @ self.Minv[:K, :K], minlength=self.m)
         return self.lu.solve(y, trans="T")
 
     def update(self, leave_pos: int, d: np.ndarray) -> None:
+        K, nnz = self.K, self.nnz
+        # the new row of I - L: what the etas on file put on the leaving row
+        on_row = np.flatnonzero(self.h_row[:nnz] == leave_pos)
+        ell = np.zeros(K)
+        ell[self.h_col[on_row]] = self.h_val[on_row]
+        self.Minv[K, :K] = ell @ self.Minv[:K, :K]
+        rows = np.flatnonzero(d)
         dr = d[leave_pos]
-        eta = -d / dr
-        eta[leave_pos] = 1.0 / dr
-        self.etas.append((leave_pos, eta))
+        end = nnz + len(rows)
+        self.h_row[nnz:end] = rows
+        self.h_col[nnz:end] = K
+        self.h_val[nnz:end] = d[rows] / -dr
+        # h = eta - e_r, and eta's entry on the leaving row is 1 / d_r
+        self.h_val[nnz + np.searchsorted(rows, leave_pos)] = 1.0 / dr - 1.0
+        self.R[K] = leave_pos
+        self.K, self.nnz = K + 1, end
 
 
 @dataclass

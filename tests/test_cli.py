@@ -91,6 +91,13 @@ class TestSolve:
         assert (out / "solution.json").exists()
         assert (out / "histogram.csv").exists()
 
+    def test_node_limit_is_solver_failure(self, instance_dir, capsys):
+        # the root LP is fractional and the limit stops the tree before an
+        # incumbent, so the upper bound is infinite
+        code = run(["solve", "--instance", instance_dir, "--node-limit", "1"])
+        assert code == 3
+        assert "node limit reached: bounds [400.00, inf]" in capsys.readouterr().err
+
     def test_node_log(self, instance_dir, tmp_path):
         log = tmp_path / "nodes.csv"
         code = run(["solve", "--instance", instance_dir, "--node-log", str(log)])

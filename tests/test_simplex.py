@@ -635,6 +635,47 @@ class TestBasisClasses:
         for j in range(n + m):
             np.testing.assert_array_equal(sparse.column(j), dense.column(j))
 
+    def test_eta_file_matches_dense_inverse_and_refactor(self):
+        # a full eta file of REFACTOR_EVERY pivots on a random sparse basis,
+        # so row positions leave more than once; after every pivot the eta
+        # file must agree with the dense inverse and with a fresh factor
+        rng = np.random.default_rng(5)
+        m, n = 30, 60
+        A = sp.random(m, n, density=0.15, random_state=rng, data_rvs=lambda k: rng.normal(size=k))
+        A_std = sp.hstack([A, sp.eye(m)]).tocsc()
+        sparse = simplex._Basis(A_std)
+        dense = simplex._DenseBasis(A_std.toarray())
+        fresh = simplex._Basis(A_std)
+        basis = np.arange(n, n + m)
+        for B in (sparse, dense):
+            B.basis = basis.copy()
+            B.refactor()
+
+        def close(got, want):
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+        left = []
+        for _ in range(simplex.REFACTOR_EVERY):
+            q = int(rng.choice(np.setdiff1d(np.arange(n + m), sparse.basis)))
+            d = sparse.ftran(sparse.column(q))
+            # a large pivot keeps the product of etas well conditioned
+            leave = int(np.argmax(np.abs(d)))
+            if left and abs(d[left[-1]]) >= 0.5 * abs(d[leave]):
+                leave = left[-1]  # the same row position leaves again
+            left.append(leave)
+            sparse.update(leave, d)
+            dense.update(leave, dense.ftran(dense.column(q)))
+            for B in (sparse, dense):
+                B.basis[leave] = q
+            fresh.basis = sparse.basis.copy()
+            fresh.refactor()
+            for v in rng.normal(size=(2, m)):
+                for reference in (dense, fresh):
+                    close(sparse.ftran(v), reference.ftran(v))
+                    close(sparse.btran(v), reference.btran(v))
+        assert sparse.K == simplex.REFACTOR_EVERY
+        assert any(a == b for a, b in zip(left, left[1:]))
+
 
 def bounded_problem(
     rng: np.random.Generator, representation, *, nonnegative_costs: bool = False

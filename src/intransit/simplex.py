@@ -254,19 +254,26 @@ class _Basis:
         y = np.array(w, dtype=np.float64)
         K, nnz = self.K, self.nnz
         if K:
-            Hty = np.bincount(self.h_col[:nnz], self.h_val[:nnz] * y[self.h_row[:nnz]], minlength=K)
+            Hty = np.bincount(
+                self.h_col[:nnz], self.h_val[:nnz] * y[self.h_row[:nnz]], minlength=K
+            )
             # a row that left twice collects both terms
             y += np.bincount(self.R[:K], Hty @ self.Minv[:K, :K], minlength=self.m)
         return self.lu.solve(y, trans="T")
 
     def update(self, leave_pos: int, d: np.ndarray) -> None:
         K, nnz = self.K, self.nnz
-        # the new row of I - L: what the etas on file put on the leaving row
+        # L's new row: the entries the etas on file hold on the leaving row
         on_row = np.flatnonzero(self.h_row[:nnz] == leave_pos)
         ell = np.zeros(K)
         ell[self.h_col[on_row]] = self.h_val[on_row]
         self.Minv[K, :K] = ell @ self.Minv[:K, :K]
-        rows = np.flatnonzero(d)
+        # entries 1e-14 below the column's largest are rounding dust from
+        # the LU solve, often most of d on a branch-and-bound node's basis;
+        # the eta's products already carry errors of that size
+        keep = np.abs(d) > 1e-14 * np.abs(d).max()
+        keep[leave_pos] = True
+        rows = np.flatnonzero(keep)
         dr = d[leave_pos]
         end = nnz + len(rows)
         self.h_row[nnz:end] = rows

@@ -263,24 +263,22 @@ class _Basis:
 
     def update(self, leave_pos: int, d: np.ndarray) -> None:
         K, nnz = self.K, self.nnz
-        # L's new row: the entries the etas on file hold on the leaving row
-        on_row = np.flatnonzero(self.h_row[:nnz] == leave_pos)
-        ell = np.zeros(K)
-        ell[self.h_col[on_row]] = self.h_val[on_row]
-        self.Minv[K, :K] = ell @ self.Minv[:K, :K]
+        # L's new row, ell: the entries the etas on file hold on the leaving
+        # row, at most one per eta; the new row of Minv is ell @ Minv
+        on_row = (self.h_row[:nnz] == leave_pos).nonzero()[0]
+        self.Minv[K, :K] = self.h_val[on_row] @ self.Minv[self.h_col[on_row], :K]
+        dr = d[leave_pos]
+        h = d / -dr
+        h[leave_pos] = 1.0 / dr - 1.0  # eta_r = 1 / d_r, less e_r
         # entries 1e-14 below the column's largest are rounding dust from
         # the LU solve, often most of d on a branch-and-bound node's basis;
         # the eta's products already carry errors of that size
-        keep = np.abs(d) > 1e-14 * np.abs(d).max()
-        keep[leave_pos] = True
-        rows = np.flatnonzero(keep)
-        dr = d[leave_pos]
+        size = np.abs(h)
+        rows = (size > 1e-14 * size.max()).nonzero()[0]
         end = nnz + len(rows)
         self.h_row[nnz:end] = rows
         self.h_col[nnz:end] = K
-        self.h_val[nnz:end] = d[rows] / -dr
-        # h = eta - e_r, and eta's entry on the leaving row is 1 / d_r
-        self.h_val[nnz + np.searchsorted(rows, leave_pos)] = 1.0 / dr - 1.0
+        self.h_val[nnz:end] = h[rows]
         self.R[K] = leave_pos
         self.K, self.nnz = K + 1, end
 

@@ -203,15 +203,9 @@ class _Basis:
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.lu = None
         # Both iterations refactorize at every multiple of REFACTOR_EVERY
-        # pivots, so no more than REFACTOR_EVERY etas are ever on file and
-        # none of these buffers needs to grow. Pages of the H arrays that no
-        # eta reaches are never touched.
-        self.K = 0  # etas on file
-        self.nnz = 0  # entries of H on file
+        # pivots, which empties the file, so no more than REFACTOR_EVERY
+        # etas are ever on file and R and Minv never need to grow.
         self.R = np.zeros(REFACTOR_EVERY, dtype=np.int64)
-        self.h_row = np.empty(REFACTOR_EVERY * self.m, dtype=np.int64)
-        self.h_col = np.empty(REFACTOR_EVERY * self.m, dtype=np.int64)
-        self.h_val = np.empty(REFACTOR_EVERY * self.m)
         # only the strict lower triangle is ever written: the diagonal and
         # the upper triangle keep the identity's ones and zeros
         self.Minv = np.eye(REFACTOR_EVERY)
@@ -238,34 +232,35 @@ class _Basis:
             self.lu = splu(B)
         except RuntimeError as exc:
             raise SolverError(f"singular basis during refactorization: {exc}") from None
-        self.K = self.nnz = 0
+        self.K = 0  # etas on file
+        # H by entries: row, column (the eta's index) and value. It grows by
+        # concatenation; buffers sized for REFACTOR_EVERY full columns of m
+        # entries each slowed the LU factorization of short LPs measurably
+        self.h_row = self.h_col = np.zeros(0, dtype=np.int64)
+        self.h_val = np.zeros(0)
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         x = self.lu.solve(np.asarray(v, dtype=np.float64))
-        K, nnz = self.K, self.nnz
+        K = self.K
         if K:
             s = self.Minv[:K, :K] @ x[self.R[:K]]
-            x += np.bincount(
-                self.h_row[:nnz], self.h_val[:nnz] * s[self.h_col[:nnz]], minlength=self.m
-            )
+            x += np.bincount(self.h_row, self.h_val * s[self.h_col], minlength=self.m)
         return x
 
     def btran(self, w: np.ndarray) -> np.ndarray:
         y = np.array(w, dtype=np.float64)
-        K, nnz = self.K, self.nnz
+        K = self.K
         if K:
-            Hty = np.bincount(
-                self.h_col[:nnz], self.h_val[:nnz] * y[self.h_row[:nnz]], minlength=K
-            )
+            Hty = np.bincount(self.h_col, self.h_val * y[self.h_row], minlength=K)
             # a row that left twice collects both terms
             y += np.bincount(self.R[:K], Hty @ self.Minv[:K, :K], minlength=self.m)
         return self.lu.solve(y, trans="T")
 
     def update(self, leave_pos: int, d: np.ndarray) -> None:
-        K, nnz = self.K, self.nnz
+        K = self.K
         # L's new row, ell: the entries the etas on file hold on the leaving
         # row, at most one per eta; the new row of Minv is ell @ Minv
-        on_row = (self.h_row[:nnz] == leave_pos).nonzero()[0]
+        on_row = (self.h_row == leave_pos).nonzero()[0]
         self.Minv[K, :K] = self.h_val[on_row] @ self.Minv[self.h_col[on_row], :K]
         dr = d[leave_pos]
         h = d / -dr
@@ -275,12 +270,11 @@ class _Basis:
         # the eta's products already carry errors of that size
         size = np.abs(h)
         rows = (size > 1e-14 * size.max()).nonzero()[0]
-        end = nnz + len(rows)
-        self.h_row[nnz:end] = rows
-        self.h_col[nnz:end] = K
-        self.h_val[nnz:end] = h[rows]
+        self.h_row = np.concatenate((self.h_row, rows))
+        self.h_col = np.concatenate((self.h_col, np.full(len(rows), K)))
+        self.h_val = np.concatenate((self.h_val, h[rows]))
         self.R[K] = leave_pos
-        self.K, self.nnz = K + 1, end
+        self.K = K + 1
 
 
 @dataclass

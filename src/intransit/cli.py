@@ -217,7 +217,8 @@ def _cmd_benders(args) -> int:
         print("instance is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     if not result.proven:
-        print(_limit_message(result.status, result.lower_bound, result.upper_bound), file=sys.stderr)
+        message = _limit_message(result.status, result.lower_bound, result.upper_bound)
+        print(message, file=sys.stderr)
         return EXIT_SOLVER
     print(
         f"optimal objective: {result.objective:,.2f} "

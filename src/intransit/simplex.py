@@ -31,15 +31,21 @@ updated in place. Both refactorize every ``REFACTOR_EVERY`` pivots.
 
 Every LP takes one path: the dual simplex, started from a warm basis if one
 is given, else (or when that basis is of no use) from the slack basis. The
-dual phase prices with the costs clipped at zero, ``max(c, 0)`` (a cost
-modification, as in Koberstein's dual phase one), under which the slack
-basis is dual feasible for every LP; its pivots drive each basic variable
-outside its bounds, a fixed slack off zero among them, back inside. Primal
-pivots with the true costs then finish, and find the ray of an unbounded
-LP. Primal pricing uses Dantzig's rule, switching permanently to Bland's
-rule after a run of degenerate pivots so termination is guaranteed. A
-fixed slack that stays basic at zero blocks every step that would move
-it, which also neutralizes linearly dependent rows.
+dual phase raises each negative cost of a nonbasic column that prices
+below zero, by no more than to zero (Koberstein's cost modification), so
+the slack basis, priced ``max(c, 0)``, is dual feasible for every LP and a
+warm basis dual feasible under the true costs keeps them. Its pivots drive
+each basic variable outside its bounds, a fixed slack off zero among them,
+back inside. From the slack basis the leaving row is priced by dual Devex
+(Forrest & Goldfarb, 1992) and the entering column comes from Harris's
+two-pass ratio test, which prefers a large pivot among near ties
+(Koberstein, 2005); from a warm basis the row farthest outside leaves and
+the lowest ratio enters. Primal pivots with the true costs then finish,
+and find the ray of an unbounded LP. Primal pricing uses Dantzig's rule,
+switching permanently to Bland's rule after a run of degenerate pivots so
+termination is guaranteed. A fixed slack that stays basic at zero blocks
+every step that would move it, which also neutralizes linearly dependent
+rows.
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 
 TOL = 1e-7  # primal and dual feasibility tolerance
+# absolute dual tolerance of the pivoting, well below TOL: solve_lp
+# equilibrates first, so reduced-cost noise sits near machine epsilon and a
+# leftover -1e-7 entry would be a real suboptimality, not dust
+DUAL_TOL = 0.01 * TOL
 PIVOT_TOL = 1e-9
 BLAND_THRESHOLD = 1000  # degenerate pivots in a row before Bland's rule takes over
 REFACTOR_EVERY = 100  # pivots between refactorizations of the basis
@@ -303,10 +313,6 @@ def _iterate(state: _State, c_std):
     """
     B = state.B
     upper, move = state.upper, state.move
-    # absolute dual tolerance, well below TOL: the caller equilibrates
-    # first, so reduced-cost noise sits near machine epsilon and a leftover
-    # -1e-7 entry would be a real suboptimality, not dust
-    opt_tol = 0.01 * TOL
 
     # incremental bookkeeping: basic costs and bounds, and the columns
     # that may not enter, the basic ones and those fixed at zero
@@ -323,13 +329,13 @@ def _iterate(state: _State, c_std):
         # a column at its upper bound improves by moving down
         reduced *= move
         if state.bland:
-            candidates = np.flatnonzero(reduced < -opt_tol)
+            candidates = np.flatnonzero(reduced < -DUAL_TOL)
             if len(candidates) == 0:
                 return None
             q = int(candidates[0])
         else:
             q = int(np.argmin(reduced))
-            if reduced[q] >= -opt_tol:
+            if reduced[q] >= -DUAL_TOL:
                 return None
 
         d = B.ftran(B.column(q))
@@ -401,16 +407,52 @@ def _iterate(state: _State, c_std):
             )
 
 
-def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | None:
+def _leaving_row(
+    outside: np.ndarray, w: np.ndarray | None, feas_tol: float
+) -> int | None:
+    """The row to leave under dual pricing, or None if every row is feasible.
+
+    ``outside`` is how far each basic variable lies outside its bounds
+    (negative inside them), ``w`` its row's reference weight, None for all
+    ones. Rows compete on squared infeasibility per unit of weight, but
+    only those outside by more than ``feas_tol``: the others score -1, so
+    the winner is infeasible whenever any row is. Without that mask a row
+    inside its bounds could outscore a heavily weighted infeasible row and
+    the basis be taken as feasible.
+    """
+    if w is None:
+        score = outside
+    else:
+        score = np.where(outside > feas_tol, outside * outside / w, -1.0)
+    r = int(np.argmax(score))
+    return r if outside[r] > feas_tol else None
+
+
+def _dual_iterate(
+    state: _State, feas_tol: float, reduced: np.ndarray, from_slack: bool
+) -> int | None:
     """Dual-simplex pivots from a dual-feasible basis toward primal feasibility.
 
     ``reduced`` holds the reduced costs at entry (basic entries zero,
     nonnegative at zero, nonpositive at an upper bound, either sign on a
     column fixed at zero) and is maintained incrementally with each pivot.
-    The basic variable farthest outside its bounds leaves, at the bound it
-    crossed. A row that no column can move toward that bound, but that is
-    off by no more than rounding allows (``TOL`` scaled by the rhs), is held
-    at that bound. Returns None once every basic variable is feasible to
+
+    The leaving row is picked by :func:`_leaving_row` and leaves at the
+    bound it crossed. From the slack basis (``from_slack``), where ``B = I``
+    makes 1 the exact squared norm of every row of ``B^-1``, the reference
+    weights start at 1 and dual Devex updates them from each pivot column
+    (Forrest & Goldfarb, 1992), and the entering column comes from Harris's
+    two-pass ratio test (Koberstein, 2005): the first pass bounds the dual
+    step by letting every candidate's reduced cost cross zero by
+    ``DUAL_TOL``, the second takes the candidate with the largest
+    ``|alpha|`` among those whose ratio is within that bound. From a warm
+    basis the row farthest outside leaves and the lowest ratio enters,
+    lowest index first: both rules from the slack basis measured slower on
+    warm Benders solves.
+
+    A row that no column can move toward its bound, but that is off by no
+    more than rounding allows (``TOL`` scaled by the rhs), is held at that
+    bound. Returns None once every basic variable is feasible to
     ``feas_tol``, or held, at a freshly factored basis, or the index of a
     row certifying primal infeasibility. Raises on numerical breakdown or a
     pivot cap; the caller then tries its next starting basis.
@@ -425,10 +467,10 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
     cap = state.pivots + 50 + 10 * B.m
     margin = TOL * (1.0 + float(np.abs(state.b).max(initial=0.0)))
     e = np.zeros(B.m)
+    w = np.ones(B.m) if from_slack else None  # reference weights, per basis position
     while True:
-        outside = np.maximum(-state.x_B, state.x_B - u_B)
-        r = int(np.argmax(outside))
-        if outside[r] <= feas_tol:
+        r = _leaving_row(np.maximum(-state.x_B, state.x_B - u_B), w, feas_tol)
+        if r is None:
             if state.fresh_at == state.pivots:
                 return None
             # recompute the iterate exactly; if residual dust reappears
@@ -448,7 +490,9 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
         rho = B.btran(e)
         alpha = B.price(rho)
         alpha[barred] = 0.0
-        candidates = np.flatnonzero(sign * alpha * move > PIVOT_TOL)
+        # |alpha| where a column can push the leaving variable its way
+        push = sign * alpha * move
+        candidates = np.flatnonzero(push > PIVOT_TOL)
         if len(candidates) == 0:
             if abs(state.x_B[r] - target) > margin:
                 return r
@@ -459,7 +503,12 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
         # |reduced| / |alpha|, or 0 where the reduced cost sits on the
         # wrong side of zero by rounding
         ratios = np.maximum(reduced[candidates] / (sign * alpha[candidates]), 0.0)
-        q = int(candidates[np.argmin(ratios)])
+        if from_slack:
+            size = push[candidates]
+            bound = (ratios + DUAL_TOL / size).min()
+            q = int(candidates[np.argmax(np.where(ratios <= bound, size, 0.0))])
+        else:
+            q = int(candidates[np.argmin(ratios)])
         d = B.ftran(B.column(q))
         if abs(d[r]) <= 1e-7:
             raise SolverError("dual pivot element too small; dual path abandoned")
@@ -467,6 +516,13 @@ def _dual_iterate(state: _State, feas_tol: float, reduced: np.ndarray) -> int | 
         state.x_B -= theta * d
         state.x_B[r] = theta if move[q] > 0.0 else theta + upper[q]
         B.update(r, d)
+        if from_slack:
+            # dual Devex: the pivot divides row r of B^-1 by d_r and takes
+            # d_i times the result from each row i; each weight keeps the
+            # larger of its old value and the weight of that new term
+            ratio = w[r] / (d[r] * d[r])
+            np.maximum(w, d * d * ratio, out=w)
+            w[r] = max(ratio, 1.0)
         # dual step: shift reduced costs along the pivot row
         delta = reduced[q] / alpha[q]
         if delta != 0.0:
@@ -577,7 +633,7 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
     are taken as rows appended since, their slacks basic. Each
     nonbasic column with an upper bound starts at the bound its reduced
     cost makes dual feasible. If the basis is then dual feasible here under
-    the costs clipped at zero, primal feasibility is restored with
+    the dual phase's modified costs, primal feasibility is restored with
     dual-simplex pivots; if it is not, or the dual path breaks down, the
     solve starts again from the slack basis, where the dual path always
     starts and every cold solve runs.
@@ -697,17 +753,19 @@ def _try_warm_start(
     except SolverError:
         return None
 
-    # the dual phase prices with the costs clipped at zero, which leaves c
-    # unchanged on every consolidation LP and makes the slack basis dual
-    # feasible on any LP; _finish_phase2 restores c. A column with an upper
-    # bound sits at the bound its reduced cost makes dual feasible (a column
-    # fixed at zero at either); the basis is useful only if the other
-    # columns are dual feasible, to the standard the primal phase ends at
-    dual_tol = 0.01 * TOL
-    c_plus = np.maximum(c_std, 0.0)
-    reduced = c_plus - B.price(B.btran(c_plus[cols]))
+    # the dual phase raises the cost of each nonbasic column that prices
+    # below zero, by no more than the cost lies below zero (Koberstein's
+    # cost modification): the slack basis then prices max(c, 0) and is dual
+    # feasible on any LP, and a basis dual feasible under c keeps c;
+    # _finish_phase2 restores c. A column with an upper bound sits at the
+    # bound its reduced cost makes dual feasible (a column fixed at zero at
+    # either); the basis is useful only if the other columns are dual
+    # feasible, to the standard the primal phase ends at
+    reduced = c_std - B.price(B.btran(c_std[cols]))
     reduced[cols] = 0.0
-    at_upper = (reduced < -dual_tol) & (upper > 0.0)
+    # reduced - c is the reduced cost at a cost of zero
+    np.maximum(reduced, np.minimum(reduced - c_std, 0.0), out=reduced)
+    at_upper = (reduced < -DUAL_TOL) & (upper > 0.0)
     if (upper[at_upper] == np.inf).any():
         return None
     b = problem.rhs
@@ -721,7 +779,7 @@ def _try_warm_start(
     # is not acceptable
     feas_tol = 1e-9
     try:
-        bad_row = _dual_iterate(state, feas_tol, reduced)
+        bad_row = _dual_iterate(state, feas_tol, reduced, from_slack=len(struct) == 0)
         if bad_row is not None:
             # a variable stuck below zero certifies with -B^-T e_r, one
             # stuck above its upper bound with +B^-T e_r

@@ -28,6 +28,7 @@ from intransit import (
     delivery_histogram,
     fcl_threshold,
     generate_synthetic,
+    lp_from_mip,
     lp_relaxation,
     make_optimality_cut,
     rate_class_params,
@@ -490,6 +491,22 @@ def test_simplex_matches_vertex_enumeration_on_500_random_lps():
     out = solve_lp(prob)
     assert out.status == STATUS_OPTIMAL
     assert verify_certificate(prob, out).ok
+
+
+@pytest.mark.parametrize(
+    "instance, most_pivots",
+    [(readme_instance, 70), (port_network_instance, 200)],
+    ids=["readme", "port"],
+)
+def test_cold_relaxation_pivot_count(instance, most_pivots):
+    """The cold LP relaxation reaches its optimum in few pivots: dual Devex
+    pricing and the Harris ratio test take 54 on the README example and
+    150 on the port network, where the largest-infeasibility rule with a
+    lowest-index tie-break took 126 and 924. Pivot counts repeat exactly,
+    so this gate does not depend on the machine."""
+    out = solve_lp(lp_from_mip(build_mip(instance(), MODE_WINDOW)))
+    assert out.status == STATUS_OPTIMAL
+    assert out.pivots <= most_pivots
 
 
 def test_scale_assembly_and_full_solve():

@@ -532,7 +532,9 @@ class TestWarmStart:
     @pytest.mark.parametrize(
         "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
     )
-    def test_random_warm_cold_agreement(self, representation):
+    def test_random_warm_cold_agreement(self, representation, dual_path):
+        # an rhs change leaves the old optimal basis dual feasible, so no
+        # warm start falls back, negative costs included
         rng = np.random.default_rng(42)
         checked = 0
         for _ in range(250):
@@ -546,7 +548,9 @@ class TestWarmStart:
                 senses=problem.senses,
                 rhs=problem.rhs + np.round(rng.uniform(-1, 1, problem.num_rows), 1),
             )
+            dual_path.clear()
             warm = solve_lp(shifted, warm=base.basis)
+            assert len(dual_path) == 1 and dual_path[0] is not None
             cold = solve_lp(shifted)
             assert warm.status == cold.status
             if cold.status == STATUS_OPTIMAL:
@@ -554,6 +558,42 @@ class TestWarmStart:
                 assert abs(warm.objective - cold.objective) <= 1e-8 * scale
             checked += 1
         assert checked > 50
+
+
+class TestDualPivotRules:
+    def test_harris_ratio_test_takes_the_larger_pivot(self):
+        # min x1 + (2 + 2e-10) x2  s.t.  x1 + 2 x2 >= 1: both columns can
+        # enter the infeasible slack row, with ratios 1 and 1 + 1e-10, a
+        # gap inside the dual tolerance. The textbook test takes x1, the
+        # lower ratio and index; Harris takes x2, twice the pivot. Solved
+        # unscaled, since equilibration would make the two pivots equal
+        problem = LpProblem(
+            objective=np.array([1.0, 2.0 + 2e-10]),
+            A=np.array([[-1.0, -2.0]]),
+            senses=np.array(["<"]),
+            rhs=np.array([-1.0]),
+        )
+        out = simplex._solve_core(problem, None)
+        assert out.status == STATUS_OPTIMAL
+        assert out.basis.struct.tolist() == [1]
+        assert out.pivots == 1
+
+    def test_heavily_weighted_infeasible_row_still_leaves(self):
+        # row 0 sits deep inside its bounds, row 1 outside by less than the
+        # tolerance, row 2 outside by more and weighted 1e30: its score
+        # 1e-36 is the smallest, but it is the only row that may leave
+        outside = np.array([-5.0, 5e-10, 1e-3])
+        weights = np.array([1.0, 1.0, 1e30])
+        assert simplex._leaving_row(outside, weights, 1e-9) == 2
+        # and the basis counts as feasible only once that row is inside
+        outside[2] = 5e-10
+        assert simplex._leaving_row(outside, weights, 1e-9) is None
+
+    def test_leaving_row_weighs_squared_infeasibility(self):
+        outside = np.array([3.0, 2.0, -1.0])
+        assert simplex._leaving_row(outside, None, 1e-9) == 0
+        # 9 / 4 < 4 / 1: the lighter row leaves first
+        assert simplex._leaving_row(outside, np.array([4.0, 1.0, 1.0]), 1e-9) == 1
 
 
 class TestScaling:
@@ -830,10 +870,9 @@ class TestBounds:
                 assert abs(warm.objective - cold.objective) <= 1e-8 * scale
             checked += 1
         assert checked > 100
-        # the parent's basis stays dual feasible under nonnegative costs;
-        # with negative ones the max(c, 0) pricing may reject it
-        if nonnegative_costs:
-            assert held == checked
+        # the parent's basis stays dual feasible under the true costs,
+        # which the dual phase keeps wherever the basis is dual feasible
+        assert held == checked
 
     @pytest.mark.parametrize(
         "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]

@@ -47,6 +47,7 @@ from .milp import (
     MilpProblem,
     Separator,
     lp_from_mip,
+    relative_gap,
     solve_milp,
 )
 from .model import (
@@ -96,6 +97,7 @@ class MasterData:
     b: np.ndarray
     h_costs: np.ndarray  # container cost per T column
     t_upper: float
+    # the master's first rows; the cuts found later join its tree's LP
     cuts: list[Cut] = field(default_factory=list)
 
     @property
@@ -382,10 +384,6 @@ class _IterationLimit(Exception):
     """Raised inside the master tree once ``max_iters`` subproblems are spent."""
 
 
-def _gap(ub: float, lb: float) -> float:
-    return (ub - lb) / (1.0 + abs(ub)) if math.isfinite(ub) else math.inf
-
-
 def run_benders(
     instance: Instance,
     mode: str = MODE_WINDOW,
@@ -489,14 +487,12 @@ def run_benders(
                 row = None
         else:
             priced[key] = value
-        if row is not None:
-            master.cuts.append(cut)
         trace.records.append(
             IterationRecord(
                 iteration=it,
                 lower=lb,
                 upper=ub,
-                gap=_gap(ub, lb),
+                gap=relative_gap(ub, lb),
                 t_candidate=t.copy(),
                 subproblem_value=value,
                 cut_kind=None if row is None else cut.kind,
@@ -533,7 +529,7 @@ def run_benders(
         # takes the bound the tree proved
         lb = max(lb, outcome.bound)
         if trace.records:
-            trace.records[-1] = replace(trace.records[-1], lower=lb, gap=_gap(ub, lb))
+            trace.records[-1] = replace(trace.records[-1], lower=lb, gap=relative_gap(ub, lb))
 
     x_full = None
     breakdown = None

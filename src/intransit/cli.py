@@ -206,13 +206,15 @@ def _cmd_solve(args) -> int:
 
 def _cmd_benders(args) -> int:
     instance = load_instance(args.instance)
+    if not _require_routes(instance):
+        return EXIT_INFEASIBLE
     mode = _mode(args.mode)
     params = bd.BendersParams(
         max_iters=args.max_iters,
         gap_tol=args.gap_tol,
         node_limit=args.node_limit,
     )
-    result = bd.run_benders(instance, mode, params)
+    result = bd.run_benders(instance, mode, params, validate=False)
     if result.status == "infeasible":
         print("instance is infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -258,7 +260,7 @@ def _cmd_compare(args) -> int:
 
     results = {}
     for label, mode in (("benders_window", MODE_WINDOW), ("benders_exact_day", MODE_EXACT_DAY)):
-        result = bd.run_benders(instance, mode, params)
+        result = bd.run_benders(instance, mode, params, validate=False)
         if result.status == "infeasible":
             print("instance is infeasible", file=sys.stderr)
             return EXIT_INFEASIBLE

@@ -70,6 +70,11 @@ class MilpOutcome:
     root_bound: float  # the root LP's last optimum, after its rounds; -inf if none
 
 
+def relative_gap(ub: float, lb: float) -> float:
+    """The hybrid gap ``(ub - lb) / (1 + |ub|)``; infinite without an incumbent."""
+    return (ub - lb) / (1.0 + abs(ub)) if math.isfinite(ub) else math.inf
+
+
 def lp_from_mip(model: MipModel) -> LpProblem:
     """The LP relaxation of a consolidation model (integrality dropped)."""
     return LpProblem(
@@ -186,16 +191,11 @@ def solve_milp(
         heapq.heappush(heap, (bound, counter, depth, lower, upper, warm))
         counter += 1
 
-    def rel_gap(ub: float, lb: float) -> float:
-        if not math.isfinite(ub):
-            return math.inf
-        return (ub - lb) / (1.0 + abs(ub))
-
     push(-math.inf, 0, base.lower, base.upper, None)
 
     while heap:
         bound, _, depth, lower, upper, warm = heapq.heappop(heap)
-        if rel_gap(incumbent_obj, bound) <= gap_tol:
+        if relative_gap(incumbent_obj, bound) <= gap_tol:
             # best-bound order: every remaining node is at least this bound
             heap.clear()
             break
@@ -217,7 +217,7 @@ def solve_milp(
             root_bound = lp_obj
         if log_writer is not None:
             log_writer.writerow([nodes, depth, repr(lp_obj), repr(incumbent_obj)])
-        if rel_gap(incumbent_obj, lp_obj) <= gap_tol:
+        if relative_gap(incumbent_obj, lp_obj) <= gap_tol:
             continue
 
         x = outcome.x
@@ -263,7 +263,7 @@ def solve_milp(
             incumbent_x = point
         if rows is not None:
             base = _append_rows(base, *rows)
-            if rel_gap(incumbent_obj, lp_obj) > gap_tol:
+            if relative_gap(incumbent_obj, lp_obj) > gap_tol:
                 push(lp_obj, depth, lower, upper, outcome.basis)
 
     open_bounds = [entry[0] for entry in heap]
@@ -274,6 +274,6 @@ def solve_milp(
         return MilpOutcome(MILP_INFEASIBLE, None, None, math.inf, math.inf, nodes, root_bound)
     lb = min(open_bounds) if open_bounds else incumbent_obj
     lb = min(lb, incumbent_obj)
-    gap = (incumbent_obj - lb) / (1.0 + abs(incumbent_obj))
+    gap = relative_gap(incumbent_obj, lb)
     status = MILP_OPTIMAL if gap <= gap_tol else MILP_NODE_LIMIT
     return MilpOutcome(status, incumbent_x, incumbent_obj, lb, gap, nodes, root_bound)

@@ -1,4 +1,4 @@
-"""Revised simplex, dual then primal, with dual values and infeasibility certificates.
+"""Revised dual simplex with dual values and infeasibility certificates.
 
 Solves ``min c'x  s.t.  A_eq x = b_eq, A_le x <= b_le, lower <= x <= upper``
 (``lower`` finite, ``upper`` possibly infinite) and returns one of three
@@ -17,10 +17,9 @@ A shift ``x = lower + x'`` moves every lower bound to zero. Each row then
 gets one slack column, so the LP solved is ``[A | I] (x, s) = b``; a
 slack is bounded by ``[0, inf)`` on a ``<`` row and fixed at ``[0, 0]``
 on an ``=`` row. A nonbasic column sits at zero or at its upper bound,
-from where both ratio tests move it; an entering column may flip to its
-other bound, and a basic one outside its bounds leaves at the bound it
-crossed (Koberstein, 2005; Maros, 2003). A column fixed at zero never
-enters the basis.
+from where the ratio test moves it, and a basic one outside its bounds
+leaves at the bound it crossed (Koberstein, 2005; Maros, 2003). A column
+fixed at zero never enters the basis.
 
 How the caller stores ``A`` picks the basis. A scipy sparse matrix (the
 tall, sparse flow LPs) runs on a sparse LU factorization plus the pivots
@@ -29,23 +28,23 @@ inverse that chains them, so FTRAN and BTRAN apply every eta at once; a
 numpy array (the short, dense Benders master) runs on an explicit inverse
 updated in place. Both refactorize every ``REFACTOR_EVERY`` pivots.
 
-Every LP takes one path: the dual simplex, started from a warm basis if one
-is given, else (or when that basis is of no use) from the slack basis. The
-dual phase raises each negative cost of a nonbasic column that prices
-below zero, by no more than to zero (Koberstein's cost modification), so
-the slack basis, priced ``max(c, 0)``, is dual feasible for every LP and a
-warm basis dual feasible under the true costs keeps them. Its pivots drive
-each basic variable outside its bounds, a fixed slack off zero among them,
-back inside. From the slack basis the leaving row is priced by dual Devex
-(Forrest & Goldfarb, 1992) and the entering column comes from Harris's
-two-pass ratio test, which prefers a large pivot among near ties
-(Koberstein, 2005); from a warm basis the row farthest outside leaves and
-the lowest ratio enters. Primal pivots with the true costs then finish,
-and find the ray of an unbounded LP. Primal pricing uses Dantzig's rule,
-switching permanently to Bland's rule after a run of degenerate pivots so
-termination is guaranteed. A fixed slack that stays basic at zero blocks
-every step that would move it, which also neutralizes linearly dependent
-rows.
+Every LP is solved by one pivoting loop, the dual simplex, started from a
+warm basis if one is given, else (or when that basis is of no use) from
+the slack basis. A start must be dual feasible. Each nonbasic column with
+an upper bound sits at the bound its reduced cost prices, so only a
+column without one that prices below zero spoils a start. A warm basis
+where one does is given up. The slack basis, where that takes a negative
+cost, first runs the same loop as a dual phase 1 (Fourer, 1994), which
+either reaches a dual feasible basis or yields a ray of falling cost;
+the consolidation LPs, whose costs are nonnegative, never need it. The
+loop's pivots drive each basic variable outside its bounds, a fixed slack
+off zero among them, back inside. From the slack basis the leaving row is
+priced by dual Devex (Forrest & Goldfarb, 1992) and the entering column
+comes from Harris's two-pass ratio test, which prefers a large pivot
+among near ties (Koberstein, 2005); from a warm basis the row farthest
+outside leaves and the lowest ratio enters. A fixed slack that stays
+basic at zero blocks every step that would move it, which also
+neutralizes linearly dependent rows.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ TOL = 1e-7  # primal and dual feasibility tolerance
 # leftover -1e-7 entry would be a real suboptimality, not dust
 DUAL_TOL = 0.01 * TOL
 PIVOT_TOL = 1e-9
-BLAND_THRESHOLD = 1000  # degenerate pivots in a row before Bland's rule takes over
 REFACTOR_EVERY = 100  # pivots between refactorizations of the basis
 
 
@@ -212,8 +210,9 @@ class _Basis:
         self.indptr, self.indices, self.data = A_std.indptr, A_std.indices, A_std.data
         self.basis = np.zeros(self.m, dtype=np.int64)
         self.lu = None
-        # Both iterations refactorize at every multiple of REFACTOR_EVERY
-        # pivots, which empties the file, so no more than REFACTOR_EVERY
+        # The dual loop refactorizes at every multiple of REFACTOR_EVERY
+        # pivots, which empties the file, and each of its runs starts and
+        # ends at a fresh factorization, so no more than REFACTOR_EVERY
         # etas are ever on file and R and Minv never need to grow.
         self.R = np.zeros(REFACTOR_EVERY, dtype=np.int64)
         # only the strict lower triangle is ever written: the diagonal and
@@ -297,114 +296,30 @@ class _State:
     # per column, the way it can move while nonbasic: 1.0 at zero, -1.0 at
     # its upper bound
     move: np.ndarray
-    max_pivots: int
-    pivots: int = 0
-    stalls: int = 0
-    bland: bool = False
-    # pivot count at the last refactor + exact x_B recompute; lets the
-    # extraction step skip a redundant refactor when nothing moved since
-    fresh_at: int = -1
+    pivots: int
+    # pivot count at the last refactor + exact x_B recompute; lets the dual
+    # loop stop without a redundant refactor when nothing moved since
+    fresh_at: int
 
 
-def _iterate(state: _State, c_std):
-    """Primal pivots from a primal-feasible basis to optimality.
+def _place(B, rhs: np.ndarray, upper: np.ndarray, reduced: np.ndarray, pivots: int) -> _State:
+    """The iterate at basis ``B`` with each nonbasic column at the bound its
+    reduced cost makes dual feasible: its upper bound where it prices below
+    ``-DUAL_TOL``, which the caller has checked is finite, else zero."""
+    at_upper = (reduced < -DUAL_TOL) & (upper > 0.0)
+    b = rhs
+    for j in np.flatnonzero(at_upper):
+        b = b - upper[j] * B.column(j)
+    move = np.where(at_upper, -1.0, 1.0)
+    return _State(B, B.ftran(b), b, upper, move, pivots, fresh_at=pivots)
 
-    Returns None at an optimum, or (entering, direction) if unbounded.
-    """
-    B = state.B
-    upper, move = state.upper, state.move
 
-    # incremental bookkeeping: basic costs and bounds, and the columns
-    # that may not enter, the basic ones and those fixed at zero
-    basis = B.basis
-    c_basic = c_std[basis]
-    u_B = upper[basis]
-    barred = upper == 0.0
-    barred[basis] = True
-
-    while True:
-        y = B.btran(c_basic)
-        reduced = c_std - B.price(y)
-        reduced[barred] = 0.0
-        # a column at its upper bound improves by moving down
-        reduced *= move
-        if state.bland:
-            candidates = np.flatnonzero(reduced < -DUAL_TOL)
-            if len(candidates) == 0:
-                return None
-            q = int(candidates[0])
-        else:
-            q = int(np.argmin(reduced))
-            if reduced[q] >= -DUAL_TOL:
-                return None
-
-        d = B.ftran(B.column(q))
-        # the change of x_B per unit the entering column moves
-        dd = d if move[q] > 0.0 else -d
-
-        # basic columns fall to zero or rise to their upper bound; a fixed
-        # slack basic at zero blocks at once
-        down = np.flatnonzero(dd > PIVOT_TOL)
-        up = np.flatnonzero((dd < -PIVOT_TOL) & (u_B < np.inf))
-        ratios = np.concatenate(
-            [
-                np.maximum(state.x_B[down], 0.0) / dd[down],
-                np.maximum(u_B[up] - state.x_B[up], 0.0) / -dd[up],
-            ]
-        )
-        theta = float(ratios.min(initial=np.inf))
-        if theta == np.inf and upper[q] == np.inf:
-            return q, d
-        if upper[q] <= theta:
-            # the entering column reaches its other bound first: a flip
-            state.x_B -= upper[q] * dd
-            state.b = state.b - move[q] * upper[q] * B.column(q)
-            move[q] = -move[q]
-            continue
-        ties = np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))
-        cand_pos = np.concatenate([down, up])[ties]
-
-        if state.bland:
-            leave = int(cand_pos[np.argmin(basis[cand_pos])])
-        else:
-            leave = int(cand_pos[np.argmax(np.abs(d[cand_pos]))])
-
-        if theta > 0.0:
-            state.x_B -= theta * dd
-        state.x_B[leave] = theta if move[q] > 0.0 else upper[q] - theta
-        np.maximum(state.x_B, 0.0, out=state.x_B)
-        B.update(leave, d)
-        leaving_col = int(basis[leave])
-        if move[q] < 0.0:
-            move[q] = 1.0
-            state.b = state.b + upper[q] * B.column(q)
-        barred[leaving_col] = upper[leaving_col] == 0.0
-        # a basic column that the step moved up stops at its upper bound
-        if dd[leave] < 0.0 and upper[leaving_col] > 0.0:
-            move[leaving_col] = -1.0
-            state.b = state.b - upper[leaving_col] * B.column(leaving_col)
-        barred[q] = True
-        c_basic[leave] = c_std[q]
-        basis[leave] = q
-        u_B[leave] = upper[q]
-
-        state.pivots += 1
-        if theta <= PIVOT_TOL:
-            state.stalls += 1
-            if state.stalls > BLAND_THRESHOLD:
-                state.bland = True
-        else:
-            state.stalls = 0
-        if state.pivots % REFACTOR_EVERY == 0:
-            B.refactor()
-            state.x_B = B.ftran(state.b)
-            np.maximum(state.x_B, 0.0, out=state.x_B)
-            state.fresh_at = state.pivots
-        if state.pivots >= state.max_pivots:
-            raise SolverError(
-                f"pivot limit {state.max_pivots} reached; numerical breakdown "
-                "or extreme degeneracy"
-            )
+def _pricing(B, c_std: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The duals at basis ``B`` and the reduced costs, zero on basic columns."""
+    y = B.btran(c_std[B.basis])
+    reduced = c_std - B.price(y)
+    reduced[B.basis] = 0.0
+    return y, reduced
 
 
 def _leaving_row(
@@ -438,10 +353,11 @@ def _dual_iterate(
     column fixed at zero) and is maintained incrementally with each pivot.
 
     The leaving row is picked by :func:`_leaving_row` and leaves at the
-    bound it crossed. From the slack basis (``from_slack``), where ``B = I``
-    makes 1 the exact squared norm of every row of ``B^-1``, the reference
-    weights start at 1 and dual Devex updates them from each pivot column
-    (Forrest & Goldfarb, 1992), and the entering column comes from Harris's
+    bound it crossed. In a solve from the slack basis (``from_slack``) the
+    reference weights start at 1, the exact squared norm of every row of
+    ``B^-1`` at ``B = I`` (after a phase 1, a fresh reference framework),
+    dual Devex updates them from each pivot column (Forrest & Goldfarb,
+    1992), and the entering column comes from Harris's
     two-pass ratio test (Koberstein, 2005): the first pass bounds the dual
     step by letting every candidate's reduced cost cross zero by
     ``DUAL_TOL``, the second takes the candidate with the largest
@@ -549,33 +465,39 @@ def _dual_iterate(
             raise SolverError("dual pivot cap reached; dual path abandoned")
 
 
-def _finish_phase2(problem: LpProblem, state: _State, c_std: np.ndarray) -> LpOutcome:
-    """Run phase 2 from a primal-feasible basis and extract the outcome."""
-    n = problem.num_cols
-    result = _iterate(state, c_std)
+def _primal(state: _State, n: int) -> np.ndarray:
+    """The iterate on the ``n`` structural columns, each nonbasic one at its bound."""
     basis = state.B.basis
     struct = basis < n
-    if result is not None:
-        q, d = result
-        ray = np.zeros(n)
-        if q < n:
-            ray[q] = 1.0
-        ray[basis[struct]] = np.maximum(0.0, -d[struct])
-        return LpOutcome(status=STATUS_UNBOUNDED, ray=ray, pivots=state.pivots)
-
-    # clean final iterate and extract the solution
-    if state.fresh_at != state.pivots:
-        state.B.refactor()
-        state.x_B = state.B.ftran(state.b)
     x = np.zeros(n)
     x[basis[struct]] = state.x_B[struct]
     upper, at_upper = state.upper[:n], state.move[:n] < 0.0
     x[at_upper] = upper[at_upper]
-    np.clip(x, 0.0, upper, out=x)
+    return np.clip(x, 0.0, upper, out=x)
+
+
+def _extract(problem: LpProblem, state: _State, c_std: np.ndarray) -> LpOutcome | None:
+    """The optimum at the primal feasible basis :func:`_dual_iterate` stopped at.
+
+    The reduced costs are recomputed from the duals; None if one of them
+    prices its column's move below ``-DUAL_TOL``, drift of the tracked ones
+    that the caller treats as a breakdown.
+    """
+    n = problem.num_cols
+    basis = state.B.basis
+    y, reduced = _pricing(state.B, c_std)
+    # a column at its upper bound improves by moving down; one fixed at
+    # zero cannot move
+    reduced *= state.move
+    reduced[state.upper == 0.0] = 0.0
+    if reduced.min() < -DUAL_TOL:
+        return None
+    x = _primal(state, n)
+    struct = basis < n
     return LpOutcome(
         status=STATUS_OPTIMAL,
         x=x,
-        y=state.B.btran(c_std[basis]),
+        y=y,
         objective=float(problem.objective @ x),
         pivots=state.pivots,
         basis=BasisLabels(struct=basis[struct].copy(), slack_rows=basis[~struct] - n),
@@ -626,17 +548,18 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
     """Solve an LP; deterministic for identical input.
 
     Raises :class:`SolverError` on numerical breakdown (singular basis,
-    pivot limit); breakdown is never reported as a solution status.
+    pivot cap, reduced costs that drifted) from every start; breakdown is
+    never reported as a solution status.
 
     ``warm`` is an optional basis from a related solved LP: same columns,
     overlapping rows, bounds that may differ. Rows past the count it names
     are taken as rows appended since, their slacks basic. Each
     nonbasic column with an upper bound starts at the bound its reduced
-    cost makes dual feasible. If the basis is then dual feasible here under
-    the dual phase's modified costs, primal feasibility is restored with
-    dual-simplex pivots; if it is not, or the dual path breaks down, the
-    solve starts again from the slack basis, where the dual path always
-    starts and every cold solve runs.
+    cost makes dual feasible. If the basis is then dual feasible here,
+    dual-simplex pivots restore primal feasibility; if it is not, or the
+    pivoting breaks down, the solve starts again from the slack basis,
+    where every cold solve runs, after a dual phase 1 if a column without
+    an upper bound has a negative cost.
 
     The lower bounds are shifted out first (``b - A·lower``). The problem
     is then equilibrated internally (power-of-two row and column scales,
@@ -683,11 +606,6 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
     return out
 
 
-def _max_pivots(problem: LpProblem) -> int:
-    # reaching this many pivots means numerical breakdown or extreme degeneracy
-    return 2000 + 200 * (problem.num_rows + problem.num_cols)
-
-
 def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
     """Solve an LP whose lower bounds are zero."""
     m, n = problem.num_rows, problem.num_cols
@@ -714,14 +632,28 @@ def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
     def fresh_basis():
         return basis_type(A_std)
 
-    # the slack basis is dual feasible under the costs the dual phase
-    # prices with, so it is always the last start
+    # the slack basis decides every LP, after a dual phase 1 where it is
+    # not dual feasible, so it is always the last start
     slack = BasisLabels(struct=np.zeros(0, dtype=np.int64), slack_rows=np.arange(m))
     for start in ([] if warm is None else [warm]) + [slack]:
         outcome = _try_warm_start(problem, start, fresh_basis, c_std, upper)
         if outcome is not None:
             return outcome
     raise SolverError("dual simplex broke down from every starting basis")
+
+
+def _phase_one(B, upper: np.ndarray, reduced: np.ndarray, feas_tol: float) -> _State:
+    """Dual phase 1 from the slack basis (Fourer, 1994; Koberstein, 2005).
+
+    Runs the dual loop on the LP with rhs zero, every column with an upper
+    bound fixed at zero and every other boxed in ``[0, 1]``. Each of its
+    bases is dual feasible and ``x = 0`` is feasible, so the loop ends at
+    an optimum of it, whose iterate is returned.
+    """
+    aux = _place(B, np.zeros(B.m), np.where(upper == np.inf, 1.0, 0.0), reduced, 0)
+    if _dual_iterate(aux, feas_tol, reduced, from_slack=True) is not None:
+        raise SolverError("dual phase 1 found its feasible LP infeasible")
+    return aux
 
 
 def _try_warm_start(
@@ -753,33 +685,35 @@ def _try_warm_start(
     except SolverError:
         return None
 
-    # the dual phase raises the cost of each nonbasic column that prices
-    # below zero, by no more than the cost lies below zero (Koberstein's
-    # cost modification): the slack basis then prices max(c, 0) and is dual
-    # feasible on any LP, and a basis dual feasible under c keeps c;
-    # _finish_phase2 restores c. A column with an upper bound sits at the
-    # bound its reduced cost makes dual feasible (a column fixed at zero at
-    # either); the basis is useful only if the other columns are dual
-    # feasible, to the standard the primal phase ends at
-    reduced = c_std - B.price(B.btran(c_std[cols]))
-    reduced[cols] = 0.0
-    # reduced - c is the reduced cost at a cost of zero
-    np.maximum(reduced, np.minimum(reduced - c_std, 0.0), out=reduced)
-    at_upper = (reduced < -DUAL_TOL) & (upper > 0.0)
-    if (upper[at_upper] == np.inf).any():
-        return None
-    b = problem.rhs
-    for j in np.flatnonzero(at_upper):
-        b = b - upper[j] * B.column(j)
-    move = np.where(at_upper, -1.0, 1.0)
-    state = _State(B, B.ftran(b), b, upper, move, _max_pivots(problem), fresh_at=0)
-
+    # A column with an upper bound sits at the bound its reduced cost makes
+    # dual feasible (a column fixed at zero at either), so the basis is dual
+    # feasible unless a column without one prices below zero
+    from_slack = len(struct) == 0
+    free = upper == np.inf
+    _, reduced = _pricing(B, c_std)
     # absolute feasibility target: a slack left at -1e-5 and clamped would
     # shift the objective below the true optimum, so rhs-scaled slack here
     # is not acceptable
     feas_tol = 1e-9
+    pivots = 0
+    ray = None
     try:
-        bad_row = _dual_iterate(state, feas_tol, reduced, from_slack=len(struct) == 0)
+        if (reduced[free] < -DUAL_TOL).any():
+            if not from_slack:
+                return None
+            aux = _phase_one(B, upper, reduced, feas_tol)
+            pivots = aux.pivots
+            # the loop leaves the reduced costs of fixed columns stale
+            _, reduced = _pricing(B, c_std)
+            if (reduced[free] < -DUAL_TOL).any():
+                # the phase-1 optimum c'x is below zero, and its x is a ray
+                # of falling cost: A x <= 0, zero on the '=' rows and on the
+                # columns with an upper bound. With costs zero every basis
+                # is dual feasible, so the loop decides if the LP is feasible
+                ray = _primal(aux, n)
+                reduced = np.zeros(n + m)
+        state = _place(B, problem.rhs, upper, reduced, pivots)
+        bad_row = _dual_iterate(state, feas_tol, reduced, from_slack)
         if bad_row is not None:
             # a variable stuck below zero certifies with -B^-T e_r, one
             # stuck above its upper bound with +B^-T e_r
@@ -787,11 +721,12 @@ def _try_warm_start(
             e[bad_row] = 1.0
             return LpOutcome(
                 status=STATUS_INFEASIBLE,
-                farkas_ray=np.sign(state.x_B[bad_row]) * state.B.btran(e),
+                farkas_ray=np.sign(state.x_B[bad_row]) * B.btran(e),
                 pivots=state.pivots,
             )
-        np.maximum(state.x_B, 0.0, out=state.x_B)
-        return _finish_phase2(problem, state, c_std)
+        if ray is not None:
+            return LpOutcome(status=STATUS_UNBOUNDED, ray=ray, pivots=state.pivots)
+        return _extract(problem, state, c_std)
     except SolverError:
         # a breakdown from this start; the caller tries the next one
         return None

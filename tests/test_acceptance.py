@@ -245,11 +245,18 @@ def test_root_bound_after_linking_rounds_is_the_strong_lp_bound(
 def test_every_lp_of_a_solve_is_certified(monkeypatch, instance, mode, solver):
     """Every LP outcome a solve rests on, each node LP of the monolithic
     tree and of the Benders master and each subproblem, passes
-    ``verify_certificate``."""
+    ``verify_certificate``. Their costs are nonnegative, so no start needs
+    the dual phase 1."""
     import intransit.benders as bd
     import intransit.milp as mp
+    import intransit.simplex as simplex
 
-    statuses, failures = [], []
+    statuses, failures, phase_ones = [], [], []
+    phase_one = simplex._phase_one
+
+    def counted_phase_one(*args):
+        phase_ones.append(len(statuses))
+        return phase_one(*args)
 
     def certified(problem, **kwargs):
         outcome = solve_lp(problem, **kwargs)
@@ -261,12 +268,14 @@ def test_every_lp_of_a_solve_is_certified(monkeypatch, instance, mode, solver):
 
     monkeypatch.setattr(mp, "solve_lp", certified)
     monkeypatch.setattr(bd, "solve_lp", certified)
+    monkeypatch.setattr(simplex, "_phase_one", counted_phase_one)
     inst = instance()
     if solver == "milp":
         assert solve_milp(build_mip(inst, mode)).status == "optimal"
     else:
         assert run_benders(inst, mode).status == "optimal"
     assert statuses and not failures, failures
+    assert not phase_ones, phase_ones
 
 
 def test_phantom_freight_reproducer_costs_the_honest_optimum():

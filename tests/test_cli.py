@@ -68,11 +68,13 @@ class TestRelax:
 
 class TestSolve:
     def test_validates_once(self, instance_dir, monkeypatch):
+        # benders and compare too; compare runs run_benders in two modes
+        import intransit.benders as bd
         import intransit.cli as cli
         import intransit.model as model
 
         calls = []
-        for module in (cli, model):
+        for module in (cli, model, bd):
             original = module.validate_routes
 
             def counted(*args, _original=original, **kwargs):
@@ -80,8 +82,10 @@ class TestSolve:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, "validate_routes", counted)
-        assert run(["solve", "--instance", instance_dir]) == 0
-        assert len(calls) == 1
+        for command in ("solve", "benders", "compare"):
+            calls.clear()
+            assert run([command, "--instance", instance_dir]) == 0
+            assert len(calls) == 1, command
 
     def test_optimal(self, instance_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -179,8 +183,9 @@ class TestBenders:
         assert "node limit reached: bounds [0.00, 500.00]" in err
         assert "iteration limit" not in err
 
-    def test_infeasible(self, infeasible_dir):
+    def test_infeasible(self, infeasible_dir, capsys):
         assert run(["benders", "--instance", infeasible_dir]) == 1
+        assert "infeasible: pickup (" in capsys.readouterr().err
 
     def test_verbose_prints_the_trace(self, instance_dir, capsys):
         assert run(["benders", "--instance", instance_dir, "--verbose"]) == 0

@@ -181,13 +181,13 @@ class TestSeparation:
         assert len(seen) > 1
 
     def test_fractional_root_is_separated_before_branching(self):
-        # min -x0 - x1 on x0 + x1 <= 3.5, x integer in [0, 3]: the root
-        # (3, 0.5) is fractional; the row x1 <= 0.25 re-solves it at
-        # (3, 0.25), and returning no row there ends the rounds; the point
-        # offered there is not an incumbent
+        # min -x0 - 0.5 x1 on x0 + x1 <= 3.5, x integer in [0, 3]: the
+        # root (3, 0.5), its one optimal vertex, is fractional; the row
+        # x1 <= 0.25 re-solves it at (3, 0.25), and returning no row there
+        # ends the rounds; the point offered there is not an incumbent
         prob = MilpProblem(
             lp=LpProblem(
-                objective=np.array([-1.0, -1.0]),
+                objective=np.array([-1.0, -0.5]),
                 A=np.array([[1.0, 1.0], [1.0, 0.0]]),
                 senses=np.array(["<", "<"]),
                 rhs=np.array([3.5, 3.0]),
@@ -210,9 +210,9 @@ class TestSeparation:
         # called at the unrounded root, then at the root re-solved with the
         # row, whose bound rose
         np.testing.assert_allclose(seen[0][0], [3.0, 0.5])
-        assert seen[0][1] == pytest.approx(-3.5)
+        assert seen[0][1] == pytest.approx(-3.25)
         np.testing.assert_allclose(seen[1][0], [3.0, 0.25])
-        assert seen[1][1] == pytest.approx(-3.25)
+        assert seen[1][1] == pytest.approx(-3.125)
         # the rounds ended there: every later call is at an integral node
         for x, _ in seen[2:]:
             np.testing.assert_array_equal(x, np.round(x))

@@ -5,12 +5,7 @@ from .benders import (
     BendersParams,
     BendersResult,
     BendersTrace,
-    Cut,
-    MasterData,
-    SubproblemResult,
     lp_relaxation,
-    make_feasibility_cut,
-    make_optimality_cut,
     run_benders,
     solve_master,
 )

@@ -3,12 +3,13 @@
 The integer container counts T are the complicating variables. Fixing
 ``T = T_bar`` leaves a pure LP over the flow variables (the subproblem);
 its duals yield an optimality cut, a Farkas ray yields a feasibility cut.
-The master minimizes ``q + fcl_costs . T`` over the cuts with T integer.
-It is solved as one branch-and-cut tree. While the root's LP optimum is
-fractional the subproblem is priced at that fractional T, re-solved with
-the strong linking rows ``U <= W_p·T`` its flow violates there until it
-violates none, and a cut that cuts off the root's (T, q) re-solves the
-root: the LP phase of McDaniel & Devine (1977), which lifts the root bound
+The master minimizes ``q + fcl_costs . T`` with T integral, from the one
+row ``q >= 0``. It is solved as one branch-and-cut tree, and a cut is a
+row of that tree's LP from the moment it is made. While the root's LP
+optimum is fractional the subproblem is priced at that fractional T,
+re-solved with the strong linking rows ``U <= W_p·T`` its flow violates
+there until it violates none, and a cut that cuts off the root's (T, q)
+re-solves the root: the LP phase of McDaniel & Devine (1977), which lifts the root bound
 to the LP bound of the model plus its linking rows before any branching.
 From then on the subproblem is priced at every node whose T is integral,
 which gives an upper bound, and its cut joins the tree's LP, so the
@@ -24,7 +25,9 @@ without them. A dual vector a that is feasible for the subproblem dual
 satisfies ``a'(b - B T) <= q(T)`` for every T, with equality at the
 generating T_bar; a Farkas ray r of an infeasible subproblem satisfies
 ``r'(b - B T) <= 0`` for every feasible T. Rows that join later only raise
-``q``, so earlier cuts stay valid.
+``q``, so earlier cuts stay valid. Over the master's columns [T..., q]
+either cut is the row ``-(B'v)·T - q <= -v'b`` (optimality) or
+``-(B'v)·T <= -v'b`` (feasibility), v the dual vector or the ray.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .simplex import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     BasisLabels,
+    LpOutcome,
     LpProblem,
     solve_lp,
 )
@@ -70,48 +74,6 @@ CUT_OPTIMALITY = "optimality"
 CUT_FEASIBILITY = "feasibility"
 
 DEFAULT_MAX_ITERS = 500
-
-
-@dataclass(frozen=True)
-class Cut:
-    """Linear inequality over the master variables (T, q).
-
-    The stored expression is ``constant - t_coefficients . T``; an
-    optimality cut asserts it is ``<= q``, a feasibility cut ``<= 0``.
-    """
-
-    kind: str
-    t_coefficients: np.ndarray
-    constant: float
-    iteration: int
-
-    def value_at(self, t: np.ndarray) -> float:
-        return self.constant - float(self.t_coefficients @ t)
-
-
-@dataclass
-class MasterData:
-    """Everything the master needs: T-coefficient matrix, rhs, costs, cuts."""
-
-    B: sp.csr_matrix  # subproblem rows x T columns (see the row convention)
-    b: np.ndarray
-    h_costs: np.ndarray  # container cost per T column
-    t_upper: float
-    # the master's first rows; the cuts found later join its tree's LP
-    cuts: list[Cut] = field(default_factory=list)
-
-    @property
-    def num_t(self) -> int:
-        return self.B.shape[1]
-
-
-@dataclass
-class SubproblemResult:
-    status: str
-    value: float | None = None
-    x: np.ndarray | None = None  # over subproblem (non-T) columns
-    duals: np.ndarray | None = None
-    farkas_ray: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -159,9 +121,12 @@ class BendersResult:
     trace: BendersTrace
     lower_bound: float
     upper_bound: float
-    iterations: int
     proven: bool
     model: MipModel | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace.records)
 
 
 @dataclass
@@ -170,9 +135,10 @@ class _SubStructure:
     non_t_cols: np.ndarray
     t_cols: np.ndarray
     A_sub: sp.csr_matrix  # the model's rows, then the linking rows that joined
+    B: sp.csr_matrix  # their T part (see the row convention)
+    b: np.ndarray
     senses: np.ndarray
     obj_sub: np.ndarray
-    master: MasterData
     link_u: np.ndarray  # each linking entry's U position among the columns of A_sub
     link_t: np.ndarray  # ... and its T position among the master's T
     link_joined: np.ndarray  # which linking entries joined the subproblem
@@ -191,33 +157,28 @@ def _prepare(model: MipModel) -> _SubStructure:
     mask[t_cols] = False
     non_t = np.flatnonzero(mask)
     A_sub, B = _split(model.A, non_t, t_cols)
-    master = MasterData(
-        B=B,
-        b=model.rhs.copy(),
-        h_costs=model.objective[t_cols].copy(),
-        t_upper=float(model.instance.container_bound()),
-        cuts=[Cut(CUT_OPTIMALITY, np.zeros(len(t_cols)), 0.0, 0)],  # q >= 0
-    )
     return _SubStructure(
         model=model,
         non_t_cols=non_t,
         t_cols=t_cols,
         A_sub=A_sub,
+        B=B,
+        b=model.rhs.copy(),
         senses=model.senses,
         obj_sub=model.objective[non_t].copy(),
-        master=master,
         link_u=np.searchsorted(non_t, model.linking.u_cols),
         link_t=np.searchsorted(t_cols, model.linking.t_cols),
         link_joined=np.zeros(len(model.linking.u_cols), dtype=bool),
     )
 
 
-def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> SubproblemResult:
-    """Price the flows at ``t_fixed``. The linking rows the optimal flow
-    violates there join the subproblem, which is solved again until it
-    violates none; at integral T it never does."""
+def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> LpOutcome:
+    """Price the flows at ``t_fixed``: the outcome's ``x`` is over the
+    subproblem's columns. The linking rows the optimal flow violates there
+    join the subproblem, which is solved again until it violates none; at
+    integral T it never does."""
     while True:
-        rhs = sub.master.b - sub.master.B @ t_fixed
+        rhs = sub.b - sub.B @ t_fixed
         lp = LpProblem(objective=sub.obj_sub, A=sub.A_sub, senses=sub.senses, rhs=rhs)
         # consecutive subproblems differ only in rhs (or in rows that join
         # with their slacks basic), so the previous optimal basis is dual
@@ -231,21 +192,14 @@ def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> SubproblemResult:
                 "signals a model-assembly bug"
             )
         if outcome.status == STATUS_INFEASIBLE:
-            return SubproblemResult(
-                status=STATUS_INFEASIBLE, farkas_ray=outcome.farkas_ray
-            )
+            return outcome
         entries = sub.model.linking.violated(
             outcome.x[sub.link_u], t_fixed[sub.link_t]
         )
         # a row that joined already is met up to the LP's own tolerance
         entries = entries[~sub.link_joined[entries]]
         if not len(entries):
-            return SubproblemResult(
-                status=STATUS_OPTIMAL,
-                value=outcome.objective,
-                x=outcome.x,
-                duals=outcome.y,
-            )
+            return outcome
         _join_linking(sub, entries)
 
 
@@ -256,82 +210,44 @@ def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
     rows_sub, rows_t = _split(
         sub.model.linking.block(entries, sub.model.num_vars), sub.non_t_cols, sub.t_cols
     )
-    master = sub.master
     sub.link_joined[entries] = True
     sub.A_sub = sp.vstack([sub.A_sub, rows_sub], format="csr")
-    master.B = sp.vstack([master.B, rows_t], format="csr")
-    master.b = np.concatenate([master.b, np.zeros(len(entries))])
+    sub.B = sp.vstack([sub.B, rows_t], format="csr")
+    sub.b = np.concatenate([sub.b, np.zeros(len(entries))])
     sub.senses = np.concatenate([sub.senses, np.full(len(entries), "<")])
 
 
-def make_optimality_cut(
-    duals: np.ndarray, master: MasterData, iteration: int = 0
-) -> Cut:
-    """Cut ``a'(b - B T) <= q`` from an optimal subproblem's duals."""
-    duals = np.asarray(duals, dtype=np.float64)
-    if duals.shape != (master.B.shape[0],):
-        raise SolverError(
-            f"dual vector length {duals.shape} does not match {master.B.shape[0]} rows"
-        )
-    return Cut(
-        kind=CUT_OPTIMALITY,
-        t_coefficients=np.asarray(master.B.T @ duals),
-        constant=float(duals @ master.b),
-        iteration=iteration,
-    )
-
-
-def make_feasibility_cut(
-    ray: np.ndarray, master: MasterData, iteration: int = 0
-) -> Cut:
-    """Cut ``r'(b - B T) <= 0`` from an infeasible subproblem's Farkas ray."""
-    ray = np.asarray(ray, dtype=np.float64)
-    if ray.shape != (master.B.shape[0],):
-        raise SolverError(
-            f"Farkas ray length {ray.shape} does not match {master.B.shape[0]} rows"
-        )
-    if float(np.abs(ray).max(initial=0.0)) <= 0.0:
+def _master_row(
+    kind: str, v: np.ndarray, B: sp.spmatrix, b: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The cut ``v'(b - B T) <= q`` from an optimal subproblem's duals
+    (optimality) or ``v'(b - B T) <= 0`` from an infeasible one's Farkas
+    ray (feasibility), as the master row ``-(B'v)·T (- q) <= -v'b`` over
+    the master's columns [T..., q]."""
+    v = np.asarray(v, dtype=np.float64)
+    name = "dual vector" if kind == CUT_OPTIMALITY else "Farkas ray"
+    if v.shape != (B.shape[0],):
+        raise SolverError(f"{name} length {v.shape} does not match {B.shape[0]} rows")
+    if kind == CUT_FEASIBILITY and float(np.abs(v).max(initial=0.0)) <= 0.0:
         raise SolverError("zero Farkas ray cannot build a feasibility cut")
-    return Cut(
-        kind=CUT_FEASIBILITY,
-        t_coefficients=np.asarray(master.B.T @ ray),
-        constant=float(ray @ master.b),
-        iteration=iteration,
-    )
-
-
-def _cut_row(cut: Cut, n_t: int) -> tuple[np.ndarray, float]:
-    """A cut as the master row ``-w . T (- q) <= -constant`` over [T..., q]."""
+    n_t = B.shape[1]
     row = np.zeros(n_t + 1)
-    row[:n_t] = -cut.t_coefficients
-    if cut.kind == CUT_OPTIMALITY:
+    row[:n_t] = -np.asarray(B.T @ v)
+    if kind == CUT_OPTIMALITY:
         row[n_t] = -1.0
-    return row, -cut.constant
-
-
-def master_problem(master: MasterData) -> MilpProblem:
-    """Assemble the integer master over columns [T..., q]."""
-    n_t = master.num_t
-    rows = [_cut_row(cut, n_t) for cut in master.cuts]
-    # A is dense, so the master's node LPs run on the dense basis
-    lp = LpProblem(
-        objective=np.append(master.h_costs, 1.0),
-        A=np.array([row for row, _ in rows]),
-        senses=np.full(len(rows), "<"),
-        rhs=np.array([rhs for _, rhs in rows], dtype=np.float64),
-        upper=np.append(np.full(n_t, master.t_upper), np.inf),
-    )
-    return MilpProblem(lp=lp, integer_columns=np.arange(n_t))
+    return row, -float(v @ b)
 
 
 def solve_master(
-    master: MasterData,
+    h_costs: np.ndarray,
+    t_upper: float,
     gap_tol: float = DEFAULT_GAP_TOL,
     node_limit: int = DEFAULT_NODE_LIMIT,
     *,
     separate: Separator | None = None,
 ) -> MilpOutcome:
-    """Solve the master over columns [T..., q].
+    """Solve the master ``min h_costs·T + q`` over columns [T..., q], with
+    ``0 <= T <= t_upper`` integral and the one row ``q >= 0``.
 
     Returns the tree's outcome: status optimal or, at the node limit,
     node_limit with the best incumbent (None if there is none) and the
@@ -339,10 +255,17 @@ def solve_master(
     cuts it returns to the same tree; this is how :func:`run_benders`
     prices the subproblem.
     """
-    if not master.cuts:
-        raise SolverError("cut pool must contain at least the q >= 0 bound")
+    n_t = len(h_costs)
+    # A is dense, so the master's node LPs run on the dense basis
+    lp = LpProblem(
+        objective=np.append(h_costs, 1.0),
+        A=-np.eye(1, n_t + 1, n_t),  # -q <= 0
+        senses=np.array(["<"]),
+        rhs=np.zeros(1),
+        upper=np.append(np.full(n_t, t_upper), np.inf),
+    )
     outcome = solve_milp(
-        master_problem(master),
+        MilpProblem(lp=lp, integer_columns=np.arange(n_t)),
         gap_tol=gap_tol,
         node_limit=node_limit,
         separate=separate,
@@ -407,29 +330,16 @@ def run_benders(
     """
     params = params or BendersParams()
     trace = BendersTrace()
-    if validate:
-        diag = validate_routes(instance)
-        if not diag.feasible:
-            return BendersResult(
-                status="infeasible",
-                objective=None,
-                t_values=None,
-                x_full=None,
-                breakdown=None,
-                trace=trace,
-                lower_bound=math.inf,
-                upper_bound=math.inf,
-                iterations=0,
-                proven=True,
-            )
+    if validate and not validate_routes(instance).feasible:
+        return _infeasible(trace)
 
     model = build_mip(instance, mode, require_routes=False)
     sub = _prepare(model)
-    master = sub.master
-    n_t = master.num_t
+    h_costs = model.objective[sub.t_cols]
+    n_t = len(h_costs)
     # the master tree's own objective, so the upper bound and the tree's
     # incumbent are the same float
-    objective = np.append(master.h_costs, 1.0)
+    objective = np.append(h_costs, 1.0)
     priced: dict[bytes, float | None] = {}  # subproblem value per T; None if infeasible
 
     lb = -math.inf
@@ -455,15 +365,19 @@ def run_benders(
         it = len(trace.records) + 1
         lb = max(lb, bound)
         result = _solve_sub(sub, t)
+        optimal = result.status == STATUS_OPTIMAL
+        kind = CUT_OPTIMALITY if optimal else CUT_FEASIBILITY
+        value = result.objective if optimal else None
+        coefficients, rhs = _master_row(
+            kind, result.y if optimal else result.farkas_ray, sub.B, sub.b
+        )
+        at_t = float(coefficients[:n_t] @ t) - rhs  # the cut's v'(b - B t)
         point = None
-        if result.status == STATUS_OPTIMAL:
-            value = result.value
-            cut = make_optimality_cut(result.duals, master, iteration=it)
-            tight = cut.value_at(t)
-            if abs(tight - value) > 1e-6 * (1.0 + abs(value)):
+        if optimal:
+            if abs(at_t - value) > 1e-6 * (1.0 + abs(value)):
                 raise SolverError(
                     f"optimality cut not tight at its generator: "
-                    f"{tight:.9g} vs q={value:.9g}"
+                    f"{at_t:.9g} vs q={value:.9g}"
                 )
             if not fractional:
                 point = np.append(t, value)
@@ -472,17 +386,13 @@ def run_benders(
                     ub = candidate_ub
                     best_t = t
                     best_x = result.x.copy()
-        else:
-            value = None
-            cut = make_feasibility_cut(result.farkas_ray, master, iteration=it)
-            if not fractional and cut.value_at(t) <= 0.0:
-                raise SolverError(
-                    "feasibility cut does not exclude the generating candidate"
-                )
-        row = _cut_row(cut, n_t)
+        elif not fractional and at_t <= 0.0:
+            raise SolverError(
+                "feasibility cut does not exclude the generating candidate"
+            )
+        row = (coefficients, rhs)
         if fractional:
             # a root round pays off only if the cut moves the root's (T, q)
-            coefficients, rhs = row
             if float(coefficients @ x) - rhs <= 1e-6 * (1.0 + abs(rhs)):
                 row = None
         else:
@@ -495,7 +405,7 @@ def run_benders(
                 gap=relative_gap(ub, lb),
                 t_candidate=t.copy(),
                 subproblem_value=value,
-                cut_kind=None if row is None else cut.kind,
+                cut_kind=None if row is None else kind,
                 fractional=fractional,
             )
         )
@@ -505,22 +415,14 @@ def run_benders(
 
     try:
         outcome = solve_master(
-            master, params.gap_tol, params.node_limit, separate=separate
+            h_costs,
+            float(instance.container_bound()),
+            params.gap_tol,
+            params.node_limit,
+            separate=separate,
         )
     except InfeasibleInstanceError:
-        return BendersResult(
-            status="infeasible",
-            objective=None,
-            t_values=None,
-            x_full=None,
-            breakdown=None,
-            trace=trace,
-            lower_bound=lb,
-            upper_bound=ub,
-            iterations=len(trace.records),
-            proven=True,
-            model=model,
-        )
+        return _infeasible(trace, model)
     except _IterationLimit:
         status = "max_iters"
     else:
@@ -549,7 +451,23 @@ def run_benders(
         trace=trace,
         lower_bound=lb,
         upper_bound=ub,
-        iterations=len(trace.records),
         proven=status == "optimal",
+        model=model,
+    )
+
+
+def _infeasible(trace: BendersTrace, model: MipModel | None = None) -> BendersResult:
+    """A proven infeasible result: no schedule, both bounds infinite, as
+    :func:`solve_milp` reports an infeasible problem."""
+    return BendersResult(
+        status="infeasible",
+        objective=None,
+        t_values=None,
+        x_full=None,
+        breakdown=None,
+        trace=trace,
+        lower_bound=math.inf,
+        upper_bound=math.inf,
+        proven=True,
         model=model,
     )

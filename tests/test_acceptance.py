@@ -30,7 +30,6 @@ from intransit import (
     generate_synthetic,
     lp_from_mip,
     lp_relaxation,
-    make_optimality_cut,
     rate_class_params,
     run_benders,
     solve_lp,
@@ -39,7 +38,7 @@ from intransit import (
     verify_certificate,
     zone_lookup,
 )
-from intransit.benders import _prepare, _solve_sub
+from intransit.benders import CUT_OPTIMALITY, _master_row, _prepare, _solve_sub
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
 from conftest import (
@@ -340,7 +339,7 @@ def test_branch_and_bound_matches_exhaustive_container_grid():
             t = np.asarray(grid, dtype=np.float64)
             result = _solve_sub(sub, t)
             if result.status == STATUS_OPTIMAL:
-                best = min(best, result.value + float(h_costs @ t))
+                best = min(best, result.objective + float(h_costs @ t))
         out = solve_milp(model)
         assert out.status == "optimal"
         assert abs(out.objective - best) <= 1e-7 * (1 + abs(best)), (
@@ -432,10 +431,11 @@ def test_bounds_monotone_and_cuts_tight_at_generator():
                 assert priced.status == STATUS_INFEASIBLE
                 continue
             assert priced.status == STATUS_OPTIMAL
-            assert priced.value == pytest.approx(rec.subproblem_value, rel=1e-9)
-            cut = make_optimality_cut(priced.duals, sub.master)
-            slack = cut.value_at(rec.t_candidate) - priced.value
-            assert abs(slack) <= 1e-6 * (1 + abs(priced.value))
+            assert priced.objective == pytest.approx(rec.subproblem_value, rel=1e-9)
+            coefficients, rhs = _master_row(CUT_OPTIMALITY, priced.y, sub.B, sub.b)
+            t = rec.t_candidate
+            slack = float(coefficients[: len(t)] @ t) - rhs - priced.objective
+            assert abs(slack) <= 1e-6 * (1 + abs(priced.objective))
             fractional_checked += rec.fractional
     assert fractional_checked > 0
 

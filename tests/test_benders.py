@@ -12,19 +12,23 @@ from intransit import (
     MODE_WINDOW,
     GeneratorConfig,
     LpProblem,
-    MasterData,
     build_mip,
     check_solution,
     generate_synthetic,
     lp_relaxation,
-    make_feasibility_cut,
-    make_optimality_cut,
     run_benders,
     solve_lp,
     solve_master,
     solve_milp,
 )
-from intransit.benders import Cut, _prepare, _solve_sub
+import intransit.benders as bd
+from intransit.benders import (
+    CUT_FEASIBILITY,
+    CUT_OPTIMALITY,
+    _master_row,
+    _prepare,
+    _solve_sub,
+)
 from intransit.errors import InfeasibleInstanceError, SolverError
 from intransit.milp import MILP_NODE_LIMIT, MILP_OPTIMAL
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
@@ -32,12 +36,36 @@ from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 from conftest import build_instance, readme_instance, strong_lp_bound
 
 
+def optimality_row(sub, result):
+    """The master row of the optimality cut an optimal subproblem gives."""
+    return _master_row(CUT_OPTIMALITY, result.y, sub.B, sub.b)
+
+
+def cut_value(row, t):
+    """``v'(b - B t)`` of the cut whose master row is ``row``: its bound on
+    q at t (optimality), or what a T must keep at most 0 (feasibility)."""
+    coefficients, rhs = row
+    return float(coefficients[: len(t)] @ t) - rhs
+
+
+def add_once(row):
+    """A master separator that adds ``row`` at its first call and then
+    takes every integral point it is shown as an incumbent."""
+    calls = []
+
+    def separate(x, bound):
+        calls.append(x)
+        return (row, None) if len(calls) == 1 else (None, x)
+
+    return separate
+
+
 class TestSubproblem:
     def test_zero_containers_means_all_lcl(self, tiny_instance):
         result = _solve_sub(_prepare(build_mip(tiny_instance, MODE_WINDOW)), np.zeros(10))
         assert result.status == STATUS_OPTIMAL
         # land 0.30 + LCL 0.20 on 1000 lbs; no container appears
-        assert result.value == pytest.approx(500.0, rel=1e-9)
+        assert result.objective == pytest.approx(500.0, rel=1e-9)
 
     def test_container_unlocks_cheaper_leg(self, tiny_instance):
         sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
@@ -47,7 +75,7 @@ class TestSubproblem:
         with_box = _solve_sub(sub, t)
         assert with_box.status == STATUS_OPTIMAL
         # the 0.20/lb LCL charge on 1000 lbs disappears into the container
-        assert base.value - with_box.value == pytest.approx(200.0, rel=1e-9)
+        assert base.objective - with_box.objective == pytest.approx(200.0, rel=1e-9)
 
     def test_fractional_containers_are_priced_with_the_linking_rows(
         self, tiny_instance
@@ -59,18 +87,18 @@ class TestSubproblem:
         t[2] = 1.0 / 48.0
         result = _solve_sub(sub, t)
         assert result.status == STATUS_OPTIMAL
-        assert result.value == pytest.approx(500.0 - 200.0 / 48.0, rel=1e-9)
+        assert result.objective == pytest.approx(500.0 - 200.0 / 48.0, rel=1e-9)
         link = sub.model.linking
         assert not len(link.violated(result.x[sub.link_u], t[sub.link_t]))
         assert sub.link_joined.sum() == 1
         # the cut is tight at the fractional T and valid at integral ones,
         # whose value the joined row leaves unchanged
-        cut = make_optimality_cut(result.duals, sub.master)
-        assert cut.value_at(t) == pytest.approx(result.value, rel=1e-9)
+        row = optimality_row(sub, result)
+        assert cut_value(row, t) == pytest.approx(result.objective, rel=1e-9)
         t[2] = 1.0
         whole = _solve_sub(sub, t)
-        assert whole.value == pytest.approx(300.0, rel=1e-9)
-        assert cut.value_at(t) <= whole.value + 1e-6
+        assert whole.objective == pytest.approx(300.0, rel=1e-9)
+        assert cut_value(row, t) <= whole.objective + 1e-6
 
     def test_infeasible_instance_gives_farkas(self):
         inst = build_instance(window_days=2, land_time=4, air_time=3)
@@ -81,7 +109,7 @@ class TestSubproblem:
 
 
 class TestOptimalityCuts:
-    def _master_and_duals(self, instance, t):
+    def _sub_and_result(self, instance, t):
         sub = _prepare(build_mip(instance, MODE_WINDOW))
         result = _solve_sub(sub, t)
         assert result.status == STATUS_OPTIMAL
@@ -89,31 +117,44 @@ class TestOptimalityCuts:
 
     def test_tight_at_generator(self, tiny_instance):
         t = np.zeros(10)
-        sub, result = self._master_and_duals(tiny_instance, t)
-        cut = make_optimality_cut(result.duals, sub.master)
-        assert cut.value_at(t) == pytest.approx(result.value, rel=1e-6)
+        sub, result = self._sub_and_result(tiny_instance, t)
+        row = optimality_row(sub, result)
+        assert cut_value(row, t) == pytest.approx(result.objective, rel=1e-6)
 
     def test_valid_at_other_points(self, tiny_instance):
         t0 = np.zeros(10)
-        sub, result = self._master_and_duals(tiny_instance, t0)
-        cut = make_optimality_cut(result.duals, sub.master)
+        sub, result = self._sub_and_result(tiny_instance, t0)
+        row = optimality_row(sub, result)
         rng = np.random.default_rng(1)
         for _ in range(6):
             t = rng.integers(0, 3, size=10).astype(np.float64)
             other = _solve_sub(sub, t)
             assert other.status == STATUS_OPTIMAL
-            assert cut.value_at(t) <= other.value + 1e-6 * (1.0 + abs(other.value))
+            tol = 1e-6 * (1.0 + abs(other.objective))
+            assert cut_value(row, t) <= other.objective + tol
 
     def test_dimension_mismatch(self, tiny_instance):
-        sub, _ = self._master_and_duals(tiny_instance, np.zeros(10))
+        sub, _ = self._sub_and_result(tiny_instance, np.zeros(10))
         with pytest.raises(SolverError, match="rows"):
-            make_optimality_cut(np.zeros(3), sub.master)
+            _master_row(CUT_OPTIMALITY, np.zeros(3), sub.B, sub.b)
 
-    def test_zero_duals_reproduce_init_bound(self, tiny_instance):
-        master = self._master_and_duals(tiny_instance, np.zeros(10))[0].master
-        cut = make_optimality_cut(np.zeros(master.B.shape[0]), master)
-        assert cut.constant == 0.0
-        assert not cut.t_coefficients.any()
+    def test_zero_duals_give_the_master_row(self, tiny_instance, monkeypatch):
+        sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
+        row, rhs = _master_row(CUT_OPTIMALITY, np.zeros(sub.B.shape[0]), sub.B, sub.b)
+        problems = []
+        solve = bd.solve_milp
+
+        def recorded(problem, *args, **kwargs):
+            problems.append(problem)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(bd, "solve_milp", recorded)
+        solve_master(np.ones(10), 3.0)
+        (master,) = problems
+        # the master starts from the one row q >= 0, which zero duals give
+        assert master.lp.A.tolist() == [row.tolist()]
+        assert master.lp.rhs.tolist() == [rhs]
+        assert row.tolist() == [0.0] * 10 + [-1.0]
 
 
 class TestFeasibilityCuts:
@@ -124,14 +165,10 @@ class TestFeasibilityCuts:
         senses = np.array(["=", "<"])
         b = np.array([demand, 0.0])
         B = sp.csr_matrix(np.array([[0.0], [-k]]))
-        master = MasterData(
-            B=B, b=b, h_costs=np.array([4800.0]), t_upper=5.0,
-            cuts=[Cut("optimality", np.zeros(1), 0.0, 0)],
-        )
-        return A_sub, senses, master
+        return A_sub, senses, B, b
 
-    def _farkas(self, A_sub, senses, master, t):
-        rhs = master.b - master.B @ np.asarray(t, dtype=np.float64)
+    def _farkas(self, A_sub, senses, B, b, t):
+        rhs = b - B @ np.asarray(t, dtype=np.float64)
         out = solve_lp(
             LpProblem(objective=np.zeros(1), A=A_sub, senses=senses, rhs=rhs)
         )
@@ -139,79 +176,69 @@ class TestFeasibilityCuts:
         return out.farkas_ray
 
     def test_cut_raises_container_lower_bound(self):
-        A_sub, senses, master = self._harness()
-        ray = self._farkas(A_sub, senses, master, [0.0])
-        cut = make_feasibility_cut(ray, master)
+        A_sub, senses, B, b = self._harness()
+        ray = self._farkas(A_sub, senses, B, b, [0.0])
+        row = _master_row(CUT_FEASIBILITY, ray, B, b)
         # violated at the generating point, satisfied once T covers demand
-        assert cut.value_at(np.array([0.0])) > 0.0
-        assert cut.value_at(np.array([1.0])) <= 1e-9
-        # the implied bound is T >= demand / capacity
-        t_min = cut.constant / cut.t_coefficients[0]
+        assert cut_value(row, np.array([0.0])) > 0.0
+        assert cut_value(row, np.array([1.0])) <= 1e-9
+        # no q in a feasibility cut; the implied bound is T >= demand / capacity
+        coefficients, rhs = row
+        assert coefficients[1] == 0.0
+        t_min = rhs / coefficients[0]
         assert t_min == pytest.approx(100.0 / 48000.0, rel=1e-9)
 
     def test_master_point_respects_cut(self):
-        A_sub, senses, master = self._harness()
-        ray = self._farkas(A_sub, senses, master, [0.0])
-        master.cuts.append(make_feasibility_cut(ray, master))
+        A_sub, senses, B, b = self._harness()
+        ray = self._farkas(A_sub, senses, B, b, [0.0])
+        row = _master_row(CUT_FEASIBILITY, ray, B, b)
         # T = 0 is cut off; one container is the cheapest schedule left
-        out = solve_master(master)
+        out = solve_master(np.array([4800.0]), 5.0, separate=add_once(row))
         assert out.status == MILP_OPTIMAL
         assert out.x.tolist() == [1.0, 0.0]  # [T, q]
         assert out.bound == pytest.approx(4800.0)
 
     def test_zero_ray_rejected(self):
-        _, _, master = self._harness()
+        _, _, B, b = self._harness()
         with pytest.raises(SolverError, match="zero Farkas"):
-            make_feasibility_cut(np.zeros(2), master)
+            _master_row(CUT_FEASIBILITY, np.zeros(2), B, b)
 
     def test_dimension_mismatch(self):
-        _, _, master = self._harness()
+        _, _, B, b = self._harness()
         with pytest.raises(SolverError, match="rows"):
-            make_feasibility_cut(np.ones(5), master)
+            _master_row(CUT_FEASIBILITY, np.ones(5), B, b)
 
 
 class TestMaster:
+    def _master_costs(self, instance):
+        model = build_mip(instance, MODE_WINDOW)
+        return model.objective[model.integer_columns], float(instance.container_bound())
+
     def test_init_pool_picks_zero(self, tiny_instance):
-        master = _prepare(build_mip(tiny_instance, MODE_WINDOW)).master
-        out = solve_master(master)
+        out = solve_master(*self._master_costs(tiny_instance))
         assert not out.x.any()  # T = 0, q = 0
         assert out.bound == 0.0
 
-    def test_empty_pool_rejected(self, tiny_instance):
-        master = _prepare(build_mip(tiny_instance, MODE_WINDOW)).master
-        master.cuts = []
-        with pytest.raises(SolverError):
-            solve_master(master)
-
     def test_lower_bound_after_first_cut(self, tiny_instance):
+        h_costs, t_upper = self._master_costs(tiny_instance)
         sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
-        master = sub.master
         result = _solve_sub(sub, np.zeros(10))
-        master.cuts.append(make_optimality_cut(result.duals, master))
-        lb = solve_master(master).bound
+        row = optimality_row(sub, result)
+        lb = solve_master(h_costs, t_upper, separate=add_once(row)).bound
         # closed form: min over T of c3'T + max(0, q(0) - w'T)
-        w = master.cuts[-1].t_coefficients
-        candidates = [result.value]  # T = 0
+        w = -row[0][:10]
+        candidates = [result.objective]  # T = 0
         for j in range(10):
             for n in (1, 2, 3):
                 candidates.append(
-                    master.h_costs[j] * n + max(0.0, result.value - w[j] * n)
+                    h_costs[j] * n + max(0.0, result.objective - w[j] * n)
                 )
         assert lb == pytest.approx(min(candidates), rel=1e-9)
 
     def test_feasibility_cut_propagates_infeasibility(self):
-        master = MasterData(
-            B=sp.csr_matrix(np.zeros((1, 1))),
-            b=np.array([1.0]),
-            h_costs=np.array([1.0]),
-            t_upper=3.0,
-            cuts=[
-                Cut("optimality", np.zeros(1), 0.0, 0),
-                Cut("feasibility", np.zeros(1), 1.0, 1),  # 1 <= 0: never
-            ],
-        )
+        row = (np.zeros(2), -1.0)  # a feasibility cut 1 <= 0: never
         with pytest.raises(InfeasibleInstanceError):
-            solve_master(master)
+            solve_master(np.array([1.0]), 3.0, separate=add_once(row))
 
 
 class TestRunBenders:
@@ -286,6 +313,15 @@ class TestRunBenders:
         inst = build_instance(window_days=2, land_time=4, air_time=3)
         res = run_benders(inst, MODE_WINDOW, validate=False)
         assert res.status == "infeasible"
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_infeasible_instance_bounds_agree(self, validate):
+        # route validation and the infeasible master report the same bounds
+        inst = build_instance(window_days=2, land_time=4, air_time=3)
+        res = run_benders(inst, MODE_WINDOW, validate=validate)
+        assert res.status == "infeasible"
+        assert res.lower_bound == math.inf
+        assert res.upper_bound == math.inf
 
     def test_max_iters_flagged_unproven(self, tiny_instance):
         from intransit import BendersParams

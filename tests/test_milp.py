@@ -38,7 +38,7 @@ def t_grid_minimum(instance, mode, t_max=2):
         result = _solve_sub(sub, t)
         if result.status != STATUS_OPTIMAL:
             continue
-        best = min(best, result.value + float(h_costs @ t))
+        best = min(best, result.objective + float(h_costs @ t))
     return best
 
 

@@ -1,14 +1,16 @@
 """Run the decomposition solver on a synthetic instance and narrate the trace.
 
 Generates a mid-size instance, solves it, and prints one line per subproblem
-solve: whether it priced the root's fractional container counts or an
-integral node, the master tree's lower bound climbing, the incumbent upper
-bound falling, and the kind of cut the solve produced. The subproblem is
-priced at the root while its container counts are fractional, until no cut
-cuts the root off, and then whenever a node of the master's branch-and-bound
-tree has integral container counts; the last line carries the bound the tree
-proved when it closed. Ends with the delivery-lag histogram for the optimal
-plan.
+solve: whether it priced a stabilised point of a root round, the root's own
+fractional container counts, or an integral node, the master tree's lower
+bound climbing, the incumbent upper bound falling, and the kind of cut the
+solve produced. While the root's container counts are fractional, each round
+prices a point halfway between them and a core point first, and the root's
+own counts only if that cut misses the root; the rounds end when no cut cuts
+the root off. Then the subproblem is priced whenever a node of the master's
+branch-and-bound tree has integral container counts; the last line carries
+the bound the tree proved when it closed. Ends with the delivery-lag
+histogram for the optimal plan.
 """
 
 import io
@@ -42,8 +44,7 @@ def main() -> None:
     print(f"\n{'solve':>5} {'candidate':>10} {'lower':>12} {'upper':>12} {'gap':>10}  cut")
     for rec in result.trace.records:
         ub = f"{rec.upper:12.2f}" if rec.upper < float("inf") else f"{'--':>12}"
-        candidate = "fractional" if rec.fractional else "integral"
-        print(f"{rec.iteration:>5} {candidate:>10} {rec.lower:12.2f} {ub} {rec.gap:10.2e}  "
+        print(f"{rec.iteration:>5} {rec.candidate:>10} {rec.lower:12.2f} {ub} {rec.gap:10.2e}  "
               f"{rec.cut_kind or '--'}")
 
     print(f"\nstatus: {result.status}, objective ${result.objective:,.2f} "

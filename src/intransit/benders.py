@@ -85,7 +85,15 @@ class IterationRecord:
     t_candidate: np.ndarray
     subproblem_value: float | None
     cut_kind: str | None  # None when the solve added no cut
-    fractional: bool  # priced the root's fractional T, not an integral node
+    fractional: bool  # a root round, not an integral node
+    stabilised: bool  # a root round's in-out point, not the root's own T
+
+    @property
+    def candidate(self) -> str:
+        """What was priced: ``stabilised``, ``fractional`` or ``integral``."""
+        if self.stabilised:
+            return "stabilised"
+        return "fractional" if self.fractional else "integral"
 
 
 @dataclass
@@ -101,7 +109,7 @@ class BendersTrace:
             writer.writerow(
                 [
                     r.iteration,
-                    "fractional" if r.fractional else "integral",
+                    r.candidate,
                     f"{r.lower:.9f}",
                     f"{r.upper:.9f}" if math.isfinite(r.upper) else "inf",
                     f"{r.gap:.3e}" if math.isfinite(r.gap) else "inf",
@@ -143,6 +151,7 @@ class _SubStructure:
     link_t: np.ndarray  # ... and its T position among the master's T
     link_joined: np.ndarray  # which linking entries joined the subproblem
     warm_basis: BasisLabels | None = None  # optimal basis of the previous solve
+    stabilised_basis: BasisLabels | None = None  # ... of the previous in-out solve
 
 
 def _split(rows: sp.spmatrix, non_t: np.ndarray, t_cols: np.ndarray):
@@ -172,20 +181,30 @@ def _prepare(model: MipModel) -> _SubStructure:
     )
 
 
-def _solve_sub(sub: _SubStructure, t_fixed: np.ndarray) -> LpOutcome:
+def _solve_sub(
+    sub: _SubStructure, t_fixed: np.ndarray, stabilised: bool = False
+) -> LpOutcome:
     """Price the flows at ``t_fixed``: the outcome's ``x`` is over the
     subproblem's columns. The linking rows the optimal flow violates there
     join the subproblem, which is solved again until it violates none; at
-    integral T it never does."""
+    integral T it never does. A ``stabilised`` solve (an in-out point of
+    the root rounds) starts from the basis of the previous stabilised
+    solve, cold the first time; every other solve from the previous other
+    one."""
     while True:
         rhs = sub.b - sub.B @ t_fixed
         lp = LpProblem(objective=sub.obj_sub, A=sub.A_sub, senses=sub.senses, rhs=rhs)
         # consecutive subproblems differ only in rhs (or in rows that join
         # with their slacks basic), so the previous optimal basis is dual
-        # feasible and a short warm run replaces a full solve
-        outcome = solve_lp(lp, warm=sub.warm_basis)
+        # feasible and a short warm run replaces a full solve. The in-out
+        # points lie far from the root's T, so each kind keeps its own chain
+        warm = sub.stabilised_basis if stabilised else sub.warm_basis
+        outcome = solve_lp(lp, warm=warm)
         if outcome.status == STATUS_OPTIMAL and outcome.basis is not None:
-            sub.warm_basis = outcome.basis
+            if stabilised:
+                sub.stabilised_basis = outcome.basis
+            else:
+                sub.warm_basis = outcome.basis
         if outcome.status == STATUS_UNBOUNDED:
             raise SolverError(
                 "subproblem reported unbounded; with nonnegative costs this "
@@ -207,8 +226,15 @@ def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
     """Append the given linking rows to the subproblem (its flow part to
     ``A_sub``, its T part to ``B``). The warm basis names the rows before
     them, so the next solve starts with their slacks basic."""
-    rows_sub, rows_t = _split(
-        sub.model.linking.block(entries, sub.model.num_vars), sub.non_t_cols, sub.t_cols
+    # one U entry and one T entry per row, each block built in place
+    k = len(entries)
+    indptr = np.arange(k + 1)
+    rows_sub = sp.csr_matrix(
+        (np.ones(k), sub.link_u[entries], indptr), shape=(k, sub.A_sub.shape[1])
+    )
+    rows_t = sp.csr_matrix(
+        (-sub.model.linking.weights[entries], sub.link_t[entries], indptr),
+        shape=(k, sub.B.shape[1]),
     )
     sub.link_joined[entries] = True
     sub.A_sub = sp.vstack([sub.A_sub, rows_sub], format="csr")
@@ -342,29 +368,26 @@ def run_benders(
     objective = np.append(h_costs, 1.0)
     priced: dict[bytes, float | None] = {}  # subproblem value per T; None if infeasible
 
+    t_upper = float(instance.container_bound())
+    core: np.ndarray | None = None  # the root rounds' in-out core point
+
     lb = -math.inf
     ub = math.inf
     best_t: np.ndarray | None = None
     best_x: np.ndarray | None = None
 
-    def separate(x: np.ndarray, bound: float):
+    def price(t: np.ndarray, x: np.ndarray, bound: float, stabilised: bool):
+        """Solve the subproblem at ``t`` and record it; return its master row
+        (None at the root if it does not cut off the root's ``x``) and, at
+        an integral node, the incumbent it offers."""
         nonlocal lb, ub, best_t, best_x
-        t = x[:n_t] + 0.0  # folds -0.0 into 0.0 so equal schedules share a key
-        # solve_milp rounds T exactly at integral nodes, never at the root
-        fractional = bool((t != np.round(t)).any())
-        key = t.tobytes()
-        if not fractional and key in priced:
-            # this T's cut is in the tree already; x misses it by round-off
-            if priced[key] is None:
-                raise SolverError(
-                    "feasibility cut does not exclude the generating candidate"
-                )
-            return None, np.append(t, priced[key])
         if len(trace.records) >= params.max_iters:
             raise _IterationLimit
         it = len(trace.records) + 1
         lb = max(lb, bound)
-        result = _solve_sub(sub, t)
+        # solve_milp rounds T exactly at integral nodes, never at the root
+        fractional = stabilised or bool((t != np.round(t)).any())
+        result = _solve_sub(sub, t, stabilised)
         optimal = result.status == STATUS_OPTIMAL
         kind = CUT_OPTIMALITY if optimal else CUT_FEASIBILITY
         value = result.objective if optimal else None
@@ -396,7 +419,7 @@ def run_benders(
             if float(coefficients @ x) - rhs <= 1e-6 * (1.0 + abs(rhs)):
                 row = None
         else:
-            priced[key] = value
+            priced[t.tobytes()] = value
         trace.records.append(
             IterationRecord(
                 iteration=it,
@@ -407,11 +430,37 @@ def run_benders(
                 subproblem_value=value,
                 cut_kind=None if row is None else kind,
                 fractional=fractional,
+                stabilised=stabilised,
             )
         )
         if it >= params.max_iters and trace.records[-1].gap > params.gap_tol:
             raise _IterationLimit  # the last allowed solve left the gap open
         return row, point
+
+    def separate(x: np.ndarray, bound: float):
+        nonlocal core
+        t = x[:n_t] + 0.0  # folds -0.0 into 0.0 so equal schedules share a key
+        key = t.tobytes()
+        if (t == np.round(t)).all():
+            if key in priced:
+                # this T's cut is in the tree already; x misses it by round-off
+                if priced[key] is None:
+                    raise SolverError(
+                        "feasibility cut does not exclude the generating candidate"
+                    )
+                return None, np.append(t, priced[key])
+            return price(t, x, bound, stabilised=False)
+        # a fractional root round, stabilised in-out: price halfway between
+        # the root's T and a core point above it, which then moves there.
+        # Only if that cut misses the root is the root's T priced itself,
+        # so the rounds still end only where a Kelley cut at the root fails
+        if core is None:
+            core = np.minimum(t_upper, np.ceil(t) + 1.0)
+        core = (core + t) / 2.0
+        row, _ = price(core, x, bound, stabilised=True)
+        if row is not None:
+            return row, None
+        return price(t, x, bound, stabilised=False)
 
     try:
         outcome = solve_master(

@@ -228,10 +228,9 @@ def _cmd_benders(args) -> int:
     )
     if args.verbose:
         for r in result.trace.records:
-            candidate = "fractional" if r.fractional else "integral"
             print(
                 f"  iter {r.iteration}: lb {r.lower:,.2f} ub {r.upper:,.2f} "
-                f"{r.cut_kind or 'no'} cut at {candidate} T"
+                f"{r.cut_kind or 'no'} cut at {r.candidate} T"
             )
     share = consolidation_share(result.model, result.x_full)
     if share is not None:

@@ -530,10 +530,17 @@ def _pow2_scale(v: np.ndarray) -> np.ndarray:
 def _equilibration(A) -> tuple[np.ndarray, np.ndarray]:
     """Max-norm row scales then column scales for the constraint matrix."""
     if sp.issparse(A):
-        Aabs = abs(A.tocsr())
-        r = _pow2_scale(Aabs.max(axis=1).toarray().ravel())
-        Aabs.data *= np.repeat(r, np.diff(Aabs.indptr))
-        cmax = Aabs.max(axis=0).toarray().ravel()
+        A = A.tocsr()
+        data = np.abs(A.data)
+        counts = np.diff(A.indptr)
+        rmax = np.zeros(A.shape[0])
+        filled = np.flatnonzero(counts)  # reduceat would misread an empty row
+        if len(filled):
+            rmax[filled] = np.maximum.reduceat(data, A.indptr[filled])
+        r = _pow2_scale(rmax)
+        data *= np.repeat(r, counts)
+        cmax = np.zeros(A.shape[1])
+        np.maximum.at(cmax, A.indices, data)
     else:
         Aabs = np.abs(A)
         r = _pow2_scale(Aabs.max(axis=1, initial=0.0))

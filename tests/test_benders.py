@@ -25,9 +25,11 @@ import intransit.benders as bd
 from intransit.benders import (
     CUT_FEASIBILITY,
     CUT_OPTIMALITY,
+    _join_linking,
     _master_row,
     _prepare,
     _solve_sub,
+    _split,
 )
 from intransit.errors import InfeasibleInstanceError, SolverError
 from intransit.milp import MILP_NODE_LIMIT, MILP_OPTIMAL
@@ -99,6 +101,28 @@ class TestSubproblem:
         whole = _solve_sub(sub, t)
         assert whole.objective == pytest.approx(300.0, rel=1e-9)
         assert cut_value(row, t) <= whole.objective + 1e-6
+
+    def test_joined_linking_rows_equal_the_split_model_rows(self):
+        # the joined blocks are built from the subproblem's own positions;
+        # they must equal the linking rows over the model's columns, split
+        model = build_mip(readme_instance(), MODE_WINDOW)
+        link = model.linking
+        sub = _prepare(model)
+        m = sub.A_sub.shape[0]
+        rng = np.random.default_rng(5)
+        for size in (1, 7, len(link.u_cols) // 3):
+            entries = np.sort(rng.choice(np.flatnonzero(~sub.link_joined), size, replace=False))
+            want_sub, want_t = _split(
+                link.block(entries, model.num_vars), sub.non_t_cols, sub.t_cols
+            )
+            _join_linking(sub, entries)
+            got_sub, got_t = sub.A_sub[m:], sub.B[m:]
+            m = sub.A_sub.shape[0]
+            assert got_sub.shape == want_sub.shape and got_t.shape == want_t.shape
+            np.testing.assert_array_equal(got_sub.toarray(), want_sub.toarray())
+            np.testing.assert_array_equal(got_t.toarray(), want_t.toarray())
+        assert sub.link_joined.sum() == m - model.A.shape[0]
+        assert len(sub.b) == len(sub.senses) == m
 
     def test_infeasible_instance_gives_farkas(self):
         inst = build_instance(window_days=2, land_time=4, air_time=3)
@@ -409,3 +433,114 @@ class TestRunBenders:
             exact = run_benders(inst, MODE_EXACT_DAY)
             assert relax_obj <= window.objective + 1e-9 * (1 + abs(window.objective))
             assert window.objective <= exact.objective + 1e-9 * (1 + abs(exact.objective))
+
+
+class TestInOutRounds:
+    """The fractional root rounds price an in-out point between the root's
+    T and a core point first, and the root's T only when that cut misses."""
+
+    @staticmethod
+    def _logged_run(monkeypatch, instance):
+        """Run Benders and log, per separator call, its x and the
+        (T, stabilised) of each subproblem solve it made."""
+        calls = []
+        solve_master, solve_sub = bd.solve_milp, bd._solve_sub
+
+        def master(*args, separate, **kwargs):
+            def logged(x, bound):
+                calls.append((x.copy(), []))
+                return separate(x, bound)
+
+            return solve_master(*args, separate=logged, **kwargs)
+
+        def sub(s, t, stabilised=False):
+            calls[-1][1].append((t.copy(), stabilised))
+            return solve_sub(s, t, stabilised)
+
+        monkeypatch.setattr(bd, "solve_milp", master)
+        monkeypatch.setattr(bd, "_solve_sub", sub)
+        return run_benders(instance, MODE_WINDOW), calls
+
+    def test_a_stabilised_cut_that_misses_prices_the_root_in_the_same_round(
+        self, monkeypatch
+    ):
+        inst = readme_instance()
+        res, calls = self._logged_run(monkeypatch, inst)
+        assert res.status == "optimal"
+        records = iter(res.trace.records)
+        n_t = len(res.t_values)
+        bound = float(inst.container_bound())
+        core = None
+        missed = 0
+        for x, solves in calls:
+            t = x[:n_t]
+            if not solves or (t == np.round(t)).all():
+                assert all(not stabilised for _, stabilised in solves)
+                for _ in solves:
+                    assert next(records).candidate == "integral"
+                continue
+            # the core starts one container above the first root's T, within
+            # the container bound, and moves to each round's in-out point
+            if core is None:
+                core = np.minimum(bound, np.ceil(t) + 1.0)
+            core = (core + t) / 2.0
+            (t_in, first), *rest = solves
+            assert first
+            np.testing.assert_array_equal(t_in, core)
+            first_record = next(records)
+            assert first_record.candidate == "stabilised"
+            if first_record.cut_kind is not None:
+                assert rest == []
+                continue
+            missed += 1
+            ((t_root, second),) = rest
+            assert not second
+            np.testing.assert_array_equal(t_root, t)
+            assert next(records).candidate == "fractional"
+        assert next(records, None) is None
+        # the last round's in-out cut misses, and so does the root's own
+        assert missed >= 1
+
+    def test_stabilised_solves_keep_their_own_warm_chain(self, monkeypatch):
+        log = []  # (stabilised, warm, outcome) per subproblem LP
+        solve_lp, solve_sub = bd.solve_lp, bd._solve_sub
+        kind = []
+
+        def lp(problem, warm=None):
+            out = solve_lp(problem, warm=warm)
+            log.append((kind[-1], warm, out))
+            return out
+
+        def sub(s, t, stabilised=False):
+            kind.append(stabilised)
+            return solve_sub(s, t, stabilised)
+
+        monkeypatch.setattr(bd, "solve_lp", lp)
+        monkeypatch.setattr(bd, "_solve_sub", sub)
+        res = run_benders(readme_instance(), MODE_WINDOW)
+        assert res.status == "optimal"
+        assert sum(kind) >= 2
+        # the first stabilised solve starts cold; each LP starts from the
+        # last optimal basis of its own chain
+        last = {True: None, False: None}
+        for stabilised, warm, out in log:
+            assert warm is last[stabilised]
+            if out.status == STATUS_OPTIMAL:
+                last[stabilised] = out.basis
+        first_stabilised = next(warm for stabilised, warm, _ in log if stabilised)
+        assert first_stabilised is None
+
+    def test_generated_20x5x3x30_seed_2_closes_at_the_monolithic_optimum(
+        self, master_outcomes
+    ):
+        cfg = GeneratorConfig(n_products=20, n_suppliers=5, n_gateways=3, horizon_days=30)
+        inst = generate_synthetic(cfg, seed=2)
+        res = run_benders(inst, MODE_WINDOW)
+        assert res.status == "optimal"
+        assert res.proven
+        # solve_milp's optimum on the same model, which HiGHS confirms
+        assert res.objective == pytest.approx(36624.453707, abs=1e-6)
+        # the rounds still end at the strong LP bound
+        (master,) = master_outcomes
+        strong = strong_lp_bound(build_mip(inst, MODE_WINDOW))
+        assert master.root_bound == pytest.approx(strong, rel=1e-9)

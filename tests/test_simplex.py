@@ -636,6 +636,30 @@ class TestScaling:
         assert out.objective == pytest.approx(1.0, rel=1e-12)
         assert verify_certificate(problem, out).ok
 
+    def test_sparse_equilibration_matches_scipy_maxima(self):
+        # the sparse scales come from numpy reductions over the CSR arrays;
+        # they must equal scipy's row and column maxima, empty rows and
+        # columns and a column of dust alone included
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            m, n = (int(v) for v in rng.integers(1, 12, size=2))
+            A = sp.random(m, n, density=float(rng.uniform(0.0, 0.6)), random_state=rng)
+            A.data = (A.data - 0.5) * 10.0 ** rng.integers(-4, 6, size=A.nnz)
+            A = A.tolil()
+            A[int(rng.integers(m)), :] = 0.0
+            A[:, int(rng.integers(n))] = 0.0
+            A[int(rng.integers(m)), int(rng.integers(n))] = -1e-13
+            A = A.tocsr()
+            A.eliminate_zeros()
+            Aabs = abs(A)
+            r = simplex._pow2_scale(Aabs.max(axis=1).toarray().ravel())
+            Aabs.data *= np.repeat(r, np.diff(Aabs.indptr))
+            cmax = Aabs.max(axis=0).toarray().ravel()
+            s = simplex._pow2_scale(np.where(cmax > 1e-9, cmax, 0.0))
+            got_r, got_s = simplex._equilibration(A)
+            np.testing.assert_array_equal(got_r, r)
+            np.testing.assert_array_equal(got_s, s)
+
     def test_wide_coefficient_range(self):
         # rows mixing unit and 1e5-size coefficients must still certify
         problem = LpProblem(

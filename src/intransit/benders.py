@@ -6,11 +6,18 @@ its duals yield an optimality cut, a Farkas ray yields a feasibility cut.
 The master minimizes ``q + fcl_costs . T`` with T integral, from the one
 row ``q >= 0``. It is solved as one branch-and-cut tree, and a cut is a
 row of that tree's LP from the moment it is made. While the root's LP
-optimum is fractional the subproblem is priced at that fractional T,
-re-solved with the strong linking rows ``U <= W_p·T`` its flow violates
-there until it violates none, and a cut that cuts off the root's (T, q)
-re-solves the root: the LP phase of McDaniel & Devine (1977), which lifts the root bound
+optimum is fractional the subproblem is priced in rounds, each re-solved
+with the strong linking rows ``U <= W_p·T`` its flow violates there until
+it violates none, and a cut that cuts off the root's (T, q) re-solves the
+root: the LP phase of McDaniel & Devine (1977), which lifts the root bound
 to the LP bound of the model plus its linking rows before any branching.
+The rounds are stabilised in-out (Ben-Ameur & Neto, 2007; Fischetti,
+Ljubić & Sinnl, 2017): a round prices ``(T_root + core) / 2`` first, where
+the core starts at ``min(container bound, ceil(T_root) + 1)`` at the first
+round and then moves to each round's priced point. Only if that cut does
+not cut off the root does the same round price ``T_root`` itself, so the
+rounds end only where a cut at the root's own T fails. The in-out solves
+warm-start along one chain of bases, every other solve along another.
 From then on the subproblem is priced at every node whose T is integral,
 which gives an upper bound, and its cut joins the tree's LP, so the
 tree's bound is the global lower bound. The search ends when the
@@ -376,17 +383,17 @@ def run_benders(
     best_t: np.ndarray | None = None
     best_x: np.ndarray | None = None
 
-    def price(t: np.ndarray, x: np.ndarray, bound: float, stabilised: bool):
+    def price(
+        t: np.ndarray, x: np.ndarray, bound: float, fractional: bool, stabilised: bool = False
+    ):
         """Solve the subproblem at ``t`` and record it; return its master row
-        (None at the root if it does not cut off the root's ``x``) and, at
-        an integral node, the incumbent it offers."""
+        (None in a root round if it does not cut off the root's ``x``) and,
+        at an integral node, the incumbent it offers."""
         nonlocal lb, ub, best_t, best_x
         if len(trace.records) >= params.max_iters:
             raise _IterationLimit
         it = len(trace.records) + 1
         lb = max(lb, bound)
-        # solve_milp rounds T exactly at integral nodes, never at the root
-        fractional = stabilised or bool((t != np.round(t)).any())
         result = _solve_sub(sub, t, stabilised)
         optimal = result.status == STATUS_OPTIMAL
         kind = CUT_OPTIMALITY if optimal else CUT_FEASIBILITY
@@ -441,6 +448,7 @@ def run_benders(
         nonlocal core
         t = x[:n_t] + 0.0  # folds -0.0 into 0.0 so equal schedules share a key
         key = t.tobytes()
+        # solve_milp rounds T exactly at integral nodes, never at the root
         if (t == np.round(t)).all():
             if key in priced:
                 # this T's cut is in the tree already; x misses it by round-off
@@ -449,7 +457,7 @@ def run_benders(
                         "feasibility cut does not exclude the generating candidate"
                     )
                 return None, np.append(t, priced[key])
-            return price(t, x, bound, stabilised=False)
+            return price(t, x, bound, fractional=False)
         # a fractional root round, stabilised in-out: price halfway between
         # the root's T and a core point above it, which then moves there.
         # Only if that cut misses the root is the root's T priced itself,
@@ -457,15 +465,15 @@ def run_benders(
         if core is None:
             core = np.minimum(t_upper, np.ceil(t) + 1.0)
         core = (core + t) / 2.0
-        row, _ = price(core, x, bound, stabilised=True)
+        row, _ = price(core, x, bound, fractional=True, stabilised=True)
         if row is not None:
             return row, None
-        return price(t, x, bound, stabilised=False)
+        return price(t, x, bound, fractional=True)
 
     try:
         outcome = solve_master(
             h_costs,
-            float(instance.container_bound()),
+            t_upper,
             params.gap_tol,
             params.node_limit,
             separate=separate,

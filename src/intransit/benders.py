@@ -195,9 +195,9 @@ def _solve_sub(
     subproblem's columns. The linking rows the optimal flow violates there
     join the subproblem, which is solved again until it violates none; at
     integral T it never does. A ``stabilised`` solve (an in-out point of
-    the root rounds) starts from the basis of the previous stabilised
-    solve, cold the first time; every other solve from the previous other
-    one."""
+    the root rounds) starts from the optimal basis of the previous
+    stabilised solve, cold the first time; any other solve from that of
+    the previous non-stabilised one."""
     while True:
         rhs = sub.b - sub.B @ t_fixed
         lp = LpProblem(objective=sub.obj_sub, A=sub.A_sub, senses=sub.senses, rhs=rhs)
@@ -233,7 +233,8 @@ def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
     """Append the given linking rows to the subproblem (its flow part to
     ``A_sub``, its T part to ``B``). The warm basis names the rows before
     them, so the next solve starts with their slacks basic."""
-    # one U entry and one T entry per row, each block built in place
+    # each row holds one U entry and one T entry, so both blocks are built
+    # straight from the subproblem's own positions
     k = len(entries)
     indptr = np.arange(k + 1)
     rows_sub = sp.csr_matrix(
@@ -348,8 +349,8 @@ def run_benders(
     validate: bool = True,
 ) -> BendersResult:
     """Solve the master in one branch-and-cut tree that prices the flows at
-    its fractional root, until no cut cuts the root off, then at every
-    integral node, and adds their cuts there.
+    its fractional root, in in-out rounds until no cut cuts the root off,
+    then at every integral node, and adds their cuts there.
 
     Returns the incumbent container schedule, the assembled full solution
     vector over the monolithic columns, the cost breakdown, and the trace,
@@ -447,9 +448,9 @@ def run_benders(
     def separate(x: np.ndarray, bound: float):
         nonlocal core
         t = x[:n_t] + 0.0  # folds -0.0 into 0.0 so equal schedules share a key
-        key = t.tobytes()
         # solve_milp rounds T exactly at integral nodes, never at the root
         if (t == np.round(t)).all():
+            key = t.tobytes()
             if key in priced:
                 # this T's cut is in the tree already; x misses it by round-off
                 if priced[key] is None:

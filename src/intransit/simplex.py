@@ -535,8 +535,7 @@ def _equilibration(A) -> tuple[np.ndarray, np.ndarray]:
         counts = np.diff(A.indptr)
         rmax = np.zeros(A.shape[0])
         filled = np.flatnonzero(counts)  # reduceat would misread an empty row
-        if len(filled):
-            rmax[filled] = np.maximum.reduceat(data, A.indptr[filled])
+        rmax[filled] = np.maximum.reduceat(data, A.indptr[filled])
         r = _pow2_scale(rmax)
         data *= np.repeat(r, counts)
         cmax = np.zeros(A.shape[1])

@@ -46,12 +46,8 @@ def main() -> None:
 
     relaxed_obj, relaxed_x, relaxed_parts = lp_relaxation(inst, MODE_WINDOW)
     model = build_mip(inst, MODE_WINDOW)
-    ix = model.indexer
-    t_cols = [ix.col_t(h, d) for h in range(1) for d in range(inst.horizon_days)]
-    t_vals = relaxed_x[t_cols]
-    # LCL can leave on any day whose arrival lands inside the horizon
-    last_departure = inst.horizon_days - inst.second_leg_time["g0"]
-    z_total = sum(relaxed_x[ix.col_z(0, 0, d)] for d in range(last_departure))
+    t_vals = relaxed_x[model.integer_columns]
+    z_total = relaxed_x[model.indexer.block("Z")].sum()
     print(f"\nrelaxation objective: ${relaxed_obj:.2f}")
     print(f"  fractional containers bought: {float(np.sum(t_vals)):.4f}")
     print(f"  LCL pounds shipped:           {z_total:.1f}")

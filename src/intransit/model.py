@@ -11,19 +11,21 @@ Variables (all nonnegative; times 0-based days):
   N[p,d]      lbs of product p delivered early, on hand at the customer
               at the start of day d (absent in exact-day mode)
 
-Z and U exist only on departure days ``d < horizon - t2(h)``, whose
+Z, U and T exist only on departure days ``d < horizon - t2(h)``, whose
 arrival lies inside the horizon; a later departure could only act as a
-sink for unwanted freight. First-leg columns exist only per positive
-pickup, gateway and mode, and only when the shipment lands at the gateway
-on one of its departure days (``d + t1 + t2 < horizon``), so no gateway
-can receive freight that was never picked up, or freight that could never
-leave again.
+sink for unwanted freight. The stock I exists on the same days but day 0,
+and so do the capacity and gateway balance rows: after its last departure
+a gateway holds nothing, since nothing it holds could leave. First-leg
+columns exist only per positive pickup, gateway and mode, and only when
+the shipment lands at the gateway on one of its departure days
+(``d + t1 + t2 < horizon``), so no gateway can receive freight that was
+never picked up, or freight that could never leave again.
 
 Constraint families:
 
   pickup                 per positive pickup (p,s,d): all weight leaves that day
-  capacity               per (h,d): container weight <= capacity * T
-  gateway_balance        per (p,h,d): inflow + held = outflow + carried
+  capacity               per T column (h,d): container weight <= capacity * T
+  gateway_balance        per Z column (p,h,d): inflow + held = outflow + carried
   customer_balance_late  per (p,d), d >= window: arrivals + stock = due + carry
   customer_balance_early per (p,d), d < window: arrivals + stock = carry
 
@@ -34,11 +36,10 @@ separate where a fractional point violates them (Gendron, Crainic &
 Frangioni, 1999).
 
 A pickup on day d is due on day ``min(d + window, horizon - 1)``: one whose
-window runs past the horizon is due on the last day. Lagged references
-falling before day 0 contribute nothing; inventories carried past the last
-day are fixed to zero, so every picked-up pound is delivered within the
-horizon. Start-of-horizon stocks I[.,.,0] and N[.,0] are likewise empty:
-those columns exist in the index map but appear in no constraint row.
+window runs past the horizon is due on the last day. Stocks start empty,
+so I and N begin at day 1; stocks carried past a gateway's last departure
+or the customer's last day are zero, so every picked-up pound is delivered
+within the horizon.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ class VarIndexer:
     Column order is X, Y, Z, U, T, I, N blocks. X and Y hold one column per
     positive pickup and gateway whose arrival lands on one of the gateway's
     departure days, in C order over (product, supplier, gateway, day)
-    positions. Z and U hold, per (product, gateway) in C order, the
-    departure days ``0 .. departures[h] - 1``. T, I and N are full
-    (gateway, day), (product, gateway, day) and (product, day) grids.
+    positions. The other blocks run over days, in C order over (product,
+    gateway, day): Z, U and T over each gateway's departure days
+    ``0 .. departures[h] - 1``, I over the same days but day 0, and N over
+    days ``1 .. nD - 1``. T has no product position and N no gateway one.
     """
 
     def __init__(self, instance: Instance, mode: str):
@@ -126,19 +128,22 @@ class VarIndexer:
             self.legs[kind] = np.array(legs, dtype=np.int64).reshape(-1, 4)
             self._leg_pos[kind] = {leg: i for i, leg in enumerate(legs)}
 
-        self._dep_start = np.concatenate(([0], np.cumsum(self.departures)))
-        self._dep_total = int(self._dep_start[-1])
-
-        ph = self.nP * self.nH * self.nD
-        sizes = {
-            "X": len(self.legs["X"]),
-            "Y": len(self.legs["Y"]),
-            "Z": self.nP * self._dep_total,
-            "U": self.nP * self._dep_total,
-            "T": self.nH * self.nD,
-            "I": ph,
-            "N": self.nP * self.nD if mode == MODE_WINDOW else 0,
+        # day blocks: the first day, and where each gateway's run of days
+        # starts within a product's runs (N has one run, in window mode only)
+        customer_days = [self.nD - 1 if mode == MODE_WINDOW else 0]
+        self._runs = {
+            kind: (first, np.concatenate(([0], np.cumsum(days))))
+            for kind, first, days in (
+                ("Z", 0, self.departures),
+                ("U", 0, self.departures),
+                ("T", 0, self.departures),
+                ("I", 1, np.maximum(self.departures - 1, 0)),
+                ("N", 1, customer_days),
+            )
         }
+        sizes = {kind: len(self.legs[kind]) for kind in ("X", "Y")}
+        for kind, (_, starts) in self._runs.items():
+            sizes[kind] = (1 if kind == "T" else self.nP) * int(starts[-1])
         self.offsets: dict[str, int] = {}
         total = 0
         for kind in KINDS:
@@ -155,26 +160,38 @@ class VarIndexer:
         return self._leg_col("Y", p, s, h, d)
 
     def col_z(self, p: int, h: int, d: int) -> int:
-        return self._departure_col("Z", p, h, d)
+        return self._day_col("Z", p, h, d)
 
     def col_u(self, p: int, h: int, d: int) -> int:
-        return self._departure_col("U", p, h, d)
+        return self._day_col("U", p, h, d)
 
     def col_t(self, h: int, d: int) -> int:
-        return self.offsets["T"] + h * self.nD + d
+        return self._day_col("T", 0, h, d)
 
     def col_i(self, p: int, h: int, d: int) -> int:
-        return self.offsets["I"] + (p * self.nH + h) * self.nD + d
+        return self._day_col("I", p, h, d)
 
     def col_n(self, p: int, d: int) -> int:
-        if self.mode != MODE_WINDOW:
-            raise ModelError("N columns do not exist in exact-day mode")
-        return self.offsets["N"] + p * self.nD + d
+        return self._day_col("N", p, 0, d)
 
-    def departure_cols(self, kind: str, p: int, h: int) -> np.ndarray:
-        """The Z or U columns of product p at gateway h, one per departure day."""
-        start = self.offsets[kind] + p * self._dep_total + int(self._dep_start[h])
-        return np.arange(start, start + int(self.departures[h]))
+    def block(self, kind: str) -> np.ndarray:
+        """Every column of one kind, in order."""
+        return np.arange(self.offsets[kind], self.offsets[kind] + self.sizes[kind])
+
+    def day_positions(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (product, gateway, day) positions of a day block's columns,
+        in column order; 0 stands in for T's product and N's gateway."""
+        first, starts = self._runs[kind]
+        h = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        d = np.arange(len(h)) - starts[h] + first
+        reps = self.sizes[kind] // max(len(h), 1)
+        return np.repeat(np.arange(reps), len(h)), np.tile(h, reps), np.tile(d, reps)
+
+    def day_cols(self, kind: str, p, h, d):
+        """Columns of a day block at positions (p, h, d), scalars or arrays,
+        unchecked."""
+        first, starts = self._runs[kind]
+        return self.offsets[kind] + p * starts[-1] + starts[h] + d - first
 
     def _leg_col(self, kind: str, p: int, s: int, h: int, d: int) -> int:
         pos = self._leg_pos[kind].get((p, s, h, d))
@@ -185,13 +202,14 @@ class VarIndexer:
             )
         return self.offsets[kind] + pos
 
-    def _departure_col(self, kind: str, p: int, h: int, d: int) -> int:
-        if not 0 <= d < self.departures[h]:
+    def _day_col(self, kind: str, p: int, h: int, d: int) -> int:
+        first, starts = self._runs[kind]
+        if not first <= d < first + starts[h + 1] - starts[h]:
             raise ModelError(
-                f"no {kind} column on day {d} at gateway position {h}: "
-                "it would arrive after the horizon"
+                f"no {kind} column on day {d} at positions {(p, h)}: no freight "
+                "can leave, be held or arrive early there within the horizon"
             )
-        return self.offsets[kind] + p * self._dep_total + int(self._dep_start[h]) + d
+        return int(self.day_cols(kind, p, h, d))
 
     def key_of(self, col: int) -> VarKey:
         if not 0 <= col < self.num_vars:
@@ -203,18 +221,16 @@ class VarIndexer:
                 if kind in ("X", "Y"):
                     p, s, h, d = self.legs[kind][rem].tolist()
                     return VarKey(kind, inst.products[p], inst.suppliers[s], inst.gateways[h], d)
-                if kind in ("Z", "U"):
-                    p, rem = divmod(rem, self._dep_total)
-                    h = int(np.searchsorted(self._dep_start, rem, side="right")) - 1
-                    d = rem - int(self._dep_start[h])
-                    return VarKey(kind, inst.products[p], None, inst.gateways[h], d)
-                if kind == "I":
-                    rem, d = divmod(rem, self.nD)
-                    p, h = divmod(rem, self.nH)
-                    return VarKey("I", inst.products[p], None, inst.gateways[h], d)
-                if kind == "T":
-                    return VarKey("T", None, None, inst.gateways[rem // self.nD], rem % self.nD)
-                return VarKey("N", inst.products[rem // self.nD], None, None, rem % self.nD)
+                first, starts = self._runs[kind]
+                p, rem = divmod(rem, int(starts[-1]))
+                h = int(np.searchsorted(starts, rem, side="right")) - 1
+                return VarKey(
+                    kind,
+                    None if kind == "T" else inst.products[p],
+                    None,
+                    None if kind == "N" else inst.gateways[h],
+                    rem - int(starts[h]) + first,
+                )
         raise ModelError(f"column {col} out of range")
 
 
@@ -320,9 +336,8 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
             )
 
     ix = VarIndexer(instance, mode)
-    nP, nH, nD = ix.nP, ix.nH, ix.nD
+    nP, nD = ix.nP, ix.nD
     k = instance.container_capacity
-    dep = ix.departures
     obj = np.zeros(ix.num_vars)
 
     rows_r: list[np.ndarray] = []
@@ -332,141 +347,116 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
     def add(r, c, v) -> None:
         rows_r.append(np.asarray(r, dtype=np.int64).ravel())
         rows_c.append(np.asarray(c, dtype=np.int64).ravel())
-        rows_v.append(np.asarray(v, dtype=np.float64).ravel())
+        rows_v.append(np.broadcast_to(np.asarray(v, dtype=np.float64), np.shape(c)).ravel())
 
-    senses: list[str] = []
-    rhs: list[float] = []
-    tags: list[str] = []
-    row = 0
-
-    # pickup rows: one per positive-demand (p,s,d), over its first-leg
-    # columns; each column also lands in the gateway balance row of its
-    # arrival day, and costs its lane's rate
+    # row blocks: pickup rows, then one capacity row per T column and one
+    # gateway balance row per Z column, each in its column's order, then
+    # customer balance rows per (p, d)
     pickup_keys = instance.positive_pickups()
     pickup_row = {
         (ix.p_index[p], ix.s_index[s], d): r for r, (p, s, d) in enumerate(pickup_keys)
     }
-    gw_row0 = len(pickup_keys) + nH * nD
+    cap_row0 = len(pickup_keys)
+    gw_row0 = cap_row0 + ix.sizes["T"]
+    cust_row0 = gw_row0 + ix.sizes["Z"]
+    m = cust_row0 + nP * nD
 
     def gw_row(p, h, d) -> np.ndarray:
-        return gw_row0 + ((p * nH + h) * nD) + d
+        return gw_row0 - ix.offsets["Z"] + ix.day_cols("Z", p, h, d)
 
+    def cust_row(p, d) -> np.ndarray:
+        return cust_row0 + p * nD + d
+
+    # pickup rows: one per positive-demand (p,s,d), over its first-leg
+    # columns; each column also lands in the gateway balance row of its
+    # arrival day, and costs its lane's rate
     for kind, times, costs in (
         ("X", instance.land_time, instance.land_cost),
         ("Y", instance.air_time, instance.air_cost),
     ):
         legs = ix.legs[kind]
-        cols = ix.offsets[kind] + np.arange(len(legs))
+        cols = ix.block(kind)
         lanes = [(instance.suppliers[s], instance.gateways[h]) for _, s, h, _ in legs.tolist()]
         t1 = np.array([times[lane] for lane in lanes], dtype=np.int64)
-        add([pickup_row[p, s, d] for p, s, _, d in legs.tolist()], cols, np.ones(len(cols)))
-        add(gw_row(legs[:, 0], legs[:, 2], legs[:, 3] + t1), cols, -np.ones(len(cols)))
+        add([pickup_row[p, s, d] for p, s, _, d in legs.tolist()], cols, 1.0)
+        add(gw_row(legs[:, 0], legs[:, 2], legs[:, 3] + t1), cols, -1.0)
         obj[cols] = [costs[lane] for lane in lanes]
-    senses += ["="] * len(pickup_keys)
-    rhs += [instance.pickups[key] for key in pickup_keys]
-    tags += [FAMILY_PICKUP] * len(pickup_keys)
-    row += len(pickup_keys)
 
-    # capacity rows: one per (h,d)
-    cap_row0 = row
-    days = np.arange(nD)
-    for h in range(nH):
-        rr = cap_row0 + h * nD + days
-        for p in range(nP):
-            add(rr[: dep[h]], ix.departure_cols("U", p, h), np.ones(dep[h]))
-        add(rr, ix.col_t(h, 0) + days, np.full(nD, -k))
-    senses += ["<"] * (nH * nD)
-    rhs += [0.0] * (nH * nD)
-    tags += [FAMILY_CAPACITY] * (nH * nD)
-    row += nH * nD
+    # capacity rows: the containers' weight, every product's U, against T
+    t_of_u = np.tile(ix.block("T"), nP)  # the T column of each U column
+    add(cap_row0 - ix.offsets["T"] + t_of_u, ix.block("U"), 1.0)
+    add(cap_row0 + np.arange(ix.sizes["T"]), ix.block("T"), -k)
 
-    # gateway balance rows: one per (p,h,d)
-    assert row == gw_row0, "first-leg arrivals were placed in the wrong rows"
-    for p in range(nP):
-        for h in range(nH):
-            rr = gw_row(p, h, days)
-            add(rr[: dep[h]], ix.departure_cols("U", p, h), np.ones(dep[h]))
-            add(rr[: dep[h]], ix.departure_cols("Z", p, h), np.ones(dep[h]))
-            # carried stock: +I[d+1] (d < nD-1), -I[d] (d > 0)
-            if nD > 1:
-                add(rr[:-1], ix.col_i(p, h, 0) + days[1:], np.ones(nD - 1))
-                add(rr[1:], ix.col_i(p, h, 0) + days[1:], -np.ones(nD - 1))
-    senses += ["="] * (nP * nH * nD)
-    rhs += [0.0] * (nP * nH * nD)
-    tags += [FAMILY_GATEWAY] * (nP * nH * nD)
-    row += nP * nH * nD
+    # gateway balance rows: U and Z leave; the stock I[d] is held in on
+    # day d and carried out of day d - 1
+    gw = gw_row0 + np.arange(ix.sizes["Z"])
+    add(gw, ix.block("U"), 1.0)
+    add(gw, ix.block("Z"), 1.0)
+    p, h, d = ix.day_positions("I")
+    add(gw_row(p, h, d), ix.block("I"), -1.0)
+    add(gw_row(p, h, d - 1), ix.block("I"), 1.0)
 
-    # customer balance rows: one per (p,d)
-    cust_row0 = row
-    tw = instance.window_days
+    # customer balance rows: U and Z arrive t2(h) days after they leave; the
+    # early stock N[d] is on hand on day d and carried out of day d - 1
+    t2 = np.array([instance.second_leg_time[h] for h in instance.gateways], dtype=np.int64)
+    p, h, d = ix.day_positions("Z")
+    add(cust_row(p, d + t2[h]), ix.block("U"), 1.0)
+    add(cust_row(p, d + t2[h]), ix.block("Z"), 1.0)
+    p, _, d = ix.day_positions("N")
+    add(cust_row(p, d), ix.block("N"), 1.0)
+    add(cust_row(p, d - 1), ix.block("N"), -1.0)
 
-    def cust_row(p: int, d) -> np.ndarray:
-        return cust_row0 + p * nD + d
+    # each pickup's weight leaves on its day and is due at the customer;
+    # the weight of each product bounds its linking rows
+    rhs = np.zeros(m)
+    rhs[:cap_row0] = [instance.pickups[key] for key in pickup_keys]
+    weight = np.zeros(nP)
+    for (p, s, d), w in zip(pickup_keys, rhs[:cap_row0]):
+        rhs[cust_row(ix.p_index[p], min(d + instance.window_days, nD - 1))] += w
+        weight[ix.p_index[p]] += w
+    senses = np.full(m, "=", dtype="<U1")
+    senses[cap_row0:gw_row0] = "<"
+    tw = min(instance.window_days, nD)
+    tags = (
+        [FAMILY_PICKUP] * cap_row0
+        + [FAMILY_CAPACITY] * ix.sizes["T"]
+        + [FAMILY_GATEWAY] * ix.sizes["Z"]
+        + ([FAMILY_CUSTOMER_EARLY] * tw + [FAMILY_CUSTOMER_LATE] * (nD - tw)) * nP
+    )
 
-    for p in range(nP):
-        for h in range(nH):
-            rr = cust_row(p, np.arange(dep[h]) + instance.second_leg_time[instance.gateways[h]])
-            add(rr, ix.departure_cols("U", p, h), np.ones(dep[h]))
-            add(rr, ix.departure_cols("Z", p, h), np.ones(dep[h]))
-        if mode == MODE_WINDOW:
-            # +N[d] for d >= 1, -N[d+1] for d <= nD-2
-            if nD > 1:
-                add(cust_row(p, days[1:]), ix.col_n(p, 0) + days[1:], np.ones(nD - 1))
-                add(cust_row(p, days[:-1]), ix.col_n(p, 0) + days[1:], -np.ones(nD - 1))
-    cust_rhs = np.zeros(nP * nD)
-    for (p, s, d) in pickup_keys:
-        cust_rhs[ix.p_index[p] * nD + min(d + tw, nD - 1)] += instance.pickups[p, s, d]
-    senses += ["="] * (nP * nD)
-    rhs += cust_rhs.tolist()
-    for p in range(nP):
-        tags += [FAMILY_CUSTOMER_EARLY] * min(tw, nD)
-        tags += [FAMILY_CUSTOMER_LATE] * max(0, nD - tw)
-    row += nP * nD
-
-    m = row
-    r_all = np.concatenate(rows_r) if rows_r else np.zeros(0, dtype=np.int64)
-    c_all = np.concatenate(rows_c) if rows_c else np.zeros(0, dtype=np.int64)
-    v_all = np.concatenate(rows_v) if rows_v else np.zeros(0)
-    A = sp.coo_matrix((v_all, (r_all, c_all)), shape=(m, ix.num_vars)).tocsr()
+    A = sp.coo_matrix(
+        (np.concatenate(rows_v), (np.concatenate(rows_r), np.concatenate(rows_c))),
+        shape=(m, ix.num_vars),
+    ).tocsr()
     A.sum_duplicates()
 
     # rest of the objective and the cost partition
+    for kind, rates in (
+        ("Z", instance.lcl_cost),
+        ("I", instance.hold_cost),
+        ("T", instance.fcl_cost),
+    ):
+        per_gateway = np.array([rates[h] for h in instance.gateways])
+        obj[ix.block(kind)] = per_gateway[ix.day_positions(kind)[1]]
     cost_class = np.full(ix.num_vars, " ", dtype="<U1")
-    for h in range(nH):
-        hid = instance.gateways[h]
-        for p in range(nP):
-            i0 = ix.col_i(p, h, 0)
-            obj[ix.departure_cols("Z", p, h)] = instance.lcl_cost[hid]
-            obj[i0 : i0 + nD] = instance.hold_cost[hid]
-        t0 = ix.col_t(h, 0)
-        obj[t0 : t0 + nD] = instance.fcl_cost[hid]
-    cost_class[ix.offsets["X"] : ix.offsets["X"] + ix.sizes["X"]] = "f"
-    cost_class[ix.offsets["Y"] : ix.offsets["Y"] + ix.sizes["Y"]] = "f"
-    cost_class[ix.offsets["Z"] : ix.offsets["Z"] + ix.sizes["Z"]] = "g"
-    cost_class[ix.offsets["I"] : ix.offsets["I"] + ix.sizes["I"]] = "g"
-    cost_class[ix.offsets["T"] : ix.offsets["T"] + ix.sizes["T"]] = "h"
-
-    integer_columns = np.arange(ix.offsets["T"], ix.offsets["T"] + ix.sizes["T"])
+    for kind, label in (("X", "f"), ("Y", "f"), ("Z", "g"), ("I", "g"), ("T", "h")):
+        cost_class[ix.block(kind)] = label
 
     # one linking entry per U column, in the U block's (p, h, d) order
-    weight = np.zeros(nP)
-    for (p, s, d) in pickup_keys:
-        weight[ix.p_index[p]] += instance.pickups[p, s, d]
-    t_of_u = np.concatenate([ix.col_t(h, 0) + np.arange(dep[h]) for h in range(nH)])
     linking = Linking(
-        u_cols=ix.offsets["U"] + np.arange(ix.sizes["U"]),
-        t_cols=np.tile(t_of_u, nP),
-        weights=np.repeat(np.minimum(k, weight), len(t_of_u)),
+        u_cols=ix.block("U"),
+        t_cols=t_of_u,
+        weights=np.repeat(np.minimum(k, weight), ix.sizes["T"]),
     )
 
     return MipModel(
         indexer=ix,
         objective=obj,
         A=A,
-        senses=np.array(senses, dtype="<U1"),
-        rhs=np.asarray(rhs, dtype=np.float64),
+        senses=senses,
+        rhs=rhs,
         row_tags=np.array(tags),
-        integer_columns=integer_columns,
+        integer_columns=ix.block("T"),
         cost_class=cost_class,
         linking=linking,
     )
@@ -513,8 +503,7 @@ def lcl_hold_split(model: MipModel, solution: np.ndarray) -> tuple[float, float]
     """Split the g component into (LCL freight, gateway holding)."""
     ix = model.indexer
     x = np.asarray(solution, dtype=np.float64)
-    z = slice(ix.offsets["Z"], ix.offsets["Z"] + ix.sizes["Z"])
-    i = slice(ix.offsets["I"], ix.offsets["I"] + ix.sizes["I"])
+    z, i = ix.block("Z"), ix.block("I")
     return (
         float((model.objective[z] * x[z]).sum()),
         float((model.objective[i] * x[i]).sum()),

@@ -206,8 +206,8 @@ def consolidation_share(model: MipModel, solution: np.ndarray) -> float | None:
     """FCL-delivered weight over total delivered weight; None if nothing moved."""
     ix = model.indexer
     x = np.asarray(solution, dtype=np.float64)
-    u = x[ix.offsets["U"] : ix.offsets["U"] + ix.sizes["U"]].sum()
-    z = x[ix.offsets["Z"] : ix.offsets["Z"] + ix.sizes["Z"]].sum()
+    u = x[ix.block("U")].sum()
+    z = x[ix.block("Z")].sum()
     total = u + z
     if total <= 0.0:
         return None
@@ -307,10 +307,7 @@ def scenario_row(label: str, model: MipModel, solution: np.ndarray) -> ScenarioR
     """Build one report row from a solution vector."""
     bd = objective_breakdown(model, solution)
     lcl, hold = lcl_hold_split(model, solution)
-    ix = model.indexer
-    containers = float(
-        np.asarray(solution)[ix.offsets["T"] : ix.offsets["T"] + ix.sizes["T"]].sum()
-    )
+    containers = float(np.asarray(solution)[model.integer_columns].sum())
     return ScenarioRow(
         label=label,
         containers=containers,

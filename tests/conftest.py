@@ -150,24 +150,28 @@ def solution_vector(model, assignments: dict) -> np.ndarray:
     return x
 
 
-def expected_num_vars(instance, mode) -> int:
-    """Column count, worked out from the instance: a first-leg column per
-    positive pickup, gateway and mode whose freight can still leave the
-    gateway and arrive inside the horizon, Z and U on each departure day
-    that arrives inside it, and full T, I and N grids."""
-    nP, nH, nD = len(instance.products), len(instance.gateways), instance.horizon_days
+def expected_shape(instance, mode) -> tuple[int, int]:
+    """Rows and columns of ``build_mip``'s model, worked out from the
+    instance. Columns: a first-leg column per positive pickup, gateway and
+    mode whose freight can still leave the gateway and arrive inside the
+    horizon; Z, U and T on each gateway's departure days, I on the same days
+    but day 0, and N on days 1 .. nD - 1 in window mode. Rows: one per
+    positive pickup, a capacity row per T column, a gateway balance row per
+    Z column, and a customer balance row per product and day."""
+    nP, nD = len(instance.products), instance.horizon_days
+    departures = [max(0, nD - instance.second_leg_time[h]) for h in instance.gateways]
+    pickups = [(p, s, d) for (p, s, d), w in instance.pickups.items() if w > 0]
     legs = sum(
         d + t1 + instance.second_leg_time[h] < nD
-        for (p, s, d), w in instance.pickups.items()
-        if w > 0
+        for (p, s, d) in pickups
         for h in instance.gateways
         for t1 in (instance.land_time[s, h], instance.air_time[s, h])
     )
-    departures = sum(max(0, nD - instance.second_leg_time[h]) for h in instance.gateways)
-    n = legs + 2 * nP * departures + nH * nD + nP * nH * nD
+    cols = legs + (2 * nP + 1) * sum(departures) + nP * sum(max(0, n - 1) for n in departures)
     if mode == "window":
-        n += nP * nD
-    return n
+        cols += nP * (nD - 1)
+    rows = len(pickups) + (nP + 1) * sum(departures) + nP * nD
+    return rows, cols
 
 
 def strong_lp_bound(model) -> float:

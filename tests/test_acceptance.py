@@ -43,7 +43,7 @@ from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
 from conftest import (
     build_instance,
-    expected_num_vars,
+    expected_shape,
     readme_instance,
     strong_lp_bound,
 )
@@ -202,6 +202,35 @@ def test_readme_example_decomposition_matches_monolithic(mode, expected):
     assert mono.objective == pytest.approx(expected, abs=1e-6)
     assert_flows_trace(inst, benders.model, benders.x_full, "benders")
     assert_flows_trace(inst, model, mono.x, "milp")
+
+
+def generated_20x5x3x30(seed):
+    return lambda: generate_synthetic(GeneratorConfig(20, 5, 3, 30), seed=seed)
+
+
+@pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+@pytest.mark.parametrize(
+    "instance",
+    [readme_instance, port_network_instance, *map(generated_20x5x3x30, (1, 2, 3))],
+    ids=["readme", "port", "gen-1", "gen-2", "gen-3"],
+)
+def test_every_column_sits_in_a_row_and_no_gateway_row_outlives_its_departures(
+    instance, mode
+):
+    """Every column of the model has a nonzero, and every capacity and
+    gateway balance row lies on a day before its gateway's last departure:
+    the row holds its own T or Z column, which names the gateway and day."""
+    inst = instance()
+    model = build_mip(inst, mode)
+    ix, A = model.indexer, model.A
+    assert (np.diff(A.tocsc().indptr) > 0).all(), "a column appears in no row"
+    for family, own in (("capacity", "T"), ("gateway_balance", "Z")):
+        for r in np.flatnonzero(model.row_tags == family):
+            keys = [ix.key_of(int(c)) for c in A.indices[A.indptr[r] : A.indptr[r + 1]]]
+            days = [(k.h, k.d) for k in keys if k.kind == own]
+            assert len(days) == 1, f"{family} row {r} holds {len(days)} {own} columns"
+            (h, d), = days
+            assert d < inst.horizon_days - inst.second_leg_time[h], f"{family} row {r}"
 
 
 @pytest.mark.parametrize("solver", ["milp", "benders"])
@@ -531,10 +560,7 @@ def test_scale_assembly_and_full_solve():
     build_seconds = time.perf_counter() - started
     assert build_seconds < 10.0, f"assembly took {build_seconds:.1f} s"
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 < 2 * GIGABYTE
-    assert model.num_vars == expected_num_vars(inst, MODE_WINDOW)
-    n_p, n_h, n_d = 100, 3, 60
-    expected_rows = len(inst.pickups) + n_h * n_d + n_p * n_h * n_d + n_p * n_d
-    assert model.num_rows == expected_rows
+    assert (model.num_rows, model.num_vars) == expected_shape(inst, MODE_WINDOW)
 
     inst = port_network_instance()
     started = time.perf_counter()

@@ -62,17 +62,18 @@ def add_once(row):
     return separate
 
 
+# the tiny instance's containers: one T column per departure day 0-8
 class TestSubproblem:
     def test_zero_containers_means_all_lcl(self, tiny_instance):
-        result = _solve_sub(_prepare(build_mip(tiny_instance, MODE_WINDOW)), np.zeros(10))
+        result = _solve_sub(_prepare(build_mip(tiny_instance, MODE_WINDOW)), np.zeros(9))
         assert result.status == STATUS_OPTIMAL
         # land 0.30 + LCL 0.20 on 1000 lbs; no container appears
         assert result.objective == pytest.approx(500.0, rel=1e-9)
 
     def test_container_unlocks_cheaper_leg(self, tiny_instance):
         sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
-        base = _solve_sub(sub, np.zeros(10))
-        t = np.zeros(10)
+        base = _solve_sub(sub, np.zeros(9))
+        t = np.zeros(9)
         t[2] = 1.0  # container on the day the land shipment reaches the gateway
         with_box = _solve_sub(sub, t)
         assert with_box.status == STATUS_OPTIMAL
@@ -85,7 +86,7 @@ class TestSubproblem:
         # 1000 lbs, so W_p = 1000: a 1/48 container carries at most 1000/48
         # lbs under U <= W_p·T, not the 1000 the capacity row alone allows
         sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
-        t = np.zeros(10)
+        t = np.zeros(9)
         t[2] = 1.0 / 48.0
         result = _solve_sub(sub, t)
         assert result.status == STATUS_OPTIMAL
@@ -127,7 +128,7 @@ class TestSubproblem:
     def test_infeasible_instance_gives_farkas(self):
         inst = build_instance(window_days=2, land_time=4, air_time=3)
         sub = _prepare(build_mip(inst, MODE_WINDOW, require_routes=False))
-        result = _solve_sub(sub, np.zeros(10))
+        result = _solve_sub(sub, np.zeros(9))
         assert result.status == STATUS_INFEASIBLE
         assert result.farkas_ray is not None
 
@@ -140,25 +141,25 @@ class TestOptimalityCuts:
         return sub, result
 
     def test_tight_at_generator(self, tiny_instance):
-        t = np.zeros(10)
+        t = np.zeros(9)
         sub, result = self._sub_and_result(tiny_instance, t)
         row = optimality_row(sub, result)
         assert cut_value(row, t) == pytest.approx(result.objective, rel=1e-6)
 
     def test_valid_at_other_points(self, tiny_instance):
-        t0 = np.zeros(10)
+        t0 = np.zeros(9)
         sub, result = self._sub_and_result(tiny_instance, t0)
         row = optimality_row(sub, result)
         rng = np.random.default_rng(1)
         for _ in range(6):
-            t = rng.integers(0, 3, size=10).astype(np.float64)
+            t = rng.integers(0, 3, size=9).astype(np.float64)
             other = _solve_sub(sub, t)
             assert other.status == STATUS_OPTIMAL
             tol = 1e-6 * (1.0 + abs(other.objective))
             assert cut_value(row, t) <= other.objective + tol
 
     def test_dimension_mismatch(self, tiny_instance):
-        sub, _ = self._sub_and_result(tiny_instance, np.zeros(10))
+        sub, _ = self._sub_and_result(tiny_instance, np.zeros(9))
         with pytest.raises(SolverError, match="rows"):
             _master_row(CUT_OPTIMALITY, np.zeros(3), sub.B, sub.b)
 
@@ -173,12 +174,12 @@ class TestOptimalityCuts:
             return solve(problem, *args, **kwargs)
 
         monkeypatch.setattr(bd, "solve_milp", recorded)
-        solve_master(np.ones(10), 3.0)
+        solve_master(np.ones(9), 3.0)
         (master,) = problems
         # the master starts from the one row q >= 0, which zero duals give
         assert master.lp.A.tolist() == [row.tolist()]
         assert master.lp.rhs.tolist() == [rhs]
-        assert row.tolist() == [0.0] * 10 + [-1.0]
+        assert row.tolist() == [0.0] * 9 + [-1.0]
 
 
 class TestFeasibilityCuts:
@@ -246,13 +247,13 @@ class TestMaster:
     def test_lower_bound_after_first_cut(self, tiny_instance):
         h_costs, t_upper = self._master_costs(tiny_instance)
         sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
-        result = _solve_sub(sub, np.zeros(10))
+        result = _solve_sub(sub, np.zeros(9))
         row = optimality_row(sub, result)
         lb = solve_master(h_costs, t_upper, separate=add_once(row)).bound
         # closed form: min over T of c3'T + max(0, q(0) - w'T)
-        w = -row[0][:10]
+        w = -row[0][:9]
         candidates = [result.objective]  # T = 0
-        for j in range(10):
+        for j in range(9):
             for n in (1, 2, 3):
                 candidates.append(
                     h_costs[j] * n + max(0.0, result.objective - w[j] * n)

@@ -25,7 +25,7 @@ from intransit.model import (
     lcl_hold_split,
 )
 
-from conftest import build_instance, expected_num_vars, solution_vector
+from conftest import build_instance, expected_shape, solution_vector
 
 
 class TestVariableCount:
@@ -36,20 +36,24 @@ class TestVariableCount:
     @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
     def test_closed_form(self, nP, nS, nH, nD, mode):
         inst = generate_synthetic(GeneratorConfig(nP, nS, nH, nD, window_days=5), seed=3)
-        assert VarIndexer(inst, mode).num_vars == expected_num_vars(inst, mode)
+        rows, cols = expected_shape(inst, mode)
+        assert VarIndexer(inst, mode).num_vars == cols
+        assert build_mip(inst, mode, require_routes=False).A.shape == (rows, cols)
 
     def test_indexer_matches_closed_form(self, tiny_instance):
         for mode in (MODE_WINDOW, MODE_EXACT_DAY):
-            ix = VarIndexer(tiny_instance, mode)
-            assert ix.num_vars == expected_num_vars(tiny_instance, mode)
+            rows, cols = expected_shape(tiny_instance, mode)
+            assert VarIndexer(tiny_instance, mode).num_vars == cols
+            assert build_mip(tiny_instance, mode).A.shape == (rows, cols)
 
     def test_single_cell_window_example(self, tiny_instance):
         # one pickup, 10 days, second leg 1 day: X and Y for the pickup,
-        # Z and U on departure days 0-8, T and I on days 0-9, N in window mode
+        # Z, U and T on departure days 0-8, I on days 1-8, N on days 1-9
+        # in window mode
         ix = VarIndexer(tiny_instance, MODE_WINDOW)
-        assert ix.sizes == {"X": 1, "Y": 1, "Z": 9, "U": 9, "T": 10, "I": 10, "N": 10}
-        assert ix.num_vars == 50
-        assert VarIndexer(tiny_instance, MODE_EXACT_DAY).num_vars == 40
+        assert ix.sizes == {"X": 1, "Y": 1, "Z": 9, "U": 9, "T": 9, "I": 8, "N": 9}
+        assert ix.num_vars == 46
+        assert VarIndexer(tiny_instance, MODE_EXACT_DAY).num_vars == 37
 
     def test_first_leg_columns_only_where_freight_can_leave_the_gateway(self):
         # land takes 3 days, air 1, the last departure from g0 is day 8:
@@ -132,9 +136,10 @@ class TestRowFamilies:
         )
         model = build_mip(inst, MODE_WINDOW)
         counts = model.family_counts()
+        # the second leg takes a day, so the departure days are 0-6
         assert counts[FAMILY_PICKUP] == 2
-        assert counts[FAMILY_CAPACITY] == 2 * 8
-        assert counts[FAMILY_GATEWAY] == 2 * 2 * 8
+        assert counts[FAMILY_CAPACITY] == 2 * 7
+        assert counts[FAMILY_GATEWAY] == 2 * 2 * 7
         assert counts[FAMILY_CUSTOMER_EARLY] == 2 * 4
         assert counts[FAMILY_CUSTOMER_LATE] == 2 * 4
         assert model.num_rows == sum(counts.values())
@@ -146,13 +151,14 @@ class TestRowFamilies:
         cap = model.row_tags == FAMILY_CAPACITY
         assert (model.senses[cap] == "<").all()
         assert (model.rhs[cap] == 0.0).all()
-        for d in range(10):
+        # one row per departure day: a day-9 departure would arrive after
+        # the horizon, so there is no U, T or capacity row on day 9
+        assert cap.sum() == 9
+        for d in range(9):
             r = np.flatnonzero(cap)[d]
             assert A[r, ix.col_t(0, d)] == -48000.0
-            # the day-9 departure would arrive after the horizon
-            assert (A[r] != 0).sum() == (2 if d < 9 else 1)
-            if d < 9:
-                assert A[r, ix.col_u(0, 0, d)] == 1.0
+            assert A[r, ix.col_u(0, 0, d)] == 1.0
+            assert (A[r] != 0).sum() == 2
 
     def test_pickup_rows_cover_both_modes(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
@@ -175,13 +181,19 @@ class TestRowFamilies:
         assert rhs[4] == 1000.0
         assert rhs.sum() == 1000.0
 
-    def test_start_of_horizon_stock_columns_are_dead(self, tiny_instance):
+    def test_stock_columns_start_on_day_1(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
         ix = model.indexer
-        col_use = np.asarray((model.A != 0).sum(axis=0)).ravel()
-        assert col_use[ix.col_i(0, 0, 0)] == 0
-        assert col_use[ix.col_n(0, 0)] == 0
-        assert col_use[ix.col_i(0, 0, 1)] > 0
+        with pytest.raises(ModelError):
+            ix.col_i(0, 0, 0)  # stocks start empty
+        with pytest.raises(ModelError):
+            ix.col_n(0, 0)
+        with pytest.raises(ModelError):
+            ix.col_i(0, 0, 9)  # g0 holds nothing after its last departure, day 8
+        # every column that exists sits in a row
+        assert [ix.key_of(c).d for c in ix.block("I")] == list(range(1, 9))
+        assert [ix.key_of(c).d for c in ix.block("N")] == list(range(1, 10))
+        assert (np.diff(model.A.tocsc().indptr) > 0).all()
 
     def test_deterministic_assembly(self, tiny_instance):
         a = build_mip(tiny_instance, MODE_WINDOW)
@@ -372,7 +384,7 @@ class TestCheckSolution:
         model = build_mip(tiny_instance, MODE_WINDOW)
         ix = model.indexer
         x = self._feasible_window_solution(model)
-        x[ix.col_t(0, 9)] = 2.0  # paid-for but unused containers are feasible
+        x[ix.col_t(0, 8)] = 2.0  # paid-for but unused containers are feasible
         assert check_solution(model, x).ok(1e-9)
 
 

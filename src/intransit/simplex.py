@@ -238,7 +238,9 @@ class _Basis:
             (self.data[take], self.indices[take], indptr), shape=(self.m, self.m)
         )
         try:
-            self.lu = splu(B)
+            # without supernode relaxation, which factors and solves these
+            # bases faster than SuperLU's default options do
+            self.lu = splu(B, relax=1, panel_size=1)
         except RuntimeError as exc:
             raise SolverError(f"singular basis during refactorization: {exc}") from None
         self.K = 0  # etas on file

@@ -2,7 +2,7 @@
 
 The integer container counts T are the complicating variables. Fixing
 ``T = T_bar`` leaves a pure LP over the flow variables (the subproblem);
-its duals yield an optimality cut, a Farkas ray yields a feasibility cut.
+its duals yield an optimality cut.
 The master minimizes ``q + fcl_costs . T`` with T integral, from the one
 row ``q >= 0``. It is solved as one branch-and-cut tree, and a cut is a
 row of that tree's LP from the moment it is made. While the root's LP
@@ -28,13 +28,18 @@ where B holds the T coefficients. They are the model's rows, where only
 capacity rows hold T (each entry ``-capacity``), followed by the linking
 rows that joined (``U - W_p·T <= 0``: entry ``-W_p``, rhs 0). The linking
 rows cut off no integral T, so ``q(T)`` at integral T is the same with or
-without them. A dual vector a that is feasible for the subproblem dual
-satisfies ``a'(b - B T) <= q(T)`` for every T, with equality at the
-generating T_bar; a Farkas ray r of an infeasible subproblem satisfies
-``r'(b - B T) <= 0`` for every feasible T. Rows that join later only raise
-``q``, so earlier cuts stay valid. Over the master's columns [T..., q]
-either cut is the row ``-(B'v)·T - q <= -v'b`` (optimality) or
-``-(B'v)·T <= -v'b`` (feasibility), v the dual vector or the ray.
+without them. A dual vector y that is feasible for the subproblem dual
+satisfies ``y'(b - B T) <= q(T)`` for every T, with equality at the
+generating T_bar. Rows that join later only raise ``q``, so earlier cuts
+stay valid. Over the master's columns [T..., q] the cut is the row
+``-(B'y)·T - q <= -y'b``.
+
+The subproblem has complete recourse, so this one cut family is all the
+decomposition needs (Van Slyke & Wets, 1969). U and Z have the same
+columns but in the capacity and linking rows, which hold no Z, so any
+flow stays feasible at every T once its U moves to Z: the subproblem is
+feasible at every T or at none, and an infeasible one proves that the
+instance admits no schedule.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from .instance import Instance, validate_routes
 from .milp import (
     DEFAULT_GAP_TOL,
     DEFAULT_NODE_LIMIT,
-    MILP_INFEASIBLE,
     MilpOutcome,
     MilpProblem,
     Separator,
@@ -78,7 +82,6 @@ from .simplex import (
 )
 
 CUT_OPTIMALITY = "optimality"
-CUT_FEASIBILITY = "feasibility"
 
 DEFAULT_MAX_ITERS = 500
 
@@ -90,7 +93,7 @@ class IterationRecord:
     upper: float
     gap: float
     t_candidate: np.ndarray
-    subproblem_value: float | None
+    subproblem_value: float
     cut_kind: str | None  # None when the solve added no cut
     fractional: bool  # a root round, not an integral node
     stabilised: bool  # a root round's in-out point, not the root's own T
@@ -121,7 +124,7 @@ class BendersTrace:
                     f"{r.upper:.9f}" if math.isfinite(r.upper) else "inf",
                     f"{r.gap:.3e}" if math.isfinite(r.gap) else "inf",
                     r.cut_kind or "",
-                    f"{r.subproblem_value:.9f}" if r.subproblem_value is not None else "",
+                    f"{r.subproblem_value:.9f}",
                 ]
             )
 
@@ -252,24 +255,15 @@ def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
 
 
 def _master_row(
-    kind: str, v: np.ndarray, B: sp.spmatrix, b: np.ndarray
+    y: np.ndarray, B: sp.spmatrix, b: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """The cut ``v'(b - B T) <= q`` from an optimal subproblem's duals
-    (optimality) or ``v'(b - B T) <= 0`` from an infeasible one's Farkas
-    ray (feasibility), as the master row ``-(B'v)·T (- q) <= -v'b`` over
-    the master's columns [T..., q]."""
-    v = np.asarray(v, dtype=np.float64)
-    name = "dual vector" if kind == CUT_OPTIMALITY else "Farkas ray"
-    if v.shape != (B.shape[0],):
-        raise SolverError(f"{name} length {v.shape} does not match {B.shape[0]} rows")
-    if kind == CUT_FEASIBILITY and float(np.abs(v).max(initial=0.0)) <= 0.0:
-        raise SolverError("zero Farkas ray cannot build a feasibility cut")
-    n_t = B.shape[1]
-    row = np.zeros(n_t + 1)
-    row[:n_t] = -np.asarray(B.T @ v)
-    if kind == CUT_OPTIMALITY:
-        row[n_t] = -1.0
-    return row, -float(v @ b)
+    """The cut ``y'(b - B T) <= q`` from an optimal subproblem's duals y,
+    as the master row ``-(B'y)·T - q <= -y'b`` over the master's columns
+    [T..., q]."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (B.shape[0],):
+        raise SolverError(f"dual vector length {y.shape} does not match {B.shape[0]} rows")
+    return np.append(-np.asarray(B.T @ y), -1.0), -float(y @ b)
 
 
 def solve_master(
@@ -287,7 +281,8 @@ def solve_master(
     node_limit with the best incumbent (None if there is none) and the
     proven bound. ``separate`` goes to :func:`solve_milp`, which adds the
     cuts it returns to the same tree; this is how :func:`run_benders`
-    prices the subproblem.
+    prices the subproblem. Optimality cuts bound only q from below, so
+    over the box of T the master is never infeasible.
     """
     n_t = len(h_costs)
     # A is dense, so the master's node LPs run on the dense basis
@@ -298,17 +293,12 @@ def solve_master(
         rhs=np.zeros(1),
         upper=np.append(np.full(n_t, t_upper), np.inf),
     )
-    outcome = solve_milp(
+    return solve_milp(
         MilpProblem(lp=lp, integer_columns=np.arange(n_t)),
         gap_tol=gap_tol,
         node_limit=node_limit,
         separate=separate,
     )
-    if outcome.status == MILP_INFEASIBLE:
-        raise InfeasibleInstanceError(
-            "master problem is infeasible: the instance admits no feasible schedule"
-        )
-    return outcome
 
 
 def lp_relaxation(
@@ -341,6 +331,11 @@ class _IterationLimit(Exception):
     """Raised inside the master tree once ``max_iters`` subproblems are spent."""
 
 
+class _InfeasibleSubproblem(Exception):
+    """Raised inside the master tree when the subproblem is infeasible: by
+    complete recourse it is so at every T, and the instance has no schedule."""
+
+
 def run_benders(
     instance: Instance,
     mode: str = MODE_WINDOW,
@@ -359,8 +354,8 @@ def run_benders(
     subproblem limit returns status ``node_limit`` or ``max_iters``,
     unproven, with the best incumbent (if any) and the proven bounds.
     Instances that fail route validation are reported infeasible up front
-    unless ``validate=False`` (then feasibility cuts make the master
-    infeasible, which is reported the same way).
+    unless ``validate=False``; then the first subproblem is infeasible,
+    which is reported the same way, with no record in the trace.
     """
     params = params or BendersParams()
     trace = BendersTrace()
@@ -374,7 +369,7 @@ def run_benders(
     # the master tree's own objective, so the upper bound and the tree's
     # incumbent are the same float
     objective = np.append(h_costs, 1.0)
-    priced: dict[bytes, float | None] = {}  # subproblem value per T; None if infeasible
+    priced: dict[bytes, float] = {}  # subproblem value per integral T
 
     t_upper = float(instance.container_bound())
     core: np.ndarray | None = None  # the root rounds' in-out core point
@@ -396,38 +391,30 @@ def run_benders(
         it = len(trace.records) + 1
         lb = max(lb, bound)
         result = _solve_sub(sub, t, stabilised)
-        optimal = result.status == STATUS_OPTIMAL
-        kind = CUT_OPTIMALITY if optimal else CUT_FEASIBILITY
-        value = result.objective if optimal else None
-        coefficients, rhs = _master_row(
-            kind, result.y if optimal else result.farkas_ray, sub.B, sub.b
-        )
-        at_t = float(coefficients[:n_t] @ t) - rhs  # the cut's v'(b - B t)
-        point = None
-        if optimal:
-            if abs(at_t - value) > 1e-6 * (1.0 + abs(value)):
-                raise SolverError(
-                    f"optimality cut not tight at its generator: "
-                    f"{at_t:.9g} vs q={value:.9g}"
-                )
-            if not fractional:
-                point = np.append(t, value)
-                candidate_ub = float(objective @ point)
-                if candidate_ub < ub - 1e-12:
-                    ub = candidate_ub
-                    best_t = t
-                    best_x = result.x.copy()
-        elif not fractional and at_t <= 0.0:
+        if result.status == STATUS_INFEASIBLE:
+            raise _InfeasibleSubproblem
+        value = result.objective
+        coefficients, rhs = _master_row(result.y, sub.B, sub.b)
+        at_t = float(coefficients[:n_t] @ t) - rhs  # the cut's y'(b - B t)
+        if abs(at_t - value) > 1e-6 * (1.0 + abs(value)):
             raise SolverError(
-                "feasibility cut does not exclude the generating candidate"
+                f"optimality cut not tight at its generator: "
+                f"{at_t:.9g} vs q={value:.9g}"
             )
         row = (coefficients, rhs)
+        point = None
         if fractional:
             # a root round pays off only if the cut moves the root's (T, q)
             if float(coefficients @ x) - rhs <= 1e-6 * (1.0 + abs(rhs)):
                 row = None
         else:
             priced[t.tobytes()] = value
+            point = np.append(t, value)
+            candidate_ub = float(objective @ point)
+            if candidate_ub < ub - 1e-12:
+                ub = candidate_ub
+                best_t = t
+                best_x = result.x.copy()
         trace.records.append(
             IterationRecord(
                 iteration=it,
@@ -436,7 +423,7 @@ def run_benders(
                 gap=relative_gap(ub, lb),
                 t_candidate=t.copy(),
                 subproblem_value=value,
-                cut_kind=None if row is None else kind,
+                cut_kind=None if row is None else CUT_OPTIMALITY,
                 fractional=fractional,
                 stabilised=stabilised,
             )
@@ -453,10 +440,6 @@ def run_benders(
             key = t.tobytes()
             if key in priced:
                 # this T's cut is in the tree already; x misses it by round-off
-                if priced[key] is None:
-                    raise SolverError(
-                        "feasibility cut does not exclude the generating candidate"
-                    )
                 return None, np.append(t, priced[key])
             return price(t, x, bound, fractional=False)
         # a fractional root round, stabilised in-out: price halfway between
@@ -479,7 +462,7 @@ def run_benders(
             params.node_limit,
             separate=separate,
         )
-    except InfeasibleInstanceError:
+    except _InfeasibleSubproblem:
         return _infeasible(trace, model)
     except _IterationLimit:
         status = "max_iters"

@@ -74,6 +74,20 @@ def tiny_instance():
     return build_instance()
 
 
+def random_small_config(rng):
+    """A small generator config; the acceptance sweep draws its instances
+    from these."""
+    # horizon leaves room for the delivery window, keeping routes feasible
+    window = int(rng.integers(4, 10))
+    return GeneratorConfig(
+        n_products=int(rng.integers(1, 4)),
+        n_suppliers=int(rng.integers(1, 3)),
+        n_gateways=int(rng.integers(1, 3)),
+        horizon_days=min(12, window + int(rng.integers(2, 4))),
+        window_days=window,
+    )
+
+
 def readme_instance():
     """The README example: 5 products, 2 suppliers, 2 gateways, 12 days,
     window 6, seed 4."""

@@ -5,47 +5,52 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from intransit import (
     MODE_EXACT_DAY,
     MODE_WINDOW,
     GeneratorConfig,
-    LpProblem,
     build_mip,
     check_solution,
     generate_synthetic,
     lp_relaxation,
     run_benders,
-    solve_lp,
     solve_master,
     solve_milp,
 )
 import intransit.benders as bd
 from intransit.benders import (
-    CUT_FEASIBILITY,
-    CUT_OPTIMALITY,
     _join_linking,
     _master_row,
     _prepare,
     _solve_sub,
     _split,
 )
-from intransit.errors import InfeasibleInstanceError, SolverError
-from intransit.milp import MILP_NODE_LIMIT, MILP_OPTIMAL
+from intransit.errors import SolverError
+from intransit.milp import MILP_NODE_LIMIT
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
-from conftest import build_instance, readme_instance, strong_lp_bound
+from conftest import (
+    build_instance,
+    random_small_config,
+    readme_instance,
+    strong_lp_bound,
+)
 
 
 def optimality_row(sub, result):
     """The master row of the optimality cut an optimal subproblem gives."""
-    return _master_row(CUT_OPTIMALITY, result.y, sub.B, sub.b)
+    return _master_row(result.y, sub.B, sub.b)
+
+
+def route_invalid_instance():
+    """A pickup whose window closes before even air freight can land."""
+    return build_instance(window_days=2, land_time=4, air_time=3)
 
 
 def cut_value(row, t):
-    """``v'(b - B t)`` of the cut whose master row is ``row``: its bound on
-    q at t (optimality), or what a T must keep at most 0 (feasibility)."""
+    """``y'(b - B t)`` of the cut whose master row is ``row``: its bound on
+    q at t."""
     coefficients, rhs = row
     return float(coefficients[: len(t)] @ t) - rhs
 
@@ -126,7 +131,7 @@ class TestSubproblem:
         assert len(sub.b) == len(sub.senses) == m
 
     def test_infeasible_instance_gives_farkas(self):
-        inst = build_instance(window_days=2, land_time=4, air_time=3)
+        inst = route_invalid_instance()
         sub = _prepare(build_mip(inst, MODE_WINDOW, require_routes=False))
         result = _solve_sub(sub, np.zeros(9))
         assert result.status == STATUS_INFEASIBLE
@@ -161,11 +166,11 @@ class TestOptimalityCuts:
     def test_dimension_mismatch(self, tiny_instance):
         sub, _ = self._sub_and_result(tiny_instance, np.zeros(9))
         with pytest.raises(SolverError, match="rows"):
-            _master_row(CUT_OPTIMALITY, np.zeros(3), sub.B, sub.b)
+            _master_row(np.zeros(3), sub.B, sub.b)
 
     def test_zero_duals_give_the_master_row(self, tiny_instance, monkeypatch):
         sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
-        row, rhs = _master_row(CUT_OPTIMALITY, np.zeros(sub.B.shape[0]), sub.B, sub.b)
+        row, rhs = _master_row(np.zeros(sub.B.shape[0]), sub.B, sub.b)
         problems = []
         solve = bd.solve_milp
 
@@ -182,56 +187,38 @@ class TestOptimalityCuts:
         assert row.tolist() == [0.0] * 9 + [-1.0]
 
 
-class TestFeasibilityCuts:
-    def _harness(self, k=48000.0, demand=100.0):
-        """One U variable: a fixed equality forces U = demand, capacity
-        bounds U by k per container."""
-        A_sub = sp.csr_matrix(np.array([[1.0], [1.0]]))
-        senses = np.array(["=", "<"])
-        b = np.array([demand, 0.0])
-        B = sp.csr_matrix(np.array([[0.0], [-k]]))
-        return A_sub, senses, B, b
+class TestCompleteRecourse:
+    """U and Z share their columns but in the capacity and linking rows,
+    which hold no Z, so the subproblem is feasible at every T or at none:
+    every cut is an optimality cut, and an infeasible subproblem proves the
+    instance infeasible."""
 
-    def _farkas(self, A_sub, senses, B, b, t):
-        rhs = b - B @ np.asarray(t, dtype=np.float64)
-        out = solve_lp(
-            LpProblem(objective=np.zeros(1), A=A_sub, senses=senses, rhs=rhs)
+    @staticmethod
+    def _status_at_each_t(instance, mode, rng):
+        """The subproblem's status at T = 0, at the container bound and at
+        a fractional T, each priced on a fresh subproblem."""
+        model = build_mip(instance, mode, require_routes=False)
+        n_t = len(model.integer_columns)
+        bound = float(instance.container_bound())
+        points = (np.zeros(n_t), np.full(n_t, bound), rng.uniform(0.0, bound, n_t))
+        return [_solve_sub(_prepare(model), t).status for t in points]
+
+    @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+    def test_optimal_at_every_t_on_route_valid_instances(self, mode):
+        # the acceptance sweep's first instances
+        rng = np.random.default_rng(20260823)
+        points = np.random.default_rng(3)
+        for seed in range(40):
+            inst = generate_synthetic(random_small_config(rng), seed=seed)
+            statuses = self._status_at_each_t(inst, mode, points)
+            assert statuses == [STATUS_OPTIMAL] * 3, f"seed {seed}"
+
+    @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+    def test_infeasible_at_every_t_on_a_route_invalid_instance(self, mode):
+        statuses = self._status_at_each_t(
+            route_invalid_instance(), mode, np.random.default_rng(3)
         )
-        assert out.status == STATUS_INFEASIBLE
-        return out.farkas_ray
-
-    def test_cut_raises_container_lower_bound(self):
-        A_sub, senses, B, b = self._harness()
-        ray = self._farkas(A_sub, senses, B, b, [0.0])
-        row = _master_row(CUT_FEASIBILITY, ray, B, b)
-        # violated at the generating point, satisfied once T covers demand
-        assert cut_value(row, np.array([0.0])) > 0.0
-        assert cut_value(row, np.array([1.0])) <= 1e-9
-        # no q in a feasibility cut; the implied bound is T >= demand / capacity
-        coefficients, rhs = row
-        assert coefficients[1] == 0.0
-        t_min = rhs / coefficients[0]
-        assert t_min == pytest.approx(100.0 / 48000.0, rel=1e-9)
-
-    def test_master_point_respects_cut(self):
-        A_sub, senses, B, b = self._harness()
-        ray = self._farkas(A_sub, senses, B, b, [0.0])
-        row = _master_row(CUT_FEASIBILITY, ray, B, b)
-        # T = 0 is cut off; one container is the cheapest schedule left
-        out = solve_master(np.array([4800.0]), 5.0, separate=add_once(row))
-        assert out.status == MILP_OPTIMAL
-        assert out.x.tolist() == [1.0, 0.0]  # [T, q]
-        assert out.bound == pytest.approx(4800.0)
-
-    def test_zero_ray_rejected(self):
-        _, _, B, b = self._harness()
-        with pytest.raises(SolverError, match="zero Farkas"):
-            _master_row(CUT_FEASIBILITY, np.zeros(2), B, b)
-
-    def test_dimension_mismatch(self):
-        _, _, B, b = self._harness()
-        with pytest.raises(SolverError, match="rows"):
-            _master_row(CUT_FEASIBILITY, np.ones(5), B, b)
+        assert statuses == [STATUS_INFEASIBLE] * 3
 
 
 class TestMaster:
@@ -259,11 +246,6 @@ class TestMaster:
                     h_costs[j] * n + max(0.0, result.objective - w[j] * n)
                 )
         assert lb == pytest.approx(min(candidates), rel=1e-9)
-
-    def test_feasibility_cut_propagates_infeasibility(self):
-        row = (np.zeros(2), -1.0)  # a feasibility cut 1 <= 0: never
-        with pytest.raises(InfeasibleInstanceError):
-            solve_master(np.array([1.0]), 3.0, separate=add_once(row))
 
 
 class TestRunBenders:
@@ -328,21 +310,26 @@ class TestRunBenders:
         assert "optimality" in kinds
 
     def test_infeasible_instance_reported(self):
-        inst = build_instance(window_days=2, land_time=4, air_time=3)
+        inst = route_invalid_instance()
         res = run_benders(inst, MODE_WINDOW)
         assert res.status == "infeasible"
         assert res.objective is None
         assert res.proven
 
-    def test_infeasible_caught_by_master_without_validation(self):
-        inst = build_instance(window_days=2, land_time=4, air_time=3)
-        res = run_benders(inst, MODE_WINDOW, validate=False)
+    @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+    def test_infeasible_subproblem_without_validation_makes_no_cut(self, mode):
+        # the first subproblem is infeasible, so by complete recourse every
+        # T is, and the run ends there without a cut
+        res = run_benders(route_invalid_instance(), mode, validate=False)
         assert res.status == "infeasible"
+        assert res.proven
+        assert res.lower_bound == res.upper_bound == math.inf
+        assert res.trace.records == []
 
     @pytest.mark.parametrize("validate", [True, False])
     def test_infeasible_instance_bounds_agree(self, validate):
-        # route validation and the infeasible master report the same bounds
-        inst = build_instance(window_days=2, land_time=4, air_time=3)
+        # route validation and the infeasible subproblem report the same bounds
+        inst = route_invalid_instance()
         res = run_benders(inst, MODE_WINDOW, validate=validate)
         assert res.status == "infeasible"
         assert res.lower_bound == math.inf

@@ -74,7 +74,6 @@ from .model import (
 from .simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
     BasisLabels,
     LpOutcome,
     LpProblem,
@@ -215,11 +214,6 @@ def _solve_sub(
                 sub.stabilised_basis = outcome.basis
             else:
                 sub.warm_basis = outcome.basis
-        if outcome.status == STATUS_UNBOUNDED:
-            raise SolverError(
-                "subproblem reported unbounded; with nonnegative costs this "
-                "signals a model-assembly bug"
-            )
         if outcome.status == STATUS_INFEASIBLE:
             return outcome
         entries = sub.model.linking.violated(
@@ -315,8 +309,6 @@ def relax_model(model: MipModel) -> tuple[float, np.ndarray, CostBreakdown]:
     outcome = solve_lp(lp_from_mip(model))
     if outcome.status == STATUS_INFEASIBLE:
         raise InfeasibleInstanceError("LP relaxation is infeasible")
-    if outcome.status == STATUS_UNBOUNDED:
-        raise SolverError("LP relaxation unbounded; model-assembly bug")
     return outcome.objective, outcome.x, objective_breakdown(model, outcome.x)
 
 

@@ -337,7 +337,9 @@ def run(argv=None) -> int:
     except IntransitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing instance, or an --out or --node-log path that is a file,
+        # a directory or not writable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

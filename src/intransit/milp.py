@@ -25,8 +25,6 @@ from .errors import SolverError
 from .model import MipModel
 from .simplex import (
     STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
     BasisLabels,
     LpProblem,
     solve_lp,
@@ -207,11 +205,6 @@ def solve_milp(
         outcome = solve_lp(replace(base, lower=lower, upper=upper), warm=warm)
         if outcome.status == STATUS_INFEASIBLE:
             continue
-        if outcome.status == STATUS_UNBOUNDED:
-            raise SolverError(
-                "node LP is unbounded; the integer model must be bounded below"
-            )
-        assert outcome.status == STATUS_OPTIMAL
         lp_obj = outcome.objective
         if depth == 0:
             root_bound = lp_obj

@@ -1,8 +1,9 @@
 """Revised dual simplex with dual values and infeasibility certificates.
 
 Solves ``min c'x  s.t.  A_eq x = b_eq, A_le x <= b_le, lower <= x <= upper``
-(``lower`` finite, ``upper`` possibly infinite) and returns one of three
-certified outcomes:
+(``lower`` finite, ``upper`` possibly infinite, no negative cost on a
+column without an upper bound, so ``c'x`` is bounded below) and returns
+one of two certified outcomes:
 
 * Optimal: primal vector, dual vector y (free on ``=`` rows, nonpositive on
   ``<=`` rows), and the objective; strong duality holds within tolerance,
@@ -10,8 +11,6 @@ certified outcomes:
 * Infeasible: a Farkas ray y over the rows (respecting row signs) whose
   ``y'b`` exceeds the largest ``(A'y)'x`` over the box; where a column has
   no upper bound this needs ``(A'y)_j <= 0``.
-* Unbounded: a primal ray r >= 0 with ``A_eq r = 0``, ``A_le r <= 0``,
-  ``c'r < 0`` and no component on a column with an upper bound.
 
 A shift ``x = lower + x'`` moves every lower bound to zero. Each row then
 gets one slack column, so the LP solved is ``[A | I] (x, s) = b``; a
@@ -33,10 +32,8 @@ warm basis if one is given, else (or when that basis is of no use) from
 the slack basis. A start must be dual feasible. Each nonbasic column with
 an upper bound sits at the bound its reduced cost prices, so only a
 column without one that prices below zero spoils a start. A warm basis
-where one does is given up. The slack basis, where that takes a negative
-cost, first runs the same loop as a dual phase 1 (Fourer, 1994), which
-either reaches a dual feasible basis or yields a ray of falling cost;
-the consolidation LPs, whose costs are nonnegative, never need it. The
+where one does is given up; at the slack basis the reduced costs are
+the costs, so it is dual feasible on every LP ``LpProblem`` accepts. The
 loop's pivots drive each basic variable outside its bounds, a fixed slack
 off zero among them, back inside. From the slack basis the leaving row is
 priced by dual Devex (Forrest & Goldfarb, 1992) and the entering column
@@ -59,7 +56,6 @@ from .errors import SolverError
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_UNBOUNDED = "unbounded"
 
 TOL = 1e-7  # primal and dual feasibility tolerance
 # absolute dual tolerance of the pivoting, well below TOL: solve_lp
@@ -75,8 +71,11 @@ class LpProblem:
     """Minimization LP over bounded variables, ``lower <= x <= upper``.
 
     ``senses`` holds ``"="`` or ``"<"`` per row. ``lower`` defaults to
-    zero and must be finite; ``upper`` defaults to +inf. ``A`` given as a
-    scipy sparse matrix is solved on the sparse LU basis; anything else is
+    zero and must be finite; ``upper`` defaults to +inf. A column without
+    an upper bound may not have a negative cost, so ``c'x`` is bounded
+    below on the box and the LP is infeasible or has an optimum; the
+    consolidation LPs all have nonnegative costs. ``A`` given as a scipy
+    sparse matrix is solved on the sparse LU basis; anything else is
     stored as a dense array and solved on the explicit-inverse basis.
     """
 
@@ -110,6 +109,8 @@ class LpProblem:
                 raise SolverError(f"{name} contains NaN or infinite entries")
         if not (self.lower <= self.upper).all():
             raise SolverError("upper is NaN or below lower somewhere")
+        if (self.objective[self.upper == np.inf] < 0.0).any():
+            raise SolverError("negative cost on a column without an upper bound")
         entries = self.A.data if sp.issparse(self.A) else self.A
         if not np.all(np.isfinite(entries)):
             raise SolverError("constraint matrix contains NaN or infinite entries")
@@ -144,7 +145,6 @@ class LpOutcome:
     y: np.ndarray | None = None
     objective: float | None = None
     farkas_ray: np.ndarray | None = None
-    ray: np.ndarray | None = None
     pivots: int = 0
     basis: BasisLabels | None = None
 
@@ -350,6 +350,8 @@ def _dual_iterate(
 ) -> int | None:
     """Dual-simplex pivots from a dual-feasible basis toward primal feasibility.
 
+    Every solve runs this loop straight from its start: the slack basis,
+    dual feasible on every LP, or a warm basis that prices dual feasible.
     ``reduced`` holds the reduced costs at entry (basic entries zero,
     nonnegative at zero, nonpositive at an upper bound, either sign on a
     column fixed at zero) and is maintained incrementally with each pivot.
@@ -357,11 +359,10 @@ def _dual_iterate(
     The leaving row is picked by :func:`_leaving_row` and leaves at the
     bound it crossed. In a solve from the slack basis (``from_slack``) the
     reference weights start at 1, the exact squared norm of every row of
-    ``B^-1`` at ``B = I`` (after a phase 1, a fresh reference framework),
-    dual Devex updates them from each pivot column (Forrest & Goldfarb,
-    1992), and the entering column comes from Harris's
-    two-pass ratio test (Koberstein, 2005): the first pass bounds the dual
-    step by letting every candidate's reduced cost cross zero by
+    ``B^-1`` at ``B = I``, dual Devex updates them from each pivot column
+    (Forrest & Goldfarb, 1992), and the entering column comes from
+    Harris's two-pass ratio test (Koberstein, 2005): the first pass bounds
+    the dual step by letting every candidate's reduced cost cross zero by
     ``DUAL_TOL``, the second takes the candidate with the largest
     ``|alpha|`` among those whose ratio is within that bound. From a warm
     basis the row farthest outside leaves and the lowest ratio enters,
@@ -508,15 +509,9 @@ def _extract(problem: LpProblem, state: _State, c_std: np.ndarray) -> LpOutcome 
 
 def _solve_trivial(objective: np.ndarray, upper: np.ndarray) -> LpOutcome:
     # no rows, lower bounds zero: each variable sits at 0 unless its cost
-    # is negative, then at its upper bound; without one the LP is unbounded
-    n = len(objective)
-    neg = objective < 0
-    free = np.flatnonzero(neg & (upper == np.inf))
-    if len(free):
-        ray = np.zeros(n)
-        ray[int(free[np.argmin(objective[free])])] = 1.0
-        return LpOutcome(status=STATUS_UNBOUNDED, ray=ray)
-    return LpOutcome(status=STATUS_OPTIMAL, x=np.where(neg, upper, 0.0), y=np.zeros(0))
+    # is negative, then at its upper bound, which LpProblem made finite
+    x = np.where(objective < 0, upper, 0.0)
+    return LpOutcome(status=STATUS_OPTIMAL, x=x, y=np.zeros(0))
 
 
 def _pow2_scale(v: np.ndarray) -> np.ndarray:
@@ -566,8 +561,9 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
     cost makes dual feasible. If the basis is then dual feasible here,
     dual-simplex pivots restore primal feasibility; if it is not, or the
     pivoting breaks down, the solve starts again from the slack basis,
-    where every cold solve runs, after a dual phase 1 if a column without
-    an upper bound has a negative cost.
+    where every cold solve runs. With no negative cost on a column
+    without an upper bound, the slack basis is dual feasible, so every LP
+    ends infeasible or optimal.
 
     The lower bounds are shifted out first (``b - A·lower``). The problem
     is then equilibrated internally (power-of-two row and column scales,
@@ -604,10 +600,8 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
         if out.status == STATUS_OPTIMAL:
             out.x = out.x * s / sig_b
             out.y = out.y * r / sig_c
-        elif out.status == STATUS_INFEASIBLE:
-            out.farkas_ray = out.farkas_ray * r
         else:
-            out.ray = out.ray * s
+            out.farkas_ray = out.farkas_ray * r
     if out.status == STATUS_OPTIMAL:
         out.x = lower + out.x
         out.objective = float(problem.objective @ out.x)
@@ -640,28 +634,14 @@ def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
     def fresh_basis():
         return basis_type(A_std)
 
-    # the slack basis decides every LP, after a dual phase 1 where it is
-    # not dual feasible, so it is always the last start
+    # the slack basis is dual feasible on every LP and decides it, so it is
+    # always the last start
     slack = BasisLabels(struct=np.zeros(0, dtype=np.int64), slack_rows=np.arange(m))
     for start in ([] if warm is None else [warm]) + [slack]:
         outcome = _try_warm_start(problem, start, fresh_basis, c_std, upper)
         if outcome is not None:
             return outcome
     raise SolverError("dual simplex broke down from every starting basis")
-
-
-def _phase_one(B, upper: np.ndarray, reduced: np.ndarray, feas_tol: float) -> _State:
-    """Dual phase 1 from the slack basis (Fourer, 1994; Koberstein, 2005).
-
-    Runs the dual loop on the LP with rhs zero, every column with an upper
-    bound fixed at zero and every other boxed in ``[0, 1]``. Each of its
-    bases is dual feasible and ``x = 0`` is feasible, so the loop ends at
-    an optimum of it, whose iterate is returned.
-    """
-    aux = _place(B, np.zeros(B.m), np.where(upper == np.inf, 1.0, 0.0), reduced, 0)
-    if _dual_iterate(aux, feas_tol, reduced, from_slack=True) is not None:
-        raise SolverError("dual phase 1 found its feasible LP infeasible")
-    return aux
 
 
 def _try_warm_start(
@@ -695,33 +675,18 @@ def _try_warm_start(
 
     # A column with an upper bound sits at the bound its reduced cost makes
     # dual feasible (a column fixed at zero at either), so the basis is dual
-    # feasible unless a column without one prices below zero
-    from_slack = len(struct) == 0
-    free = upper == np.inf
+    # feasible unless a column without one prices below zero. LpProblem
+    # gives no such column a negative cost, so the slack basis always is
     _, reduced = _pricing(B, c_std)
+    if (reduced[upper == np.inf] < -DUAL_TOL).any():
+        return None
     # absolute feasibility target: a slack left at -1e-5 and clamped would
     # shift the objective below the true optimum, so rhs-scaled slack here
     # is not acceptable
     feas_tol = 1e-9
-    pivots = 0
-    ray = None
     try:
-        if (reduced[free] < -DUAL_TOL).any():
-            if not from_slack:
-                return None
-            aux = _phase_one(B, upper, reduced, feas_tol)
-            pivots = aux.pivots
-            # the loop leaves the reduced costs of fixed columns stale
-            _, reduced = _pricing(B, c_std)
-            if (reduced[free] < -DUAL_TOL).any():
-                # the phase-1 optimum c'x is below zero, and its x is a ray
-                # of falling cost: A x <= 0, zero on the '=' rows and on the
-                # columns with an upper bound. With costs zero every basis
-                # is dual feasible, so the loop decides if the LP is feasible
-                ray = _primal(aux, n)
-                reduced = np.zeros(n + m)
-        state = _place(B, problem.rhs, upper, reduced, pivots)
-        bad_row = _dual_iterate(state, feas_tol, reduced, from_slack)
+        state = _place(B, problem.rhs, upper, reduced, 0)
+        bad_row = _dual_iterate(state, feas_tol, reduced, from_slack=len(struct) == 0)
         if bad_row is not None:
             # a variable stuck below zero certifies with -B^-T e_r, one
             # stuck above its upper bound with +B^-T e_r
@@ -732,8 +697,6 @@ def _try_warm_start(
                 farkas_ray=np.sign(state.x_B[bad_row]) * B.btran(e),
                 pivots=state.pivots,
             )
-        if ray is not None:
-            return LpOutcome(status=STATUS_UNBOUNDED, ray=ray, pivots=state.pivots)
         return _extract(problem, state, c_std)
     except SolverError:
         # a breakdown from this start; the caller tries the next one
@@ -803,25 +766,6 @@ def verify_certificate(
         reach = lower @ np.minimum(aty, 0.0) + upper[boxed] @ np.maximum(aty[boxed], 0.0)
         if float(r @ problem.rhs - reach) <= tol:
             failures.append("Farkas ray fails to certify: y'b not above (A'y)'x on the box")
-    elif outcome.status == STATUS_UNBOUNDED:
-        ray = outcome.ray
-        if ray is None:
-            return CertificateReport(False, ["unbounded outcome lacks ray"])
-        norm = float(np.abs(ray).max(initial=0.0))
-        if norm <= tol:
-            return CertificateReport(False, ["zero unbounded ray"])
-        r = ray / norm
-        if float((-r).max(initial=0.0)) > tol:
-            failures.append("ray negativity")
-        if float(np.abs(r[boxed]).max(initial=0.0)) > tol:
-            failures.append("ray moves a column with an upper bound")
-        ar = A @ r
-        if eq.any() and float(np.abs(ar[eq]).max()) > tol * 100:
-            failures.append("ray not in equality null space")
-        if le.any() and float(ar[le].max(initial=0.0)) > tol * 100:
-            failures.append("ray increases a <= row")
-        if float(problem.objective @ r) >= -tol:
-            failures.append("ray does not improve the objective")
     else:
         failures.append(f"unknown status {outcome.status!r}")
     return CertificateReport(ok=not failures, failures=failures)

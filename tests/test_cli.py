@@ -261,6 +261,20 @@ class TestErrors:
         code = run(["validate", "--instance", str(tmp_path / "nope")])
         assert code == 2
 
+    def test_out_path_that_is_a_file(self, instance_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run(["relax", "--instance", instance_dir, "--out", str(taken)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert taken.read_text() == ""
+
+    def test_node_log_path_that_is_a_directory(self, instance_dir, tmp_path, capsys):
+        code = run(["solve", "--instance", instance_dir, "--node-log", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_subcommand(self, capsys):
         assert run(["warp"]) == 2
 

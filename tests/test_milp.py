@@ -119,9 +119,9 @@ class TestSmallProblems:
         assert solve_milp(prob).status == MILP_INFEASIBLE
 
     def test_integer_upper_prunes_up_branches(self):
-        # without a bound the root LP sits at x0 = 2.5 and branches; the
-        # column bound x0 <= 2 holds the root at x0 = 2, and no branch
-        # above it is made
+        # under the loose bound x0 <= 3 the root LP sits at x0 = 2.5 and
+        # branches; the column bound x0 <= 2 holds the root at x0 = 2, and
+        # no branch above it is made
         def prob(upper):
             return MilpProblem(
                 lp=LpProblem(
@@ -135,23 +135,24 @@ class TestSmallProblems:
             )
 
         bounded = solve_milp(prob(np.array([2.0, np.inf])))
-        free = solve_milp(prob(None))
-        assert bounded.status == free.status == MILP_OPTIMAL
-        assert bounded.objective == free.objective == pytest.approx(-2.0)
-        assert bounded.nodes < free.nodes
+        loose = solve_milp(prob(np.array([3.0, np.inf])))
+        assert bounded.status == loose.status == MILP_OPTIMAL
+        assert bounded.objective == loose.objective == pytest.approx(-2.0)
+        assert bounded.nodes < loose.nodes
 
 
 class TestSeparation:
     def _problem(self, cut_upfront):
         # max 2 x0 + 3 x1 on the box [0, 3]^2; the lazy row 2 x0 + 2 x1 <= 9
         # cuts off the integral box corner and leaves a fractional vertex
-        A = [[1.0, 0.0], [0.0, 1.0]] + ([[2.0, 2.0]] if cut_upfront else [])
+        A = [[2.0, 2.0]] if cut_upfront else []
         return MilpProblem(
             lp=LpProblem(
                 objective=np.array([-2.0, -3.0]),
-                A=np.array(A),
+                A=np.array(A).reshape(len(A), 2),
                 senses=np.array(["<"] * len(A)),
-                rhs=np.array([3.0, 3.0] + ([9.0] if cut_upfront else [])),
+                rhs=np.array([9.0] if cut_upfront else []),
+                upper=np.array([3.0, 3.0]),
             ),
             integer_columns=np.array([0, 1]),
         )
@@ -227,9 +228,10 @@ class TestSeparation:
         prob = MilpProblem(
             lp=LpProblem(
                 objective=-np.ones(3),
-                A=np.vstack([np.ones(3), np.eye(3)]),
-                senses=np.array(["<"] * 4),
-                rhs=np.array([7.5, 3.0, 3.0, 3.0]),
+                A=np.ones((1, 3)),
+                senses=np.array(["<"]),
+                rhs=np.array([7.5]),
+                upper=np.full(3, 3.0),
             ),
             integer_columns=np.arange(3),
         )

@@ -8,11 +8,7 @@ import scipy.sparse as sp
 
 from intransit import LpProblem, simplex, solve_lp, verify_certificate
 from intransit.errors import SolverError
-from intransit.simplex import (
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-)
+from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
 ORACLE_TOL = 1e-7
 
@@ -55,37 +51,18 @@ def enumerate_vertices(problem: LpProblem):
     return best, feasible
 
 
-def has_improving_ray(problem: LpProblem) -> bool:
-    """Check for a recession direction with negative cost (tiny LPs only)."""
-    from scipy.optimize import linprog
-
-    A = problem.A.toarray() if hasattr(problem.A, "toarray") else np.asarray(problem.A)
-    le = problem.senses == "<"
-    res = linprog(
-        problem.objective,
-        A_ub=A[le] if le.any() else None,
-        b_ub=np.zeros(le.sum()) if le.any() else None,
-        A_eq=A[~le] if (~le).any() else None,
-        b_eq=np.zeros((~le).sum()) if (~le).any() else None,
-        bounds=[(0, 1)] * problem.num_cols,
-        method="highs",
-    )
-    return res.status == 0 and res.fun < -1e-9
-
-
 def stored_as(problem: LpProblem, representation) -> LpProblem:
     """The same LP with ``A`` converted; the storage picks the basis class."""
     return LpProblem(problem.objective, representation(problem.A), problem.senses, problem.rhs)
 
 
-def random_problem(rng: np.random.Generator, *, nonnegative_costs: bool = False) -> LpProblem:
+def random_arrays(rng: np.random.Generator):
+    """Costs of either sign, ``A``, senses and rhs of a tiny random LP."""
     m = int(rng.integers(1, 5))
     n = int(rng.integers(1, 6))
     A = np.round(rng.uniform(-5, 5, size=(m, n)), 1)
     A[rng.uniform(size=(m, n)) < 0.3] = 0.0
     c = np.round(rng.uniform(-4, 10, size=n), 1)
-    if nonnegative_costs:
-        c = np.abs(c)
     b = np.round(rng.uniform(-3, 10, size=m), 1)
     senses = np.where(rng.uniform(size=m) < 0.5, "<", "=")
     if m > 1 and rng.uniform() < 0.15:
@@ -95,7 +72,13 @@ def random_problem(rng: np.random.Generator, *, nonnegative_costs: bool = False)
             b[-1] = b[0]
     if rng.uniform() < 0.15:
         b[rng.integers(0, m)] = 0.0  # primal degeneracy
-    return LpProblem(objective=c, A=A, senses=senses, rhs=b)
+    return c, A, senses, b
+
+
+def random_problem(rng: np.random.Generator) -> LpProblem:
+    """A tiny random LP with costs ``|c|``: no column has an upper bound."""
+    c, A, senses, b = random_arrays(rng)
+    return LpProblem(objective=np.abs(c), A=A, senses=senses, rhs=b)
 
 
 @pytest.fixture
@@ -117,24 +100,22 @@ def dual_path(monkeypatch):
 
 class TestRandomOracle:
     # dense cases keep their original ids, the bare block number; the
-    # nonnegative-cost blocks draw the same kind of LP with |c|
+    # "nonneg" blocks, from when the others drew costs of either sign,
+    # keep their own seeds
     @pytest.mark.parametrize(
-        "block, representation, nonnegative_costs",
-        [pytest.param(b, np.asarray, False, id=str(b)) for b in range(10)]
-        + [pytest.param(b, sp.csr_matrix, False, id=f"sparse-{b}") for b in range(10)]
-        + [pytest.param(b, np.asarray, True, id=f"nonneg-{b}") for b in range(5)]
-        + [pytest.param(b, sp.csr_matrix, True, id=f"sparse-nonneg-{b}") for b in range(5)],
+        "seed, representation",
+        [pytest.param(6800 + b, np.asarray, id=str(b)) for b in range(10)]
+        + [pytest.param(6800 + b, sp.csr_matrix, id=f"sparse-{b}") for b in range(10)]
+        + [pytest.param(7800 + b, np.asarray, id=f"nonneg-{b}") for b in range(5)]
+        + [pytest.param(7800 + b, sp.csr_matrix, id=f"sparse-nonneg-{b}") for b in range(5)],
     )
-    def test_against_vertex_enumeration(
-        self, block, representation, nonnegative_costs, dual_path
-    ):
+    def test_against_vertex_enumeration(self, seed, representation, dual_path):
         # 60 instances per block, each block once per basis class: every
         # outcome independently certified and optima matched against
         # brute-force vertex enumeration
-        seed = (7800 if nonnegative_costs else 6800) + block
         rng = np.random.default_rng(seed)
         for _ in range(60):
-            problem = random_problem(rng, nonnegative_costs=nonnegative_costs)
+            problem = random_problem(rng)
             problem = stored_as(problem, representation)
             dual_path.clear()
             outcome = solve_lp(problem)
@@ -147,12 +128,9 @@ class TestRandomOracle:
                 assert best is not None
                 scale = 1.0 + abs(best)
                 assert abs(outcome.objective - best) <= ORACLE_TOL * scale
-            elif outcome.status == STATUS_INFEASIBLE:
-                assert not feasible
             else:
-                assert outcome.status == STATUS_UNBOUNDED
-                assert feasible
-                assert has_improving_ray(problem)
+                assert outcome.status == STATUS_INFEASIBLE
+                assert not feasible
 
 
 class TestBasicOutcomes:
@@ -178,17 +156,6 @@ class TestBasicOutcomes:
         out = solve_lp(problem)
         assert out.status == STATUS_OPTIMAL
         assert out.objective == 0.0
-
-    def test_no_rows_unbounded(self):
-        problem = LpProblem(
-            objective=np.array([1.0, -2.0]),
-            A=np.zeros((0, 2)),
-            senses=np.array([], dtype="<U1"),
-            rhs=np.array([]),
-        )
-        out = solve_lp(problem)
-        assert out.status == STATUS_UNBOUNDED
-        assert verify_certificate(problem, out).ok
 
     def test_infeasible_equalities(self):
         problem = LpProblem(
@@ -226,9 +193,7 @@ class TestBasicOutcomes:
     @pytest.mark.parametrize(
         "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
     )
-    @pytest.mark.parametrize(
-        "costs", [[1.0, 2.0], [-1.0, 2.0]], ids=["nonneg-costs", "negative-cost"]
-    )
+    @pytest.mark.parametrize("costs", [[1.0, 2.0]], ids=["nonneg-costs"])
     @pytest.mark.parametrize(
         "gap, status",
         [
@@ -263,55 +228,6 @@ class TestBasicOutcomes:
         out = solve_lp(problem)
         assert out.status == STATUS_OPTIMAL
         assert out.x[0] == pytest.approx(1.0)
-
-    def test_unbounded_with_rows(self):
-        # minimize -x subject to a row that never binds x's growth
-        problem = LpProblem(
-            objective=np.array([-1.0, 0.0]),
-            A=np.array([[0.0, 1.0]]),
-            senses=np.array(["<"]),
-            rhs=np.array([5.0]),
-        )
-        out = solve_lp(problem)
-        assert out.status == STATUS_UNBOUNDED
-        assert verify_certificate(problem, out).ok
-
-    @pytest.mark.parametrize(
-        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
-    )
-    def test_unbounded_ray_from_phase_one(self, representation, dual_path):
-        # min -2 x0 + x1 - 5 x2 on x0 - x1 + x2 <= 1, x2 <= 3: x0 grows
-        # only with x1, along the ray (1, 1, 0) of cost -1; x2 has a bound
-        problem = LpProblem(
-            objective=np.array([-2.0, 1.0, -5.0]),
-            A=representation(np.array([[1.0, -1.0, 1.0]])),
-            senses=np.array(["<"]),
-            rhs=np.array([1.0]),
-            upper=np.array([np.inf, np.inf, 3.0]),
-        )
-        out = solve_lp(problem)
-        assert out.status == STATUS_UNBOUNDED
-        assert len(dual_path) == 1
-        assert verify_certificate(problem, out).ok
-        np.testing.assert_allclose(out.ray / out.ray.max(), [1.0, 1.0, 0.0])
-
-    @pytest.mark.parametrize(
-        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
-    )
-    def test_dual_and_primal_infeasible_gives_farkas(self, representation, dual_path):
-        # min -x0 + 0.5 x1 on x0 - x1 <= 2, x2 + x3 = -1: the ray (1, 1, 0, 0)
-        # falls in cost, but no x >= 0 meets the second row
-        problem = LpProblem(
-            objective=np.array([-1.0, 0.5, 0.0, 0.0]),
-            A=representation(np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])),
-            senses=np.array(["<", "="]),
-            rhs=np.array([2.0, -1.0]),
-        )
-        out = solve_lp(problem)
-        assert out.status == STATUS_INFEASIBLE
-        assert len(dual_path) == 1
-        assert verify_certificate(problem, out).ok
-        assert enumerate_vertices(problem) == (None, False)
 
     def test_duals_price_binding_rows(self):
         # min x1 + x2 with x1 + x2 >= 2 written as -x1 - x2 <= -2
@@ -355,17 +271,21 @@ class TestDegenerateCycling:
                 [0.0, 0.0, 1.0, 0.0],
             ]
         )
+        # the negative-cost columns get upper bounds that the optimum
+        # (1/25, 0, 1, 0) does not reach, so it is still -1/20
         problem = LpProblem(
             objective=np.array([-0.75, 150.0, -0.02, 6.0]),
             A=A,
             senses=np.array(["<", "<", "<"]),
             rhs=np.array([0.0, 0.0, 1.0]),
+            upper=np.array([1.0, np.inf, 2.0, np.inf]),
         )
         out = solve_lp(problem)
         assert out.status == STATUS_OPTIMAL
         assert verify_certificate(problem, out).ok
         best, _ = enumerate_vertices(problem)
         assert out.objective == pytest.approx(best, abs=1e-9)
+        assert out.objective == pytest.approx(-1.0 / 20.0, abs=1e-12)
 
     def test_highly_degenerate_equalities(self):
         # many duplicate zero-rhs rows stacked on one small system
@@ -381,37 +301,6 @@ class TestDegenerateCycling:
         out = solve_lp(problem)
         assert out.status == STATUS_OPTIMAL
         assert out.objective == pytest.approx(0.0, abs=1e-9)
-
-    @pytest.mark.parametrize("kind", ["mixed-rows", "degenerate"])
-    def test_negative_cost_lps_reach_the_optimum(self, kind):
-        # negative costs on columns without an upper bound: the slack
-        # basis runs a dual phase 1 before the dual phase
-        if kind == "mixed-rows":
-            rng = np.random.default_rng(9)
-            A = np.round(rng.uniform(-3, 3, size=(4, 7)), 1)
-            problem = LpProblem(
-                objective=np.round(rng.uniform(-2, 5, size=7), 1),
-                A=A,
-                senses=np.array(["<", "<", "=", "="]),
-                rhs=np.array([4.0, 0.0, 0.0, 1.0]),
-            )
-        else:
-            # zero-rhs rows under one bounding row: every vertex but the
-            # last sits at the origin
-            rng = np.random.default_rng(6)
-            A = np.round(rng.uniform(-3, 3, size=(4, 6)), 1)
-            problem = LpProblem(
-                objective=np.round(rng.uniform(-3, 1, size=6), 1),
-                A=np.vstack([A, np.ones(6)]),
-                senses=np.array(["<"] * 5),
-                rhs=np.array([0.0, 0.0, 0.0, 0.0, 10.0]),
-            )
-        out = solve_lp(problem)
-        assert out.status == STATUS_OPTIMAL
-        assert verify_certificate(problem, out).ok
-        best, _ = enumerate_vertices(problem)
-        assert out.objective == pytest.approx(best, abs=1e-9)
-
 
 class TestWarmStart:
     def _problem(self, rhs_shift=0.0):
@@ -553,7 +442,7 @@ class TestWarmStart:
     )
     def test_random_warm_cold_agreement(self, representation, dual_path):
         # an rhs change leaves the old optimal basis dual feasible, so no
-        # warm start falls back, negative costs included
+        # warm start falls back
         rng = np.random.default_rng(42)
         checked = 0
         for _ in range(250):
@@ -764,20 +653,15 @@ def bounded_problem(
     rng: np.random.Generator, representation, *, nonnegative_costs: bool = False
 ) -> LpProblem:
     """A random LP whose columns carry positive lower bounds (about 30%)
-    and finite upper bounds (about half)."""
-    problem = random_problem(rng, nonnegative_costs=nonnegative_costs)
-    n = problem.num_cols
+    and finite upper bounds (about half, and every column of negative cost)."""
+    c, A, senses, b = random_arrays(rng)
+    if nonnegative_costs:
+        c = np.abs(c)
+    n = len(c)
     lower = np.where(rng.uniform(size=n) < 0.3, np.round(rng.uniform(0.1, 2.0, n), 1), 0.0)
     width = np.round(rng.uniform(0.0, 4.0, n), 1)
-    upper = np.where(rng.uniform(size=n) < 0.5, lower + width, np.inf)
-    return LpProblem(
-        problem.objective,
-        representation(problem.A),
-        problem.senses,
-        problem.rhs,
-        lower=lower,
-        upper=upper,
-    )
+    upper = np.where((rng.uniform(size=n) < 0.5) | (c < 0), lower + width, np.inf)
+    return LpProblem(c, representation(A), senses, b, lower=lower, upper=upper)
 
 
 def highs(problem: LpProblem):
@@ -797,7 +681,7 @@ def highs(problem: LpProblem):
     )
 
 
-HIGHS_STATUS = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: STATUS_UNBOUNDED}
+HIGHS_STATUS = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE}
 
 
 class TestBounds:
@@ -806,8 +690,8 @@ class TestBounds:
     )
     @pytest.mark.parametrize("block", range(5))
     def test_against_highs(self, block, representation):
-        # 80 draws per block, negative costs included; every outcome is
-        # certified and matches HiGHS in status and objective
+        # 80 draws per block, negative costs at an upper bound included;
+        # every outcome is certified and matches HiGHS in status and objective
         rng = np.random.default_rng(9800 + block)
         for _ in range(80):
             problem = bounded_problem(rng, representation)
@@ -830,7 +714,10 @@ class TestBounds:
         certified = 0
         for _ in range(300):
             problem = bounded_problem(rng, representation)
-            unbounded_box = LpProblem(problem.objective, problem.A, problem.senses, problem.rhs)
+            # whether the rows alone are feasible does not hang on the costs
+            unbounded_box = LpProblem(
+                np.abs(problem.objective), problem.A, problem.senses, problem.rhs
+            )
             if solve_lp(unbounded_box).status == STATUS_INFEASIBLE:
                 continue
             outcome = solve_lp(problem)
@@ -987,3 +874,37 @@ class TestBoundChecks:
     def test_rejects_bound_of_wrong_length(self, side):
         with pytest.raises(SolverError):
             self._problem(**{side: np.zeros(3)})
+
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    def test_rejects_negative_cost_without_upper_bound(self, representation):
+        # min x0 - x1 on x0 + x1 <= 4 is bounded, but only through its rows;
+        # without an upper bound on x1 its cost may not be negative
+        with pytest.raises(SolverError, match="negative cost"):
+            LpProblem(
+                objective=np.array([1.0, -1.0]),
+                A=representation(np.array([[1.0, 1.0]])),
+                senses=np.array(["<"]),
+                rhs=np.array([4.0]),
+            )
+
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    def test_negative_cost_at_a_finite_upper_bound(self, representation, dual_path):
+        # the same cost on a column bounded by 3: the slack basis puts x1 at
+        # that bound, dual feasible, and the one start from it is optimal
+        problem = LpProblem(
+            objective=np.array([1.0, -1.0]),
+            A=representation(np.array([[1.0, 1.0]])),
+            senses=np.array(["<"]),
+            rhs=np.array([4.0]),
+            upper=np.array([np.inf, 3.0]),
+        )
+        out = solve_lp(problem)
+        assert len(dual_path) == 1 and dual_path[0] is not None
+        assert out.status == STATUS_OPTIMAL
+        np.testing.assert_array_equal(out.x, [0.0, 3.0])
+        assert out.objective == -3.0
+        assert verify_certificate(problem, out).ok

@@ -23,16 +23,13 @@ which gives an upper bound, and its cut joins the tree's LP, so the
 tree's bound is the global lower bound. The search ends when the
 tree closes or a node or subproblem limit stops it.
 
-Row convention: the subproblem's rows are split as ``A x <=/= b - B T``
-where B holds the T coefficients. They are the model's rows, where only
-capacity rows hold T (each entry ``-capacity``), followed by the linking
-rows that joined (``U - W_p·T <= 0``: entry ``-W_p``, rhs 0). The linking
-rows cut off no integral T, so ``q(T)`` at integral T is the same with or
-without them. A dual vector y that is feasible for the subproblem dual
-satisfies ``y'(b - B T) <= q(T)`` for every T, with equality at the
-generating T_bar. Rows that join later only raise ``q``, so earlier cuts
-stay valid. Over the master's columns [T..., q] the cut is the row
-``-(B'y)·T - q <= -y'b``.
+The subproblem is the model's own LP with T's cost set to zero and T
+fixed by its bounds, ``lower = upper = T_bar``, followed by the linking
+rows that joined (``U - W_p·T <= 0``). The linking rows cut off no
+integral T, so ``q(T)`` at integral T is the same with or without them.
+Its optimal duals y give the cut ``y'(b - A_T·T) <= q``, with ``A_T`` the
+T columns of its rows: valid at every T, tight at T_bar, and still valid
+once more rows join, since they only raise ``q``.
 
 The subproblem has complete recourse, so this one cut family is all the
 decomposition needs (Van Slyke & Wets, 1969). U and Z have the same
@@ -50,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from typing import TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InfeasibleInstanceError, SolverError
 from .instance import Instance, validate_routes
@@ -60,6 +56,7 @@ from .milp import (
     MilpOutcome,
     MilpProblem,
     Separator,
+    append_rows,
     lp_from_mip,
     relative_gap,
     solve_milp,
@@ -149,43 +146,21 @@ class BendersResult:
 @dataclass
 class _SubStructure:
     model: MipModel
-    non_t_cols: np.ndarray
     t_cols: np.ndarray
-    A_sub: sp.csr_matrix  # the model's rows, then the linking rows that joined
-    B: sp.csr_matrix  # their T part (see the row convention)
-    b: np.ndarray
-    senses: np.ndarray
-    obj_sub: np.ndarray
-    link_u: np.ndarray  # each linking entry's U position among the columns of A_sub
-    link_t: np.ndarray  # ... and its T position among the master's T
+    lp: LpProblem  # the model's LP, T costless, then the linking rows that joined
     link_joined: np.ndarray  # which linking entries joined the subproblem
     warm_basis: BasisLabels | None = None  # optimal basis of the previous solve
     stabilised_basis: BasisLabels | None = None  # ... of the previous in-out solve
 
 
-def _split(rows: sp.spmatrix, non_t: np.ndarray, t_cols: np.ndarray):
-    """Rows over the monolithic columns as (subproblem part, T part)."""
-    rows = rows.tocsc()
-    return rows[:, non_t].tocsr(), rows[:, t_cols].tocsr()
-
-
 def _prepare(model: MipModel) -> _SubStructure:
     t_cols = np.asarray(model.integer_columns)
-    mask = np.ones(model.num_vars, dtype=bool)
-    mask[t_cols] = False
-    non_t = np.flatnonzero(mask)
-    A_sub, B = _split(model.A, non_t, t_cols)
+    objective = model.objective.copy()
+    objective[t_cols] = 0.0
     return _SubStructure(
         model=model,
-        non_t_cols=non_t,
         t_cols=t_cols,
-        A_sub=A_sub,
-        B=B,
-        b=model.rhs.copy(),
-        senses=model.senses,
-        obj_sub=model.objective[non_t].copy(),
-        link_u=np.searchsorted(non_t, model.linking.u_cols),
-        link_t=np.searchsorted(t_cols, model.linking.t_cols),
+        lp=replace(lp_from_mip(model), objective=objective),
         link_joined=np.zeros(len(model.linking.u_cols), dtype=bool),
     )
 
@@ -194,70 +169,54 @@ def _solve_sub(
     sub: _SubStructure, t_fixed: np.ndarray, stabilised: bool = False
 ) -> LpOutcome:
     """Price the flows at ``t_fixed``: the outcome's ``x`` is over the
-    subproblem's columns. The linking rows the optimal flow violates there
-    join the subproblem, which is solved again until it violates none; at
-    integral T it never does. A ``stabilised`` solve (an in-out point of
-    the root rounds) starts from the optimal basis of the previous
-    stabilised solve, cold the first time; any other solve from that of
-    the previous non-stabilised one."""
+    model's columns, T among them. The linking rows the optimal flow
+    violates there join the subproblem, which is solved again until it
+    violates none; at integral T it never does. A ``stabilised`` solve (an
+    in-out point of the root rounds) starts from the optimal basis of the
+    previous stabilised solve, cold the first time; any other solve from
+    that of the previous non-stabilised one."""
+    link = sub.model.linking
+    lower = np.zeros(sub.lp.num_cols)
+    lower[sub.t_cols] = t_fixed
+    upper = sub.lp.upper.copy()
+    upper[sub.t_cols] = t_fixed
     while True:
-        rhs = sub.b - sub.B @ t_fixed
-        lp = LpProblem(objective=sub.obj_sub, A=sub.A_sub, senses=sub.senses, rhs=rhs)
-        # consecutive subproblems differ only in rhs (or in rows that join
-        # with their slacks basic), so the previous optimal basis is dual
-        # feasible and a short warm run replaces a full solve. The in-out
-        # points lie far from the root's T, so each kind keeps its own chain
+        # consecutive subproblems differ only in T's bounds (or in rows that
+        # join with their slacks basic), so the previous optimal basis is
+        # dual feasible and a short warm run replaces a full solve. The
+        # in-out points lie far from the root's T, so each kind keeps its
+        # own chain
         warm = sub.stabilised_basis if stabilised else sub.warm_basis
-        outcome = solve_lp(lp, warm=warm)
-        if outcome.status == STATUS_OPTIMAL and outcome.basis is not None:
-            if stabilised:
-                sub.stabilised_basis = outcome.basis
-            else:
-                sub.warm_basis = outcome.basis
+        outcome = solve_lp(replace(sub.lp, lower=lower, upper=upper), warm=warm)
         if outcome.status == STATUS_INFEASIBLE:
             return outcome
-        entries = sub.model.linking.violated(
-            outcome.x[sub.link_u], t_fixed[sub.link_t]
-        )
+        if stabilised:
+            sub.stabilised_basis = outcome.basis
+        else:
+            sub.warm_basis = outcome.basis
         # a row that joined already is met up to the LP's own tolerance
+        entries = link.violated(outcome.x)
         entries = entries[~sub.link_joined[entries]]
         if not len(entries):
             return outcome
-        _join_linking(sub, entries)
-
-
-def _join_linking(sub: _SubStructure, entries: np.ndarray) -> None:
-    """Append the given linking rows to the subproblem (its flow part to
-    ``A_sub``, its T part to ``B``). The warm basis names the rows before
-    them, so the next solve starts with their slacks basic."""
-    # each row holds one U entry and one T entry, so both blocks are built
-    # straight from the subproblem's own positions
-    k = len(entries)
-    indptr = np.arange(k + 1)
-    rows_sub = sp.csr_matrix(
-        (np.ones(k), sub.link_u[entries], indptr), shape=(k, sub.A_sub.shape[1])
-    )
-    rows_t = sp.csr_matrix(
-        (-sub.model.linking.weights[entries], sub.link_t[entries], indptr),
-        shape=(k, sub.B.shape[1]),
-    )
-    sub.link_joined[entries] = True
-    sub.A_sub = sp.vstack([sub.A_sub, rows_sub], format="csr")
-    sub.B = sp.vstack([sub.B, rows_t], format="csr")
-    sub.b = np.concatenate([sub.b, np.zeros(len(entries))])
-    sub.senses = np.concatenate([sub.senses, np.full(len(entries), "<")])
+        # the warm basis names the rows before them, so the next solve
+        # starts with their slacks basic
+        sub.link_joined[entries] = True
+        sub.lp = append_rows(
+            sub.lp, link.block(entries, sub.lp.num_cols), np.zeros(len(entries))
+        )
 
 
 def _master_row(
-    y: np.ndarray, B: sp.spmatrix, b: np.ndarray
+    y: np.ndarray, lp: LpProblem, t_cols: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """The cut ``y'(b - B T) <= q`` from an optimal subproblem's duals y,
-    as the master row ``-(B'y)·T - q <= -y'b`` over the master's columns
-    [T..., q]."""
+    """The cut ``y'(b - A_T·T) <= q`` from the duals y of the optimal
+    subproblem ``lp``, as the master row ``-(A'y)[t_cols]·T - q <= -y'b``
+    over the master's columns [T..., q]."""
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (B.shape[0],):
-        raise SolverError(f"dual vector length {y.shape} does not match {B.shape[0]} rows")
-    return np.append(-np.asarray(B.T @ y), -1.0), -float(y @ b)
+    if y.shape != (lp.num_rows,):
+        raise SolverError(f"dual vector length {y.shape} does not match {lp.num_rows} rows")
+    return np.append(-np.asarray(lp.A.T @ y)[t_cols], -1.0), -float(y @ lp.rhs)
 
 
 def solve_master(
@@ -368,7 +327,6 @@ def run_benders(
 
     lb = -math.inf
     ub = math.inf
-    best_t: np.ndarray | None = None
     best_x: np.ndarray | None = None
 
     def price(
@@ -377,7 +335,7 @@ def run_benders(
         """Solve the subproblem at ``t`` and record it; return its master row
         (None in a root round if it does not cut off the root's ``x``) and,
         at an integral node, the incumbent it offers."""
-        nonlocal lb, ub, best_t, best_x
+        nonlocal lb, ub, best_x
         if len(trace.records) >= params.max_iters:
             raise _IterationLimit
         it = len(trace.records) + 1
@@ -386,8 +344,8 @@ def run_benders(
         if result.status == STATUS_INFEASIBLE:
             raise _InfeasibleSubproblem
         value = result.objective
-        coefficients, rhs = _master_row(result.y, sub.B, sub.b)
-        at_t = float(coefficients[:n_t] @ t) - rhs  # the cut's y'(b - B t)
+        coefficients, rhs = _master_row(result.y, sub.lp, sub.t_cols)
+        at_t = float(coefficients[:n_t] @ t) - rhs  # the cut's y'(b - A_T·t)
         if abs(at_t - value) > 1e-6 * (1.0 + abs(value)):
             raise SolverError(
                 f"optimality cut not tight at its generator: "
@@ -405,8 +363,7 @@ def run_benders(
             candidate_ub = float(objective @ point)
             if candidate_ub < ub - 1e-12:
                 ub = candidate_ub
-                best_t = t
-                best_x = result.x.copy()
+                best_x = result.x
         trace.records.append(
             IterationRecord(
                 iteration=it,
@@ -466,20 +423,16 @@ def run_benders(
         if trace.records:
             trace.records[-1] = replace(trace.records[-1], lower=lb, gap=relative_gap(ub, lb))
 
-    x_full = None
     breakdown = None
     objective_value = None
-    if best_t is not None and best_x is not None:
-        x_full = np.zeros(model.num_vars)
-        x_full[sub.non_t_cols] = best_x
-        x_full[sub.t_cols] = best_t
-        breakdown = objective_breakdown(model, x_full)
+    if best_x is not None:
+        breakdown = objective_breakdown(model, best_x)
         objective_value = ub
     return BendersResult(
         status=status,
         objective=objective_value,
-        t_values=best_t,
-        x_full=x_full,
+        t_values=None if best_x is None else best_x[sub.t_cols],
+        x_full=best_x,
         breakdown=breakdown,
         trace=trace,
         lower_bound=lb,

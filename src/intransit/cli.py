@@ -39,6 +39,12 @@ def _mode(arg: str) -> str:
     return MODE_EXACT_DAY if arg == "exact-day" else MODE_WINDOW
 
 
+def _benders_params(args) -> bd.BendersParams:
+    return bd.BendersParams(
+        max_iters=args.max_iters, gap_tol=args.gap_tol, node_limit=args.node_limit
+    )
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance directory")
     p.add_argument("--mode", choices=["window", "exact-day"], default="window")
@@ -209,11 +215,7 @@ def _cmd_benders(args) -> int:
     if not _require_routes(instance):
         return EXIT_INFEASIBLE
     mode = _mode(args.mode)
-    params = bd.BendersParams(
-        max_iters=args.max_iters,
-        gap_tol=args.gap_tol,
-        node_limit=args.node_limit,
-    )
+    params = _benders_params(args)
     result = bd.run_benders(instance, mode, params, validate=False)
     if result.status == "infeasible":
         print("instance is infeasible", file=sys.stderr)
@@ -246,11 +248,7 @@ def _cmd_compare(args) -> int:
     instance = load_instance(args.instance)
     if not _require_routes(instance):
         return EXIT_INFEASIBLE
-    params = bd.BendersParams(
-        max_iters=args.max_iters,
-        gap_tol=args.gap_tol,
-        node_limit=args.node_limit,
-    )
+    params = _benders_params(args)
     report = ScenarioReport()
 
     relax_model = build_mip(instance, MODE_WINDOW, require_routes=False)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -303,10 +303,7 @@ def _read_rows(path: Path, required: list[str]) -> list[dict[str, str]]:
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise SchemaError(f"{path.name}: missing column(s) {', '.join(missing)}")
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            rows.append({k: (v or "").strip() for k, v in row.items() if k})
-        return rows
+        return [{k: (v or "").strip() for k, v in row.items() if k} for row in reader]
 
 
 def _num(path: Path, row_no: int, field_name: str, raw: str, kind=float):

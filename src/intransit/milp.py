@@ -91,7 +91,7 @@ def _as_milp(model) -> MilpProblem:
     raise SolverError(f"cannot solve object of type {type(model).__name__}")
 
 
-def _append_rows(base: LpProblem, extra, rhs) -> LpProblem:
+def append_rows(base: LpProblem, extra, rhs) -> LpProblem:
     """``base`` plus the rows ``extra @ x <= rhs``, dense when ``base`` is."""
     rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
     if sp.issparse(base.A):
@@ -111,7 +111,7 @@ def _linking_separator(model: MipModel) -> Separator:
     link = model.linking
 
     def separate(x: np.ndarray, bound: float):
-        entries = link.violated(x[link.u_cols], x[link.t_cols])
+        entries = link.violated(x)
         if not len(entries):
             return None, None
         return (link.block(entries, model.num_vars), np.zeros(len(entries))), None
@@ -225,7 +225,7 @@ def solve_milp(
             )
             rows = None if stalled else root_separate(x, min(lp_obj, incumbent_obj))[0]
             if rows is not None:
-                base = _append_rows(base, *rows)
+                base = append_rows(base, *rows)
                 push(lp_obj, depth, lower, upper, outcome.basis)
                 continue
             root_rounds = False
@@ -255,7 +255,7 @@ def solve_milp(
             incumbent_obj = point_obj
             incumbent_x = point
         if rows is not None:
-            base = _append_rows(base, *rows)
+            base = append_rows(base, *rows)
             if relative_gap(incumbent_obj, lp_obj) > gap_tol:
                 push(lp_obj, depth, lower, upper, outcome.basis)
 

@@ -247,9 +247,10 @@ class Linking(NamedTuple):
     t_cols: np.ndarray  # the T column of the same gateway and day
     weights: np.ndarray  # W_p
 
-    def violated(self, u_values: np.ndarray, t_values: np.ndarray) -> np.ndarray:
-        """Entries whose U value exceeds ``W_p·T`` by more than the tolerance."""
-        excess = u_values - self.weights * t_values
+    def violated(self, x: np.ndarray) -> np.ndarray:
+        """Entries whose U value in ``x``, a vector over the model's
+        columns, exceeds ``W_p·T`` by more than the tolerance."""
+        excess = x[self.u_cols] - self.weights * x[self.t_cols]
         return np.flatnonzero(excess > LINKING_TOL * (1.0 + self.weights))
 
     def block(self, entries: np.ndarray, num_cols: int) -> sp.csr_matrix:

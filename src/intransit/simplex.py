@@ -524,22 +524,29 @@ def _pow2_scale(v: np.ndarray) -> np.ndarray:
     return np.exp2(-np.round(np.log2(safe)))
 
 
-def _equilibration(A) -> tuple[np.ndarray, np.ndarray]:
-    """Max-norm row scales then column scales for the constraint matrix."""
+def _equilibration(A, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-norm row scales then column scales for the constraint matrix.
+
+    Columns fixed at zero (``upper == 0`` after the lower-bound shift)
+    never enter the basis, so they are left out of the row maxima.
+    """
+    fixed = upper == 0.0
     if sp.issparse(A):
         A = A.tocsr()
         data = np.abs(A.data)
         counts = np.diff(A.indptr)
         rmax = np.zeros(A.shape[0])
         filled = np.flatnonzero(counts)  # reduceat would misread an empty row
-        rmax[filled] = np.maximum.reduceat(data, A.indptr[filled])
+        rmax[filled] = np.maximum.reduceat(
+            np.where(fixed[A.indices], 0.0, data), A.indptr[filled]
+        )
         r = _pow2_scale(rmax)
         data *= np.repeat(r, counts)
         cmax = np.zeros(A.shape[1])
         np.maximum.at(cmax, A.indices, data)
     else:
         Aabs = np.abs(A)
-        r = _pow2_scale(Aabs.max(axis=1, initial=0.0))
+        r = _pow2_scale(np.where(fixed, 0.0, Aabs).max(axis=1, initial=0.0))
         cmax = (Aabs * r[:, None]).max(axis=0)
     # a column of dust alone (a 1e-13 entry of a Benders cut row) is scaled
     # as an empty column: scaled up to 1 it would set sig_c so small that
@@ -579,7 +586,7 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
     if problem.num_rows == 0:
         out = _solve_trivial(problem.objective, upper)
     else:
-        r, s = _equilibration(problem.A)
+        r, s = _equilibration(problem.A, upper)
         sig_c = float(_pow2_scale(np.array([np.abs(problem.objective * s).max(initial=0.0)]))[0])
         sig_b = float(_pow2_scale(np.array([np.abs(rhs * r).max(initial=0.0)]))[0])
         if sp.issparse(problem.A):

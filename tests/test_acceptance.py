@@ -138,7 +138,7 @@ def assert_flows_trace(inst, model, x, label):
 def assert_linking_holds(model, x, label):
     """``x`` meets every strong linking row ``U <= W_p·T``."""
     link = model.linking
-    violated = link.violated(x[link.u_cols], x[link.t_cols])
+    violated = link.violated(x)
     assert not len(violated), f"{label}: linking rows {violated.tolist()} violated"
 
 
@@ -437,7 +437,7 @@ def test_bounds_monotone_and_cuts_tight_at_generator():
             priced = _solve_sub(sub, rec.t_candidate)
             assert priced.status == STATUS_OPTIMAL
             assert priced.objective == pytest.approx(rec.subproblem_value, rel=1e-9)
-            coefficients, rhs = _master_row(priced.y, sub.B, sub.b)
+            coefficients, rhs = _master_row(priced.y, sub.lp, sub.t_cols)
             t = rec.t_candidate
             slack = float(coefficients[: len(t)] @ t) - rhs - priced.objective
             assert abs(slack) <= 1e-6 * (1 + abs(priced.objective))

@@ -19,13 +19,7 @@ from intransit import (
     solve_milp,
 )
 import intransit.benders as bd
-from intransit.benders import (
-    _join_linking,
-    _master_row,
-    _prepare,
-    _solve_sub,
-    _split,
-)
+from intransit.benders import _master_row, _prepare, _solve_sub
 from intransit.errors import SolverError
 from intransit.milp import MILP_NODE_LIMIT
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
@@ -40,7 +34,7 @@ from conftest import (
 
 def optimality_row(sub, result):
     """The master row of the optimality cut an optimal subproblem gives."""
-    return _master_row(result.y, sub.B, sub.b)
+    return _master_row(result.y, sub.lp, sub.t_cols)
 
 
 def route_invalid_instance():
@@ -97,7 +91,7 @@ class TestSubproblem:
         assert result.status == STATUS_OPTIMAL
         assert result.objective == pytest.approx(500.0 - 200.0 / 48.0, rel=1e-9)
         link = sub.model.linking
-        assert not len(link.violated(result.x[sub.link_u], t[sub.link_t]))
+        assert not len(link.violated(result.x))
         assert sub.link_joined.sum() == 1
         # the cut is tight at the fractional T and valid at integral ones,
         # whose value the joined row leaves unchanged
@@ -109,26 +103,40 @@ class TestSubproblem:
         assert cut_value(row, t) <= whole.objective + 1e-6
 
     def test_joined_linking_rows_equal_the_split_model_rows(self):
-        # the joined blocks are built from the subproblem's own positions;
-        # they must equal the linking rows over the model's columns, split
+        # the rows past the model's are the linking block of the entries
+        # that joined, each once, over the model's columns
         model = build_mip(readme_instance(), MODE_WINDOW)
         link = model.linking
         sub = _prepare(model)
-        m = sub.A_sub.shape[0]
+        m = model.num_rows
         rng = np.random.default_rng(5)
-        for size in (1, 7, len(link.u_cols) // 3):
-            entries = np.sort(rng.choice(np.flatnonzero(~sub.link_joined), size, replace=False))
-            want_sub, want_t = _split(
-                link.block(entries, model.num_vars), sub.non_t_cols, sub.t_cols
-            )
-            _join_linking(sub, entries)
-            got_sub, got_t = sub.A_sub[m:], sub.B[m:]
-            m = sub.A_sub.shape[0]
-            assert got_sub.shape == want_sub.shape and got_t.shape == want_t.shape
-            np.testing.assert_array_equal(got_sub.toarray(), want_sub.toarray())
-            np.testing.assert_array_equal(got_t.toarray(), want_t.toarray())
-        assert sub.link_joined.sum() == m - model.A.shape[0]
-        assert len(sub.b) == len(sub.senses) == m
+        n_t = len(sub.t_cols)
+        for _ in range(3):
+            _solve_sub(sub, rng.uniform(0.0, 1.0, n_t))
+        extra = sub.lp.A[m:]
+        assert extra.shape[0] > 0
+        # each row holds one U column, which names its entry
+        entries = np.asarray(extra[:, link.u_cols].argmax(axis=1)).ravel()
+        np.testing.assert_array_equal(np.sort(entries), np.flatnonzero(sub.link_joined))
+        want = link.block(entries, model.num_vars)
+        np.testing.assert_array_equal(extra.toarray(), want.toarray())
+        assert sub.lp.rhs[m:].tolist() == [0.0] * len(entries)
+        assert sub.lp.senses[m:].tolist() == ["<"] * len(entries)
+        np.testing.assert_array_equal(sub.lp.rhs[:m], model.rhs)
+
+    def test_priced_flow_holds_t_fixed_bitwise(self):
+        # T is fixed by its bounds, so the subproblem's x carries T as given
+        sub = _prepare(build_mip(readme_instance(), MODE_WINDOW))
+        rng = np.random.default_rng(11)
+        n_t = len(sub.t_cols)
+        for t in (
+            np.zeros(n_t),
+            rng.integers(0, 3, size=n_t).astype(np.float64),
+            rng.uniform(0.0, 2.0, n_t),
+        ):
+            result = _solve_sub(sub, t)
+            assert result.status == STATUS_OPTIMAL
+            assert result.x[sub.t_cols].tobytes() == t.tobytes()
 
     def test_infeasible_instance_gives_farkas(self):
         inst = route_invalid_instance()
@@ -166,11 +174,11 @@ class TestOptimalityCuts:
     def test_dimension_mismatch(self, tiny_instance):
         sub, _ = self._sub_and_result(tiny_instance, np.zeros(9))
         with pytest.raises(SolverError, match="rows"):
-            _master_row(np.zeros(3), sub.B, sub.b)
+            _master_row(np.zeros(3), sub.lp, sub.t_cols)
 
     def test_zero_duals_give_the_master_row(self, tiny_instance, monkeypatch):
         sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
-        row, rhs = _master_row(np.zeros(sub.B.shape[0]), sub.B, sub.b)
+        row, rhs = _master_row(np.zeros(sub.lp.num_rows), sub.lp, sub.t_cols)
         problems = []
         solve = bd.solve_milp
 

@@ -242,17 +242,17 @@ class TestLinking:
         x = solution_vector(model, {u: 1000.0, t: 1000.0 / 48000.0})
         # the capacity row holds; U <= 1000 T does not
         assert check_solution(model, x).family_residuals[FAMILY_CAPACITY] == 0.0
-        entries = link.violated(x[link.u_cols], x[link.t_cols])
+        entries = link.violated(x)
         assert [int(link.u_cols[e]) for e in entries] == [u]
         block = link.block(entries, model.num_vars)
         assert block.shape == (1, model.num_vars)
         assert block[0, u] == 1.0 and block[0, t] == -1000.0 and block.nnz == 2
         # a whole container meets it, and so does the tolerance's margin
         x[t] = 1.0
-        assert not len(link.violated(x[link.u_cols], x[link.t_cols]))
+        assert not len(link.violated(x))
         x[t] = 0.0
         x[u] = 1e-3
-        assert not len(link.violated(x[link.u_cols], x[link.t_cols]))
+        assert not len(link.violated(x))
 
 
 class TestObjective:

@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from intransit import LpProblem, simplex, solve_lp, verify_certificate
+from intransit import (
+    MODE_EXACT_DAY,
+    MODE_WINDOW,
+    LpProblem,
+    build_mip,
+    simplex,
+    solve_lp,
+    verify_certificate,
+)
 from intransit.errors import SolverError
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
+
+from conftest import readme_instance
 
 ORACLE_TOL = 1e-7
 
@@ -528,8 +538,10 @@ class TestScaling:
     def test_sparse_equilibration_matches_scipy_maxima(self):
         # the sparse scales come from numpy reductions over the CSR arrays;
         # they must equal scipy's row and column maxima, empty rows and
-        # columns and a column of dust alone included
+        # columns and a column of dust alone included, with no column fixed
+        # and with some fixed at zero, which the row maxima leave out
         rng = np.random.default_rng(23)
+        fixing = np.random.default_rng(24)
         for _ in range(40):
             m, n = (int(v) for v in rng.integers(1, 12, size=2))
             A = sp.random(m, n, density=float(rng.uniform(0.0, 0.6)), random_state=rng)
@@ -540,14 +552,88 @@ class TestScaling:
             A[int(rng.integers(m)), int(rng.integers(n))] = -1e-13
             A = A.tocsr()
             A.eliminate_zeros()
-            Aabs = abs(A)
-            r = simplex._pow2_scale(Aabs.max(axis=1).toarray().ravel())
-            Aabs.data *= np.repeat(r, np.diff(Aabs.indptr))
-            cmax = Aabs.max(axis=0).toarray().ravel()
-            s = simplex._pow2_scale(np.where(cmax > 1e-9, cmax, 0.0))
-            got_r, got_s = simplex._equilibration(A)
-            np.testing.assert_array_equal(got_r, r)
-            np.testing.assert_array_equal(got_s, s)
+            fixed = fixing.uniform(size=n) < 0.3
+            for upper in (np.full(n, np.inf), np.where(fixed, 0.0, np.inf)):
+                Aabs = abs(A)
+                free = Aabs @ sp.diags((upper != 0.0).astype(float))
+                r = simplex._pow2_scale(free.max(axis=1).toarray().ravel())
+                Aabs.data *= np.repeat(r, np.diff(Aabs.indptr))
+                cmax = Aabs.max(axis=0).toarray().ravel()
+                s = simplex._pow2_scale(np.where(cmax > 1e-9, cmax, 0.0))
+                got_r, got_s = simplex._equilibration(A, upper)
+                np.testing.assert_array_equal(got_r, r)
+                np.testing.assert_array_equal(got_s, s)
+
+    @pytest.mark.parametrize(
+        "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
+    )
+    def test_column_fixed_at_zero_sets_no_scale(self, representation):
+        # a container column fixed at zero holds the capacity row's 48000
+        # entry; it never enters the basis, so the rows and the other
+        # columns scale as if it were not there
+        A = np.array(
+            [
+                [1.0, 1.0, -48000.0],
+                [0.5, 0.0, 0.0],
+                [-3.0, 7.0, 0.0],
+            ]
+        )
+        r_with, s_with = simplex._equilibration(
+            representation(A), np.array([np.inf, 5.0, 0.0])
+        )
+        r_without, s_without = simplex._equilibration(
+            representation(A[:, :2]), np.array([np.inf, 5.0])
+        )
+        np.testing.assert_array_equal(r_with, r_without)
+        np.testing.assert_array_equal(s_with[:2], s_without)
+        # the same column with room to move sets its row's scale
+        r_free, _ = simplex._equilibration(representation(A), np.array([np.inf, 5.0, 1.0]))
+        assert r_free[0] == 2.0**-16 and r_free[0] != r_with[0]
+
+    @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+    def test_columns_fixed_by_their_bounds_leave_the_pivot_path_unchanged(self, mode):
+        # the README model with its container columns fixed at T, costless,
+        # solves as the flow LP without them at rhs b - A_T·T: the same
+        # pivots, the same flow and duals bit for bit, and T as given
+        model = build_mip(readme_instance(), mode)
+        t_cols = np.asarray(model.integer_columns)
+        flow = np.setdiff1d(np.arange(model.num_vars), t_cols)
+        A = model.A.tocsc()
+        objective = model.objective.copy()
+        objective[t_cols] = 0.0
+        rng = np.random.default_rng(3)
+        for k in range(6):
+            if k % 2:
+                t = rng.integers(0, 3, size=len(t_cols)).astype(np.float64)
+            else:
+                t = rng.uniform(0.0, 2.0, len(t_cols))
+            bounds = np.zeros(model.num_vars)
+            bounds[t_cols] = t
+            upper = np.full(model.num_vars, np.inf)
+            upper[t_cols] = t
+            fixed = solve_lp(
+                LpProblem(
+                    objective=objective,
+                    A=model.A,
+                    senses=model.senses,
+                    rhs=model.rhs,
+                    lower=bounds,
+                    upper=upper,
+                )
+            )
+            split = solve_lp(
+                LpProblem(
+                    objective=model.objective[flow],
+                    A=A[:, flow].tocsr(),
+                    senses=model.senses,
+                    rhs=model.rhs - A[:, t_cols] @ t,
+                )
+            )
+            assert fixed.status == split.status == STATUS_OPTIMAL
+            assert fixed.pivots == split.pivots
+            assert fixed.x[flow].tobytes() == split.x.tobytes()
+            assert fixed.x[t_cols].tobytes() == t.tobytes()
+            assert fixed.y.tobytes() == split.y.tobytes()
 
     def test_wide_coefficient_range(self):
         # rows mixing unit and 1e5-size coefficients must still certify

@@ -21,6 +21,7 @@ from intransit import (
     delivery_histogram,
     generate_synthetic,
     run_benders,
+    solution_flows,
 )
 
 
@@ -49,11 +50,10 @@ def main() -> None:
 
     print(f"\nstatus: {result.status}, objective ${result.objective:,.2f} "
           f"after {result.iterations} subproblem solves")
-    model = result.model
     containers = {
-        model.indexer.key_of(col): count
-        for col, count in zip(model.integer_columns, result.t_values)
-        if count > 0.5
+        key: count
+        for key, count in solution_flows(result.model, result.x_full).items()
+        if key.kind == "T" and count > 0.5
     }
     if containers:
         print("containers bought:")

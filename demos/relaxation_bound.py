@@ -12,9 +12,14 @@ the violated rows at its root, and the root bound it then proves is shown
 beside the relaxation's.
 """
 
-import numpy as np
-
-from intransit import MODE_WINDOW, build_mip, lp_relaxation, run_benders, solve_milp
+from intransit import (
+    MODE_WINDOW,
+    build_mip,
+    lp_relaxation,
+    run_benders,
+    solution_flows,
+    solve_milp,
+)
 from intransit.instance import Instance
 
 
@@ -46,10 +51,11 @@ def main() -> None:
 
     relaxed_obj, relaxed_x, relaxed_parts = lp_relaxation(inst, MODE_WINDOW)
     model = build_mip(inst, MODE_WINDOW)
-    t_vals = relaxed_x[model.integer_columns]
-    z_total = relaxed_x[model.indexer.block("Z")].sum()
+    flows = solution_flows(model, relaxed_x)
+    t_total = sum(w for key, w in flows.items() if key.kind == "T")
+    z_total = sum(w for key, w in flows.items() if key.kind == "Z")
     print(f"\nrelaxation objective: ${relaxed_obj:.2f}")
-    print(f"  fractional containers bought: {float(np.sum(t_vals)):.4f}")
+    print(f"  fractional containers bought: {t_total:.4f}")
     print(f"  LCL pounds shipped:           {z_total:.1f}")
     print("  the relaxation pays the full-container rate on a sliver of a box,")
     print("  so LCL never enters the optimal relaxed plan here")

@@ -7,7 +7,7 @@ The master minimizes ``q + fcl_costs . T`` with T integral, from the one
 row ``q >= 0``. It is solved as one branch-and-cut tree, and a cut is a
 row of that tree's LP from the moment it is made. While the root's LP
 optimum is fractional the subproblem is priced in rounds, each re-solved
-with the strong linking rows ``U <= W_p·T`` its flow violates there until
+with the strong linking rows ``u <= W·T`` its flow violates there until
 it violates none, and a cut that cuts off the root's (T, q) re-solves the
 root: the LP phase of McDaniel & Devine (1977), which lifts the root bound
 to the LP bound of the model plus its linking rows before any branching.
@@ -25,16 +25,17 @@ tree closes or a node or subproblem limit stops it.
 
 The subproblem is the model's own LP with T's cost set to zero and T
 fixed by its bounds, ``lower = upper = T_bar``, followed by the linking
-rows that joined (``U - W_p·T <= 0``). The linking rows cut off no
+rows that joined (``u - W·T <= 0``). The linking rows cut off no
 integral T, so ``q(T)`` at integral T is the same with or without them.
 Its optimal duals y give the cut ``y'(b - A_T·T) <= q``, with ``A_T`` the
 T columns of its rows: valid at every T, tight at T_bar, and still valid
 once more rows join, since they only raise ``q``.
 
 The subproblem has complete recourse, so this one cut family is all the
-decomposition needs (Van Slyke & Wets, 1969). U and Z have the same
-columns but in the capacity and linking rows, which hold no Z, so any
-flow stays feasible at every T once its U moves to Z: the subproblem is
+decomposition needs (Van Slyke & Wets, 1969). A path's container and LCL
+columns have the same entries but in the capacity and linking rows, which
+hold no LCL column, so any flow stays feasible at every T once its
+container weight moves to LCL: the subproblem is
 feasible at every T or at none, and an infeasible one proves that the
 instance admits no schedule.
 """

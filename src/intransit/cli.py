@@ -18,7 +18,7 @@ from . import benders as bd
 from .errors import InfeasibleInstanceError, IntransitError, SolverError
 from .instance import GeneratorConfig, generate_synthetic, load_instance, save_instance, validate_routes
 from .milp import DEFAULT_GAP_TOL, DEFAULT_NODE_LIMIT, MILP_INFEASIBLE, MILP_OPTIMAL, solve_milp
-from .model import MODE_EXACT_DAY, MODE_WINDOW, VarIndexer, build_mip
+from .model import MODE_EXACT_DAY, MODE_WINDOW, build_mip
 from .report import (
     ScenarioReport,
     delivery_histogram,
@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-vars",
         type=int,
         default=DEFAULT_SOLVE_VAR_LIMIT,
-        help="refuse models above this variable count (use benders instead)",
+        help="refuse models with more columns than this (use benders instead); "
+        "counts the columns of the model this command builds and solves",
     )
     p.add_argument(
         "--node-log", default=None, help="write one CSV row per node LP to this file"
@@ -179,16 +180,14 @@ def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     if not _require_routes(instance):
         return EXIT_INFEASIBLE
-    mode = _mode(args.mode)
-    ix_size = VarIndexer(instance, mode).num_vars
-    if ix_size > args.max_vars:
+    model = build_mip(instance, _mode(args.mode), require_routes=False)
+    if model.num_vars > args.max_vars:
         print(
-            f"model has {ix_size} variables, above the monolithic limit "
+            f"model has {model.num_vars} variables, above the monolithic limit "
             f"{args.max_vars}; use the benders subcommand",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    model = build_mip(instance, mode, require_routes=False)
     with contextlib.ExitStack() as stack:
         node_log = None
         if args.node_log is not None:

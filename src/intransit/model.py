@@ -1,49 +1,62 @@
-"""Sparse MIP assembly for the consolidation problem.
+"""Sparse MIP assembly for the consolidation problem: the path model.
 
-Variables (all nonnegative; times 0-based days):
+Columns (all nonnegative; times 0-based days):
 
-  X[p,s,h,d]  lbs of pickup (p,s,d) sent supplier->gateway by land
-  Y[p,s,h,d]  lbs of pickup (p,s,d) sent supplier->gateway by air
-  Z[p,h,d]    lbs sent gateway->customer as LCL on day d
-  U[p,h,d]    lbs sent gateway->customer inside containers on day d
-  T[h,d]      container count at gateway h on day d (integer)
-  I[p,h,d]    lbs of product p held at gateway h at the start of day d
-  N[p,d]      lbs of product p delivered early, on hand at the customer
-              at the start of day d (absent in exact-day mode)
+  T[h,d]  container count at gateway h on day d (integer), on each
+          gateway's departure days ``d < horizon - t2(h)``, whose arrival
+          lands inside the horizon
+  paths   for each positive pickup r, gateway h and departure day d from
+          which r's freight can still reach the customer in time, one
+          container column and one LCL column: the lbs of r that leave h
+          on day d inside containers, or as LCL
 
-Z, U and T exist only on departure days ``d < horizon - t2(h)``, whose
-arrival lies inside the horizon; a later departure could only act as a
-sink for unwanted freight. The stock I exists on the same days but day 0,
-and so do the capacity and gateway balance rows: after its last departure
-a gateway holds nothing, since nothing it holds could leave. First-leg
-columns exist only per positive pickup, gateway and mode, and only when
-the shipment lands at the gateway on one of its departure days
-(``d + t1 + t2 < horizon``), so no gateway can receive freight that was
-never picked up, or freight that could never leave again.
+A path carries its freight the whole way: on a first leg (land or air)
+that lands at h by day d, held at h until d, then on the second leg. It
+takes the leg whose rate plus ``hold_h·(d - arrival)`` is least (land wins
+a tie), and costs that per lb, plus ``lcl_h`` on the LCL column.
 
-Constraint families:
+Rows:
 
-  pickup                 per positive pickup (p,s,d): all weight leaves that day
-  capacity               per T column (h,d): container weight <= capacity * T
-  gateway_balance        per Z column (p,h,d): inflow + held = outflow + carried
-  customer_balance_late  per (p,d), d >= window: arrivals + stock = due + carry
-  customer_balance_early per (p,d), d < window: arrivals + stock = carry
+  pickup    per positive pickup: its paths carry all its weight
+  capacity  per T column (h,d): container lbs leaving then <= capacity * T
+  due       per product with K > 1 distinct due days, one per due day but
+            the last
 
-The strong linking rows ``U[p,h,d] <= W_p·T[h,d]``, with ``W_p`` the
-smaller of the container capacity and p's total pickup weight, are valid
+A pickup on day d is due on day ``min(d + window, horizon - 1)``. In
+window mode a path arrives no later than its product's last due day, and
+a due row asks the product's arrivals up to its day to cover what is due
+by then. In exact-day mode a path arrives on one of its product's due
+days, and a due row asks the arrivals on its day to equal what is due
+then. The pickup rows deliver the rest on the last due day, so a product
+with one pickup has no due row.
+
+Why this is exact. The flows these columns stand for are the arc model's:
+first legs X (land) and Y (air) into gateway stock I, second legs U
+(containers) and Z (LCL) out of it, and the customer's early stock N.
+Only the capacity rows bind across products, and first legs and stocks
+are uncapacitated and priced per lb, so any arc flow splits into
+per-pickup paths at no change in cost (flow decomposition on an acyclic
+network: Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 3); holding
+costs lb-days, whichever pickup's pounds stay. No path costs less than
+its column, and a column maps back to arc flows at its price, so both
+models have the same optimum at every T: the path form of service network
+design (Crainic, EJOR 122, 2000). Pounds of one product are
+interchangeable at the customer, so one pickup's freight may arrive after
+its own due day if another's came early enough to cover it; the due rows
+keep that cumulative balance, which needs checking on due days only,
+since what is due changes only there. :func:`solution_flows` expands a
+solution into those arc flows, keyed by :class:`VarKey`.
+
+The strong linking rows ``u <= W·T[h,d]``, one per container column, with
+W the smaller of the container capacity and the pickup's weight, are valid
 but not among the rows: :class:`Linking` lists them for the solvers to
 separate where a fractional point violates them (Gendron, Crainic &
 Frangioni, 1999).
-
-A pickup on day d is due on day ``min(d + window, horizon - 1)``: one whose
-window runs past the horizon is due on the last day. Stocks start empty,
-so I and N begin at day 1; stocks carried past a gateway's last departure
-or the customer's last day are zero, so every picked-up pound is delivered
-within the horizon.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
@@ -56,21 +69,27 @@ from .instance import Instance, validate_routes
 MODE_WINDOW = "window"
 MODE_EXACT_DAY = "exact_day"
 
-KINDS = ("X", "Y", "Z", "U", "T", "I", "N")
-
 FAMILY_PICKUP = "pickup"
 FAMILY_CAPACITY = "capacity"
-FAMILY_GATEWAY = "gateway_balance"
-FAMILY_CUSTOMER_LATE = "customer_balance_late"
-FAMILY_CUSTOMER_EARLY = "customer_balance_early"
+FAMILY_DUE = "due"
 
 
-# a linking row is violated when U exceeds W_p·T by more than this times 1 + W_p
+# a linking row is violated when u exceeds W·T by more than this times 1 + W
 LINKING_TOL = 1e-6
 
 
 class VarKey(NamedTuple):
-    """Typed variable key; unused indices are None."""
+    """Key of an arc flow; unused indices are None.
+
+      X[p,s,h,d]  lbs of pickup (p,s,d) sent supplier->gateway by land
+      Y[p,s,h,d]  lbs of pickup (p,s,d) sent supplier->gateway by air
+      Z[p,h,d]    lbs sent gateway->customer as LCL on day d
+      U[p,h,d]    lbs sent gateway->customer inside containers on day d
+      T[h,d]      container count at gateway h on day d
+      I[p,h,d]    lbs of product p held at gateway h at the start of day d
+      N[p,d]      lbs of product p delivered early, on hand at the customer
+                  at the start of day d (window mode)
+    """
 
     kind: str
     p: str | None
@@ -84,172 +103,42 @@ class VarKey(NamedTuple):
         return f"{self.kind}[{','.join(parts)}]"
 
 
-class VarIndexer:
-    """Bijective key <-> column mapping for one instance/mode.
+class Paths(NamedTuple):
+    """The (pickup, gateway, departure day) triples of the path columns.
 
-    Column order is X, Y, Z, U, T, I, N blocks. X and Y hold one column per
-    positive pickup and gateway whose arrival lands on one of the gateway's
-    departure days, in C order over (product, supplier, gateway, day)
-    positions. The other blocks run over days, in C order over (product,
-    gateway, day): Z, U and T over each gateway's departure days
-    ``0 .. departures[h] - 1``, I over the same days but day 0, and N over
-    days ``1 .. nD - 1``. T has no product position and N no gateway one.
+    Triple i has container column ``n_t + i`` and LCL column
+    ``n_t + n + i``, for n_t T columns and n triples, in (pickup, gateway,
+    day) order. Pickups are positions in ``Instance.positive_pickups()``,
+    gateways in ``Instance.gateways``. Costs are per lb.
     """
 
-    def __init__(self, instance: Instance, mode: str):
-        if mode not in (MODE_WINDOW, MODE_EXACT_DAY):
-            raise ModelError(f"unknown mode {mode!r}")
-        self.instance = instance
-        self.mode = mode
-        self.nP = len(instance.products)
-        self.nS = len(instance.suppliers)
-        self.nH = len(instance.gateways)
-        self.nD = instance.horizon_days
-        self.p_index = {p: i for i, p in enumerate(instance.products)}
-        self.s_index = {s: i for i, s in enumerate(instance.suppliers)}
-        self.h_index = {h: i for i, h in enumerate(instance.gateways)}
-
-        # second leg: departure days whose arrival lands inside the horizon
-        self.departures = np.array(
-            [max(0, self.nD - instance.second_leg_time[h]) for h in instance.gateways],
-            dtype=np.int64,
-        )
-        # first leg: the (p, s, h, d) positions of each shipment that lands
-        # at its gateway on one of the departure days there, per mode
-        self.legs: dict[str, np.ndarray] = {}
-        self._leg_pos: dict[str, dict[tuple[int, int, int, int], int]] = {}
-        for kind, times in (("X", instance.land_time), ("Y", instance.air_time)):
-            legs = sorted(
-                (self.p_index[p], self.s_index[s], hi, d)
-                for (p, s, d) in instance.positive_pickups()
-                for hi, h in enumerate(instance.gateways)
-                if d + times[s, h] < self.departures[hi]
-            )
-            self.legs[kind] = np.array(legs, dtype=np.int64).reshape(-1, 4)
-            self._leg_pos[kind] = {leg: i for i, leg in enumerate(legs)}
-
-        # day blocks: the first day, and where each gateway's run of days
-        # starts within a product's runs (N has one run, in window mode only)
-        customer_days = [self.nD - 1 if mode == MODE_WINDOW else 0]
-        self._runs = {
-            kind: (first, np.concatenate(([0], np.cumsum(days))))
-            for kind, first, days in (
-                ("Z", 0, self.departures),
-                ("U", 0, self.departures),
-                ("T", 0, self.departures),
-                ("I", 1, np.maximum(self.departures - 1, 0)),
-                ("N", 1, customer_days),
-            )
-        }
-        sizes = {kind: len(self.legs[kind]) for kind in ("X", "Y")}
-        for kind, (_, starts) in self._runs.items():
-            sizes[kind] = (1 if kind == "T" else self.nP) * int(starts[-1])
-        self.offsets: dict[str, int] = {}
-        total = 0
-        for kind in KINDS:
-            self.offsets[kind] = total
-            total += sizes[kind]
-        self.sizes = sizes
-        self.num_vars = total
-
-    # index arguments below are integer positions, not ids
-    def col_x(self, p: int, s: int, h: int, d: int) -> int:
-        return self._leg_col("X", p, s, h, d)
-
-    def col_y(self, p: int, s: int, h: int, d: int) -> int:
-        return self._leg_col("Y", p, s, h, d)
-
-    def col_z(self, p: int, h: int, d: int) -> int:
-        return self._day_col("Z", p, h, d)
-
-    def col_u(self, p: int, h: int, d: int) -> int:
-        return self._day_col("U", p, h, d)
-
-    def col_t(self, h: int, d: int) -> int:
-        return self._day_col("T", 0, h, d)
-
-    def col_i(self, p: int, h: int, d: int) -> int:
-        return self._day_col("I", p, h, d)
-
-    def col_n(self, p: int, d: int) -> int:
-        return self._day_col("N", p, 0, d)
-
-    def block(self, kind: str) -> np.ndarray:
-        """Every column of one kind, in order."""
-        return np.arange(self.offsets[kind], self.offsets[kind] + self.sizes[kind])
-
-    def day_positions(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (product, gateway, day) positions of a day block's columns,
-        in column order; 0 stands in for T's product and N's gateway."""
-        first, starts = self._runs[kind]
-        h = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
-        d = np.arange(len(h)) - starts[h] + first
-        reps = self.sizes[kind] // max(len(h), 1)
-        return np.repeat(np.arange(reps), len(h)), np.tile(h, reps), np.tile(d, reps)
-
-    def day_cols(self, kind: str, p, h, d):
-        """Columns of a day block at positions (p, h, d), scalars or arrays,
-        unchecked."""
-        first, starts = self._runs[kind]
-        return self.offsets[kind] + p * starts[-1] + starts[h] + d - first
-
-    def _leg_col(self, kind: str, p: int, s: int, h: int, d: int) -> int:
-        pos = self._leg_pos[kind].get((p, s, h, d))
-        if pos is None:
-            raise ModelError(
-                f"no {kind} column at positions {(p, s, h, d)}: "
-                "no pickup there, or it lands after the gateway's last departure"
-            )
-        return self.offsets[kind] + pos
-
-    def _day_col(self, kind: str, p: int, h: int, d: int) -> int:
-        first, starts = self._runs[kind]
-        if not first <= d < first + starts[h + 1] - starts[h]:
-            raise ModelError(
-                f"no {kind} column on day {d} at positions {(p, h)}: no freight "
-                "can leave, be held or arrive early there within the horizon"
-            )
-        return int(self.day_cols(kind, p, h, d))
-
-    def key_of(self, col: int) -> VarKey:
-        if not 0 <= col < self.num_vars:
-            raise ModelError(f"column {col} out of range")
-        inst = self.instance
-        for kind in reversed(KINDS):
-            if col >= self.offsets[kind] and self.sizes[kind] > 0:
-                rem = col - self.offsets[kind]
-                if kind in ("X", "Y"):
-                    p, s, h, d = self.legs[kind][rem].tolist()
-                    return VarKey(kind, inst.products[p], inst.suppliers[s], inst.gateways[h], d)
-                first, starts = self._runs[kind]
-                p, rem = divmod(rem, int(starts[-1]))
-                h = int(np.searchsorted(starts, rem, side="right")) - 1
-                return VarKey(
-                    kind,
-                    None if kind == "T" else inst.products[p],
-                    None,
-                    None if kind == "N" else inst.gateways[h],
-                    rem - int(starts[h]) + first,
-                )
-        raise ModelError(f"column {col} out of range")
+    pickup: np.ndarray
+    gateway: np.ndarray
+    day: np.ndarray  # leaves the gateway
+    arrival: np.ndarray  # the first leg lands at the gateway
+    air: np.ndarray  # the first leg flies
+    first_leg: np.ndarray  # the first leg's rate
+    hold: np.ndarray  # hold_h·(day - arrival)
+    lcl: np.ndarray  # lcl_h, paid on the LCL column only
 
 
 class Linking(NamedTuple):
-    """The strong linking rows ``U[p,h,d] - W_p·T[h,d] <= 0``, one per U column.
+    """The strong linking rows ``u - W·T[h,d] <= 0``, one per container
+    column u of a pickup leaving h on day d.
 
     They never cut off an integral point: at ``T >= 1`` the rows already
-    bound U by both the capacity and p's own weight, and at ``T = 0`` the
-    capacity row forces ``U = 0``. At a fractional T they tighten the weak
-    aggregate capacity row.
+    bound u by both the capacity and the pickup's own weight, and at
+    ``T = 0`` the capacity row forces ``u = 0``. At a fractional T they
+    tighten the weak aggregate capacity row.
     """
 
     u_cols: np.ndarray
     t_cols: np.ndarray  # the T column of the same gateway and day
-    weights: np.ndarray  # W_p
+    weights: np.ndarray  # W
 
     def violated(self, x: np.ndarray) -> np.ndarray:
-        """Entries whose U value in ``x``, a vector over the model's
-        columns, exceeds ``W_p·T`` by more than the tolerance."""
+        """Entries whose u value in ``x``, a vector over the model's
+        columns, exceeds ``W·T`` by more than the tolerance."""
         excess = x[self.u_cols] - self.weights * x[self.t_cols]
         return np.flatnonzero(excess > LINKING_TOL * (1.0 + self.weights))
 
@@ -272,36 +161,36 @@ class Linking(NamedTuple):
 class MipModel:
     """Sparse constraint system with objective and integrality marks.
 
-    Rows are stored as ``A x (sense) rhs`` with sense ``=`` or ``<``.
-    ``cost_class`` labels each column's objective partition: ``f`` first
-    leg, ``g`` LCL plus holding, ``h`` FCL containers, `` `` costless.
+    Rows are stored as ``A x (sense) rhs`` with sense ``=`` or ``<``. The
+    T columns come first, one per (``t_gateway``, ``t_day``), in gateway
+    then day order; the path columns follow (see :class:`Paths`).
     """
 
-    indexer: VarIndexer
+    instance: Instance
+    mode: str
     objective: np.ndarray
     A: sp.csr_matrix
     senses: np.ndarray
     rhs: np.ndarray
     row_tags: np.ndarray
     integer_columns: np.ndarray
-    cost_class: np.ndarray
+    t_gateway: np.ndarray  # gateway position of each T column
+    t_day: np.ndarray
+    paths: Paths
     linking: Linking
 
     @property
-    def instance(self) -> Instance:
-        return self.indexer.instance
-
-    @property
-    def mode(self) -> str:
-        return self.indexer.mode
-
-    @property
     def num_vars(self) -> int:
-        return self.indexer.num_vars
+        return self.A.shape[1]
 
     @property
     def num_rows(self) -> int:
         return self.A.shape[0]
+
+    def path_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The container and the LCL column of each path triple."""
+        n_t, n = len(self.integer_columns), len(self.paths.day)
+        return n_t + np.arange(n), n_t + n + np.arange(n)
 
     def family_counts(self) -> dict[str, int]:
         tags, counts = np.unique(self.row_tags, return_counts=True)
@@ -320,12 +209,52 @@ class MipModel:
             )
 
 
+def _due_day(instance: Instance, day: int) -> int:
+    """The day a pickup made on ``day`` is due at the customer."""
+    return min(day + instance.window_days, instance.horizon_days - 1)
+
+
+def _paths(instance: Instance, mode: str) -> Paths:
+    """Every path on which a pickup's freight reaches the customer in
+    time, priced at its cheapest first leg and holding."""
+    gateways = instance.gateways
+    pickups = instance.positive_pickups()
+    due_days: dict[str, set[int]] = {}
+    for p, _, d in pickups:
+        due_days.setdefault(p, set()).add(_due_day(instance, d))
+    rows = []
+    for r, (p, s, d0) in enumerate(pickups):
+        days = sorted(due_days[p])
+        for hi, h in enumerate(gateways):
+            t2, hold = instance.second_leg_time[h], instance.hold_cost[h]
+            legs = (
+                (instance.land_cost[s, h], d0 + instance.land_time[s, h], False),
+                (instance.air_cost[s, h], d0 + instance.air_time[s, h], True),
+            )
+            first = min(a for _, a, _ in legs)
+            if mode == MODE_WINDOW:
+                leave = range(first, days[-1] - t2 + 1)
+            else:
+                leave = [due - t2 for due in days if due - t2 >= first]
+            for d in leave:
+                # the cheapest leg landing by day d; land wins a tie
+                _, air, rate, a = min(
+                    (rate + hold * (d - a), air, rate, a) for rate, a, air in legs if a <= d
+                )
+                rows.append((r, hi, d, a, air, rate, hold * (d - a), instance.lcl_cost[h]))
+    columns = list(zip(*rows)) or [()] * len(Paths._fields)
+    types = (np.int64, np.int64, np.int64, np.int64, bool, np.float64, np.float64, np.float64)
+    return Paths(*(np.array(c, dtype=t) for c, t in zip(columns, types)))
+
+
 def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bool = True) -> MipModel:
-    """Assemble the full consolidation MIP for an instance.
+    """Assemble the path model of an instance.
 
     With ``require_routes`` (the default) the instance must pass
     :func:`validate_routes`; disable it only to study infeasible models.
     """
+    if mode not in (MODE_WINDOW, MODE_EXACT_DAY):
+        raise ModelError(f"unknown mode {mode!r}")
     if require_routes:
         diag = validate_routes(instance)
         if not diag.feasible:
@@ -336,131 +265,118 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bo
                 f"{first.reason}"
             )
 
-    ix = VarIndexer(instance, mode)
-    nP, nD = ix.nP, ix.nD
-    k = instance.container_capacity
-    obj = np.zeros(ix.num_vars)
+    gateways = instance.gateways
+    t2 = np.array([instance.second_leg_time[h] for h in gateways], dtype=np.int64)
+    departures = np.maximum(instance.horizon_days - t2, 0)
+    t_gateway = np.repeat(np.arange(len(gateways)), departures)
+    t_start = np.concatenate(([0], np.cumsum(departures)))
+    t_day = np.arange(len(t_gateway)) - t_start[t_gateway]
+    n_t = len(t_gateway)
 
-    rows_r: list[np.ndarray] = []
-    rows_c: list[np.ndarray] = []
-    rows_v: list[np.ndarray] = []
+    paths = _paths(instance, mode)
+    n = len(paths.day)
+    u_cols, z_cols = n_t + np.arange(n), n_t + n + np.arange(n)
+    t_of_path = t_start[paths.gateway] + paths.day
+    pickups = instance.positive_pickups()
+    weight = np.array([instance.pickups[key] for key in pickups])
 
-    def add(r, c, v) -> None:
-        rows_r.append(np.asarray(r, dtype=np.int64).ravel())
-        rows_c.append(np.asarray(c, dtype=np.int64).ravel())
-        rows_v.append(np.broadcast_to(np.asarray(v, dtype=np.float64), np.shape(c)).ravel())
+    # rows: one per pickup over its paths, one capacity row per T column,
+    # then the due rows of each product with more than one due day
+    rows_r = [paths.pickup, paths.pickup, len(pickups) + t_of_path, len(pickups) + np.arange(n_t)]
+    rows_c = [u_cols, z_cols, u_cols, np.arange(n_t)]
+    rows_v = [np.ones(n), np.ones(n), np.ones(n), np.full(n_t, -instance.container_capacity)]
+    rhs = [*weight, *np.zeros(n_t)]
+    senses = ["="] * len(pickups) + ["<"] * n_t
 
-    # row blocks: pickup rows, then one capacity row per T column and one
-    # gateway balance row per Z column, each in its column's order, then
-    # customer balance rows per (p, d)
-    pickup_keys = instance.positive_pickups()
-    pickup_row = {
-        (ix.p_index[p], ix.s_index[s], d): r for r, (p, s, d) in enumerate(pickup_keys)
-    }
-    cap_row0 = len(pickup_keys)
-    gw_row0 = cap_row0 + ix.sizes["T"]
-    cust_row0 = gw_row0 + ix.sizes["Z"]
-    m = cust_row0 + nP * nD
+    due = np.array([_due_day(instance, d) for _, _, d in pickups], dtype=np.int64)
+    p_index = {p: i for i, p in enumerate(instance.products)}
+    product = np.array([p_index[p] for p, _, _ in pickups], dtype=np.int64)
+    path_product = product[paths.pickup]
+    lands = paths.day + t2[paths.gateway]
+    for p in range(len(instance.products)):
+        mine = product == p
+        for day in np.unique(due[mine])[:-1]:
+            if mode == MODE_WINDOW:
+                # arrivals by day cover what is due by then, as a <= row
+                cols = np.flatnonzero((path_product == p) & (lands <= day))
+                sign, sense, owed = -1.0, "<", weight[mine & (due <= day)].sum()
+            else:
+                cols = np.flatnonzero((path_product == p) & (lands == day))
+                sign, sense, owed = 1.0, "=", weight[mine & (due == day)].sum()
+            rows_r.append(np.full(2 * len(cols), len(rhs)))
+            rows_c.append(np.concatenate([u_cols[cols], z_cols[cols]]))
+            rows_v.append(np.full(2 * len(cols), sign))
+            rhs.append(sign * owed)
+            senses.append(sense)
 
-    def gw_row(p, h, d) -> np.ndarray:
-        return gw_row0 - ix.offsets["Z"] + ix.day_cols("Z", p, h, d)
-
-    def cust_row(p, d) -> np.ndarray:
-        return cust_row0 + p * nD + d
-
-    # pickup rows: one per positive-demand (p,s,d), over its first-leg
-    # columns; each column also lands in the gateway balance row of its
-    # arrival day, and costs its lane's rate
-    for kind, times, costs in (
-        ("X", instance.land_time, instance.land_cost),
-        ("Y", instance.air_time, instance.air_cost),
-    ):
-        legs = ix.legs[kind]
-        cols = ix.block(kind)
-        lanes = [(instance.suppliers[s], instance.gateways[h]) for _, s, h, _ in legs.tolist()]
-        t1 = np.array([times[lane] for lane in lanes], dtype=np.int64)
-        add([pickup_row[p, s, d] for p, s, _, d in legs.tolist()], cols, 1.0)
-        add(gw_row(legs[:, 0], legs[:, 2], legs[:, 3] + t1), cols, -1.0)
-        obj[cols] = [costs[lane] for lane in lanes]
-
-    # capacity rows: the containers' weight, every product's U, against T
-    t_of_u = np.tile(ix.block("T"), nP)  # the T column of each U column
-    add(cap_row0 - ix.offsets["T"] + t_of_u, ix.block("U"), 1.0)
-    add(cap_row0 + np.arange(ix.sizes["T"]), ix.block("T"), -k)
-
-    # gateway balance rows: U and Z leave; the stock I[d] is held in on
-    # day d and carried out of day d - 1
-    gw = gw_row0 + np.arange(ix.sizes["Z"])
-    add(gw, ix.block("U"), 1.0)
-    add(gw, ix.block("Z"), 1.0)
-    p, h, d = ix.day_positions("I")
-    add(gw_row(p, h, d), ix.block("I"), -1.0)
-    add(gw_row(p, h, d - 1), ix.block("I"), 1.0)
-
-    # customer balance rows: U and Z arrive t2(h) days after they leave; the
-    # early stock N[d] is on hand on day d and carried out of day d - 1
-    t2 = np.array([instance.second_leg_time[h] for h in instance.gateways], dtype=np.int64)
-    p, h, d = ix.day_positions("Z")
-    add(cust_row(p, d + t2[h]), ix.block("U"), 1.0)
-    add(cust_row(p, d + t2[h]), ix.block("Z"), 1.0)
-    p, _, d = ix.day_positions("N")
-    add(cust_row(p, d), ix.block("N"), 1.0)
-    add(cust_row(p, d - 1), ix.block("N"), -1.0)
-
-    # each pickup's weight leaves on its day and is due at the customer;
-    # the weight of each product bounds its linking rows
-    rhs = np.zeros(m)
-    rhs[:cap_row0] = [instance.pickups[key] for key in pickup_keys]
-    weight = np.zeros(nP)
-    for (p, s, d), w in zip(pickup_keys, rhs[:cap_row0]):
-        rhs[cust_row(ix.p_index[p], min(d + instance.window_days, nD - 1))] += w
-        weight[ix.p_index[p]] += w
-    senses = np.full(m, "=", dtype="<U1")
-    senses[cap_row0:gw_row0] = "<"
-    tw = min(instance.window_days, nD)
-    tags = (
-        [FAMILY_PICKUP] * cap_row0
-        + [FAMILY_CAPACITY] * ix.sizes["T"]
-        + [FAMILY_GATEWAY] * ix.sizes["Z"]
-        + ([FAMILY_CUSTOMER_EARLY] * tw + [FAMILY_CUSTOMER_LATE] * (nD - tw)) * nP
-    )
-
-    A = sp.coo_matrix(
+    m = len(rhs)
+    A = sp.csr_matrix(
         (np.concatenate(rows_v), (np.concatenate(rows_r), np.concatenate(rows_c))),
-        shape=(m, ix.num_vars),
-    ).tocsr()
-    A.sum_duplicates()
-
-    # rest of the objective and the cost partition
-    for kind, rates in (
-        ("Z", instance.lcl_cost),
-        ("I", instance.hold_cost),
-        ("T", instance.fcl_cost),
-    ):
-        per_gateway = np.array([rates[h] for h in instance.gateways])
-        obj[ix.block(kind)] = per_gateway[ix.day_positions(kind)[1]]
-    cost_class = np.full(ix.num_vars, " ", dtype="<U1")
-    for kind, label in (("X", "f"), ("Y", "f"), ("Z", "g"), ("I", "g"), ("T", "h")):
-        cost_class[ix.block(kind)] = label
-
-    # one linking entry per U column, in the U block's (p, h, d) order
-    linking = Linking(
-        u_cols=ix.block("U"),
-        t_cols=t_of_u,
-        weights=np.repeat(np.minimum(k, weight), ix.sizes["T"]),
+        shape=(m, n_t + 2 * n),
     )
+    fcl = np.array([instance.fcl_cost[h] for h in gateways])
+    carried = paths.first_leg + paths.hold
+    tags = [FAMILY_PICKUP] * len(pickups) + [FAMILY_CAPACITY] * n_t
+    tags += [FAMILY_DUE] * (m - len(tags))
 
     return MipModel(
-        indexer=ix,
-        objective=obj,
+        instance=instance,
+        mode=mode,
+        objective=np.concatenate([fcl[t_gateway], carried, carried + paths.lcl]),
         A=A,
-        senses=senses,
-        rhs=rhs,
+        senses=np.array(senses, dtype="<U1"),
+        rhs=np.array(rhs, dtype=np.float64),
         row_tags=np.array(tags),
-        integer_columns=ix.block("T"),
-        cost_class=cost_class,
-        linking=linking,
+        integer_columns=np.arange(n_t),
+        t_gateway=t_gateway,
+        t_day=t_day,
+        paths=paths,
+        linking=Linking(
+            u_cols=u_cols,
+            t_cols=t_of_path,
+            weights=np.minimum(instance.container_capacity, weight[paths.pickup]),
+        ),
     )
+
+
+def solution_flows(model: MipModel, solution: np.ndarray, threshold: float = 1e-9) -> dict[VarKey, float]:
+    """The arc flows a solution stands for, by VarKey, those above
+    ``threshold`` in magnitude.
+
+    Each path column above ``threshold`` puts its lbs on its pickup's
+    first leg (X or Y), in stock at its gateway (I) from the day after the
+    leg lands to the day it leaves, and on its second leg (U or Z) that
+    day. T is the solution's. In window mode, N on day d is the product's
+    arrivals before d less what was due before d.
+    """
+    inst = model.instance
+    x = np.asarray(solution, dtype=np.float64)
+    flows: dict[VarKey, float] = defaultdict(float)
+    for col, h, d in zip(model.integer_columns, model.t_gateway, model.t_day):
+        if abs(x[col]) > threshold:
+            flows[VarKey("T", None, None, inst.gateways[h], int(d))] = float(x[col])
+    pickups = inst.positive_pickups()
+    paths = model.paths
+    arrivals: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(inst.horizon_days))
+    for kind, cols in zip(("U", "Z"), model.path_columns()):
+        for i in np.flatnonzero(np.abs(x[cols]) > threshold):
+            w = float(x[cols[i]])
+            p, s, picked = pickups[paths.pickup[i]]
+            h, d = inst.gateways[paths.gateway[i]], int(paths.day[i])
+            flows[VarKey("Y" if paths.air[i] else "X", p, s, h, picked)] += w
+            for held in range(int(paths.arrival[i]) + 1, d + 1):
+                flows[VarKey("I", p, None, h, held)] += w
+            flows[VarKey(kind, p, None, h, d)] += w
+            arrivals[p][d + inst.second_leg_time[h]] += w
+    if model.mode == MODE_WINDOW:
+        due_on: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(inst.horizon_days))
+        for p, s, d in pickups:
+            due_on[p][_due_day(inst, d)] += inst.pickups[p, s, d]
+        for p, arrived in arrivals.items():
+            early = np.cumsum(arrived - due_on[p])[:-1]
+            for d in np.flatnonzero(np.abs(early) > threshold):
+                flows[VarKey("N", p, None, None, int(d) + 1)] = float(early[d])
+    return dict(flows)
 
 
 @dataclass(frozen=True)
@@ -481,34 +397,45 @@ class CostBreakdown:
         return self.total + self.fixed_pickup
 
 
+def _solution(model: MipModel, solution: np.ndarray) -> np.ndarray:
+    x = np.asarray(solution, dtype=np.float64)
+    if x.shape != (model.num_vars,):
+        raise ModelError(
+            f"solution length {x.shape} does not match {model.num_vars} columns"
+        )
+    return x
+
+
+def _cost_parts(model: MipModel, solution: np.ndarray) -> tuple[float, float, float, float]:
+    """(first leg, LCL, holding, containers) parts of a solution's cost."""
+    x = _solution(model, solution)
+    u, z = model.path_columns()
+    paths = model.paths
+    carried = x[u] + x[z]
+    t = model.integer_columns
+    return (
+        float(paths.first_leg @ carried),
+        float(paths.lcl @ x[z]),
+        float(paths.hold @ carried),
+        float(model.objective[t] @ x[t]),
+    )
+
+
 def objective_breakdown(model: MipModel, solution: np.ndarray) -> CostBreakdown:
     """Recompute cost components from a solution vector.
 
     The pickup fixed cost is a post-hoc reporting line: fixed cost times the
     number of positive-weight pickup events, never part of the objective.
     """
-    x = np.asarray(solution, dtype=np.float64)
-    if x.shape != (model.num_vars,):
-        raise ModelError(
-            f"solution length {x.shape} does not match {model.num_vars} columns"
-        )
-    contrib = model.objective * x
-    f = float(contrib[model.cost_class == "f"].sum())
-    g = float(contrib[model.cost_class == "g"].sum())
-    h = float(contrib[model.cost_class == "h"].sum())
+    first_leg, lcl, hold, fcl = _cost_parts(model, solution)
     fixed = model.instance.pickup_fixed_cost * len(model.instance.positive_pickups())
-    return CostBreakdown(first_leg=f, lcl_and_hold=g, fcl=h, fixed_pickup=fixed)
+    return CostBreakdown(first_leg=first_leg, lcl_and_hold=lcl + hold, fcl=fcl, fixed_pickup=fixed)
 
 
 def lcl_hold_split(model: MipModel, solution: np.ndarray) -> tuple[float, float]:
-    """Split the g component into (LCL freight, gateway holding)."""
-    ix = model.indexer
-    x = np.asarray(solution, dtype=np.float64)
-    z, i = ix.block("Z"), ix.block("I")
-    return (
-        float((model.objective[z] * x[z]).sum()),
-        float((model.objective[i] * x[i]).sum()),
-    )
+    """Split the LCL-and-holding component into (LCL freight, gateway holding)."""
+    _, lcl, hold, _ = _cost_parts(model, solution)
+    return lcl, hold
 
 
 @dataclass(frozen=True)
@@ -529,25 +456,15 @@ class ResidualReport:
 
 
 def check_solution(model: MipModel, solution: np.ndarray, tol: float = 1e-6) -> ResidualReport:
-    """Report constraint residuals, T integrality drift, and negativity."""
-    x = np.asarray(solution, dtype=np.float64)
-    if x.shape != (model.num_vars,):
-        raise ModelError(
-            f"solution length {x.shape} does not match {model.num_vars} columns"
-        )
-    ax = model.A @ x
-    resid = ax - model.rhs
+    """Report constraint residuals per row family (pickup, capacity, due),
+    T integrality drift, and negativity."""
+    x = _solution(model, solution)
+    resid = model.A @ x - model.rhs
     le = model.senses == "<"
     resid_mag = np.abs(resid)
     resid_mag[le] = np.maximum(resid[le], 0.0)
     families: dict[str, float] = {}
-    for tag in (
-        FAMILY_PICKUP,
-        FAMILY_CAPACITY,
-        FAMILY_GATEWAY,
-        FAMILY_CUSTOMER_LATE,
-        FAMILY_CUSTOMER_EARLY,
-    ):
+    for tag in (FAMILY_PICKUP, FAMILY_CAPACITY, FAMILY_DUE):
         mask = model.row_tags == tag
         families[tag] = float(resid_mag[mask].max()) if mask.any() else 0.0
     t_vals = x[model.integer_columns]

@@ -14,7 +14,14 @@ import numpy as np
 
 from .errors import IntransitError
 from .instance import Instance
-from .model import MipModel, VarKey, check_solution, lcl_hold_split, objective_breakdown
+from .model import (
+    MipModel,
+    VarKey,
+    check_solution,
+    lcl_hold_split,
+    objective_breakdown,
+    solution_flows,
+)
 
 LAG_TOL = 1e-6
 AUDIT_TOL = 1e-6
@@ -107,13 +114,6 @@ def audit_flows(instance: Instance, flows: Mapping[VarKey, float]) -> tuple[str,
     return tuple(faults)
 
 
-def solution_flows(model: MipModel, solution: np.ndarray, threshold: float = 1e-9) -> dict[VarKey, float]:
-    """The solution's values above ``threshold`` in magnitude, by VarKey."""
-    x = np.asarray(solution, dtype=np.float64)
-    nz = np.flatnonzero(np.abs(x) > threshold)
-    return {model.indexer.key_of(int(c)): float(x[c]) for c in nz}
-
-
 @dataclass(frozen=True)
 class HistogramBin:
     weight: float
@@ -154,21 +154,15 @@ def delivery_histogram(model: MipModel, solution: np.ndarray, tol: float = 1e-6)
             f"solution fails feasibility check: residuals {report.family_residuals}, "
             f"integrality {report.max_integrality_violation:.3g}"
         )
-    ix = model.indexer
     inst = model.instance
-    x = np.asarray(solution, dtype=np.float64)
+    arrivals: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(inst.horizon_days))
+    for key, w in solution_flows(model, solution, tol).items():
+        if key.kind in ("U", "Z"):
+            arrivals[key.p][key.d + inst.second_leg_time[key.h]] += w
     weight_bins: dict[int, float] = {}
     product_bins: dict[int, set[str]] = {}
 
-    for p_pos, p in enumerate(inst.products):
-        # arrivals per day at the customer
-        arrivals = np.zeros(inst.horizon_days)
-        for h_pos, h in enumerate(inst.gateways):
-            t2 = inst.second_leg_time[h]
-            for d in range(inst.horizon_days - t2):
-                w = x[ix.col_u(p_pos, h_pos, d)] + x[ix.col_z(p_pos, h_pos, d)]
-                if w > tol:
-                    arrivals[d + t2] += w
+    for p in inst.products:
         pickups = sorted(
             ((d, inst.pickups[p, s, d]) for (pp, s, d) in inst.pickups if pp == p and inst.pickups[pp, s, d] > 0),
             key=lambda t: t[0],
@@ -177,7 +171,7 @@ def delivery_histogram(model: MipModel, solution: np.ndarray, tol: float = 1e-6)
         pi = 0
         remaining = pickups[pi][1] if pickups else 0.0
         for day in range(inst.horizon_days):
-            mass = arrivals[day]
+            mass = arrivals[p][day]
             while mass > tol and pi < len(pickups):
                 take = min(mass, remaining)
                 lag = day - pickups[pi][0]
@@ -204,10 +198,8 @@ def delivery_histogram(model: MipModel, solution: np.ndarray, tol: float = 1e-6)
 
 def consolidation_share(model: MipModel, solution: np.ndarray) -> float | None:
     """FCL-delivered weight over total delivered weight; None if nothing moved."""
-    ix = model.indexer
     x = np.asarray(solution, dtype=np.float64)
-    u = x[ix.block("U")].sum()
-    z = x[ix.block("Z")].sum()
+    u, z = (x[cols].sum() for cols in model.path_columns())
     total = u + z
     if total <= 0.0:
         return None

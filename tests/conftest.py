@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from intransit import GeneratorConfig, Instance, generate_synthetic
 
@@ -165,32 +165,79 @@ def solution_vector(model, assignments: dict) -> np.ndarray:
 
 
 def expected_shape(instance, mode) -> tuple[int, int]:
-    """Rows and columns of ``build_mip``'s model, worked out from the
-    instance. Columns: a first-leg column per positive pickup, gateway and
-    mode whose freight can still leave the gateway and arrive inside the
-    horizon; Z, U and T on each gateway's departure days, I on the same days
-    but day 0, and N on days 1 .. nD - 1 in window mode. Rows: one per
-    positive pickup, a capacity row per T column, a gateway balance row per
-    Z column, and a customer balance row per product and day."""
-    nP, nD = len(instance.products), instance.horizon_days
-    departures = [max(0, nD - instance.second_leg_time[h]) for h in instance.gateways]
+    """Rows and columns of ``build_mip``'s path model, worked out from the
+    instance. Columns: T on each gateway's departure days, then a container
+    and an LCL column per positive pickup, gateway and departure day on or
+    after the pickup's faster (air) leg lands, whose freight reaches the
+    customer by its product's last due day in window mode, or on one of
+    them in exact-day mode. Rows: one per positive pickup, a capacity row
+    per T column, and a due row per due day of a product but its last."""
+    nD = instance.horizon_days
     pickups = [(p, s, d) for (p, s, d), w in instance.pickups.items() if w > 0]
-    legs = sum(
-        d + t1 + instance.second_leg_time[h] < nD
-        for (p, s, d) in pickups
-        for h in instance.gateways
-        for t1 in (instance.land_time[s, h], instance.air_time[s, h])
+    due_days = {}
+    for p, _, d in pickups:
+        due_days.setdefault(p, set()).add(min(d + instance.window_days, nD - 1))
+    n_t = sum(max(0, nD - instance.second_leg_time[h]) for h in instance.gateways)
+    paths = 0
+    for p, s, d in pickups:
+        for h in instance.gateways:
+            t2, lands = instance.second_leg_time[h], d + instance.air_time[s, h]
+            if mode == "window":
+                paths += max(0, max(due_days[p]) - t2 - lands + 1)
+            else:
+                paths += sum(due - t2 >= lands for due in due_days[p])
+    rows = len(pickups) + n_t + sum(len(days) - 1 for days in due_days.values())
+    return rows, n_t + 2 * paths
+
+
+def path_column(model, pickup, gateway, day, container=False) -> int:
+    """The container (or LCL) column of ``pickup`` (product, supplier, day)
+    leaving ``gateway`` on ``day``."""
+    r = model.instance.positive_pickups().index(pickup)
+    h = model.instance.gateways.index(gateway)
+    paths = model.paths
+    (i,) = np.flatnonzero((paths.pickup == r) & (paths.gateway == h) & (paths.day == day))
+    u_cols, z_cols = model.path_columns()
+    return int((u_cols if container else z_cols)[i])
+
+
+def t_column(model, gateway, day) -> int:
+    """The T column of ``gateway`` on ``day``."""
+    h = model.instance.gateways.index(gateway)
+    (j,) = np.flatnonzero((model.t_gateway == h) & (model.t_day == day))
+    return int(model.integer_columns[j])
+
+
+def highs_objective(model, *, relaxed=False) -> float:
+    """The optimum HiGHS (``scipy.optimize.milp``) proves for an assembled
+    model, path or arc, container counts integer unless ``relaxed``."""
+    A = sp.csr_matrix(model.A)
+    le = model.senses == "<"
+    constraints = []
+    if le.any():
+        constraints.append(LinearConstraint(A[le], -np.inf, model.rhs[le]))
+    if (~le).any():
+        constraints.append(LinearConstraint(A[~le], model.rhs[~le], model.rhs[~le]))
+    integrality = np.zeros(model.num_vars)
+    if not relaxed:
+        integrality[np.asarray(model.integer_columns)] = 1
+    res = milp(
+        model.objective,
+        constraints=constraints,
+        integrality=integrality,
+        bounds=Bounds(0, np.inf),
+        options={"mip_rel_gap": 1e-10},
     )
-    cols = legs + (2 * nP + 1) * sum(departures) + nP * sum(max(0, n - 1) for n in departures)
-    if mode == "window":
-        cols += nP * (nD - 1)
-    rows = len(pickups) + (nP + 1) * sum(departures) + nP * nD
-    return rows, cols
+    assert res.status == 0, f"HiGHS stopped with status {res.status}: {res.message}"
+    return float(res.fun)
 
 
 def strong_lp_bound(model) -> float:
-    """The LP optimum HiGHS (``scipy.optimize.linprog``) finds for the
-    model's own rows plus every strong linking row, containers continuous."""
+    """The LP optimum HiGHS (``scipy.optimize.linprog``) finds for a
+    model's own rows plus every strong linking row, containers continuous.
+    On the arc reference (``arc_model.build_mip``) this is the bound the
+    path model's root rounds must reach where every product has one
+    pickup: there the two models' linking rows are the same rows."""
     link = model.linking
     linking_rows = link.block(np.arange(len(link.u_cols)), model.num_vars)
     le = model.senses == "<"

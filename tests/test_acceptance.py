@@ -14,8 +14,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from intransit import (
     MODE_EXACT_DAY,
@@ -41,9 +39,11 @@ from intransit import (
 from intransit.benders import _master_row, _prepare, _solve_sub
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
+from arc_model import build_mip as build_arc
 from conftest import (
     build_instance,
     expected_shape,
+    highs_objective,
     random_small_config,
     readme_instance,
     strong_lp_bound,
@@ -105,29 +105,6 @@ def port_network_instance():
     )
 
 
-def highs_objective(model) -> float:
-    """The optimum HiGHS (``scipy.optimize.milp``) proves for the same
-    assembled model, container counts integer."""
-    A = sp.csr_matrix(model.A)
-    le = model.senses == "<"
-    constraints = []
-    if le.any():
-        constraints.append(LinearConstraint(A[le], -np.inf, model.rhs[le]))
-    if (~le).any():
-        constraints.append(LinearConstraint(A[~le], model.rhs[~le], model.rhs[~le]))
-    integrality = np.zeros(model.num_vars)
-    integrality[np.asarray(model.integer_columns)] = 1
-    res = milp(
-        model.objective,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(0, np.inf),
-        options={"mip_rel_gap": 1e-10},
-    )
-    assert res.status == 0, f"HiGHS stopped with status {res.status}: {res.message}"
-    return float(res.fun)
-
-
 def assert_flows_trace(inst, model, x, label):
     """The independent auditor follows every pound of ``x`` from a real
     pickup to an on-time delivery."""
@@ -143,30 +120,33 @@ def assert_linking_holds(model, x, label):
 
 
 def test_decomposition_matches_monolithic_on_100_random_instances():
-    """Benders, the one-shot MILP and HiGHS agree within 1e-6 relative,
-    and the flow auditor passes both solvers' plans, which meet every
-    strong linking row, in < 120 s."""
+    """Benders, the one-shot MILP and HiGHS on the arc reference agree
+    within 1e-6 relative in both delivery modes, and the flow auditor
+    passes both solvers' plans, which meet every strong linking row, in
+    < 120 s."""
     rng = np.random.default_rng(20260823)
     started = time.perf_counter()
     for seed in range(100):
         inst = generate_synthetic(random_small_config(rng), seed=seed)
-        benders = run_benders(inst, MODE_WINDOW)
-        model = build_mip(inst, MODE_WINDOW)
-        mono = solve_milp(model)
-        assert benders.status == "optimal", f"seed {seed}: {benders.status}"
-        assert mono.status == "optimal", f"seed {seed}: {mono.status}"
-        scale = 1.0 + abs(mono.objective)
-        assert abs(benders.objective - mono.objective) <= 1e-6 * scale, (
-            f"seed {seed}: benders {benders.objective} vs milp {mono.objective}"
-        )
-        highs = highs_objective(model)
-        assert abs(benders.objective - highs) <= 1e-6 * (1.0 + abs(highs)), (
-            f"seed {seed}: benders {benders.objective} vs HiGHS {highs}"
-        )
-        assert_flows_trace(inst, benders.model, benders.x_full, f"seed {seed} benders")
-        assert_flows_trace(inst, model, mono.x, f"seed {seed} milp")
-        assert_linking_holds(model, benders.x_full, f"seed {seed} benders")
-        assert_linking_holds(model, mono.x, f"seed {seed} milp")
+        for mode in (MODE_WINDOW, MODE_EXACT_DAY):
+            label = f"seed {seed} {mode}"
+            benders = run_benders(inst, mode)
+            model = build_mip(inst, mode)
+            mono = solve_milp(model)
+            assert benders.status == "optimal", f"{label}: {benders.status}"
+            assert mono.status == "optimal", f"{label}: {mono.status}"
+            scale = 1.0 + abs(mono.objective)
+            assert abs(benders.objective - mono.objective) <= 1e-6 * scale, (
+                f"{label}: benders {benders.objective} vs milp {mono.objective}"
+            )
+            highs = highs_objective(build_arc(inst, mode))
+            assert abs(benders.objective - highs) <= 1e-6 * (1.0 + abs(highs)), (
+                f"{label}: benders {benders.objective} vs HiGHS {highs}"
+            )
+            assert_flows_trace(inst, benders.model, benders.x_full, f"{label} benders")
+            assert_flows_trace(inst, model, mono.x, f"{label} milp")
+            assert_linking_holds(model, benders.x_full, f"{label} benders")
+            assert_linking_holds(model, mono.x, f"{label} milp")
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"100-instance sweep took {elapsed:.1f} s"
 
@@ -179,14 +159,15 @@ def test_decomposition_matches_monolithic_on_100_random_instances():
 def test_readme_example_decomposition_matches_monolithic(mode, expected):
     """On the README example (5 products, 2 suppliers, 2 gateways, 12 days,
     window 6, seed 4) Benders and the monolithic MILP reach the optimum
-    HiGHS reports, in both delivery modes, with plans the flow auditor
-    passes."""
+    HiGHS reports on the arc reference, in both delivery modes, with plans
+    the flow auditor passes."""
     inst = readme_instance()
     benders = run_benders(inst, mode)
     model = build_mip(inst, mode)
     mono = solve_milp(model)
     assert benders.status == "optimal" and benders.proven
     assert mono.status == "optimal"
+    assert highs_objective(build_arc(inst, mode)) == pytest.approx(expected, abs=1e-6)
     assert benders.objective == pytest.approx(expected, abs=1e-6)
     assert mono.objective == pytest.approx(expected, abs=1e-6)
     assert_flows_trace(inst, benders.model, benders.x_full, "benders")
@@ -206,20 +187,27 @@ def generated_20x5x3x30(seed):
 def test_every_column_sits_in_a_row_and_no_gateway_row_outlives_its_departures(
     instance, mode
 ):
-    """Every column of the model has a nonzero, and every capacity and
-    gateway balance row lies on a day before its gateway's last departure:
-    the row holds its own T or Z column, which names the gateway and day."""
+    """Every column of the model has a nonzero, and every capacity row lies
+    on a day before its gateway's last departure: the row holds its own T
+    column, which names the gateway and day, and only container columns
+    that leave that gateway on that day. The path model has no gateway
+    balance rows."""
     inst = instance()
     model = build_mip(inst, mode)
-    ix, A = model.indexer, model.A
+    A = model.A
     assert (np.diff(A.tocsc().indptr) > 0).all(), "a column appears in no row"
-    for family, own in (("capacity", "T"), ("gateway_balance", "Z")):
-        for r in np.flatnonzero(model.row_tags == family):
-            keys = [ix.key_of(int(c)) for c in A.indices[A.indptr[r] : A.indptr[r + 1]]]
-            days = [(k.h, k.d) for k in keys if k.kind == own]
-            assert len(days) == 1, f"{family} row {r} holds {len(days)} {own} columns"
-            (h, d), = days
-            assert d < inst.horizon_days - inst.second_leg_time[h], f"{family} row {r}"
+    assert set(model.family_counts()) <= {"pickup", "capacity", "due"}
+    n_t = len(model.integer_columns)
+    u_cols, _ = model.path_columns()
+    paths = model.paths
+    for r in np.flatnonzero(model.row_tags == "capacity"):
+        cols = A.indices[A.indptr[r] : A.indptr[r + 1]]
+        (t,) = cols[cols < n_t]
+        h, d = model.t_gateway[t], model.t_day[t]
+        assert d < inst.horizon_days - inst.second_leg_time[inst.gateways[h]], f"row {r}"
+        i = np.searchsorted(u_cols, cols[cols >= n_t])
+        assert (u_cols[i] == cols[cols >= n_t]).all(), f"row {r} holds an LCL column"
+        assert (paths.gateway[i] == h).all() and (paths.day[i] == d).all(), f"row {r}"
 
 
 @pytest.mark.parametrize("solver", ["milp", "benders"])
@@ -236,8 +224,8 @@ def test_root_bound_after_linking_rounds_is_the_strong_lp_bound(
     master_outcomes, instance, mode, solver
 ):
     """The root bound of the monolithic tree, and of the Benders master,
-    after their separation rounds equals HiGHS's LP optimum over the
-    model's rows plus every strong linking row, within 1e-9."""
+    after their separation rounds equals HiGHS's LP optimum over the arc
+    reference's rows plus every strong linking row, within 1e-9."""
     inst = instance()
     model = build_mip(inst, mode)
     if solver == "milp":
@@ -246,7 +234,8 @@ def test_root_bound_after_linking_rounds_is_the_strong_lp_bound(
         assert run_benders(inst, mode).status == "optimal"
         (outcome,) = master_outcomes
     assert outcome.status == "optimal"
-    assert outcome.root_bound == pytest.approx(strong_lp_bound(model), rel=1e-9)
+    strong = strong_lp_bound(build_arc(inst, mode))
+    assert outcome.root_bound == pytest.approx(strong, rel=1e-9)
 
 
 @pytest.mark.parametrize("solver", ["milp", "benders"])
@@ -297,7 +286,7 @@ def test_phantom_freight_reproducer_costs_the_honest_optimum():
     assert mono.status == "optimal" and benders.status == "optimal"
     assert mono.objective == pytest.approx(1100.0, abs=1e-6)
     assert benders.objective == pytest.approx(1100.0, abs=1e-6)
-    assert highs_objective(model) == pytest.approx(1100.0, abs=1e-6)
+    assert highs_objective(build_arc(inst, MODE_WINDOW)) == pytest.approx(1100.0, abs=1e-6)
     assert_flows_trace(inst, model, mono.x, "milp")
     assert_flows_trace(inst, benders.model, benders.x_full, "benders")
 
@@ -320,9 +309,107 @@ def test_pickup_due_past_the_horizon_is_due_on_the_last_day(mode, expected):
     assert mono.status == "optimal" and benders.status == "optimal"
     assert mono.objective == pytest.approx(expected, abs=1e-6)
     assert benders.objective == pytest.approx(expected, abs=1e-6)
-    assert highs_objective(model) == pytest.approx(expected, abs=1e-6)
+    assert highs_objective(build_arc(inst, mode)) == pytest.approx(expected, abs=1e-6)
     assert_flows_trace(inst, model, mono.x, "milp")
     assert_flows_trace(inst, benders.model, benders.x_full, "benders")
+
+
+def pooled_pickups_instance(products=("p0", "p0")):
+    """Two pickups, by default of one product: 1000 lb at the far supplier
+    s0 on day 0, due on day 4, and 1000 lb at the near supplier s1 on day
+    1, due on day 5. Land costs 0.30/lb from both and lands at g0 on day
+    4, reaching the customer on day 5. Air lands on day 2, at 0.90/lb from
+    s0 and 0.40/lb from s1. LCL costs 0.20/lb, holding 0.005/lb a day."""
+    p_far, p_near = products
+    return build_instance(
+        products=tuple(dict.fromkeys(products)),
+        suppliers=("s0", "s1"),
+        pickups={(p_far, "s0", 0): 1000.0, (p_near, "s1", 1): 1000.0},
+        land_time={("s0", "g0"): 4, ("s1", "g0"): 3},
+        air_time={("s0", "g0"): 2, ("s1", "g0"): 1},
+        air_cost={("s0", "g0"): 0.90, ("s1", "g0"): 0.40},
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, pooled, separate",
+    [(MODE_WINDOW, 1100.0, 1600.0), (MODE_EXACT_DAY, 1105.0, 1605.0)],
+    ids=["window", "exact-day"],
+)
+def test_a_later_pickup_covers_an_earlier_ones_due_day(mode, pooled, separate):
+    """Pounds of one product are interchangeable at the customer, so s1's
+    later pickup flies (0.40 + 0.20, in exact-day mode plus a day held) to
+    cover day 4, while s0's freight goes the cheap slow way by land and LCL
+    (0.50) and arrives on day 5, after its own due day. Held each to its own
+    due day, as two products, s0's freight must fly at 0.90 instead and
+    s1's goes by land: 1600, or 1605. Without the due row both pickups
+    would go by land, for 1000."""
+    for products, expected in ((("p0", "p0"), pooled), (("p0", "p1"), separate)):
+        inst = pooled_pickups_instance(products)
+        model = build_mip(inst, mode)
+        mono = solve_milp(model)
+        benders = run_benders(inst, mode)
+        assert mono.status == "optimal" and benders.status == "optimal"
+        assert mono.objective == pytest.approx(expected, abs=1e-6)
+        assert benders.objective == pytest.approx(expected, abs=1e-6)
+        assert highs_objective(build_arc(inst, mode)) == pytest.approx(expected, abs=1e-6)
+        assert_flows_trace(inst, model, mono.x, f"{products} milp")
+        assert_flows_trace(inst, benders.model, benders.x_full, f"{products} benders")
+    assert separate > pooled
+
+
+def pooled_instance(seed):
+    """A generated instance whose products are merged, in order, into
+    products of two or three pickups each."""
+    rng = np.random.default_rng(seed)
+    window = int(rng.integers(3, 7))
+    cfg = GeneratorConfig(
+        n_products=int(rng.integers(4, 8)),
+        n_suppliers=int(rng.integers(1, 4)),
+        n_gateways=int(rng.integers(1, 3)),
+        horizon_days=window + int(rng.integers(4, 8)),
+        window_days=window,
+    )
+    inst = generate_synthetic(cfg, seed)
+    merged, left = [], len(inst.products)
+    while left:
+        size = left if left in (2, 3) else 2 if left == 4 else int(rng.integers(2, 4))
+        merged += [f"q{len(set(merged))}"] * size
+        left -= size
+    into = dict(zip(inst.products, merged))
+    pickups = {}
+    for (p, s, d), w in inst.pickups.items():
+        pickups[into[p], s, d] = pickups.get((into[p], s, d), 0.0) + w
+    inst.products = list(dict.fromkeys(merged))
+    inst.pickups = pickups
+    inst.validate()
+    return inst
+
+
+@pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+def test_pooled_products_match_highs_on_the_arc_model(mode):
+    """On generated instances whose products have two or three pickups
+    each, the relaxation, the monolithic MILP and Benders equal HiGHS on
+    the arc reference within 1e-6 relative, and the flow auditor passes
+    both solvers' plans."""
+    due_rows = 0
+    for seed in range(12):
+        inst = pooled_instance(seed)
+        arc = build_arc(inst, mode)
+        model = build_mip(inst, mode)
+        due_rows += model.family_counts().get("due", 0)
+        for label, value, relaxed in (
+            ("relaxation", lp_relaxation(inst, mode)[0], True),
+            ("milp", solve_milp(model).objective, False),
+            ("benders", run_benders(inst, mode).objective, False),
+        ):
+            want = highs_objective(arc, relaxed=relaxed)
+            assert value == pytest.approx(want, rel=1e-6, abs=1e-6), f"seed {seed} {label}"
+        mono = solve_milp(model)
+        benders = run_benders(inst, mode)
+        assert_flows_trace(inst, model, mono.x, f"seed {seed} milp")
+        assert_flows_trace(inst, benders.model, benders.x_full, f"seed {seed} benders")
+    assert due_rows >= 12
 
 
 def test_branch_and_bound_matches_exhaustive_container_grid():
@@ -382,11 +469,9 @@ def test_relaxation_routes_everything_through_containers(tiny_instance):
     for h in tiny_instance.gateways:
         assert tiny_instance.fcl_cost[h] / k < tiny_instance.lcl_cost[h]
     _, x, _ = lp_relaxation(tiny_instance, MODE_WINDOW)
-    model = build_mip(tiny_instance, MODE_WINDOW)
-    z_cols = [c for c in range(model.num_vars) if model.indexer.key_of(c).kind == "Z"]
-    u_cols = [c for c in range(model.num_vars) if model.indexer.key_of(c).kind == "U"]
-    assert float(np.max(x[z_cols], initial=0.0)) <= 1e-9
-    assert float(np.sum(x[u_cols])) == pytest.approx(
+    flows = solution_flows(build_mip(tiny_instance, MODE_WINDOW), x)
+    assert not [k for k in flows if k.kind == "Z"]
+    assert sum(w for k, w in flows.items() if k.kind == "U") == pytest.approx(
         tiny_instance.total_demand(), rel=1e-9
     )
 
@@ -511,16 +596,33 @@ def test_simplex_matches_vertex_enumeration_on_500_random_lps():
 
 
 @pytest.mark.parametrize(
+    "instance, mode, shape",
+    [
+        (readme_instance, MODE_WINDOW, (25, 94)),
+        (readme_instance, MODE_EXACT_DAY, (25, 40)),
+        (port_network_instance, MODE_WINDOW, (106, 406)),
+        (port_network_instance, MODE_EXACT_DAY, (106, 206)),
+    ],
+    ids=["readme-window", "readme-exact-day", "port-window", "port-exact-day"],
+)
+def test_model_is_the_path_model(instance, mode, shape):
+    """``build_mip`` builds the path model, rows x columns: in window mode
+    25 x 94 on the README example and 106 x 406 on the port network,
+    where the arc model is 185 x 385 and 2,426 x 5,886."""
+    assert build_mip(instance(), mode).A.shape == shape
+
+
+@pytest.mark.parametrize(
     "instance, most_pivots",
-    [(readme_instance, 70), (port_network_instance, 200)],
+    [(readme_instance, 25), (port_network_instance, 60)],
     ids=["readme", "port"],
 )
 def test_cold_relaxation_pivot_count(instance, most_pivots):
     """The cold LP relaxation reaches its optimum in few pivots: dual Devex
-    pricing and the Harris ratio test take 44 on the README example and
-    150 on the port network, where the largest-infeasibility rule with a
-    lowest-index tie-break took 126 and 924. Pivot counts repeat exactly,
-    so this gate does not depend on the machine."""
+    pricing and the Harris ratio test take 16 on the README example's path
+    model and 40 on the port network's, where the arc model took 44 and
+    150. Pivot counts repeat exactly, so this gate does not depend on the
+    machine."""
     out = solve_lp(lp_from_mip(build_mip(instance(), MODE_WINDOW)))
     assert out.status == STATUS_OPTIMAL
     assert out.pivots <= most_pivots

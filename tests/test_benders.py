@@ -24,6 +24,7 @@ from intransit.errors import SolverError
 from intransit.milp import MILP_NODE_LIMIT
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
+from arc_model import build_mip as build_arc
 from conftest import (
     build_instance,
     random_small_config,
@@ -196,8 +197,9 @@ class TestOptimalityCuts:
 
 
 class TestCompleteRecourse:
-    """U and Z share their columns but in the capacity and linking rows,
-    which hold no Z, so the subproblem is feasible at every T or at none:
+    """A path's container and LCL columns share their entries but in the
+    capacity and linking rows, which hold no LCL column, so the subproblem
+    is feasible at every T or at none:
     every cut is an optimality cut, and an infeasible subproblem proves the
     instance infeasible."""
 
@@ -288,10 +290,8 @@ class TestRunBenders:
     def test_relaxation_sends_everything_fcl_when_cheaper(self, tiny_instance):
         # per-lb container rate 4800/48000 = 0.10 undercuts LCL at 0.20
         _, x, _ = lp_relaxation(tiny_instance, MODE_WINDOW)
-        model = build_mip(tiny_instance, MODE_WINDOW)
-        ix = model.indexer
-        z = x[ix.offsets["Z"] : ix.offsets["Z"] + ix.sizes["Z"]]
-        assert float(np.abs(z).max(initial=0.0)) <= 1e-9
+        _, z_cols = build_mip(tiny_instance, MODE_WINDOW).path_columns()
+        assert float(np.abs(x[z_cols]).max(initial=0.0)) <= 1e-9
 
     def test_bounds_monotone(self):
         cfg = GeneratorConfig(
@@ -366,7 +366,7 @@ class TestRunBenders:
         inst = readme_instance()
         res = run_benders(inst, MODE_WINDOW)
         relax, _, _ = lp_relaxation(inst, MODE_WINDOW)
-        strong = strong_lp_bound(build_mip(inst, MODE_WINDOW))
+        strong = strong_lp_bound(build_arc(inst, MODE_WINDOW))
         # the linking rows lift the LP bound of the model's own rows
         assert strong > relax * 1.05
         assert res.status == "optimal"
@@ -391,8 +391,9 @@ class TestRunBenders:
     def test_node_limit_returns_bounds(self):
         from intransit import BendersParams
 
+        # the master tree closes in 9 nodes
         res = run_benders(
-            readme_instance(), MODE_WINDOW, BendersParams(node_limit=10)
+            readme_instance(), MODE_WINDOW, BendersParams(node_limit=5)
         )
         assert res.status == MILP_NODE_LIMIT
         assert not res.proven
@@ -538,5 +539,5 @@ class TestInOutRounds:
         assert res.objective == pytest.approx(36624.453707, abs=1e-6)
         # the rounds still end at the strong LP bound
         (master,) = master_outcomes
-        strong = strong_lp_bound(build_mip(inst, MODE_WINDOW))
+        strong = strong_lp_bound(build_arc(inst, MODE_WINDOW))
         assert master.root_bound == pytest.approx(strong, rel=1e-9)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from intransit import load_instance, save_instance
+from intransit import MODE_WINDOW, build_mip, load_instance, save_instance
 from intransit.cli import run
 
 from conftest import build_instance
@@ -120,6 +120,17 @@ class TestSolve:
         code = run(["solve", "--instance", instance_dir, "--max-vars", "10"])
         assert code == 2
         assert "benders" in capsys.readouterr().err
+
+    def test_size_guard_counts_the_columns_it_solves(self, instance_dir, tiny_instance, capsys):
+        # the tiny path model has nine T columns and three paths, each
+        # with a container and an LCL column
+        columns = build_mip(tiny_instance, MODE_WINDOW).num_vars
+        assert columns == 15
+        below = ["solve", "--instance", instance_dir, "--max-vars", str(columns - 1)]
+        assert run(below) == 2
+        assert f"model has {columns} variables" in capsys.readouterr().err
+        assert run(["solve", "--instance", instance_dir, "--max-vars", str(columns)]) == 0
+        assert "500.00" in capsys.readouterr().out
 
     def test_infeasible(self, infeasible_dir):
         assert run(["solve", "--instance", infeasible_dir]) == 1

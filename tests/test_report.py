@@ -20,9 +20,9 @@ from intransit import (
     scenario_row,
     solution_flows,
 )
-from intransit.errors import IntransitError, ModelError
+from intransit.errors import IntransitError
 
-from conftest import build_instance, solution_vector
+from conftest import build_instance, path_column, solution_vector
 
 
 def phantom_prone_instance():
@@ -111,12 +111,11 @@ class TestAuditFlows:
         assert len(faults) == 2
         assert "from s1 on day 0, picked up 0" in faults[1]
         assert "Z[p0,g0,11] carries 1000 lb that land on day 12" in faults[0]
-        # neither phantom shipment has a column to sit in
-        ix = build_mip(inst, MODE_WINDOW).indexer
-        with pytest.raises(ModelError):
-            ix.col_x(0, 1, 0, 0)
-        with pytest.raises(ModelError):
-            ix.col_z(0, 0, 11)
+        # neither phantom shipment has a column to stand for it
+        model = build_mip(inst, MODE_WINDOW)
+        every = solution_flows(model, np.ones(model.num_vars))
+        assert key("X", "p0", "s1", "g0", 0) not in every
+        assert key("Z", "p0", "g0", 11) not in every
 
 
 class TestDeliveryHistogram:
@@ -174,9 +173,13 @@ class TestConsolidationShare:
 
     def test_mixed_flow(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
-        ix = model.indexer
+        pickup = ("p0", "s0", 0)
         x = solution_vector(
-            model, {ix.col_u(0, 0, 3): 750.0, ix.col_z(0, 0, 3): 250.0}
+            model,
+            {
+                path_column(model, pickup, "g0", 3, container=True): 750.0,
+                path_column(model, pickup, "g0", 3): 250.0,
+            },
         )
         assert consolidation_share(model, x) == pytest.approx(0.75)
 

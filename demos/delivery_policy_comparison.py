@@ -38,7 +38,7 @@ def main() -> None:
     print()
     print(report.format_table())
 
-    window, exact = rows
+    window, exact = (row.costs for row in rows)
     saving = exact.total - window.total
     if saving > 1e-6:
         print(f"\nwindow flexibility saves ${saving:,.2f} "

@@ -71,8 +71,8 @@ def main() -> None:
     result = run_benders(inst, MODE_WINDOW)
     parts = result.breakdown
     print(f"\ninteger optimum:      ${result.objective:.2f}")
-    print(f"  first leg ${parts.first_leg:.2f}, LCL+holding "
-          f"${parts.lcl_and_hold:.2f}, containers ${parts.fcl:.2f}")
+    print(f"  first leg ${parts.first_leg:.2f}, LCL ${parts.lcl:.2f}, "
+          f"holding ${parts.hold:.2f}, containers ${parts.fcl:.2f}")
     gap = result.objective - relaxed_obj
     print(f"\nintegrality gap: ${gap:.2f}; 1000 lbs is nowhere near the "
           f"{inst.container_capacity:,.0f} lb box, so whole containers lose to LCL")

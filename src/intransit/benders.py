@@ -35,9 +35,11 @@ The subproblem has complete recourse, so this one cut family is all the
 decomposition needs (Van Slyke & Wets, 1969). A path's container and LCL
 columns have the same entries but in the capacity and linking rows, which
 hold no LCL column, so any flow stays feasible at every T once its
-container weight moves to LCL: the subproblem is
-feasible at every T or at none, and an infeasible one proves that the
-instance admits no schedule.
+container weight moves to LCL: the subproblem is feasible at every T or
+at none. :func:`~intransit.model.build_mip` refuses an instance that fails
+route validation, and on one that passes, each pickup's own on-time path
+sent LCL is feasible at ``T = 0``, so the subproblem is feasible at every
+T. An infeasible one is a numerical fault and raises :class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import InfeasibleInstanceError, SolverError
+from .errors import SolverError
+# validate_routes is not called here (build_mip validates), but the
+# benchmark's tracer wraps it under this module's name
 from .instance import Instance, validate_routes
 from .milp import (
     DEFAULT_GAP_TOL,
@@ -71,7 +75,6 @@ from .model import (
 )
 from .simplex import (
     STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
     BasisLabels,
     LpOutcome,
     LpProblem,
@@ -128,7 +131,7 @@ class BendersTrace:
 
 @dataclass
 class BendersResult:
-    status: str  # "optimal", "max_iters", "node_limit", "infeasible"
+    status: str  # "optimal", "max_iters" or "node_limit"
     objective: float | None
     t_values: np.ndarray | None
     x_full: np.ndarray | None  # over monolithic columns
@@ -190,7 +193,7 @@ def _solve_sub(
         warm = sub.stabilised_basis if stabilised else sub.warm_basis
         outcome = solve_lp(replace(sub.lp, lower=lower, upper=upper), warm=warm)
         if outcome.status == STATUS_INFEASIBLE:
-            return outcome
+            raise SolverError("the subproblem of a route-valid model is infeasible")
         if stabilised:
             sub.stabilised_basis = outcome.basis
         else:
@@ -268,7 +271,7 @@ def relax_model(model: MipModel) -> tuple[float, np.ndarray, CostBreakdown]:
     """:func:`lp_relaxation` of a model already built."""
     outcome = solve_lp(lp_from_mip(model))
     if outcome.status == STATUS_INFEASIBLE:
-        raise InfeasibleInstanceError("LP relaxation is infeasible")
+        raise SolverError("the LP relaxation of a route-valid model is infeasible")
     return outcome.objective, outcome.x, objective_breakdown(model, outcome.x)
 
 
@@ -283,17 +286,8 @@ class _IterationLimit(Exception):
     """Raised inside the master tree once ``max_iters`` subproblems are spent."""
 
 
-class _InfeasibleSubproblem(Exception):
-    """Raised inside the master tree when the subproblem is infeasible: by
-    complete recourse it is so at every T, and the instance has no schedule."""
-
-
 def run_benders(
-    instance: Instance,
-    mode: str = MODE_WINDOW,
-    params: BendersParams | None = None,
-    *,
-    validate: bool = True,
+    instance: Instance, mode: str = MODE_WINDOW, params: BendersParams | None = None
 ) -> BendersResult:
     """Solve the master in one branch-and-cut tree that prices the flows at
     its fractional root, in in-out rounds until no cut cuts the root off,
@@ -305,16 +299,12 @@ def run_benders(
     rows join). Every record counts against ``max_iters``. A node or
     subproblem limit returns status ``node_limit`` or ``max_iters``,
     unproven, with the best incumbent (if any) and the proven bounds.
-    Instances that fail route validation are reported infeasible up front
-    unless ``validate=False``; then the first subproblem is infeasible,
-    which is reported the same way, with no record in the trace.
+    An instance that fails route validation raises
+    :class:`InfeasibleInstanceError` from :func:`build_mip`.
     """
     params = params or BendersParams()
     trace = BendersTrace()
-    if validate and not validate_routes(instance).feasible:
-        return _infeasible(trace)
-
-    model = build_mip(instance, mode, require_routes=False)
+    model = build_mip(instance, mode)
     sub = _prepare(model)
     h_costs = model.objective[sub.t_cols]
     n_t = len(h_costs)
@@ -342,8 +332,6 @@ def run_benders(
         it = len(trace.records) + 1
         lb = max(lb, bound)
         result = _solve_sub(sub, t, stabilised)
-        if result.status == STATUS_INFEASIBLE:
-            raise _InfeasibleSubproblem
         value = result.objective
         coefficients, rhs = _master_row(result.y, sub.lp, sub.t_cols)
         at_t = float(coefficients[:n_t] @ t) - rhs  # the cut's y'(b - A_T·t)
@@ -412,8 +400,6 @@ def run_benders(
             params.node_limit,
             separate=separate,
         )
-    except _InfeasibleSubproblem:
-        return _infeasible(trace, model)
     except _IterationLimit:
         status = "max_iters"
     else:
@@ -439,22 +425,5 @@ def run_benders(
         lower_bound=lb,
         upper_bound=ub,
         proven=status == "optimal",
-        model=model,
-    )
-
-
-def _infeasible(trace: BendersTrace, model: MipModel | None = None) -> BendersResult:
-    """A proven infeasible result: no schedule, both bounds infinite, as
-    :func:`solve_milp` reports an infeasible problem."""
-    return BendersResult(
-        status="infeasible",
-        objective=None,
-        t_values=None,
-        x_full=None,
-        breakdown=None,
-        trace=trace,
-        lower_bound=math.inf,
-        upper_bound=math.inf,
-        proven=True,
         model=model,
     )

@@ -1,7 +1,8 @@
 """Command-line surface: validate, relax, solve, benders, compare, generate.
 
-Exit codes: 0 success, 1 infeasible instance, 2 usage error, 3 solver
-failure. All outputs are deterministic for fixed inputs and parameters.
+Exit codes: 0 success, 1 the instance fails route validation, 2 usage
+error, 3 solver failure. All outputs are deterministic for fixed inputs
+and parameters.
 """
 
 from __future__ import annotations
@@ -149,28 +150,15 @@ def _cmd_validate(args) -> int:
     return EXIT_INFEASIBLE
 
 
-def _require_routes(instance) -> bool:
-    diag = validate_routes(instance)
-    if not diag.feasible:
-        issue = diag.issues[0]
-        print(
-            f"instance is infeasible: pickup ({issue.product}, {issue.supplier}, "
-            f"day {issue.day}) {issue.reason}",
-            file=sys.stderr,
-        )
-    return diag.feasible
-
-
 def _cmd_relax(args) -> int:
     instance = load_instance(args.instance)
-    if not _require_routes(instance):
-        return EXIT_INFEASIBLE
-    model = build_mip(instance, _mode(args.mode), require_routes=False)
+    model = build_mip(instance, _mode(args.mode))
     objective, x, breakdown = bd.relax_model(model)
     print(f"LP relaxation objective: {objective:,.2f}")
     print(
-        f"  first leg {breakdown.first_leg:,.2f}  LCL+hold {breakdown.lcl_and_hold:,.2f}  "
-        f"FCL {breakdown.fcl:,.2f}  fixed pickups {breakdown.fixed_pickup:,.2f}"
+        f"  first leg {breakdown.first_leg:,.2f}  LCL {breakdown.lcl:,.2f}  "
+        f"hold {breakdown.hold:,.2f}  FCL {breakdown.fcl:,.2f}  "
+        f"fixed pickups {breakdown.fixed_pickup:,.2f}"
     )
     _emit_outputs(args.out, model, x, objective, label="relaxation")
     return EXIT_OK
@@ -178,9 +166,7 @@ def _cmd_relax(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    if not _require_routes(instance):
-        return EXIT_INFEASIBLE
-    model = build_mip(instance, _mode(args.mode), require_routes=False)
+    model = build_mip(instance, _mode(args.mode))
     if model.num_vars > args.max_vars:
         print(
             f"model has {model.num_vars} variables, above the monolithic limit "
@@ -198,8 +184,7 @@ def _cmd_solve(args) -> int:
             model, gap_tol=args.gap_tol, node_limit=args.node_limit, node_log=node_log
         )
     if outcome.status == MILP_INFEASIBLE:
-        print("instance is infeasible", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise SolverError("the MILP of a route-valid model is infeasible")
     if outcome.status != MILP_OPTIMAL:
         upper = math.inf if outcome.objective is None else outcome.objective
         print(_limit_message(outcome.status, outcome.bound, upper), file=sys.stderr)
@@ -211,14 +196,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_benders(args) -> int:
     instance = load_instance(args.instance)
-    if not _require_routes(instance):
-        return EXIT_INFEASIBLE
-    mode = _mode(args.mode)
-    params = _benders_params(args)
-    result = bd.run_benders(instance, mode, params, validate=False)
-    if result.status == "infeasible":
-        print("instance is infeasible", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    result = bd.run_benders(instance, _mode(args.mode), _benders_params(args))
     if not result.proven:
         message = _limit_message(result.status, result.lower_bound, result.upper_bound)
         print(message, file=sys.stderr)
@@ -245,21 +223,16 @@ def _cmd_benders(args) -> int:
 
 def _cmd_compare(args) -> int:
     instance = load_instance(args.instance)
-    if not _require_routes(instance):
-        return EXIT_INFEASIBLE
     params = _benders_params(args)
     report = ScenarioReport()
 
-    relax_model = build_mip(instance, MODE_WINDOW, require_routes=False)
+    relax_model = build_mip(instance, MODE_WINDOW)
     _, relax_x, _ = bd.relax_model(relax_model)
     report.rows.append(scenario_row("lp_relaxation", relax_model, relax_x))
 
     results = {}
     for label, mode in (("benders_window", MODE_WINDOW), ("benders_exact_day", MODE_EXACT_DAY)):
-        result = bd.run_benders(instance, mode, params, validate=False)
-        if result.status == "infeasible":
-            print("instance is infeasible", file=sys.stderr)
-            return EXIT_INFEASIBLE
+        result = bd.run_benders(instance, mode, params)
         if not result.proven:
             message = _limit_message(result.status, result.lower_bound, result.upper_bound)
             print(f"{label}: {message}", file=sys.stderr)

@@ -14,7 +14,8 @@ class SchemaError(InstanceError):
 
 
 class ModelError(IntransitError):
-    """Model assembly failed or was handed an invalid instance."""
+    """A model was asked for in an unknown mode, or handed a solution of
+    the wrong length."""
 
 
 class SolverError(IntransitError):
@@ -22,4 +23,7 @@ class SolverError(IntransitError):
 
 
 class InfeasibleInstanceError(IntransitError):
-    """The instance admits no feasible schedule."""
+    """The instance fails route validation: some pickup has no route that
+    reaches the customer by its due day. Validation is stricter than the
+    model, which may still be feasible when one pickup's early freight
+    covers another's due day, but no model is built for such an instance."""

@@ -63,7 +63,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ModelError
+from .errors import InfeasibleInstanceError, ModelError
 from .instance import Instance, validate_routes
 
 MODE_WINDOW = "window"
@@ -247,23 +247,22 @@ def _paths(instance: Instance, mode: str) -> Paths:
     return Paths(*(np.array(c, dtype=t) for c, t in zip(columns, types)))
 
 
-def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bool = True) -> MipModel:
+def build_mip(instance: Instance, mode: str = MODE_WINDOW) -> MipModel:
     """Assemble the path model of an instance.
 
-    With ``require_routes`` (the default) the instance must pass
-    :func:`validate_routes`; disable it only to study infeasible models.
+    Raises :class:`InfeasibleInstanceError` if the instance fails
+    :func:`validate_routes`. Every model built is then feasible: each
+    pickup's own on-time path, all of it sent LCL, is a plan at ``T = 0``.
     """
     if mode not in (MODE_WINDOW, MODE_EXACT_DAY):
         raise ModelError(f"unknown mode {mode!r}")
-    if require_routes:
-        diag = validate_routes(instance)
-        if not diag.feasible:
-            first = diag.issues[0]
-            raise ModelError(
-                f"instance fails route validation ({len(diag.issues)} pickup(s)); "
-                f"first: ({first.product}, {first.supplier}, {first.day}) "
-                f"{first.reason}"
-            )
+    issues = validate_routes(instance).issues
+    if issues:
+        first = issues[0]
+        raise InfeasibleInstanceError(
+            f"pickup ({first.product}, {first.supplier}, day {first.day}) {first.reason} "
+            f"({len(issues)} pickup(s) fail route validation)"
+        )
 
     gateways = instance.gateways
     t2 = np.array([instance.second_leg_time[h] for h in gateways], dtype=np.int64)
@@ -381,16 +380,17 @@ def solution_flows(model: MipModel, solution: np.ndarray, threshold: float = 1e-
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Objective split into the three cost components plus the fixed line."""
+    """Objective split into its cost components plus the fixed line."""
 
     first_leg: float
-    lcl_and_hold: float
+    lcl: float
+    hold: float
     fcl: float
     fixed_pickup: float
 
     @property
     def total(self) -> float:
-        return self.first_leg + self.lcl_and_hold + self.fcl
+        return self.first_leg + self.lcl + self.hold + self.fcl
 
     @property
     def grand_total(self) -> float:
@@ -406,36 +406,24 @@ def _solution(model: MipModel, solution: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cost_parts(model: MipModel, solution: np.ndarray) -> tuple[float, float, float, float]:
-    """(first leg, LCL, holding, containers) parts of a solution's cost."""
-    x = _solution(model, solution)
-    u, z = model.path_columns()
-    paths = model.paths
-    carried = x[u] + x[z]
-    t = model.integer_columns
-    return (
-        float(paths.first_leg @ carried),
-        float(paths.lcl @ x[z]),
-        float(paths.hold @ carried),
-        float(model.objective[t] @ x[t]),
-    )
-
-
 def objective_breakdown(model: MipModel, solution: np.ndarray) -> CostBreakdown:
     """Recompute cost components from a solution vector.
 
     The pickup fixed cost is a post-hoc reporting line: fixed cost times the
     number of positive-weight pickup events, never part of the objective.
     """
-    first_leg, lcl, hold, fcl = _cost_parts(model, solution)
-    fixed = model.instance.pickup_fixed_cost * len(model.instance.positive_pickups())
-    return CostBreakdown(first_leg=first_leg, lcl_and_hold=lcl + hold, fcl=fcl, fixed_pickup=fixed)
-
-
-def lcl_hold_split(model: MipModel, solution: np.ndarray) -> tuple[float, float]:
-    """Split the LCL-and-holding component into (LCL freight, gateway holding)."""
-    _, lcl, hold, _ = _cost_parts(model, solution)
-    return lcl, hold
+    x = _solution(model, solution)
+    u, z = model.path_columns()
+    paths = model.paths
+    carried = x[u] + x[z]
+    t = model.integer_columns
+    return CostBreakdown(
+        first_leg=float(paths.first_leg @ carried),
+        lcl=float(paths.lcl @ x[z]),
+        hold=float(paths.hold @ carried),
+        fcl=float(model.objective[t] @ x[t]),
+        fixed_pickup=model.instance.pickup_fixed_cost * len(model.instance.positive_pickups()),
+    )
 
 
 @dataclass(frozen=True)

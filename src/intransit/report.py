@@ -15,10 +15,10 @@ import numpy as np
 from .errors import IntransitError
 from .instance import Instance
 from .model import (
+    CostBreakdown,
     MipModel,
     VarKey,
     check_solution,
-    lcl_hold_split,
     objective_breakdown,
     solution_flows,
 )
@@ -210,19 +210,12 @@ def consolidation_share(model: MipModel, solution: np.ndarray) -> float | None:
 class ScenarioRow:
     label: str
     containers: float
-    fixed_pickup_cost: float
-    first_leg_cost: float
-    lcl_cost: float
-    hold_cost: float
-    fcl_cost: float
+    costs: CostBreakdown
 
-    @property
-    def total(self) -> float:
-        return self.first_leg_cost + self.lcl_cost + self.hold_cost + self.fcl_cost
 
-    @property
-    def grand_total(self) -> float:
-        return self.total + self.fixed_pickup_cost
+def _cost_cells(c: CostBreakdown) -> tuple[float, ...]:
+    """A row's costs in the report's column order, after label and containers."""
+    return (c.fixed_pickup, c.first_leg, c.lcl, c.hold, c.fcl, c.total, c.grand_total)
 
 
 @dataclass
@@ -246,17 +239,7 @@ class ScenarioReport:
         )
         for r in self.rows:
             writer.writerow(
-                [
-                    r.label,
-                    f"{r.containers:g}",
-                    f"{r.fixed_pickup_cost:.2f}",
-                    f"{r.first_leg_cost:.2f}",
-                    f"{r.lcl_cost:.2f}",
-                    f"{r.hold_cost:.2f}",
-                    f"{r.fcl_cost:.2f}",
-                    f"{r.total:.2f}",
-                    f"{r.grand_total:.2f}",
-                ]
+                [r.label, f"{r.containers:g}", *(f"{v:.2f}" for v in _cost_cells(r.costs))]
             )
 
     def format_table(self) -> str:
@@ -272,17 +255,7 @@ class ScenarioReport:
             "grand total",
         ]
         body = [
-            [
-                r.label,
-                f"{r.containers:g}",
-                f"{r.fixed_pickup_cost:,.2f}",
-                f"{r.first_leg_cost:,.2f}",
-                f"{r.lcl_cost:,.2f}",
-                f"{r.hold_cost:,.2f}",
-                f"{r.fcl_cost:,.2f}",
-                f"{r.total:,.2f}",
-                f"{r.grand_total:,.2f}",
-            ]
+            [r.label, f"{r.containers:g}", *(f"{v:,.2f}" for v in _cost_cells(r.costs))]
             for r in self.rows
         ]
         widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h) for i, h in enumerate(headers)]
@@ -297,18 +270,8 @@ class ScenarioReport:
 
 def scenario_row(label: str, model: MipModel, solution: np.ndarray) -> ScenarioRow:
     """Build one report row from a solution vector."""
-    bd = objective_breakdown(model, solution)
-    lcl, hold = lcl_hold_split(model, solution)
     containers = float(np.asarray(solution)[model.integer_columns].sum())
-    return ScenarioRow(
-        label=label,
-        containers=containers,
-        fixed_pickup_cost=bd.fixed_pickup,
-        first_leg_cost=bd.first_leg,
-        lcl_cost=lcl,
-        hold_cost=hold,
-        fcl_cost=bd.fcl,
-    )
+    return ScenarioRow(label, containers, objective_breakdown(model, solution))
 
 
 def export_solution_json(

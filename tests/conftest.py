@@ -74,6 +74,11 @@ def tiny_instance():
     return build_instance()
 
 
+def route_invalid_instance():
+    """A pickup whose window closes before even air freight can land."""
+    return build_instance(window_days=2, land_time=4, air_time=3)
+
+
 def random_small_config(rng):
     """A small generator config; the acceptance sweep draws its instances
     from these."""

@@ -1,7 +1,6 @@
 """Decomposition loop: cuts, master, bounds, and oracle agreement."""
 
 import io
-import math
 
 import numpy as np
 import pytest
@@ -15,20 +14,24 @@ from intransit import (
     generate_synthetic,
     lp_relaxation,
     run_benders,
+    save_instance,
     solve_master,
     solve_milp,
+    validate_routes,
 )
 import intransit.benders as bd
 from intransit.benders import _master_row, _prepare, _solve_sub
-from intransit.errors import SolverError
-from intransit.milp import MILP_NODE_LIMIT
-from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
+from intransit.cli import run
+from intransit.errors import InfeasibleInstanceError, SolverError
+from intransit.milp import MILP_NODE_LIMIT, lp_from_mip
+from intransit.simplex import STATUS_OPTIMAL, solve_lp
 
 from arc_model import build_mip as build_arc
 from conftest import (
     build_instance,
     random_small_config,
     readme_instance,
+    route_invalid_instance,
     strong_lp_bound,
 )
 
@@ -38,9 +41,32 @@ def optimality_row(sub, result):
     return _master_row(result.y, sub.lp, sub.t_cols)
 
 
-def route_invalid_instance():
-    """A pickup whose window closes before even air freight can land."""
-    return build_instance(window_days=2, land_time=4, air_time=3)
+def tight_instance(rng):
+    """A random instance with 1-5 pickups whose windows (1-6 days) and
+    horizon (3-12 days) leave little room for first legs of 1-5 days,
+    air no slower than land."""
+    products = [f"p{i}" for i in range(rng.integers(1, 3))]
+    suppliers = [f"s{i}" for i in range(rng.integers(1, 3))]
+    gateways = [f"g{i}" for i in range(rng.integers(1, 3))]
+    horizon = int(rng.integers(3, 13))
+    land = {(s, h): int(rng.integers(1, 6)) for s in suppliers for h in gateways}
+    pickups = {}
+    for _ in range(rng.integers(1, 6)):
+        day = int(rng.integers(0, horizon))
+        pickups[str(rng.choice(products)), str(rng.choice(suppliers)), day] = float(
+            rng.uniform(100.0, 60000.0)
+        )
+    return build_instance(
+        horizon_days=horizon,
+        window_days=int(rng.integers(1, 7)),
+        products=products,
+        suppliers=suppliers,
+        gateways=gateways,
+        pickups=pickups,
+        land_time=land,
+        air_time={k: int(rng.integers(1, t + 1)) for k, t in land.items()},
+        second_leg_time={h: int(rng.integers(1, 4)) for h in gateways},
+    )
 
 
 def cut_value(row, t):
@@ -60,6 +86,24 @@ def add_once(row):
         return (row, None) if len(calls) == 1 else (None, x)
 
     return separate
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["build_mip", "lp_relaxation", "run_benders", "relax", "solve", "benders", "compare"],
+)
+def test_an_unroutable_instance_is_refused_the_same_way_everywhere(entry, tmp_path, capsys):
+    # build_mip alone validates routes; every entry point and command
+    # builds its models there
+    inst = route_invalid_instance()
+    functions = {"build_mip": build_mip, "lp_relaxation": lp_relaxation, "run_benders": run_benders}
+    if entry in functions:
+        with pytest.raises(InfeasibleInstanceError, match=r"^pickup \(p0, s0, day 0\) "):
+            functions[entry](inst, MODE_WINDOW)
+        return
+    path = str(save_instance(inst, tmp_path / "inst"))
+    assert run([entry, "--instance", path]) == 1
+    assert capsys.readouterr().err.startswith("infeasible: pickup (")
 
 
 # the tiny instance's containers: one T column per departure day 0-8
@@ -139,13 +183,6 @@ class TestSubproblem:
             assert result.status == STATUS_OPTIMAL
             assert result.x[sub.t_cols].tobytes() == t.tobytes()
 
-    def test_infeasible_instance_gives_farkas(self):
-        inst = route_invalid_instance()
-        sub = _prepare(build_mip(inst, MODE_WINDOW, require_routes=False))
-        result = _solve_sub(sub, np.zeros(9))
-        assert result.status == STATUS_INFEASIBLE
-        assert result.farkas_ray is not None
-
 
 class TestOptimalityCuts:
     def _sub_and_result(self, instance, t):
@@ -199,15 +236,14 @@ class TestOptimalityCuts:
 class TestCompleteRecourse:
     """A path's container and LCL columns share their entries but in the
     capacity and linking rows, which hold no LCL column, so the subproblem
-    is feasible at every T or at none:
-    every cut is an optimality cut, and an infeasible subproblem proves the
-    instance infeasible."""
+    is feasible at every T or at none, and on a route-valid model at T = 0:
+    every cut is an optimality cut."""
 
     @staticmethod
     def _status_at_each_t(instance, mode, rng):
         """The subproblem's status at T = 0, at the container bound and at
         a fractional T, each priced on a fresh subproblem."""
-        model = build_mip(instance, mode, require_routes=False)
+        model = build_mip(instance, mode)
         n_t = len(model.integer_columns)
         bound = float(instance.container_bound())
         points = (np.zeros(n_t), np.full(n_t, bound), rng.uniform(0.0, bound, n_t))
@@ -224,11 +260,24 @@ class TestCompleteRecourse:
             assert statuses == [STATUS_OPTIMAL] * 3, f"seed {seed}"
 
     @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
-    def test_infeasible_at_every_t_on_a_route_invalid_instance(self, mode):
-        statuses = self._status_at_each_t(
-            route_invalid_instance(), mode, np.random.default_rng(3)
-        )
-        assert statuses == [STATUS_INFEASIBLE] * 3
+    def test_every_route_valid_tight_instance_is_feasible(self, mode):
+        # instances whose windows barely admit a route: most fail route
+        # validation, and each one that passes must have an optimal
+        # relaxation and subproblem, or a route-valid model could still
+        # be infeasible
+        rng = np.random.default_rng(20261019)
+        valid = 0
+        for i in range(500):
+            inst = tight_instance(rng)
+            if not validate_routes(inst).feasible:
+                continue
+            valid += 1
+            model = build_mip(inst, mode)
+            assert solve_lp(lp_from_mip(model)).status == STATUS_OPTIMAL, f"instance {i}"
+            n_t = len(model.integer_columns)
+            for t in (np.zeros(n_t), np.full(n_t, float(inst.container_bound()))):
+                assert _solve_sub(_prepare(model), t).status == STATUS_OPTIMAL, f"instance {i}"
+        assert valid >= 50
 
 
 class TestMaster:
@@ -316,32 +365,6 @@ class TestRunBenders:
         assert res.status == "optimal"
         kinds = {r.cut_kind for r in res.trace.records}
         assert "optimality" in kinds
-
-    def test_infeasible_instance_reported(self):
-        inst = route_invalid_instance()
-        res = run_benders(inst, MODE_WINDOW)
-        assert res.status == "infeasible"
-        assert res.objective is None
-        assert res.proven
-
-    @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
-    def test_infeasible_subproblem_without_validation_makes_no_cut(self, mode):
-        # the first subproblem is infeasible, so by complete recourse every
-        # T is, and the run ends there without a cut
-        res = run_benders(route_invalid_instance(), mode, validate=False)
-        assert res.status == "infeasible"
-        assert res.proven
-        assert res.lower_bound == res.upper_bound == math.inf
-        assert res.trace.records == []
-
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_infeasible_instance_bounds_agree(self, validate):
-        # route validation and the infeasible subproblem report the same bounds
-        inst = route_invalid_instance()
-        res = run_benders(inst, MODE_WINDOW, validate=validate)
-        assert res.status == "infeasible"
-        assert res.lower_bound == math.inf
-        assert res.upper_bound == math.inf
 
     def test_max_iters_flagged_unproven(self, tiny_instance):
         from intransit import BendersParams

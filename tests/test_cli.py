@@ -8,7 +8,7 @@ import pytest
 from intransit import MODE_WINDOW, build_mip, load_instance, save_instance
 from intransit.cli import run
 
-from conftest import build_instance
+from conftest import route_invalid_instance
 
 
 @pytest.fixture
@@ -18,8 +18,7 @@ def instance_dir(tmp_path, tiny_instance):
 
 @pytest.fixture
 def infeasible_dir(tmp_path):
-    inst = build_instance(window_days=2, land_time=4, air_time=3)
-    return str(save_instance(inst, tmp_path / "bad"))
+    return str(save_instance(route_invalid_instance(), tmp_path / "bad"))
 
 
 class TestValidate:
@@ -68,24 +67,28 @@ class TestRelax:
 
 class TestSolve:
     def test_validates_once(self, instance_dir, monkeypatch):
-        # benders and compare too; compare runs run_benders in two modes
+        # once per model built: benders and compare too, where compare
+        # builds the relaxation's model and one per run_benders mode
         import intransit.benders as bd
         import intransit.cli as cli
         import intransit.model as model
 
-        calls = []
-        for module in (cli, model, bd):
-            original = module.validate_routes
+        calls = {"build_mip": 0, "validate_routes": 0}
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-            monkeypatch.setattr(module, "validate_routes", counted)
-        for command in ("solve", "benders", "compare"):
-            calls.clear()
+            return wrapper
+
+        for module in (cli, bd, model):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for command, models in (("solve", 1), ("benders", 1), ("compare", 3)):
+            calls.update(build_mip=0, validate_routes=0)
             assert run([command, "--instance", instance_dir]) == 0
-            assert len(calls) == 1, command
+            assert calls == {"build_mip": models, "validate_routes": models}, command
 
     def test_optimal(self, instance_dir, tmp_path, capsys):
         out = tmp_path / "out"

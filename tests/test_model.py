@@ -16,13 +16,8 @@ from intransit import (
     objective_breakdown,
     solution_flows,
 )
-from intransit.errors import ModelError
-from intransit.model import (
-    FAMILY_CAPACITY,
-    FAMILY_DUE,
-    FAMILY_PICKUP,
-    lcl_hold_split,
-)
+from intransit.errors import InfeasibleInstanceError, ModelError
+from intransit.model import FAMILY_CAPACITY, FAMILY_DUE, FAMILY_PICKUP
 
 from arc_model import VarIndexer, expected_arc_shape
 from arc_model import build_mip as build_arc
@@ -50,7 +45,7 @@ class TestVariableCount:
     @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
     def test_closed_form(self, nP, nS, nH, nD, mode):
         inst = generate_synthetic(GeneratorConfig(nP, nS, nH, nD, window_days=5), seed=3)
-        model = build_mip(inst, mode, require_routes=False)
+        model = build_mip(inst, mode)
         assert model.A.shape == expected_shape(inst, mode)
 
     def test_indexer_matches_closed_form(self, tiny_instance):
@@ -243,10 +238,8 @@ class TestRowFamilies:
 
     def test_route_validation_gate(self):
         inst = build_instance(window_days=2, land_time=4, air_time=3)
-        with pytest.raises(ModelError, match="route"):
+        with pytest.raises(InfeasibleInstanceError, match=r"^pickup \(p0, s0, day 0\) no route fits"):
             build_mip(inst, MODE_WINDOW)
-        model = build_mip(inst, MODE_WINDOW, require_routes=False)
-        assert model.num_rows > 0
 
 
 class TestLinking:
@@ -331,14 +324,12 @@ class TestObjective:
         x = solution_vector(model, {lcl(model, 3): 1000.0})
         bd = objective_breakdown(model, x)
         assert bd.first_leg == pytest.approx(300.0)
-        assert bd.lcl_and_hold == pytest.approx(205.0)
+        assert bd.lcl == pytest.approx(200.0)
+        assert bd.hold == pytest.approx(5.0)
         assert bd.fcl == 0.0
         assert bd.fixed_pickup == 80.0
         assert bd.total == pytest.approx(505.0)
         assert bd.grand_total == pytest.approx(585.0)
-        lcl_cost, hold = lcl_hold_split(model, x)
-        assert lcl_cost == pytest.approx(200.0)
-        assert hold == pytest.approx(5.0)
 
     def test_fixed_pickup_not_in_objective(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)

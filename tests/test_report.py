@@ -188,8 +188,8 @@ class TestScenarioReport:
     def test_row_totals(self, tiny_instance):
         res = run_benders(tiny_instance, MODE_WINDOW)
         row = scenario_row("window", res.model, res.x_full)
-        assert row.total == pytest.approx(res.objective, rel=1e-9)
-        assert row.grand_total == pytest.approx(res.objective + 80.0, rel=1e-9)
+        assert row.costs.total == pytest.approx(res.objective, rel=1e-9)
+        assert row.costs.grand_total == pytest.approx(res.objective + 80.0, rel=1e-9)
         assert row.containers == 0.0
 
     def test_csv_and_table(self, tiny_instance):

@@ -35,13 +35,13 @@ column without one that prices below zero spoils a start. A warm basis
 where one does is given up; at the slack basis the reduced costs are
 the costs, so it is dual feasible on every LP ``LpProblem`` accepts. The
 loop's pivots drive each basic variable outside its bounds, a fixed slack
-off zero among them, back inside. From the slack basis the leaving row is
-priced by dual Devex (Forrest & Goldfarb, 1992) and the entering column
+off zero among them, back inside. From every start the entering column
 comes from Harris's two-pass ratio test, which prefers a large pivot
-among near ties (Koberstein, 2005); from a warm basis the row farthest
-outside leaves and the lowest ratio enters. A fixed slack that stays
-basic at zero blocks every step that would move it, which also
-neutralizes linearly dependent rows.
+among near ties, under one pivot tolerance (Harris, 1973; Koberstein,
+2005). Dual Devex (Forrest & Goldfarb, 1992) prices the leaving row from
+the slack basis only, where its weights start exact; on warm starts it
+measured no faster. A fixed slack that stays basic at zero blocks every
+step that would move it, which also neutralizes linearly dependent rows.
 """
 
 from __future__ import annotations
@@ -62,7 +62,13 @@ TOL = 1e-7  # primal and dual feasibility tolerance
 # equilibrates first, so reduced-cost noise sits near machine epsilon and a
 # leftover -1e-7 entry would be a real suboptimality, not dust
 DUAL_TOL = 0.01 * TOL
-PIVOT_TOL = 1e-9
+# the one pivot-size threshold, on the pivot row entries of entering
+# candidates and on the pivot element the FTRAN gives
+PIVOT_TOL = 1e-7
+# absolute primal feasibility target of the pivoting: a slack left at -1e-5
+# and clamped would shift the objective below the true optimum, so
+# rhs-scaled slack is not acceptable here
+FEAS_TOL = 1e-9
 REFACTOR_EVERY = 100  # pivots between refactorizations of the basis
 
 
@@ -304,7 +310,7 @@ class _State:
     fresh_at: int
 
 
-def _place(B, rhs: np.ndarray, upper: np.ndarray, reduced: np.ndarray, pivots: int) -> _State:
+def _place(B, rhs: np.ndarray, upper: np.ndarray, reduced: np.ndarray) -> _State:
     """The iterate at basis ``B`` with each nonbasic column at the bound its
     reduced cost makes dual feasible: its upper bound where it prices below
     ``-DUAL_TOL``, which the caller has checked is finite, else zero."""
@@ -313,7 +319,7 @@ def _place(B, rhs: np.ndarray, upper: np.ndarray, reduced: np.ndarray, pivots: i
     for j in np.flatnonzero(at_upper):
         b = b - upper[j] * B.column(j)
     move = np.where(at_upper, -1.0, 1.0)
-    return _State(B, B.ftran(b), b, upper, move, pivots, fresh_at=pivots)
+    return _State(B, B.ftran(b), b, upper, move, pivots=0, fresh_at=0)
 
 
 def _pricing(B, c_std: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,15 +330,13 @@ def _pricing(B, c_std: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, reduced
 
 
-def _leaving_row(
-    outside: np.ndarray, w: np.ndarray | None, feas_tol: float
-) -> int | None:
+def _leaving_row(outside: np.ndarray, w: np.ndarray | None) -> int | None:
     """The row to leave under dual pricing, or None if every row is feasible.
 
     ``outside`` is how far each basic variable lies outside its bounds
     (negative inside them), ``w`` its row's reference weight, None for all
     ones. Rows compete on squared infeasibility per unit of weight, but
-    only those outside by more than ``feas_tol``: the others score -1, so
+    only those outside by more than ``FEAS_TOL``: the others score -1, so
     the winner is infeasible whenever any row is. Without that mask a row
     inside its bounds could outscore a heavily weighted infeasible row and
     the basis be taken as feasible.
@@ -340,14 +344,12 @@ def _leaving_row(
     if w is None:
         score = outside
     else:
-        score = np.where(outside > feas_tol, outside * outside / w, -1.0)
+        score = np.where(outside > FEAS_TOL, outside * outside / w, -1.0)
     r = int(np.argmax(score))
-    return r if outside[r] > feas_tol else None
+    return r if outside[r] > FEAS_TOL else None
 
 
-def _dual_iterate(
-    state: _State, feas_tol: float, reduced: np.ndarray, from_slack: bool
-) -> int | None:
+def _dual_iterate(state: _State, reduced: np.ndarray, from_slack: bool) -> int | None:
     """Dual-simplex pivots from a dual-feasible basis toward primal feasibility.
 
     Every solve runs this loop straight from its start: the slack basis,
@@ -357,22 +359,23 @@ def _dual_iterate(
     column fixed at zero) and is maintained incrementally with each pivot.
 
     The leaving row is picked by :func:`_leaving_row` and leaves at the
-    bound it crossed. In a solve from the slack basis (``from_slack``) the
-    reference weights start at 1, the exact squared norm of every row of
-    ``B^-1`` at ``B = I``, dual Devex updates them from each pivot column
-    (Forrest & Goldfarb, 1992), and the entering column comes from
-    Harris's two-pass ratio test (Koberstein, 2005): the first pass bounds
-    the dual step by letting every candidate's reduced cost cross zero by
+    bound it crossed. From every start the entering column comes from
+    Harris's two-pass ratio test (Koberstein, 2005): among the columns
+    whose pivot row entry exceeds ``PIVOT_TOL``, the first pass bounds the
+    dual step by letting every candidate's reduced cost cross zero by
     ``DUAL_TOL``, the second takes the candidate with the largest
-    ``|alpha|`` among those whose ratio is within that bound. From a warm
-    basis the row farthest outside leaves and the lowest ratio enters,
-    lowest index first: both rules from the slack basis measured slower on
-    warm Benders solves.
+    ``|alpha|`` among those whose ratio is within that bound. The FTRAN's
+    pivot element must exceed the same ``PIVOT_TOL``. ``from_slack`` gates
+    dual Devex only (Forrest & Goldfarb, 1992): from the slack basis the
+    reference weights start at 1, the exact squared norm of every row of
+    ``B^-1`` at ``B = I``, and Devex updates them from each pivot column.
+    A warm basis has no exact start for them, and Devex there measured
+    no faster, so from it the row farthest outside leaves.
 
     A row that no column can move toward its bound, but that is off by no
     more than rounding allows (``TOL`` scaled by the rhs), is held at that
     bound. Returns None once every basic variable is feasible to
-    ``feas_tol``, or held, at a freshly factored basis, or the index of a
+    ``FEAS_TOL``, or held, at a freshly factored basis, or the index of a
     row certifying primal infeasibility. Raises on numerical breakdown or a
     pivot cap; the caller then tries its next starting basis.
     """
@@ -388,7 +391,7 @@ def _dual_iterate(
     e = np.zeros(B.m)
     w = np.ones(B.m) if from_slack else None  # reference weights, per basis position
     while True:
-        r = _leaving_row(np.maximum(-state.x_B, state.x_B - u_B), w, feas_tol)
+        r = _leaving_row(np.maximum(-state.x_B, state.x_B - u_B), w)
         if r is None:
             if state.fresh_at == state.pivots:
                 return None
@@ -422,14 +425,11 @@ def _dual_iterate(
         # |reduced| / |alpha|, or 0 where the reduced cost sits on the
         # wrong side of zero by rounding
         ratios = np.maximum(reduced[candidates] / (sign * alpha[candidates]), 0.0)
-        if from_slack:
-            size = push[candidates]
-            bound = (ratios + DUAL_TOL / size).min()
-            q = int(candidates[np.argmax(np.where(ratios <= bound, size, 0.0))])
-        else:
-            q = int(candidates[np.argmin(ratios)])
+        size = push[candidates]
+        bound = (ratios + DUAL_TOL / size).min()
+        q = int(candidates[np.argmax(np.where(ratios <= bound, size, 0.0))])
         d = B.ftran(B.column(q))
-        if abs(d[r]) <= 1e-7:
+        if abs(d[r]) <= PIVOT_TOL:
             raise SolverError("dual pivot element too small; dual path abandoned")
         theta = (state.x_B[r] - target) / d[r]
         state.x_B -= theta * d
@@ -687,13 +687,9 @@ def _try_warm_start(
     _, reduced = _pricing(B, c_std)
     if (reduced[upper == np.inf] < -DUAL_TOL).any():
         return None
-    # absolute feasibility target: a slack left at -1e-5 and clamped would
-    # shift the objective below the true optimum, so rhs-scaled slack here
-    # is not acceptable
-    feas_tol = 1e-9
     try:
-        state = _place(B, problem.rhs, upper, reduced, 0)
-        bad_row = _dual_iterate(state, feas_tol, reduced, from_slack=len(struct) == 0)
+        state = _place(B, problem.rhs, upper, reduced)
+        bad_row = _dual_iterate(state, reduced, from_slack=len(struct) == 0)
         if bad_row is not None:
             # a variable stuck below zero certifies with -B^-T e_r, one
             # stuck above its upper bound with +B^-T e_r

@@ -30,6 +30,7 @@ from intransit import (
     lp_relaxation,
     rate_class_params,
     run_benders,
+    simplex,
     solve_lp,
     solve_milp,
     solution_flows,
@@ -37,6 +38,7 @@ from intransit import (
     zone_lookup,
 )
 from intransit.benders import _master_row, _prepare, _solve_sub
+from intransit.errors import SolverError
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
 from arc_model import build_mip as build_arc
@@ -238,20 +240,11 @@ def test_root_bound_after_linking_rounds_is_the_strong_lp_bound(
     assert outcome.root_bound == pytest.approx(strong, rel=1e-9)
 
 
-@pytest.mark.parametrize("solver", ["milp", "benders"])
-@pytest.mark.parametrize(
-    "instance, mode",
-    [
-        (readme_instance, MODE_WINDOW),
-        (readme_instance, MODE_EXACT_DAY),
-        (port_network_instance, MODE_WINDOW),
-    ],
-    ids=["readme-window", "readme-exact-day", "port"],
-)
-def test_every_lp_of_a_solve_is_certified(monkeypatch, instance, mode, solver):
-    """Every LP outcome a solve rests on, each node LP of the monolithic
-    tree and of the Benders master and each subproblem, passes
-    ``verify_certificate``."""
+@pytest.fixture
+def certified_lps(monkeypatch):
+    """The status of every LP a solve rests on, each node LP of the
+    monolithic tree and of the Benders master and each subproblem, and the
+    ``verify_certificate`` failures among them."""
     import intransit.benders as bd
     import intransit.milp as mp
 
@@ -267,11 +260,51 @@ def test_every_lp_of_a_solve_is_certified(monkeypatch, instance, mode, solver):
 
     monkeypatch.setattr(mp, "solve_lp", certified)
     monkeypatch.setattr(bd, "solve_lp", certified)
+    return statuses, failures
+
+
+@pytest.mark.parametrize("solver", ["milp", "benders"])
+@pytest.mark.parametrize(
+    "instance, mode",
+    [
+        (readme_instance, MODE_WINDOW),
+        (readme_instance, MODE_EXACT_DAY),
+        (port_network_instance, MODE_WINDOW),
+    ],
+    ids=["readme-window", "readme-exact-day", "port"],
+)
+def test_every_lp_of_a_solve_is_certified(certified_lps, instance, mode, solver):
+    """Every LP outcome a solve rests on passes ``verify_certificate``."""
+    statuses, failures = certified_lps
     inst = instance()
     if solver == "milp":
         assert solve_milp(build_mip(inst, mode)).status == "optimal"
     else:
         assert run_benders(inst, mode).status == "optimal"
+    assert statuses and not failures, failures
+
+
+def test_no_node_lp_abandons_a_start_on_gen_seed_3(certified_lps, monkeypatch):
+    """On generated 20x5x3x30 seed 3 the monolithic tree solves every node
+    LP from its first start: no pivot the ratio test admits is refused as
+    too small, so no start is given up. Its node count moves with
+    tie-breaks, so only the optimum is pinned."""
+    statuses, failures = certified_lps
+    breakdowns = []
+    original = simplex._dual_iterate
+
+    def recorded(*args, **kwargs):
+        try:
+            return original(*args, **kwargs)
+        except SolverError as exc:
+            breakdowns.append(str(exc))
+            raise
+
+    monkeypatch.setattr(simplex, "_dual_iterate", recorded)
+    out = solve_milp(build_mip(generated_20x5x3x30(3)(), MODE_WINDOW))
+    assert out.status == "optimal"
+    assert out.objective == pytest.approx(72272.8973518, abs=1e-6)
+    assert not breakdowns, breakdowns
     assert statuses and not failures, failures
 
 

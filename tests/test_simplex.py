@@ -480,21 +480,51 @@ class TestWarmStart:
 
 class TestDualPivotRules:
     def test_harris_ratio_test_takes_the_larger_pivot(self):
-        # min x1 + (2 + 2e-10) x2  s.t.  x1 + 2 x2 >= 1: both columns can
-        # enter the infeasible slack row, with ratios 1 and 1 + 1e-10, a
-        # gap inside the dual tolerance. The textbook test takes x1, the
-        # lower ratio and index; Harris takes x2, twice the pivot. Solved
-        # unscaled, since equilibration would make the two pivots equal
+        # min x1 + (2 + 2e-10) x2  s.t.  x1 + 2 x2 >= 1, x3 <= 1: from either
+        # start row 0 is the only infeasible one, and both x1 and x2 can
+        # enter it, with ratios 1 and 1 + 1e-10, a gap inside the dual
+        # tolerance. The textbook test takes x1, the lower ratio and index;
+        # Harris takes x2, twice the pivot. The warm basis holds x3 basic
+        # in row 1, so it is no slack start. Solved unscaled, since
+        # equilibration would make the two pivots equal
         problem = LpProblem(
-            objective=np.array([1.0, 2.0 + 2e-10]),
-            A=np.array([[-1.0, -2.0]]),
+            objective=np.array([1.0, 2.0 + 2e-10, 0.0]),
+            A=np.array([[-1.0, -2.0, 0.0], [0.0, 0.0, 1.0]]),
+            senses=np.array(["<", "<"]),
+            rhs=np.array([-1.0, 1.0]),
+        )
+        warm = simplex.BasisLabels(struct=np.array([2]), slack_rows=np.array([0]))
+        for start in (None, warm):
+            out = simplex._solve_core(problem, start)
+            assert out.status == STATUS_OPTIMAL
+            assert 1 in out.basis.struct and 0 not in out.basis.struct
+            assert out.pivots == 1
+
+    @pytest.mark.parametrize(
+        "objective, A, upper, pivots",
+        [
+            ([1.0], [[-1e-8]], [1.0], 0),
+            ([1.0, 1.0], [[-1e-8, -1.0]], [1.0, 0.5], 1),
+        ],
+        ids=["tiny-entry-only", "tiny-entry-after-a-pivot"],
+    )
+    def test_entry_below_the_pivot_tolerance_never_enters(self, objective, A, upper, pivots):
+        # min c'x  s.t.  -1e-8 x1 (- x2) <= -1, 0 <= x1 <= 1 (0 <= x2 <= 0.5):
+        # infeasible, since x1 would have to reach 1e8. The leaving row's
+        # only entry for x1 is 1e-8, too small a pivot to take; the row is
+        # left with no candidate and certifies the infeasibility. Solved
+        # unscaled, since equilibration would scale that entry up to 1
+        problem = LpProblem(
+            objective=np.array(objective),
+            A=np.array(A),
             senses=np.array(["<"]),
             rhs=np.array([-1.0]),
+            upper=np.array(upper),
         )
         out = simplex._solve_core(problem, None)
-        assert out.status == STATUS_OPTIMAL
-        assert out.basis.struct.tolist() == [1]
-        assert out.pivots == 1
+        assert out.status == STATUS_INFEASIBLE
+        assert out.pivots == pivots
+        assert verify_certificate(problem, out).ok
 
     def test_heavily_weighted_infeasible_row_still_leaves(self):
         # row 0 sits deep inside its bounds, row 1 outside by less than the
@@ -502,16 +532,16 @@ class TestDualPivotRules:
         # 1e-36 is the smallest, but it is the only row that may leave
         outside = np.array([-5.0, 5e-10, 1e-3])
         weights = np.array([1.0, 1.0, 1e30])
-        assert simplex._leaving_row(outside, weights, 1e-9) == 2
+        assert simplex._leaving_row(outside, weights) == 2
         # and the basis counts as feasible only once that row is inside
         outside[2] = 5e-10
-        assert simplex._leaving_row(outside, weights, 1e-9) is None
+        assert simplex._leaving_row(outside, weights) is None
 
     def test_leaving_row_weighs_squared_infeasibility(self):
         outside = np.array([3.0, 2.0, -1.0])
-        assert simplex._leaving_row(outside, None, 1e-9) == 0
+        assert simplex._leaving_row(outside, None) == 0
         # 9 / 4 < 4 / 1: the lighter row leaves first
-        assert simplex._leaving_row(outside, np.array([4.0, 1.0, 1.0]), 1e-9) == 1
+        assert simplex._leaving_row(outside, np.array([4.0, 1.0, 1.0])) == 1
 
 
 class TestScaling:

@@ -21,7 +21,7 @@ warm-start along one chain of bases, every other solve along another.
 From then on the subproblem is priced at every node whose T is integral,
 which gives an upper bound, and its cut joins the tree's LP, so the
 tree's bound is the global lower bound. The search ends when the
-tree closes or a node or subproblem limit stops it.
+tree closes or its node limit stops it.
 
 The subproblem is the model's own LP with T's cost set to zero and T
 fixed by its bounds, ``lower = upper = T_bar``, followed by the linking
@@ -32,14 +32,16 @@ T columns of its rows: valid at every T, tight at T_bar, and still valid
 once more rows join, since they only raise ``q``.
 
 The subproblem has complete recourse, so this one cut family is all the
-decomposition needs (Van Slyke & Wets, 1969). A path's container and LCL
-columns have the same entries but in the capacity and linking rows, which
-hold no LCL column, so any flow stays feasible at every T once its
-container weight moves to LCL: the subproblem is feasible at every T or
-at none. :func:`~intransit.model.build_mip` refuses an instance that fails
-route validation, and on one that passes, each pickup's own on-time path
-sent LCL is feasible at ``T = 0``, so the subproblem is feasible at every
-T. An infeasible one is a numerical fault and raises :class:`SolverError`.
+decomposition needs (Van Slyke & Wets, 1969). A container column has the
+entries of the LCL column of its pickup and due bucket but in the
+capacity and linking rows, which hold no LCL column, so any flow stays
+feasible at every T once its container weight moves to LCL: the
+subproblem is feasible at every T or at none.
+:func:`~intransit.model.build_mip` refuses an instance that fails route
+validation, and on one that passes, each pickup sent whole on the LCL
+column of an on-time path's due bucket is feasible at ``T = 0``, so the
+subproblem is feasible at every T. An infeasible one is a numerical fault
+and raises :class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ from .simplex import (
 )
 
 CUT_OPTIMALITY = "optimality"
-
-DEFAULT_MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class BendersTrace:
 
 @dataclass
 class BendersResult:
-    status: str  # "optimal", "max_iters" or "node_limit"
+    status: str  # "optimal" or "node_limit"
     objective: float | None
     t_values: np.ndarray | None
     x_full: np.ndarray | None  # over monolithic columns
@@ -277,13 +277,8 @@ def relax_model(model: MipModel) -> tuple[float, np.ndarray, CostBreakdown]:
 
 @dataclass(frozen=True)
 class BendersParams:
-    max_iters: int = DEFAULT_MAX_ITERS  # subproblem solves
     gap_tol: float = DEFAULT_GAP_TOL
     node_limit: int = DEFAULT_NODE_LIMIT
-
-
-class _IterationLimit(Exception):
-    """Raised inside the master tree once ``max_iters`` subproblems are spent."""
 
 
 def run_benders(
@@ -296,8 +291,8 @@ def run_benders(
     Returns the incumbent container schedule, the assembled full solution
     vector over the monolithic columns, the cost breakdown, and the trace,
     one record per T the subproblem prices (with its re-solves as linking
-    rows join). Every record counts against ``max_iters``. A node or
-    subproblem limit returns status ``node_limit`` or ``max_iters``,
+    rows join). The master's node limit bounds the subproblem solves too,
+    at most two per node LP; reaching it returns status ``node_limit``,
     unproven, with the best incumbent (if any) and the proven bounds.
     An instance that fails route validation raises
     :class:`InfeasibleInstanceError` from :func:`build_mip`.
@@ -327,8 +322,6 @@ def run_benders(
         (None in a root round if it does not cut off the root's ``x``) and,
         at an integral node, the incumbent it offers."""
         nonlocal lb, ub, best_x
-        if len(trace.records) >= params.max_iters:
-            raise _IterationLimit
         it = len(trace.records) + 1
         lb = max(lb, bound)
         result = _solve_sub(sub, t, stabilised)
@@ -366,8 +359,6 @@ def run_benders(
                 stabilised=stabilised,
             )
         )
-        if it >= params.max_iters and trace.records[-1].gap > params.gap_tol:
-            raise _IterationLimit  # the last allowed solve left the gap open
         return row, point
 
     def separate(x: np.ndarray, bound: float):
@@ -392,23 +383,18 @@ def run_benders(
             return row, None
         return price(t, x, bound, fractional=True)
 
-    try:
-        outcome = solve_master(
-            h_costs,
-            t_upper,
-            params.gap_tol,
-            params.node_limit,
-            separate=separate,
-        )
-    except _IterationLimit:
-        status = "max_iters"
-    else:
-        status = outcome.status
-        # the last subproblem solve ran before the tree stopped; its record
-        # takes the bound the tree proved
-        lb = max(lb, outcome.bound)
-        if trace.records:
-            trace.records[-1] = replace(trace.records[-1], lower=lb, gap=relative_gap(ub, lb))
+    outcome = solve_master(
+        h_costs,
+        t_upper,
+        params.gap_tol,
+        params.node_limit,
+        separate=separate,
+    )
+    # the last subproblem solve ran before the tree stopped; its record
+    # takes the bound the tree proved
+    lb = max(lb, outcome.bound)
+    if trace.records:
+        trace.records[-1] = replace(trace.records[-1], lower=lb, gap=relative_gap(ub, lb))
 
     breakdown = None
     objective_value = None
@@ -416,7 +402,7 @@ def run_benders(
         breakdown = objective_breakdown(model, best_x)
         objective_value = ub
     return BendersResult(
-        status=status,
+        status=outcome.status,
         objective=objective_value,
         t_values=None if best_x is None else best_x[sub.t_cols],
         x_full=best_x,
@@ -424,6 +410,6 @@ def run_benders(
         trace=trace,
         lower_bound=lb,
         upper_bound=ub,
-        proven=status == "optimal",
+        proven=outcome.status == "optimal",
         model=model,
     )

@@ -33,17 +33,13 @@ EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
-DEFAULT_SOLVE_VAR_LIMIT = 200_000
-
 
 def _mode(arg: str) -> str:
     return MODE_EXACT_DAY if arg == "exact-day" else MODE_WINDOW
 
 
 def _benders_params(args) -> bd.BendersParams:
-    return bd.BendersParams(
-        max_iters=args.max_iters, gap_tol=args.gap_tol, node_limit=args.node_limit
-    )
+    return bd.BendersParams(gap_tol=args.gap_tol, node_limit=args.node_limit)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -53,7 +49,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", type=int, default=bd.DEFAULT_MAX_ITERS)
     p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
 
@@ -74,13 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="monolithic integer solve (small instances)")
     _add_common(p)
     _add_solver_opts(p)
-    p.add_argument(
-        "--max-vars",
-        type=int,
-        default=DEFAULT_SOLVE_VAR_LIMIT,
-        help="refuse models with more columns than this (use benders instead); "
-        "counts the columns of the model this command builds and solves",
-    )
     p.add_argument(
         "--node-log", default=None, help="write one CSV row per node LP to this file"
     )
@@ -129,9 +117,8 @@ def _emit_outputs(out_dir, model, x, objective, trace=None, label="solution") ->
             hist.export_csv(fh)
 
 
-def _limit_message(status: str, lower: float, upper: float) -> str:
-    limit = "node" if status == "node_limit" else "iteration"
-    return f"{limit} limit reached: bounds [{lower:,.2f}, {upper:,.2f}]"
+def _limit_message(lower: float, upper: float) -> str:
+    return f"node limit reached: bounds [{lower:,.2f}, {upper:,.2f}]"
 
 
 def _cmd_validate(args) -> int:
@@ -167,13 +154,6 @@ def _cmd_relax(args) -> int:
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     model = build_mip(instance, _mode(args.mode))
-    if model.num_vars > args.max_vars:
-        print(
-            f"model has {model.num_vars} variables, above the monolithic limit "
-            f"{args.max_vars}; use the benders subcommand",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     with contextlib.ExitStack() as stack:
         node_log = None
         if args.node_log is not None:
@@ -187,7 +167,7 @@ def _cmd_solve(args) -> int:
         raise SolverError("the MILP of a route-valid model is infeasible")
     if outcome.status != MILP_OPTIMAL:
         upper = math.inf if outcome.objective is None else outcome.objective
-        print(_limit_message(outcome.status, outcome.bound, upper), file=sys.stderr)
+        print(_limit_message(outcome.bound, upper), file=sys.stderr)
         return EXIT_SOLVER
     print(f"optimal objective: {outcome.objective:,.2f} ({outcome.nodes} nodes)")
     _emit_outputs(args.out, model, outcome.x, outcome.objective, label="monolithic")
@@ -198,7 +178,7 @@ def _cmd_benders(args) -> int:
     instance = load_instance(args.instance)
     result = bd.run_benders(instance, _mode(args.mode), _benders_params(args))
     if not result.proven:
-        message = _limit_message(result.status, result.lower_bound, result.upper_bound)
+        message = _limit_message(result.lower_bound, result.upper_bound)
         print(message, file=sys.stderr)
         return EXIT_SOLVER
     print(
@@ -234,7 +214,7 @@ def _cmd_compare(args) -> int:
     for label, mode in (("benders_window", MODE_WINDOW), ("benders_exact_day", MODE_EXACT_DAY)):
         result = bd.run_benders(instance, mode, params)
         if not result.proven:
-            message = _limit_message(result.status, result.lower_bound, result.upper_bound)
+            message = _limit_message(result.lower_bound, result.upper_bound)
             print(f"{label}: {message}", file=sys.stderr)
             return EXIT_SOLVER
         report.rows.append(scenario_row(label, result.model, result.x_full))

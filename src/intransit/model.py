@@ -5,15 +5,19 @@ Columns (all nonnegative; times 0-based days):
   T[h,d]  container count at gateway h on day d (integer), on each
           gateway's departure days ``d < horizon - t2(h)``, whose arrival
           lands inside the horizon
-  paths   for each positive pickup r, gateway h and departure day d from
-          which r's freight can still reach the customer in time, one
-          container column and one LCL column: the lbs of r that leave h
-          on day d inside containers, or as LCL
+  paths   the lbs of positive pickup r that leave gateway h on day d
+          inside containers, or as LCL, on a path that reaches the
+          customer in time: a container column per such path that costs
+          less than r's LCL column of its due bucket, and one LCL column
+          per pickup and due bucket, its cheapest LCL path (ties: first in
+          gateway, day order)
 
 A path carries its freight the whole way: on a first leg (land or air)
 that lands at h by day d, held at h until d, then on the second leg. It
 takes the leg whose rate plus ``hold_h·(d - arrival)`` is least (land wins
-a tie), and costs that per lb, plus ``lcl_h`` on the LCL column.
+a tie), and costs that per lb, plus ``lcl_h`` as LCL. Its due bucket is
+the due day it counts toward: the first due day of its product on or
+after it lands in window mode, the day it lands in exact-day mode.
 
 Rows:
 
@@ -47,6 +51,15 @@ keep that cumulative balance, which needs checking on due days only,
 since what is due changes only there. :func:`solution_flows` expands a
 solution into those arc flows, keyed by :class:`VarKey`.
 
+Why only these paths. The paths of one pickup and due bucket share their
+pickup row and their due rows; a container column also stands in one
+capacity row, an LCL column in none. So an LCL path other than its
+bucket's cheapest has that column's entries at no lower cost, and a
+container path that costs no less than that column can hand it its lbs at
+no greater cost, which leaves every capacity and linking row slacker.
+Neither is needed for an optimum at any T, of the LP, the LP with the
+linking rows, or the MILP, so neither is built.
+
 The strong linking rows ``u <= W·T[h,d]``, one per container column, with
 W the smaller of the container capacity and the pickup's weight, are valid
 but not among the rows: :class:`Linking` lists them for the solvers to
@@ -56,6 +69,7 @@ Frangioni, 1999).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
@@ -104,12 +118,11 @@ class VarKey(NamedTuple):
 
 
 class Paths(NamedTuple):
-    """The (pickup, gateway, departure day) triples of the path columns.
-
-    Triple i has container column ``n_t + i`` and LCL column
-    ``n_t + n + i``, for n_t T columns and n triples, in (pickup, gateway,
-    day) order. Pickups are positions in ``Instance.positive_pickups()``,
-    gateways in ``Instance.gateways``. Costs are per lb.
+    """The path columns, entry i the column ``n_t + i`` after the n_t T
+    columns: the container columns, then the LCL columns, each in
+    (pickup, gateway, day) order. Pickups are positions in
+    ``Instance.positive_pickups()``, gateways in ``Instance.gateways``.
+    Costs are per lb.
     """
 
     pickup: np.ndarray
@@ -119,7 +132,8 @@ class Paths(NamedTuple):
     air: np.ndarray  # the first leg flies
     first_leg: np.ndarray  # the first leg's rate
     hold: np.ndarray  # hold_h·(day - arrival)
-    lcl: np.ndarray  # lcl_h, paid on the LCL column only
+    lcl: np.ndarray  # lcl_h on an LCL column, 0 on a container column
+    container: np.ndarray  # the column carries freight inside containers
 
 
 class Linking(NamedTuple):
@@ -187,10 +201,9 @@ class MipModel:
     def num_rows(self) -> int:
         return self.A.shape[0]
 
-    def path_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The container and the LCL column of each path triple."""
-        n_t, n = len(self.integer_columns), len(self.paths.day)
-        return n_t + np.arange(n), n_t + n + np.arange(n)
+    def path_columns(self) -> np.ndarray:
+        """The column of each entry of :attr:`paths`."""
+        return len(self.integer_columns) + np.arange(len(self.paths.day))
 
     def family_counts(self) -> dict[str, int]:
         tags, counts = np.unique(self.row_tags, return_counts=True)
@@ -215,14 +228,19 @@ def _due_day(instance: Instance, day: int) -> int:
 
 
 def _paths(instance: Instance, mode: str) -> Paths:
-    """Every path on which a pickup's freight reaches the customer in
-    time, priced at its cheapest first leg and holding."""
+    """The path columns an optimum can use: on each path by which a
+    pickup's freight reaches the customer in time, priced at its cheapest
+    first leg and holding, a container column if it costs less than the
+    pickup's LCL column of the same due bucket; one LCL column per pickup
+    and due bucket, its cheapest LCL path (ties: first in gateway, day
+    order)."""
     gateways = instance.gateways
     pickups = instance.positive_pickups()
     due_days: dict[str, set[int]] = {}
     for p, _, d in pickups:
         due_days.setdefault(p, set()).add(_due_day(instance, d))
-    rows = []
+    found = []  # (path, its cost by container, its pickup and due bucket)
+    cheapest: dict[tuple[int, int], tuple] = {}  # bucket -> (LCL cost, path)
     for r, (p, s, d0) in enumerate(pickups):
         days = sorted(due_days[p])
         for hi, h in enumerate(gateways):
@@ -241,9 +259,18 @@ def _paths(instance: Instance, mode: str) -> Paths:
                 _, air, rate, a = min(
                     (rate + hold * (d - a), air, rate, a) for rate, a, air in legs if a <= d
                 )
-                rows.append((r, hi, d, a, air, rate, hold * (d - a), instance.lcl_cost[h]))
+                held, lcl = hold * (d - a), instance.lcl_cost[h]
+                path = (r, hi, d, a, air, rate, held, lcl)
+                # the first due day on or after it lands: in exact-day mode,
+                # the day it lands
+                bucket = (r, days[bisect_left(days, d + t2)])
+                found.append((path, rate + held, bucket))
+                if bucket not in cheapest or rate + held + lcl < cheapest[bucket][0]:
+                    cheapest[bucket] = (rate + held + lcl, path)
+    rows = [(*path[:-1], 0.0, True) for path, carried, b in found if carried < cheapest[b][0]]
+    rows += [(*path, False) for path in sorted(path for _, path in cheapest.values())]
     columns = list(zip(*rows)) or [()] * len(Paths._fields)
-    types = (np.int64, np.int64, np.int64, np.int64, bool, np.float64, np.float64, np.float64)
+    types = (np.int64, np.int64, np.int64, np.int64, bool, np.float64, np.float64, np.float64, bool)
     return Paths(*(np.array(c, dtype=t) for c, t in zip(columns, types)))
 
 
@@ -252,7 +279,8 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW) -> MipModel:
 
     Raises :class:`InfeasibleInstanceError` if the instance fails
     :func:`validate_routes`. Every model built is then feasible: each
-    pickup's own on-time path, all of it sent LCL, is a plan at ``T = 0``.
+    pickup sent whole on the LCL column of an on-time path's due bucket
+    is a plan at ``T = 0``.
     """
     if mode not in (MODE_WINDOW, MODE_EXACT_DAY):
         raise ModelError(f"unknown mode {mode!r}")
@@ -274,16 +302,17 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW) -> MipModel:
 
     paths = _paths(instance, mode)
     n = len(paths.day)
-    u_cols, z_cols = n_t + np.arange(n), n_t + n + np.arange(n)
-    t_of_path = t_start[paths.gateway] + paths.day
+    cols = n_t + np.arange(n)
+    box = paths.container
+    t_of_box = t_start[paths.gateway[box]] + paths.day[box]
     pickups = instance.positive_pickups()
     weight = np.array([instance.pickups[key] for key in pickups])
 
     # rows: one per pickup over its paths, one capacity row per T column,
     # then the due rows of each product with more than one due day
-    rows_r = [paths.pickup, paths.pickup, len(pickups) + t_of_path, len(pickups) + np.arange(n_t)]
-    rows_c = [u_cols, z_cols, u_cols, np.arange(n_t)]
-    rows_v = [np.ones(n), np.ones(n), np.ones(n), np.full(n_t, -instance.container_capacity)]
+    rows_r = [paths.pickup, len(pickups) + t_of_box, len(pickups) + np.arange(n_t)]
+    rows_c = [cols, cols[box], np.arange(n_t)]
+    rows_v = [np.ones(n), np.ones(len(t_of_box)), np.full(n_t, -instance.container_capacity)]
     rhs = [*weight, *np.zeros(n_t)]
     senses = ["="] * len(pickups) + ["<"] * n_t
 
@@ -297,31 +326,30 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW) -> MipModel:
         for day in np.unique(due[mine])[:-1]:
             if mode == MODE_WINDOW:
                 # arrivals by day cover what is due by then, as a <= row
-                cols = np.flatnonzero((path_product == p) & (lands <= day))
+                on = (path_product == p) & (lands <= day)
                 sign, sense, owed = -1.0, "<", weight[mine & (due <= day)].sum()
             else:
-                cols = np.flatnonzero((path_product == p) & (lands == day))
+                on = (path_product == p) & (lands == day)
                 sign, sense, owed = 1.0, "=", weight[mine & (due == day)].sum()
-            rows_r.append(np.full(2 * len(cols), len(rhs)))
-            rows_c.append(np.concatenate([u_cols[cols], z_cols[cols]]))
-            rows_v.append(np.full(2 * len(cols), sign))
+            rows_r.append(np.full(on.sum(), len(rhs)))
+            rows_c.append(cols[on])
+            rows_v.append(np.full(on.sum(), sign))
             rhs.append(sign * owed)
             senses.append(sense)
 
     m = len(rhs)
     A = sp.csr_matrix(
         (np.concatenate(rows_v), (np.concatenate(rows_r), np.concatenate(rows_c))),
-        shape=(m, n_t + 2 * n),
+        shape=(m, n_t + n),
     )
     fcl = np.array([instance.fcl_cost[h] for h in gateways])
-    carried = paths.first_leg + paths.hold
     tags = [FAMILY_PICKUP] * len(pickups) + [FAMILY_CAPACITY] * n_t
     tags += [FAMILY_DUE] * (m - len(tags))
 
     return MipModel(
         instance=instance,
         mode=mode,
-        objective=np.concatenate([fcl[t_gateway], carried, carried + paths.lcl]),
+        objective=np.concatenate([fcl[t_gateway], paths.first_leg + paths.hold + paths.lcl]),
         A=A,
         senses=np.array(senses, dtype="<U1"),
         rhs=np.array(rhs, dtype=np.float64),
@@ -331,9 +359,9 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW) -> MipModel:
         t_day=t_day,
         paths=paths,
         linking=Linking(
-            u_cols=u_cols,
-            t_cols=t_of_path,
-            weights=np.minimum(instance.container_capacity, weight[paths.pickup]),
+            u_cols=cols[box],
+            t_cols=t_of_box,
+            weights=np.minimum(instance.container_capacity, weight[paths.pickup[box]]),
         ),
     )
 
@@ -357,16 +385,16 @@ def solution_flows(model: MipModel, solution: np.ndarray, threshold: float = 1e-
     pickups = inst.positive_pickups()
     paths = model.paths
     arrivals: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(inst.horizon_days))
-    for kind, cols in zip(("U", "Z"), model.path_columns()):
-        for i in np.flatnonzero(np.abs(x[cols]) > threshold):
-            w = float(x[cols[i]])
-            p, s, picked = pickups[paths.pickup[i]]
-            h, d = inst.gateways[paths.gateway[i]], int(paths.day[i])
-            flows[VarKey("Y" if paths.air[i] else "X", p, s, h, picked)] += w
-            for held in range(int(paths.arrival[i]) + 1, d + 1):
-                flows[VarKey("I", p, None, h, held)] += w
-            flows[VarKey(kind, p, None, h, d)] += w
-            arrivals[p][d + inst.second_leg_time[h]] += w
+    carried = x[model.path_columns()]
+    for i in np.flatnonzero(np.abs(carried) > threshold):
+        w = float(carried[i])
+        p, s, picked = pickups[paths.pickup[i]]
+        h, d = inst.gateways[paths.gateway[i]], int(paths.day[i])
+        flows[VarKey("Y" if paths.air[i] else "X", p, s, h, picked)] += w
+        for held in range(int(paths.arrival[i]) + 1, d + 1):
+            flows[VarKey("I", p, None, h, held)] += w
+        flows[VarKey("U" if paths.container[i] else "Z", p, None, h, d)] += w
+        arrivals[p][d + inst.second_leg_time[h]] += w
     if model.mode == MODE_WINDOW:
         due_on: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(inst.horizon_days))
         for p, s, d in pickups:
@@ -413,13 +441,12 @@ def objective_breakdown(model: MipModel, solution: np.ndarray) -> CostBreakdown:
     number of positive-weight pickup events, never part of the objective.
     """
     x = _solution(model, solution)
-    u, z = model.path_columns()
     paths = model.paths
-    carried = x[u] + x[z]
+    carried = x[model.path_columns()]
     t = model.integer_columns
     return CostBreakdown(
         first_leg=float(paths.first_leg @ carried),
-        lcl=float(paths.lcl @ x[z]),
+        lcl=float(paths.lcl @ carried),
         hold=float(paths.hold @ carried),
         fcl=float(model.objective[t] @ x[t]),
         fixed_pickup=model.instance.pickup_fixed_cost * len(model.instance.positive_pickups()),

@@ -199,8 +199,8 @@ def delivery_histogram(model: MipModel, solution: np.ndarray, tol: float = 1e-6)
 def consolidation_share(model: MipModel, solution: np.ndarray) -> float | None:
     """FCL-delivered weight over total delivered weight; None if nothing moved."""
     x = np.asarray(solution, dtype=np.float64)
-    u, z = (x[cols].sum() for cols in model.path_columns())
-    total = u + z
+    carried = x[model.path_columns()]
+    u, total = carried[model.paths.container].sum(), carried.sum()
     if total <= 0.0:
         return None
     return float(u / total)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -171,28 +173,43 @@ def solution_vector(model, assignments: dict) -> np.ndarray:
 
 def expected_shape(instance, mode) -> tuple[int, int]:
     """Rows and columns of ``build_mip``'s path model, worked out from the
-    instance. Columns: T on each gateway's departure days, then a container
-    and an LCL column per positive pickup, gateway and departure day on or
-    after the pickup's faster (air) leg lands, whose freight reaches the
-    customer by its product's last due day in window mode, or on one of
-    them in exact-day mode. Rows: one per positive pickup, a capacity row
-    per T column, and a due row per due day of a product but its last."""
+    instance. A path leaves a gateway on a day on or after the pickup's
+    faster (air) leg lands there, and reaches the customer by its
+    product's last due day in window mode, or on one of them in exact-day
+    mode; it costs its cheapest first leg landing by then plus holding.
+    Its due bucket is the first due day on or after it lands. Columns: T
+    on each gateway's departure days, one LCL column per pickup and due
+    bucket, and a container column per path that costs less than that
+    bucket's cheapest LCL path. Rows: one per positive pickup, a capacity
+    row per T column, and a due row per due day of a product but its
+    last."""
     nD = instance.horizon_days
     pickups = [(p, s, d) for (p, s, d), w in instance.pickups.items() if w > 0]
     due_days = {}
     for p, _, d in pickups:
         due_days.setdefault(p, set()).add(min(d + instance.window_days, nD - 1))
     n_t = sum(max(0, nD - instance.second_leg_time[h]) for h in instance.gateways)
-    paths = 0
+    columns = n_t
     for p, s, d in pickups:
+        box_costs, lcl_costs = [], {}
         for h in instance.gateways:
-            t2, lands = instance.second_leg_time[h], d + instance.air_time[s, h]
-            if mode == "window":
-                paths += max(0, max(due_days[p]) - t2 - lands + 1)
-            else:
-                paths += sum(due - t2 >= lands for due in due_days[p])
+            t2, hold = instance.second_leg_time[h], instance.hold_cost[h]
+            legs = [
+                (d + instance.land_time[s, h], instance.land_cost[s, h]),
+                (d + instance.air_time[s, h], instance.air_cost[s, h]),
+            ]
+            for leave in range(d + instance.air_time[s, h], nD - t2):
+                lands = leave + t2
+                if lands > max(due_days[p]) or (mode != "window" and lands not in due_days[p]):
+                    continue
+                cost = min(rate + hold * (leave - at) for at, rate in legs if at <= leave)
+                bucket = min(due for due in due_days[p] if due >= lands)
+                box_costs.append((cost, bucket))
+                lcl = lcl_costs.get(bucket, math.inf)
+                lcl_costs[bucket] = min(lcl, cost + instance.lcl_cost[h])
+        columns += len(lcl_costs) + sum(cost < lcl_costs[b] for cost, b in box_costs)
     rows = len(pickups) + n_t + sum(len(days) - 1 for days in due_days.values())
-    return rows, n_t + 2 * paths
+    return rows, columns
 
 
 def path_column(model, pickup, gateway, day, container=False) -> int:
@@ -201,9 +218,13 @@ def path_column(model, pickup, gateway, day, container=False) -> int:
     r = model.instance.positive_pickups().index(pickup)
     h = model.instance.gateways.index(gateway)
     paths = model.paths
-    (i,) = np.flatnonzero((paths.pickup == r) & (paths.gateway == h) & (paths.day == day))
-    u_cols, z_cols = model.path_columns()
-    return int((u_cols if container else z_cols)[i])
+    (i,) = np.flatnonzero(
+        (paths.pickup == r)
+        & (paths.gateway == h)
+        & (paths.day == day)
+        & (paths.container == container)
+    )
+    return int(model.path_columns()[i])
 
 
 def t_column(model, gateway, day) -> int:

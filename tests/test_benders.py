@@ -339,7 +339,9 @@ class TestRunBenders:
     def test_relaxation_sends_everything_fcl_when_cheaper(self, tiny_instance):
         # per-lb container rate 4800/48000 = 0.10 undercuts LCL at 0.20
         _, x, _ = lp_relaxation(tiny_instance, MODE_WINDOW)
-        _, z_cols = build_mip(tiny_instance, MODE_WINDOW).path_columns()
+        model = build_mip(tiny_instance, MODE_WINDOW)
+        z_cols = model.path_columns()[~model.paths.container]
+        assert len(z_cols) == 1
         assert float(np.abs(x[z_cols]).max(initial=0.0)) <= 1e-9
 
     def test_bounds_monotone(self):
@@ -365,16 +367,6 @@ class TestRunBenders:
         assert res.status == "optimal"
         kinds = {r.cut_kind for r in res.trace.records}
         assert "optimality" in kinds
-
-    def test_max_iters_flagged_unproven(self, tiny_instance):
-        from intransit import BendersParams
-
-        res = run_benders(
-            tiny_instance, MODE_WINDOW, BendersParams(max_iters=1)
-        )
-        assert res.status == "max_iters"
-        assert not res.proven
-        assert res.lower_bound <= res.upper_bound
 
     def test_trace_export(self, tiny_instance):
         res = run_benders(tiny_instance, MODE_WINDOW)

@@ -21,11 +21,21 @@ from intransit.model import FAMILY_CAPACITY, FAMILY_DUE, FAMILY_PICKUP
 
 from arc_model import VarIndexer, expected_arc_shape
 from arc_model import build_mip as build_arc
-from conftest import build_instance, expected_shape, path_column, solution_vector, t_column
+from conftest import (
+    build_instance,
+    expected_shape,
+    highs_objective,
+    path_column,
+    solution_vector,
+    t_column,
+)
 
 # the tiny instance: 1000 lb of p0 picked up at s0 on day 0, due on day 4;
 # land lands at g0 on day 2 at 0.30/lb, air on day 1 at 0.90/lb; the second
-# leg takes a day, so paths leave g0 on days 1 (air), 2 and 3 (land)
+# leg takes a day, so paths leave g0 on days 1 (air), 2 and 3 (land). LCL
+# adds 0.20/lb, so their LCL costs are 1.10, 0.50 and 0.505: in window mode
+# only the day-2 LCL column is built, and the container columns of days 2
+# and 3, which cost less than it
 PICKUP = ("p0", "s0", 0)
 
 
@@ -58,31 +68,31 @@ class TestVariableCount:
             assert build_mip(tiny_instance, mode).A.shape == expected_shape(tiny_instance, mode)
 
     def test_single_cell_window_example(self, tiny_instance):
-        # T on departure days 0-8; paths leave on days 1-3 in window mode,
-        # and on day 3 only in exact-day mode, each with a container and an
-        # LCL column
+        # T on departure days 0-8; in exact-day mode the one path leaves on
+        # day 3, with a container and an LCL column
         model = build_mip(tiny_instance, MODE_WINDOW)
         assert model.t_day.tolist() == list(range(9))
-        assert model.paths.day.tolist() == [1, 2, 3]
-        assert model.paths.air.tolist() == [True, False, False]
-        assert model.num_vars == 15
         assert model.num_rows == 10  # one pickup row and nine capacity rows
         exact = build_mip(tiny_instance, MODE_EXACT_DAY)
-        assert exact.paths.day.tolist() == [3]
+        assert exact.paths.day.tolist() == [3, 3]
+        assert exact.paths.container.tolist() == [True, False]
         assert exact.num_vars == 11
 
     def test_first_leg_columns_only_where_freight_can_leave_the_gateway(self):
         # land takes 3 days, air 1, the last departure from g0 is day 8:
         # by land the day-6 pickup lands on day 9, inside the horizon but
         # too late to leave, so it can only fly
+        # (air at 0.35/lb, so the day-0 pickup's air path by container
+        # costs less than its land path as LCL, 0.50, and keeps a column)
         inst = build_instance(
             suppliers=("s0", "s1"),
             pickups={("p0", "s0", 0): 10.0, ("p0", "s0", 6): 20.0},
             land_time=3,
+            air_cost=0.35,
         )
         model = build_mip(inst, MODE_WINDOW)
         late = model.paths.pickup == 1
-        assert model.paths.day[late].tolist() == [7, 8]
+        assert np.unique(model.paths.day[late]).tolist() == [7, 8]
         assert model.paths.air[late].all()
         # every first leg some column stands for; none from s1, where
         # nothing is picked up
@@ -94,7 +104,64 @@ class TestVariableCount:
         assert build_mip(tiny_instance, MODE_WINDOW).t_day.max() == 8
         # a day-7 pickup is due on the last day, 9, so it leaves on day 8
         model = build_mip(build_instance(pickups={("p0", "s0", 7): 500.0}), MODE_WINDOW)
-        assert model.paths.day.tolist() == [8]
+        assert model.paths.day.tolist() == [8, 8]
+
+
+class TestDominance:
+    """Only path columns an optimum can use are built: per pickup and due
+    bucket the cheapest LCL path, and the container columns that cost less
+    than it. The bucket is the first due day on or after a path lands."""
+
+    def test_tiny_window_keeps_the_cheapest_lcl_and_the_cheaper_containers(self, tiny_instance):
+        # LCL costs 1.10, 0.50, 0.505 on days 1-3: the day-2 column stays;
+        # containers cost 0.90, 0.30, 0.305: those of days 2 and 3 stay
+        model = build_mip(tiny_instance, MODE_WINDOW)
+        paths = model.paths
+        assert paths.day[~paths.container].tolist() == [2]
+        assert paths.day[paths.container].tolist() == [2, 3]
+        assert model.objective[model.path_columns()].tolist() == pytest.approx([0.30, 0.305, 0.50])
+        assert model.num_vars == 12
+        assert model.linking.u_cols.tolist() == [box(model, 2), box(model, 3)]
+
+    @pytest.mark.parametrize(
+        "mode, lcl_days",
+        [(MODE_WINDOW, {0: [2, 4], 1: [3, 4]}), (MODE_EXACT_DAY, {0: [3, 5], 1: [3, 5]})],
+    )
+    def test_pooled_product_keeps_one_lcl_column_per_pickup_and_due_day(self, mode, lcl_days):
+        # p0 is due on days 4 and 6. The day-0 pickup's cheapest LCL paths
+        # land by day 4 on day 3 (land, left on day 2) and after it on day
+        # 5 (land, held to day 4); the day-2 pickup only flies in time for
+        # day 4 and lands by land on day 4, leaving on day 4 for day 6
+        inst = build_instance(pickups={PICKUP: 1000.0, ("p0", "s0", 2): 500.0})
+        model = build_mip(inst, mode)
+        paths = model.paths
+        goes_lcl = ~paths.container
+        for r, days in lcl_days.items():
+            assert paths.day[goes_lcl & (paths.pickup == r)].tolist() == days
+        # every built container column costs less than the LCL column it
+        # shares its due rows with
+        cost = model.objective[model.path_columns()]
+        lands = paths.day + 1
+        bucket = np.where(lands <= 4, 4, 6)
+        for i in np.flatnonzero(paths.container):
+            (j,) = np.flatnonzero(goes_lcl & (paths.pickup == paths.pickup[i]) & (bucket == bucket[i]))
+            assert cost[i] < cost[j]
+        assert highs_objective(model) == pytest.approx(highs_objective(build_arc(inst, mode)), rel=1e-9)
+
+    @pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+    def test_free_lcl_leaves_no_container_column(self, mode):
+        # with LCL free at g0, no container undercuts the cheapest LCL path
+        inst = build_instance(
+            gateways=("g0", "g1"),
+            pickups={PICKUP: 1000.0, ("p0", "s0", 2): 500.0},
+            lcl_cost={"g0": 0.0, "g1": 0.20},
+        )
+        model = build_mip(inst, mode)
+        assert not model.paths.container.any()
+        assert len(model.linking.u_cols) == 0
+        assert (model.paths.gateway == 0).all()
+        assert model.num_vars == len(model.integer_columns) + 4  # two pickups, two due days
+        assert highs_objective(model) == pytest.approx(highs_objective(build_arc(inst, mode)), rel=1e-9)
 
 
 class TestVarIndexer:
@@ -172,22 +239,23 @@ class TestRowFamilies:
         for d in range(9):
             r = np.flatnonzero(cap)[d]
             want = {t_column(model, "g0", d): -48000.0}
-            if d in (1, 2, 3):
+            if d in (2, 3):  # no container column flies on day 1
                 want[box(model, d)] = 1.0
             assert {int(c): A[r, c] for c in np.flatnonzero(A[r])} == want
 
-    def test_pickup_rows_cover_both_modes(self, tiny_instance):
-        # the pickup row holds every path, by air (day 1) and by land
-        model = build_mip(tiny_instance, MODE_WINDOW)
+    def test_pickup_rows_cover_both_modes(self):
+        # the pickup row holds every path column, by air (day 1) and by
+        # land; air at 0.35/lb keeps the day-1 container column
+        model = build_mip(build_instance(air_cost=0.35), MODE_WINDOW)
         A = model.A.toarray()
         r = np.flatnonzero(model.row_tags == FAMILY_PICKUP)[0]
         assert model.senses[r] == "="
         assert model.rhs[r] == 1000.0
         assert set(model.paths.air.tolist()) == {True, False}
+        assert A[r, lcl(model, 2)] == 1.0
         for d in (1, 2, 3):
-            assert A[r, lcl(model, d)] == 1.0
             assert A[r, box(model, d)] == 1.0
-        assert A[r].sum() == 6.0  # nothing else in the row
+        assert A[r].sum() == 4.0  # nothing else in the row
 
     def test_customer_rhs_lands_at_due_day(self, tiny_instance):
         # a day-0 pickup with a 4-day window is due on day 4: its paths
@@ -196,7 +264,7 @@ class TestRowFamilies:
             mode: (build_mip(tiny_instance, mode).paths.day + 1).tolist()
             for mode in (MODE_WINDOW, MODE_EXACT_DAY)
         }
-        assert lands == {MODE_WINDOW: [2, 3, 4], MODE_EXACT_DAY: [4]}
+        assert lands == {MODE_WINDOW: [3, 4, 3], MODE_EXACT_DAY: [4, 4]}
         # a second pickup, due on day 6, leaves a due row for day 4
         inst = build_instance(pickups={PICKUP: 1000.0, ("p0", "s0", 2): 500.0})
         for mode, sense, sign in ((MODE_WINDOW, "<", -1.0), (MODE_EXACT_DAY, "=", 1.0)):
@@ -204,29 +272,29 @@ class TestRowFamilies:
             (r,) = np.flatnonzero(model.row_tags == FAMILY_DUE)
             assert model.senses[r] == sense
             assert model.rhs[r] == sign * 1000.0
-            u_cols, z_cols = model.path_columns()
             row = model.A[r].toarray().ravel()
             on_time = model.paths.day + 1 <= 4 if mode == MODE_WINDOW else model.paths.day + 1 == 4
-            for cols in (u_cols, z_cols):
-                assert (row[cols] == np.where(on_time, sign, 0.0)).all()
+            assert (row[model.path_columns()] == np.where(on_time, sign, 0.0)).all()
+            assert set(model.paths.container[on_time].tolist()) == {True, False}
             assert max(model.paths.day + 1) == 6
 
     def test_stock_columns_start_on_day_1(self, tiny_instance):
         # stocks are no columns, but the flows a column stands for hold
         # freight at the gateway from the day after it lands, and early
         # freight at the customer from the day after it arrives
-        model = build_mip(tiny_instance, MODE_WINDOW)
-        assert solution_flows(model, solution_vector(model, {lcl(model, 3): 1000.0})) == {
+        exact = build_mip(tiny_instance, MODE_EXACT_DAY)
+        assert solution_flows(exact, solution_vector(exact, {lcl(exact, 3): 1000.0})) == {
             VarKey("X", "p0", "s0", "g0", 0): 1000.0,
             VarKey("I", "p0", None, "g0", 3): 1000.0,
             VarKey("Z", "p0", None, "g0", 3): 1000.0,
         }
-        for col in range(model.num_vars):
-            flows = solution_flows(model, solution_vector(model, {col: 1.0}))
-            assert all(1 <= k.d <= 8 for k in flows if k.kind == "I")
-            assert all(1 <= k.d <= 9 for k in flows if k.kind == "N")
-        # every column that exists sits in a row
-        assert (np.diff(model.A.tocsc().indptr) > 0).all()
+        for model in (build_mip(tiny_instance, MODE_WINDOW), exact):
+            for col in range(model.num_vars):
+                flows = solution_flows(model, solution_vector(model, {col: 1.0}))
+                assert all(1 <= k.d <= 8 for k in flows if k.kind == "I")
+                assert all(1 <= k.d <= 9 for k in flows if k.kind == "N")
+            # every column that exists sits in a row
+            assert (np.diff(model.A.tocsc().indptr) > 0).all()
 
     def test_deterministic_assembly(self, tiny_instance):
         a = build_mip(tiny_instance, MODE_WINDOW)
@@ -258,13 +326,13 @@ class TestLinking:
         )
         model = build_mip(inst, MODE_WINDOW)
         link, paths = model.linking, model.paths
-        u_cols, _ = model.path_columns()
-        np.testing.assert_array_equal(link.u_cols, u_cols)
-        np.testing.assert_array_equal(model.t_gateway[link.t_cols], paths.gateway)
-        np.testing.assert_array_equal(model.t_day[link.t_cols], paths.day)
-        assert set(paths.pickup.tolist()) == {0, 1, 2}
+        box = paths.container
+        np.testing.assert_array_equal(link.u_cols, model.path_columns()[box])
+        np.testing.assert_array_equal(model.t_gateway[link.t_cols], paths.gateway[box])
+        np.testing.assert_array_equal(model.t_day[link.t_cols], paths.day[box])
+        assert set(paths.pickup[box].tolist()) == {0, 1, 2}
         np.testing.assert_array_equal(
-            link.weights, np.array([40000.0, 20000.0, 1500.0])[paths.pickup]
+            link.weights, np.array([40000.0, 20000.0, 1500.0])[paths.pickup[box]]
         )
 
     def test_violated_rows_and_their_block(self, tiny_instance):
@@ -292,24 +360,31 @@ class TestObjective:
         model = build_mip(tiny_instance, MODE_WINDOW)
         obj = model.objective
         assert obj[t_column(model, "g0", 3)] == 4800.0
-        # air lands on day 1; land on day 2, then holds a day for day 3
-        assert obj[box(model, 1)] == pytest.approx(0.90)
+        # land lands on day 2, then holds a day for day 3
         assert obj[box(model, 2)] == 0.30
         assert obj[box(model, 3)] == pytest.approx(0.305)
         assert obj[lcl(model, 2)] == pytest.approx(0.50)
-        assert obj[lcl(model, 3)] == pytest.approx(0.505)
+        exact = build_mip(tiny_instance, MODE_EXACT_DAY)
+        assert exact.objective[lcl(exact, 3)] == pytest.approx(0.505)
+        # air lands on day 1; its container column is built where LCL costs
+        # more than 0.90 - 0.30
+        dear = build_mip(build_instance(lcl_cost=1.0), MODE_WINDOW)
+        assert dear.objective[box(dear, 1)] == pytest.approx(0.90)
 
     def test_cost_class_partition(self, tiny_instance):
         # the per-column cost parts add up to the objective
+        # (the container columns of days 2 and 3, then the day-2 LCL column)
         model = build_mip(tiny_instance, MODE_WINDOW)
         paths = model.paths
-        assert paths.first_leg.tolist() == pytest.approx([0.90, 0.30, 0.30])
-        assert paths.hold.tolist() == pytest.approx([0.0, 0.0, 0.005])
-        assert paths.lcl.tolist() == [0.20] * 3
-        u_cols, z_cols = model.path_columns()
-        np.testing.assert_array_equal(model.objective[u_cols], paths.first_leg + paths.hold)
+        assert paths.first_leg.tolist() == pytest.approx([0.30, 0.30, 0.30])
+        assert paths.hold.tolist() == pytest.approx([0.0, 0.005, 0.0])
+        assert paths.lcl.tolist() == [0.0, 0.0, 0.20]
+        cols, box = model.path_columns(), paths.container
         np.testing.assert_array_equal(
-            model.objective[z_cols], paths.first_leg + paths.hold + paths.lcl
+            model.objective[cols[box]], (paths.first_leg + paths.hold)[box]
+        )
+        np.testing.assert_array_equal(
+            model.objective[cols], paths.first_leg + paths.hold + paths.lcl
         )
         assert (model.objective[model.integer_columns] == 4800.0).all()
 
@@ -319,7 +394,7 @@ class TestObjective:
         assert model.t_gateway.tolist() == [0] * 9
 
     def test_breakdown_and_split(self, tiny_instance):
-        model = build_mip(tiny_instance, MODE_WINDOW)
+        model = build_mip(tiny_instance, MODE_EXACT_DAY)
         # ship by land day 0, hold one day, LCL out on day 3
         x = solution_vector(model, {lcl(model, 3): 1000.0})
         bd = objective_breakdown(model, x)
@@ -340,9 +415,9 @@ class TestObjective:
 
 class TestCheckSolution:
     def _feasible_window_solution(self, model):
-        # land day 0 (arrives day 2), hold through day 3, LCL day 3,
-        # arrives day 4 which is exactly the due day
-        return solution_vector(model, {lcl(model, 3): 1000.0})
+        # land day 0 (arrives day 2), LCL day 2, arrives day 3, the day
+        # before it is due
+        return solution_vector(model, {lcl(model, 2): 1000.0})
 
     def test_feasible_solution_passes(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
@@ -361,7 +436,7 @@ class TestCheckSolution:
     def test_pickup_violation_detected(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
         x = self._feasible_window_solution(model)
-        x[lcl(model, 3)] = 900.0
+        x[lcl(model, 2)] = 900.0
         report = check_solution(model, x)
         assert report.family_residuals[FAMILY_PICKUP] == pytest.approx(100.0)
         assert not report.ok(1e-6)
@@ -369,7 +444,7 @@ class TestCheckSolution:
     def test_capacity_violation_detected(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
         x = self._feasible_window_solution(model)
-        x[lcl(model, 3)] = 0.0
+        x[lcl(model, 2)] = 0.0
         x[box(model, 3)] = 1000.0  # container weight with T = 0
         report = check_solution(model, x)
         assert report.family_residuals[FAMILY_CAPACITY] == pytest.approx(1000.0)
@@ -378,7 +453,7 @@ class TestCheckSolution:
         model = build_mip(tiny_instance, MODE_WINDOW)
         x = self._feasible_window_solution(model)
         x[t_column(model, "g0", 3)] = 0.4
-        x[lcl(model, 2)] = -2.0
+        x[box(model, 2)] = -2.0
         report = check_solution(model, x)
         assert report.max_integrality_violation == pytest.approx(0.4)
         assert report.max_negativity == pytest.approx(2.0)

@@ -178,7 +178,7 @@ class TestConsolidationShare:
             model,
             {
                 path_column(model, pickup, "g0", 3, container=True): 750.0,
-                path_column(model, pickup, "g0", 3): 250.0,
+                path_column(model, pickup, "g0", 2): 250.0,
             },
         )
         assert consolidation_share(model, x) == pytest.approx(0.75)

@@ -335,25 +335,22 @@ def _load_config(path: Path) -> dict:
     return cfg
 
 
-def load_instance(source) -> Instance:
-    """Load an Instance from a directory or a mapping of file paths.
+def load_instance(source: str | Path) -> Instance:
+    """Load an Instance from a directory.
 
     Expected files (CSV with header row): suppliers, gateways, pickups, and
     either explicit per-pair rates (rates_override.csv) or zone files
     (zone_matrix.csv + rate_classes.csv) covering every supplier/gateway
     zone pair. A config file supplies horizon_days and window_days.
     """
-    if isinstance(source, (str, Path)):
-        base = Path(source)
-        paths = {}
-        for key, name in _FILE_NAMES.items():
-            candidate = base / name
-            if key == "config" and not candidate.exists():
-                candidate = base / "config.txt"
-            if candidate.exists():
-                paths[key] = candidate
-    else:
-        paths = {k: Path(v) for k, v in dict(source).items()}
+    base = Path(source)
+    paths = {}
+    for key, name in _FILE_NAMES.items():
+        candidate = base / name
+        if key == "config" and not candidate.exists():
+            candidate = base / "config.txt"
+        if candidate.exists():
+            paths[key] = candidate
 
     for required in ("suppliers", "gateways", "pickups", "config"):
         if required not in paths:

@@ -2,9 +2,8 @@
 
 Columns (all nonnegative; times 0-based days):
 
-  T[h,d]  container count at gateway h on day d (integer), on each
-          gateway's departure days ``d < horizon - t2(h)``, whose arrival
-          lands inside the horizon
+  T[h,d]  container count at gateway h on day d (integer), one per
+          gateway and day that some container column leaves on
   paths   the lbs of positive pickup r that leave gateway h on day d
           inside containers, or as LCL, on a path that reaches the
           customer in time: a container column per such path that costs
@@ -58,7 +57,11 @@ bucket's cheapest has that column's entries at no lower cost, and a
 container path that costs no less than that column can hand it its lbs at
 no greater cost, which leaves every capacity and linking row slacker.
 Neither is needed for an optimum at any T, of the LP, the LP with the
-linking rows, or the MILP, so neither is built.
+linking rows, or the MILP, so neither is built. A T column of a gateway
+and day that no kept container column leaves on would stand only in its
+own capacity row ``-cap·T <= 0`` and in the objective at ``fcl_h >= 0``,
+and in no linking row; setting it to 0 keeps every plan feasible at no
+greater cost, so neither it nor its row is built either.
 
 The strong linking rows ``u <= W·T[h,d]``, one per container column, with
 W the smaller of the container capacity and the pickup's weight, are valid
@@ -72,7 +75,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -176,8 +179,9 @@ class MipModel:
     """Sparse constraint system with objective and integrality marks.
 
     Rows are stored as ``A x (sense) rhs`` with sense ``=`` or ``<``. The
-    T columns come first, one per (``t_gateway``, ``t_day``), in gateway
-    then day order; the path columns follow (see :class:`Paths`).
+    T columns come first, one per (``t_gateway``, ``t_day``) that some
+    container column leaves on, in gateway then day order, each with its
+    capacity row; the path columns follow (see :class:`Paths`).
     """
 
     instance: Instance
@@ -208,18 +212,6 @@ class MipModel:
     def family_counts(self) -> dict[str, int]:
         tags, counts = np.unique(self.row_tags, return_counts=True)
         return dict(zip(tags.tolist(), counts.tolist()))
-
-    def export_text(self, stream: TextIO) -> None:
-        """Deterministic plain-text dump: one row per line."""
-        acsr = self.A
-        for r in range(self.num_rows):
-            lo, hi = acsr.indptr[r], acsr.indptr[r + 1]
-            cols = acsr.indices[lo:hi]
-            vals = acsr.data[lo:hi]
-            pairs = " ".join(f"{c}:{v:.12g}" for c, v in zip(cols, vals))
-            stream.write(
-                f"{self.row_tags[r]} {self.senses[r]} {self.rhs[r]:.12g} {pairs}\n"
-            )
 
 
 def _due_day(instance: Instance, day: int) -> int:
@@ -294,17 +286,15 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW) -> MipModel:
 
     gateways = instance.gateways
     t2 = np.array([instance.second_leg_time[h] for h in gateways], dtype=np.int64)
-    departures = np.maximum(instance.horizon_days - t2, 0)
-    t_gateway = np.repeat(np.arange(len(gateways)), departures)
-    t_start = np.concatenate(([0], np.cumsum(departures)))
-    t_day = np.arange(len(t_gateway)) - t_start[t_gateway]
-    n_t = len(t_gateway)
-
     paths = _paths(instance, mode)
-    n = len(paths.day)
-    cols = n_t + np.arange(n)
     box = paths.container
-    t_of_box = t_start[paths.gateway[box]] + paths.day[box]
+    # one T column per (gateway, day) some container column leaves on
+    keys, t_of_box = np.unique(
+        paths.gateway[box] * instance.horizon_days + paths.day[box], return_inverse=True
+    )
+    t_gateway, t_day = np.divmod(keys, instance.horizon_days)
+    n_t, n = len(keys), len(paths.day)
+    cols = n_t + np.arange(n)
     pickups = instance.positive_pickups()
     weight = np.array([instance.pickups[key] for key in pickups])
 

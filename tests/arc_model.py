@@ -50,7 +50,6 @@ within the horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -262,18 +261,6 @@ class MipModel:
     def family_counts(self) -> dict[str, int]:
         tags, counts = np.unique(self.row_tags, return_counts=True)
         return dict(zip(tags.tolist(), counts.tolist()))
-
-    def export_text(self, stream: TextIO) -> None:
-        """Deterministic plain-text dump: one row per line."""
-        acsr = self.A
-        for r in range(self.num_rows):
-            lo, hi = acsr.indptr[r], acsr.indptr[r + 1]
-            cols = acsr.indices[lo:hi]
-            vals = acsr.data[lo:hi]
-            pairs = " ".join(f"{c}:{v:.12g}" for c, v in zip(cols, vals))
-            stream.write(
-                f"{self.row_tags[r]} {self.senses[r]} {self.rhs[r]:.12g} {pairs}\n"
-            )
 
 
 def build_mip(instance: Instance, mode: str = MODE_WINDOW, *, require_routes: bool = True) -> MipModel:

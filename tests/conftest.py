@@ -177,19 +177,18 @@ def expected_shape(instance, mode) -> tuple[int, int]:
     faster (air) leg lands there, and reaches the customer by its
     product's last due day in window mode, or on one of them in exact-day
     mode; it costs its cheapest first leg landing by then plus holding.
-    Its due bucket is the first due day on or after it lands. Columns: T
-    on each gateway's departure days, one LCL column per pickup and due
-    bucket, and a container column per path that costs less than that
-    bucket's cheapest LCL path. Rows: one per positive pickup, a capacity
-    row per T column, and a due row per due day of a product but its
-    last."""
+    Its due bucket is the first due day on or after it lands. Columns: one
+    LCL column per pickup and due bucket, a container column per path that
+    costs less than that bucket's cheapest LCL path, and T on each
+    (gateway, day) some container column leaves on. Rows: one per
+    positive pickup, a capacity row per T column, and a due row per due
+    day of a product but its last."""
     nD = instance.horizon_days
     pickups = [(p, s, d) for (p, s, d), w in instance.pickups.items() if w > 0]
     due_days = {}
     for p, _, d in pickups:
         due_days.setdefault(p, set()).add(min(d + instance.window_days, nD - 1))
-    n_t = sum(max(0, nD - instance.second_leg_time[h]) for h in instance.gateways)
-    columns = n_t
+    columns, t_pairs = 0, set()
     for p, s, d in pickups:
         box_costs, lcl_costs = [], {}
         for h in instance.gateways:
@@ -204,12 +203,14 @@ def expected_shape(instance, mode) -> tuple[int, int]:
                     continue
                 cost = min(rate + hold * (leave - at) for at, rate in legs if at <= leave)
                 bucket = min(due for due in due_days[p] if due >= lands)
-                box_costs.append((cost, bucket))
+                box_costs.append((cost, bucket, (h, leave)))
                 lcl = lcl_costs.get(bucket, math.inf)
                 lcl_costs[bucket] = min(lcl, cost + instance.lcl_cost[h])
-        columns += len(lcl_costs) + sum(cost < lcl_costs[b] for cost, b in box_costs)
-    rows = len(pickups) + n_t + sum(len(days) - 1 for days in due_days.values())
-    return rows, columns
+        kept = [t for cost, b, t in box_costs if cost < lcl_costs[b]]
+        columns += len(lcl_costs) + len(kept)
+        t_pairs.update(kept)
+    rows = len(pickups) + len(t_pairs) + sum(len(days) - 1 for days in due_days.values())
+    return rows, columns + len(t_pairs)
 
 
 def path_column(model, pickup, gateway, day, container=False) -> int:

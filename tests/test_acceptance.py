@@ -211,6 +211,22 @@ def test_every_column_sits_in_a_row_and_no_gateway_row_outlives_its_departures(
         assert (paths.gateway[i] == h).all() and (paths.day[i] == d).all(), f"row {r}"
 
 
+@pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+@pytest.mark.parametrize(
+    "instance",
+    [readme_instance, port_network_instance, generated_20x5x3x30(1)],
+    ids=["readme", "port", "gen-1"],
+)
+def test_every_capacity_row_holds_a_container_column(instance, mode):
+    """A T column only exists where some container column leaves its
+    gateway on its day: a T column whose capacity row held none could only
+    cost, and each container column's linking T is the T of its row."""
+    model = build_mip(instance(), mode)
+    n_t = len(model.integer_columns)
+    assert n_t > 0
+    np.testing.assert_array_equal(np.unique(model.linking.t_cols), np.arange(n_t))
+
+
 @pytest.mark.parametrize("solver", ["milp", "benders"])
 @pytest.mark.parametrize(
     "instance, mode",
@@ -630,16 +646,16 @@ def test_simplex_matches_vertex_enumeration_on_500_random_lps():
 @pytest.mark.parametrize(
     "instance, mode, shape",
     [
-        (readme_instance, MODE_WINDOW, (25, 44)),
-        (readme_instance, MODE_EXACT_DAY, (25, 35)),
-        (port_network_instance, MODE_WINDOW, (106, 138)),
-        (port_network_instance, MODE_EXACT_DAY, (106, 126)),
+        (readme_instance, MODE_WINDOW, (16, 35)),
+        (readme_instance, MODE_EXACT_DAY, (13, 23)),
+        (port_network_instance, MODE_WINDOW, (30, 62)),
+        (port_network_instance, MODE_EXACT_DAY, (26, 46)),
     ],
     ids=["readme-window", "readme-exact-day", "port-window", "port-exact-day"],
 )
 def test_model_is_the_path_model(instance, mode, shape):
     """``build_mip`` builds the path model, rows x columns: in window mode
-    25 x 44 on the README example and 106 x 138 on the port network,
+    16 x 35 on the README example and 30 x 62 on the port network,
     where the arc model is 185 x 385 and 2,426 x 5,886."""
     assert build_mip(instance(), mode).A.shape == shape
 

@@ -1,6 +1,7 @@
 """Decomposition loop: cuts, master, bounds, and oracle agreement."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -24,15 +25,18 @@ from intransit.benders import _master_row, _prepare, _solve_sub
 from intransit.cli import run
 from intransit.errors import InfeasibleInstanceError, SolverError
 from intransit.milp import MILP_NODE_LIMIT, lp_from_mip
+from intransit.model import FAMILY_CAPACITY
 from intransit.simplex import STATUS_OPTIMAL, solve_lp
 
 from arc_model import build_mip as build_arc
 from conftest import (
     build_instance,
+    highs_objective,
     random_small_config,
     readme_instance,
     route_invalid_instance,
     strong_lp_bound,
+    t_column,
 )
 
 
@@ -106,19 +110,61 @@ def test_an_unroutable_instance_is_refused_the_same_way_everywhere(entry, tmp_pa
     assert capsys.readouterr().err.startswith("infeasible: pickup (")
 
 
-# the tiny instance's containers: one T column per departure day 0-8
+@pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+def test_free_lcl_builds_no_container_and_every_solver_ships_all_lcl(mode, tmp_path):
+    # with LCL free at every gateway no container path undercuts its LCL
+    # column, so the model has no T column and no capacity row, and each
+    # solver's plan sends all 1,500 lb as LCL at the arc model's optimum
+    inst = build_instance(
+        gateways=("g0", "g1"),
+        pickups={("p0", "s0", 0): 1000.0, ("p0", "s0", 2): 500.0},
+        lcl_cost=0.0,
+    )
+    model = build_mip(inst, mode)
+    assert len(model.integer_columns) == 0
+    assert FAMILY_CAPACITY not in model.family_counts()
+    assert not model.paths.container.any()
+    want = highs_objective(build_arc(inst, mode))
+
+    relaxed, x, _ = lp_relaxation(inst, mode)
+    milp = solve_milp(model)
+    benders = run_benders(inst, mode)
+    assert milp.status == "optimal" and benders.status == "optimal" and benders.proven
+    assert len(benders.t_values) == 0
+    for objective, plan in ((relaxed, x), (milp.objective, milp.x), (benders.objective, benders.x_full)):
+        assert objective == pytest.approx(want, rel=1e-9)
+        assert plan.sum() == pytest.approx(1500.0, rel=1e-12)
+
+    out = tmp_path / "out"
+    path = str(save_instance(inst, tmp_path / "inst"))
+    assert run(["benders", "--instance", path, "--mode", mode.replace("_", "-"), "--out", str(out)]) == 0
+    payload = json.loads((out / "solution.json").read_text())
+    assert payload["objective"] == pytest.approx(want, rel=1e-9)
+    kinds = {key.split("[")[0] for key in payload["variables"]}
+    assert "T" not in kinds and "U" not in kinds
+    lcl = sum(v for key, v in payload["variables"].items() if key.startswith("Z["))
+    assert lcl == pytest.approx(1500.0, rel=1e-12)
+
+
+def tiny_sub(instance):
+    """The window subproblem of the tiny instance, and a zero T vector over
+    its T columns: one per day a container column leaves on, days 2 and 3."""
+    sub = _prepare(build_mip(instance, MODE_WINDOW))
+    return sub, np.zeros(len(sub.model.integer_columns))
+
+
 class TestSubproblem:
     def test_zero_containers_means_all_lcl(self, tiny_instance):
-        result = _solve_sub(_prepare(build_mip(tiny_instance, MODE_WINDOW)), np.zeros(9))
+        sub, t = tiny_sub(tiny_instance)
+        result = _solve_sub(sub, t)
         assert result.status == STATUS_OPTIMAL
         # land 0.30 + LCL 0.20 on 1000 lbs; no container appears
         assert result.objective == pytest.approx(500.0, rel=1e-9)
 
     def test_container_unlocks_cheaper_leg(self, tiny_instance):
-        sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
-        base = _solve_sub(sub, np.zeros(9))
-        t = np.zeros(9)
-        t[2] = 1.0  # container on the day the land shipment reaches the gateway
+        sub, t = tiny_sub(tiny_instance)
+        base = _solve_sub(sub, t)
+        t[t_column(sub.model, "g0", 2)] = 1.0  # the day the land shipment reaches the gateway
         with_box = _solve_sub(sub, t)
         assert with_box.status == STATUS_OPTIMAL
         # the 0.20/lb LCL charge on 1000 lbs disappears into the container
@@ -129,9 +175,8 @@ class TestSubproblem:
     ):
         # 1000 lbs, so W_p = 1000: a 1/48 container carries at most 1000/48
         # lbs under U <= W_p·T, not the 1000 the capacity row alone allows
-        sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
-        t = np.zeros(9)
-        t[2] = 1.0 / 48.0
+        sub, t = tiny_sub(tiny_instance)
+        t[t_column(sub.model, "g0", 2)] = 1.0 / 48.0
         result = _solve_sub(sub, t)
         assert result.status == STATUS_OPTIMAL
         assert result.objective == pytest.approx(500.0 - 200.0 / 48.0, rel=1e-9)
@@ -142,7 +187,7 @@ class TestSubproblem:
         # whose value the joined row leaves unchanged
         row = optimality_row(sub, result)
         assert cut_value(row, t) == pytest.approx(result.objective, rel=1e-9)
-        t[2] = 1.0
+        t[t_column(sub.model, "g0", 2)] = 1.0
         whole = _solve_sub(sub, t)
         assert whole.objective == pytest.approx(300.0, rel=1e-9)
         assert cut_value(row, t) <= whole.objective + 1e-6
@@ -185,37 +230,35 @@ class TestSubproblem:
 
 
 class TestOptimalityCuts:
-    def _sub_and_result(self, instance, t):
-        sub = _prepare(build_mip(instance, MODE_WINDOW))
+    def _sub_and_result(self, instance):
+        sub, t = tiny_sub(instance)
         result = _solve_sub(sub, t)
         assert result.status == STATUS_OPTIMAL
-        return sub, result
+        return sub, t, result
 
     def test_tight_at_generator(self, tiny_instance):
-        t = np.zeros(9)
-        sub, result = self._sub_and_result(tiny_instance, t)
+        sub, t, result = self._sub_and_result(tiny_instance)
         row = optimality_row(sub, result)
         assert cut_value(row, t) == pytest.approx(result.objective, rel=1e-6)
 
     def test_valid_at_other_points(self, tiny_instance):
-        t0 = np.zeros(9)
-        sub, result = self._sub_and_result(tiny_instance, t0)
+        sub, t0, result = self._sub_and_result(tiny_instance)
         row = optimality_row(sub, result)
         rng = np.random.default_rng(1)
         for _ in range(6):
-            t = rng.integers(0, 3, size=9).astype(np.float64)
+            t = rng.integers(0, 3, size=len(t0)).astype(np.float64)
             other = _solve_sub(sub, t)
             assert other.status == STATUS_OPTIMAL
             tol = 1e-6 * (1.0 + abs(other.objective))
             assert cut_value(row, t) <= other.objective + tol
 
     def test_dimension_mismatch(self, tiny_instance):
-        sub, _ = self._sub_and_result(tiny_instance, np.zeros(9))
+        sub, _, _ = self._sub_and_result(tiny_instance)
         with pytest.raises(SolverError, match="rows"):
-            _master_row(np.zeros(3), sub.lp, sub.t_cols)
+            _master_row(np.zeros(sub.lp.num_rows + 1), sub.lp, sub.t_cols)
 
     def test_zero_duals_give_the_master_row(self, tiny_instance, monkeypatch):
-        sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
+        sub, t = tiny_sub(tiny_instance)
         row, rhs = _master_row(np.zeros(sub.lp.num_rows), sub.lp, sub.t_cols)
         problems = []
         solve = bd.solve_milp
@@ -225,12 +268,12 @@ class TestOptimalityCuts:
             return solve(problem, *args, **kwargs)
 
         monkeypatch.setattr(bd, "solve_milp", recorded)
-        solve_master(np.ones(9), 3.0)
+        solve_master(np.ones(len(t)), 3.0)
         (master,) = problems
         # the master starts from the one row q >= 0, which zero duals give
         assert master.lp.A.tolist() == [row.tolist()]
         assert master.lp.rhs.tolist() == [rhs]
-        assert row.tolist() == [0.0] * 9 + [-1.0]
+        assert row.tolist() == [0.0] * len(t) + [-1.0]
 
 
 class TestCompleteRecourse:
@@ -292,14 +335,14 @@ class TestMaster:
 
     def test_lower_bound_after_first_cut(self, tiny_instance):
         h_costs, t_upper = self._master_costs(tiny_instance)
-        sub = _prepare(build_mip(tiny_instance, MODE_WINDOW))
-        result = _solve_sub(sub, np.zeros(9))
+        sub, t = tiny_sub(tiny_instance)
+        result = _solve_sub(sub, t)
         row = optimality_row(sub, result)
         lb = solve_master(h_costs, t_upper, separate=add_once(row)).bound
         # closed form: min over T of c3'T + max(0, q(0) - w'T)
-        w = -row[0][:9]
+        w = -row[0][: len(t)]
         candidates = [result.objective]  # T = 0
-        for j in range(9):
+        for j in range(len(t)):
             for n in (1, 2, 3):
                 candidates.append(
                     h_costs[j] * n + max(0.0, result.objective - w[j] * n)

@@ -1,7 +1,5 @@
 """Model assembly: path columns, row families, objective, residual checks."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -68,15 +66,16 @@ class TestVariableCount:
             assert build_mip(tiny_instance, mode).A.shape == expected_shape(tiny_instance, mode)
 
     def test_single_cell_window_example(self, tiny_instance):
-        # T on departure days 0-8; in exact-day mode the one path leaves on
-        # day 3, with a container and an LCL column
+        # T on the days container columns leave, 2 and 3; in exact-day mode
+        # the one path leaves on day 3, with a container and an LCL column
         model = build_mip(tiny_instance, MODE_WINDOW)
-        assert model.t_day.tolist() == list(range(9))
-        assert model.num_rows == 10  # one pickup row and nine capacity rows
+        assert model.t_day.tolist() == [2, 3]
+        assert model.num_rows == 3  # one pickup row and two capacity rows
         exact = build_mip(tiny_instance, MODE_EXACT_DAY)
         assert exact.paths.day.tolist() == [3, 3]
         assert exact.paths.container.tolist() == [True, False]
-        assert exact.num_vars == 11
+        assert exact.t_day.tolist() == [3]
+        assert exact.num_vars == 3
 
     def test_first_leg_columns_only_where_freight_can_leave_the_gateway(self):
         # land takes 3 days, air 1, the last departure from g0 is day 8:
@@ -100,11 +99,12 @@ class TestVariableCount:
         first_leg = sorted(str(k) for k in every if k.kind in ("X", "Y"))
         assert first_leg == ["X[p0,s0,g0,0]", "Y[p0,s0,g0,0]", "Y[p0,s0,g0,6]"]
 
-    def test_no_departure_arrives_after_the_horizon(self, tiny_instance):
-        assert build_mip(tiny_instance, MODE_WINDOW).t_day.max() == 8
-        # a day-7 pickup is due on the last day, 9, so it leaves on day 8
+    def test_no_departure_arrives_after_the_horizon(self):
+        # a day-7 pickup is due on the last day, 9, so it leaves on day 8,
+        # the last day whose departure lands inside the horizon
         model = build_mip(build_instance(pickups={("p0", "s0", 7): 500.0}), MODE_WINDOW)
         assert model.paths.day.tolist() == [8, 8]
+        assert model.t_day.tolist() == [8]
 
 
 class TestDominance:
@@ -120,7 +120,7 @@ class TestDominance:
         assert paths.day[~paths.container].tolist() == [2]
         assert paths.day[paths.container].tolist() == [2, 3]
         assert model.objective[model.path_columns()].tolist() == pytest.approx([0.30, 0.305, 0.50])
-        assert model.num_vars == 12
+        assert model.num_vars == 5  # T on days 2 and 3, and the three paths
         assert model.linking.u_cols.tolist() == [box(model, 2), box(model, 3)]
 
     @pytest.mark.parametrize(
@@ -220,11 +220,13 @@ class TestRowFamilies:
             horizon_days=8,
             window_days=4,
         )
-        for mode in (MODE_WINDOW, MODE_EXACT_DAY):
+        # both gateways price alike; container columns leave each on days
+        # 2-5 in window mode (the day-0 pickup's air path, 0.90/lb, costs
+        # more than its land path as LCL) and on days 3-5 in exact-day mode
+        for mode, days in ((MODE_WINDOW, 4), (MODE_EXACT_DAY, 3)):
             model = build_mip(inst, mode)
             counts = model.family_counts()
-            # the second leg takes a day, so the departure days are 0-6
-            assert counts == {FAMILY_PICKUP: 3, FAMILY_CAPACITY: 2 * 7, FAMILY_DUE: 1}
+            assert counts == {FAMILY_PICKUP: 3, FAMILY_CAPACITY: 2 * days, FAMILY_DUE: 1}
             assert model.num_rows == sum(counts.values())
 
     def test_capacity_rows(self, tiny_instance):
@@ -233,14 +235,10 @@ class TestRowFamilies:
         cap = model.row_tags == FAMILY_CAPACITY
         assert (model.senses[cap] == "<").all()
         assert (model.rhs[cap] == 0.0).all()
-        # one row per departure day: a day-9 departure would arrive after
-        # the horizon, so there is no T or capacity row on day 9
-        assert cap.sum() == 9
-        for d in range(9):
-            r = np.flatnonzero(cap)[d]
-            want = {t_column(model, "g0", d): -48000.0}
-            if d in (2, 3):  # no container column flies on day 1
-                want[box(model, d)] = 1.0
+        # one row per day a container column leaves on: none flies on day 1
+        assert cap.sum() == 2
+        for r, d in zip(np.flatnonzero(cap), (2, 3)):
+            want = {t_column(model, "g0", d): -48000.0, box(model, d): 1.0}
             assert {int(c): A[r, c] for c in np.flatnonzero(A[r])} == want
 
     def test_pickup_rows_cover_both_modes(self):
@@ -390,8 +388,9 @@ class TestObjective:
 
     def test_integer_columns_are_exactly_t(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
-        np.testing.assert_array_equal(model.integer_columns, np.arange(9))
-        assert model.t_gateway.tolist() == [0] * 9
+        np.testing.assert_array_equal(model.integer_columns, np.arange(2))
+        assert model.t_gateway.tolist() == [0, 0]
+        assert model.t_day.tolist() == [2, 3]
 
     def test_breakdown_and_split(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_EXACT_DAY)
@@ -466,18 +465,5 @@ class TestCheckSolution:
     def test_capacity_slack_is_not_a_violation(self, tiny_instance):
         model = build_mip(tiny_instance, MODE_WINDOW)
         x = self._feasible_window_solution(model)
-        x[t_column(model, "g0", 8)] = 2.0  # paid-for but unused containers are feasible
+        x[t_column(model, "g0", 3)] = 2.0  # paid-for but unused containers are feasible
         assert check_solution(model, x).ok(1e-9)
-
-
-class TestExport:
-    def test_export_text_shape(self, tiny_instance):
-        model = build_mip(tiny_instance, MODE_WINDOW)
-        buf = io.StringIO()
-        model.export_text(buf)
-        lines = buf.getvalue().splitlines()
-        assert len(lines) == model.num_rows
-        first = lines[0].split()
-        assert first[0] == FAMILY_PICKUP
-        assert first[1] == "="
-        assert float(first[2]) == 1000.0

@@ -191,7 +191,7 @@ def _solve_sub(
         # in-out points lie far from the root's T, so each kind keeps its
         # own chain
         warm = sub.stabilised_basis if stabilised else sub.warm_basis
-        outcome = solve_lp(replace(sub.lp, lower=lower, upper=upper), warm=warm)
+        outcome = solve_lp(sub.lp.with_bounds(lower, upper), warm=warm)
         if outcome.status == STATUS_INFEASIBLE:
             raise SolverError("the subproblem of a route-valid model is infeasible")
         if stabilised:
@@ -206,9 +206,7 @@ def _solve_sub(
         # the warm basis names the rows before them, so the next solve
         # starts with their slacks basic
         sub.link_joined[entries] = True
-        sub.lp = append_rows(
-            sub.lp, link.block(entries, sub.lp.num_cols), np.zeros(len(entries))
-        )
+        sub.lp = append_rows(sub.lp, link.block(entries, sub.lp.A), np.zeros(len(entries)))
 
 
 def _master_row(

@@ -16,10 +16,9 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, TextIO
+from typing import TYPE_CHECKING, Callable, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SolverError
 from .model import MipModel
@@ -27,8 +26,12 @@ from .simplex import (
     STATUS_INFEASIBLE,
     BasisLabels,
     LpProblem,
+    issparse,
     solve_lp,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MILP_OPTIMAL = "optimal"
 MILP_INFEASIBLE = "infeasible"
@@ -44,7 +47,7 @@ ROOT_STALL_TOL = 1e-4
 
 # (coefficients, rhs) of rows ``coefficients @ x <= rhs``: one row (a
 # vector and a float) or a block (a dense or sparse matrix and a vector)
-Rows = tuple[np.ndarray | sp.spmatrix, np.ndarray | float]
+Rows = tuple["np.ndarray | sp.spmatrix", "np.ndarray | float"]
 Separator = Callable[[np.ndarray, float], tuple[Rows | None, np.ndarray | None]]
 
 
@@ -92,12 +95,14 @@ def _as_milp(model) -> MilpProblem:
 
 
 def append_rows(base: LpProblem, extra, rhs) -> LpProblem:
-    """``base`` plus the rows ``extra @ x <= rhs``, dense when ``base`` is."""
+    """``base`` plus the rows ``extra @ x <= rhs``, stored as ``base`` is."""
     rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-    if sp.issparse(base.A):
+    if issparse(base.A):
+        import scipy.sparse as sp
+
         A = sp.vstack([base.A, sp.csr_matrix(extra)], format="csr")
     else:
-        extra = extra.toarray() if sp.issparse(extra) else np.asarray(extra, dtype=np.float64)
+        extra = extra.toarray() if issparse(extra) else np.asarray(extra, dtype=np.float64)
         extra = extra.reshape(len(rhs), -1)
         A = np.concatenate([base.A, extra], axis=0)
     senses = np.concatenate([base.senses, np.full(len(rhs), "<")])
@@ -114,7 +119,7 @@ def _linking_separator(model: MipModel) -> Separator:
         entries = link.violated(x)
         if not len(entries):
             return None, None
-        return (link.block(entries, model.num_vars), np.zeros(len(entries))), None
+        return (link.block(entries, model.A), np.zeros(len(entries))), None
 
     return separate
 
@@ -202,7 +207,7 @@ def solve_milp(
             break
         nodes += 1
 
-        outcome = solve_lp(replace(base, lower=lower, upper=upper), warm=warm)
+        outcome = solve_lp(base.with_bounds(lower, upper), warm=warm)
         if outcome.status == STATUS_INFEASIBLE:
             continue
         lp_obj = outcome.objective

@@ -1,4 +1,4 @@
-"""Sparse MIP assembly for the consolidation problem: the path model.
+"""MIP assembly for the consolidation problem: the path model.
 
 Columns (all nonnegative; times 0-based days):
 
@@ -75,13 +75,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InfeasibleInstanceError, ModelError
 from .instance import Instance, validate_routes
+from .simplex import issparse
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MODE_WINDOW = "window"
 MODE_EXACT_DAY = "exact_day"
@@ -93,6 +96,14 @@ FAMILY_DUE = "due"
 
 # a linking row is violated when u exceeds W·T by more than this times 1 + W
 LINKING_TOL = 1e-6
+
+# A model of at most this many rows stores A as a dense array, a taller one
+# as CSR; the storage picks the simplex basis. In alternating runs the
+# dense basis solved the relaxation, the tree and the decomposition of
+# every generated model up to 42 rows faster; from 43 rows the
+# decomposition, whose subproblem grows by the linking rows that join,
+# ran slower, as every warm start's dense inverse costs O(m^3)
+DENSE_ROWS = 42
 
 
 class VarKey(NamedTuple):
@@ -159,35 +170,46 @@ class Linking(NamedTuple):
         excess = x[self.u_cols] - self.weights * x[self.t_cols]
         return np.flatnonzero(excess > LINKING_TOL * (1.0 + self.weights))
 
-    def block(self, entries: np.ndarray, num_cols: int) -> sp.csr_matrix:
-        """The rows of ``entries`` over the model's columns, each ``<= 0``."""
+    def block(self, entries: np.ndarray, A) -> np.ndarray | sp.csr_matrix:
+        """The rows of ``entries`` over the columns of ``A``, each ``<= 0``,
+        stored as ``A`` is: CSR if it is sparse, else dense."""
         k = len(entries)
-        return sp.csr_matrix(
-            (
-                np.concatenate([np.ones(k), -self.weights[entries]]),
-                (
-                    np.tile(np.arange(k), 2),
-                    np.concatenate([self.u_cols[entries], self.t_cols[entries]]),
-                ),
-            ),
-            shape=(k, num_cols),
+        return _matrix(
+            np.concatenate([np.ones(k), -self.weights[entries]]),
+            np.tile(np.arange(k), 2),
+            np.concatenate([self.u_cols[entries], self.t_cols[entries]]),
+            (k, A.shape[1]),
+            sparse=issparse(A),
         )
+
+
+def _matrix(values, rows, cols, shape, *, sparse: bool) -> np.ndarray | sp.csr_matrix:
+    """The matrix of the entries ``(rows, cols, values)``, as CSR or as a
+    dense array; a repeated position sums, as in CSR."""
+    if sparse:
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((values, (rows, cols)), shape=shape)
+    A = np.zeros(shape)
+    np.add.at(A, (rows, cols), values)
+    return A
 
 
 @dataclass
 class MipModel:
-    """Sparse constraint system with objective and integrality marks.
+    """Constraint system with objective and integrality marks.
 
-    Rows are stored as ``A x (sense) rhs`` with sense ``=`` or ``<``. The
-    T columns come first, one per (``t_gateway``, ``t_day``) that some
-    container column leaves on, in gateway then day order, each with its
-    capacity row; the path columns follow (see :class:`Paths`).
+    Rows are stored as ``A x (sense) rhs`` with sense ``=`` or ``<``; ``A``
+    is a dense array if there are at most ``DENSE_ROWS`` rows, else a CSR
+    matrix. The T columns come first, one per (``t_gateway``, ``t_day``)
+    that some container column leaves on, in gateway then day order, each
+    with its capacity row; the path columns follow (see :class:`Paths`).
     """
 
     instance: Instance
     mode: str
     objective: np.ndarray
-    A: sp.csr_matrix
+    A: np.ndarray | sp.csr_matrix
     senses: np.ndarray
     rhs: np.ndarray
     row_tags: np.ndarray
@@ -272,7 +294,8 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW) -> MipModel:
     Raises :class:`InfeasibleInstanceError` if the instance fails
     :func:`validate_routes`. Every model built is then feasible: each
     pickup sent whole on the LCL column of an on-time path's due bucket
-    is a plan at ``T = 0``.
+    is a plan at ``T = 0``. ``A`` is dense up to ``DENSE_ROWS`` rows and
+    CSR above, so building and solving a short model never imports scipy.
     """
     if mode not in (MODE_WINDOW, MODE_EXACT_DAY):
         raise ModelError(f"unknown mode {mode!r}")
@@ -328,9 +351,12 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW) -> MipModel:
             senses.append(sense)
 
     m = len(rhs)
-    A = sp.csr_matrix(
-        (np.concatenate(rows_v), (np.concatenate(rows_r), np.concatenate(rows_c))),
-        shape=(m, n_t + n),
+    A = _matrix(
+        np.concatenate(rows_v),
+        np.concatenate(rows_r),
+        np.concatenate(rows_c),
+        (m, n_t + n),
+        sparse=m > DENSE_ROWS,
     )
     fcl = np.array([instance.fcl_cost[h] for h in gateways])
     tags = [FAMILY_PICKUP] * len(pickups) + [FAMILY_CAPACITY] * n_t

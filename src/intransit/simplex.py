@@ -20,12 +20,15 @@ from where the ratio test moves it, and a basic one outside its bounds
 leaves at the bound it crossed (Koberstein, 2005; Maros, 2003). A column
 fixed at zero never enters the basis.
 
-How the caller stores ``A`` picks the basis. A scipy sparse matrix (the
-tall, sparse flow LPs) runs on a sparse LU factorization plus the pivots
-since, kept as one sparse matrix of eta columns and a small triangular
-inverse that chains them, so FTRAN and BTRAN apply every eta at once; a
-numpy array (the short, dense Benders master) runs on an explicit inverse
-updated in place. Both refactorize every ``REFACTOR_EVERY`` pivots.
+How ``A`` is stored picks the basis. A scipy sparse matrix runs on a
+sparse LU factorization plus the pivots since, kept as one sparse matrix
+of eta columns and a small triangular inverse that chains them, so FTRAN
+and BTRAN apply every eta at once; a numpy array runs on an explicit
+inverse updated in place. Both refactorize every ``REFACTOR_EVERY``
+pivots. :func:`~intransit.model.build_mip` stores a model of at most
+``DENSE_ROWS`` rows dense and a taller one sparse, and the Benders master
+is dense, so scipy is imported only where a sparse matrix is built or
+factored: a program that solves only short LPs never loads it.
 
 Every LP is solved by one pivoting loop, the dual simplex, started from a
 warm basis if one is given, else (or when that basis is of no use) from
@@ -46,13 +49,17 @@ step that would move it, which also neutralizes linearly dependent rows.
 
 from __future__ import annotations
 
+import copy
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import SolverError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -72,6 +79,13 @@ FEAS_TOL = 1e-9
 REFACTOR_EVERY = 100  # pivots between refactorizations of the basis
 
 
+def issparse(A) -> bool:
+    """Whether ``A`` is a scipy sparse matrix. Needs no import: while
+    ``scipy.sparse`` is not loaded, nothing can be one."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(A)
+
+
 @dataclass
 class LpProblem:
     """Minimization LP over bounded variables, ``lower <= x <= upper``.
@@ -82,7 +96,9 @@ class LpProblem:
     below on the box and the LP is infeasible or has an optimum; the
     consolidation LPs all have nonnegative costs. ``A`` given as a scipy
     sparse matrix is solved on the sparse LU basis; anything else is
-    stored as a dense array and solved on the explicit-inverse basis.
+    stored as a dense array and solved on the explicit-inverse basis. A
+    model's LP is stored dense up to ``DENSE_ROWS`` rows (see
+    :func:`~intransit.model.build_mip`).
     """
 
     objective: np.ndarray
@@ -96,30 +112,42 @@ class LpProblem:
         self.objective = np.asarray(self.objective, dtype=np.float64)
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
         self.senses = np.asarray(self.senses, dtype="<U1")
-        if not sp.issparse(self.A):
-            # small matrices stay dense and skip sparse-object overhead
+        if not issparse(self.A):
             self.A = np.atleast_2d(np.asarray(self.A, dtype=np.float64))
         m, n = self.A.shape
-        self.lower = np.asarray(np.zeros(n) if self.lower is None else self.lower, dtype=float)
-        self.upper = np.asarray(np.full(n, np.inf) if self.upper is None else self.upper, dtype=float)
         if self.objective.shape != (n,):
             raise SolverError("objective length does not match column count")
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise SolverError("bound length does not match column count")
         if self.rhs.shape != (m,) or self.senses.shape != (m,):
             raise SolverError("rhs/senses length does not match row count")
         if not set(self.senses.tolist()) <= {"=", "<"}:
             raise SolverError("senses must be '=' or '<'")
-        for name, arr in (("objective", self.objective), ("rhs", self.rhs), ("lower", self.lower)):
+        for name, arr in (("objective", self.objective), ("rhs", self.rhs)):
             if not np.all(np.isfinite(arr)):
                 raise SolverError(f"{name} contains NaN or infinite entries")
+        entries = self.A.data if issparse(self.A) else self.A
+        if not np.all(np.isfinite(entries)):
+            raise SolverError("constraint matrix contains NaN or infinite entries")
+        self._set_bounds(self.lower, self.upper)
+
+    def _set_bounds(self, lower, upper) -> None:
+        n = self.num_cols
+        self.lower = np.asarray(np.zeros(n) if lower is None else lower, dtype=float)
+        self.upper = np.asarray(np.full(n, np.inf) if upper is None else upper, dtype=float)
+        if self.lower.shape != (n,) or self.upper.shape != (n,):
+            raise SolverError("bound length does not match column count")
+        if not np.all(np.isfinite(self.lower)):
+            raise SolverError("lower contains NaN or infinite entries")
         if not (self.lower <= self.upper).all():
             raise SolverError("upper is NaN or below lower somewhere")
         if (self.objective[self.upper == np.inf] < 0.0).any():
             raise SolverError("negative cost on a column without an upper bound")
-        entries = self.A.data if sp.issparse(self.A) else self.A
-        if not np.all(np.isfinite(entries)):
-            raise SolverError("constraint matrix contains NaN or infinite entries")
+
+    def with_bounds(self, lower: np.ndarray, upper: np.ndarray) -> LpProblem:
+        """This LP with new column bounds, which alone are checked: the rows
+        and costs were validated when this LP was made, and are shared."""
+        lp = copy.copy(self)
+        lp._set_bounds(lower, upper)
+        return lp
 
     @property
     def num_rows(self) -> int:
@@ -159,9 +187,10 @@ class _DenseBasis:
     """Dense twin of :class:`_Basis` for LPs stored as numpy arrays.
 
     Keeps the full constraint matrix and an explicit basis inverse, which
-    avoids sparse-object overhead that dominates on short, dense LPs such
-    as the Benders master. The product-form update is applied to the
-    inverse directly, so there is no eta file.
+    avoids sparse-object overhead that dominates on short LPs such as the
+    Benders master and models of at most ``DENSE_ROWS`` rows. The
+    product-form update is applied to the inverse directly, so there is no
+    eta file.
     """
 
     def __init__(self, A_std: np.ndarray):
@@ -235,12 +264,15 @@ class _Basis:
         return col
 
     def refactor(self) -> None:
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
         starts = self.indptr[self.basis]
         lengths = self.indptr[self.basis + 1] - starts
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         # positions of each basis column's entries, gathered in one pass
         take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-        B = sp.csc_matrix(
+        B = csc_matrix(
             (self.data[take], self.indices[take], indptr), shape=(self.m, self.m)
         )
         try:
@@ -330,6 +362,13 @@ def _pricing(B, c_std: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, reduced
 
 
+def _refresh(state: _State) -> None:
+    """Refactor the basis and recompute ``x_B`` from it exactly."""
+    state.B.refactor()
+    state.x_B = state.B.ftran(state.b)
+    state.fresh_at = state.pivots
+
+
 def _leaving_row(outside: np.ndarray, w: np.ndarray | None) -> int | None:
     """The row to leave under dual pricing, or None if every row is feasible.
 
@@ -374,10 +413,12 @@ def _dual_iterate(state: _State, reduced: np.ndarray, from_slack: bool) -> int |
 
     A row that no column can move toward its bound, but that is off by no
     more than rounding allows (``TOL`` scaled by the rhs), is held at that
-    bound. Returns None once every basic variable is feasible to
-    ``FEAS_TOL``, or held, at a freshly factored basis, or the index of a
-    row certifying primal infeasibility. Raises on numerical breakdown or a
-    pivot cap; the caller then tries its next starting basis.
+    bound. Both exits are taken at a freshly factored basis with ``x_B``
+    recomputed from it, never on values tracked through the pivots: None
+    once every basic variable is feasible to ``FEAS_TOL``, or held, and the
+    index of a row certifying primal infeasibility once one is off by more
+    and no column can move it. Raises on numerical breakdown or a pivot
+    cap; the caller then tries its next starting basis.
     """
     B = state.B
     upper, move = state.upper, state.move
@@ -397,9 +438,7 @@ def _dual_iterate(state: _State, reduced: np.ndarray, from_slack: bool) -> int |
                 return None
             # recompute the iterate exactly; if residual dust reappears
             # at this basis, pivot it out too rather than clamping it away
-            B.refactor()
-            state.x_B = B.ftran(state.b)
-            state.fresh_at = state.pivots
+            _refresh(state)
             continue
         # the leaving variable moves down to its upper bound, or up to zero
         # from below; entering candidates push it that way, a column at its
@@ -416,11 +455,16 @@ def _dual_iterate(state: _State, reduced: np.ndarray, from_slack: bool) -> int |
         push = sign * alpha * move
         candidates = np.flatnonzero(push > PIVOT_TOL)
         if len(candidates) == 0:
-            if abs(state.x_B[r] - target) > margin:
+            if abs(state.x_B[r] - target) <= margin:
+                # rounding dust: count the row as feasible until the next
+                # exact recompute of x_B shows it again
+                state.x_B[r] = target
+            elif state.fresh_at == state.pivots:
                 return r
-            # rounding dust: count the row as feasible until the next
-            # exact recompute of x_B shows it again
-            state.x_B[r] = target
+            else:
+                # x_B may have drifted through the pivots: recompute it
+                # before calling the row infeasible
+                _refresh(state)
             continue
         # |reduced| / |alpha|, or 0 where the reduced cost sits on the
         # wrong side of zero by rounding
@@ -461,9 +505,7 @@ def _dual_iterate(state: _State, reduced: np.ndarray, from_slack: bool) -> int |
         u_B[r] = upper[q]
         state.pivots += 1
         if state.pivots % REFACTOR_EVERY == 0:
-            B.refactor()
-            state.x_B = B.ftran(state.b)
-            state.fresh_at = state.pivots
+            _refresh(state)
         if state.pivots >= cap:
             raise SolverError("dual pivot cap reached; dual path abandoned")
 
@@ -531,7 +573,7 @@ def _equilibration(A, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     never enter the basis, so they are left out of the row maxima.
     """
     fixed = upper == 0.0
-    if sp.issparse(A):
+    if issparse(A):
         A = A.tocsr()
         data = np.abs(A.data)
         counts = np.diff(A.indptr)
@@ -589,7 +631,7 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
         r, s = _equilibration(problem.A, upper)
         sig_c = float(_pow2_scale(np.array([np.abs(problem.objective * s).max(initial=0.0)]))[0])
         sig_b = float(_pow2_scale(np.array([np.abs(rhs * r).max(initial=0.0)]))[0])
-        if sp.issparse(problem.A):
+        if issparse(problem.A):
             A_s = problem.A.tocsc(copy=True)
             A_s.data *= r[A_s.indices] * np.repeat(s, np.diff(A_s.indptr))
         else:
@@ -618,11 +660,13 @@ def solve_lp(problem: LpProblem, *, warm: BasisLabels | None = None) -> LpOutcom
 def _solve_core(problem: LpProblem, warm: BasisLabels | None) -> LpOutcome:
     """Solve an LP whose lower bounds are zero."""
     m, n = problem.num_rows, problem.num_cols
-    if sp.issparse(problem.A):
+    if issparse(problem.A):
+        from scipy.sparse import csc_matrix
+
         basis_type = _Basis
         # [A | I], assembled directly in CSC
         A = problem.A.tocsc()
-        A_std = sp.csc_matrix(
+        A_std = csc_matrix(
             (
                 np.concatenate([A.data, np.ones(m)]),
                 np.concatenate([A.indices, np.arange(m)]),
@@ -695,15 +739,37 @@ def _try_warm_start(
             # stuck above its upper bound with +B^-T e_r
             e = np.zeros(m)
             e[bad_row] = 1.0
-            return LpOutcome(
-                status=STATUS_INFEASIBLE,
-                farkas_ray=np.sign(state.x_B[bad_row]) * B.btran(e),
-                pivots=state.pivots,
-            )
+            ray = np.sign(state.x_B[bad_row]) * B.btran(e)
+            if _farkas_failures(problem, ray, TOL):
+                # a ray that does not certify is a breakdown of this start
+                return None
+            return LpOutcome(status=STATUS_INFEASIBLE, farkas_ray=ray, pivots=state.pivots)
         return _extract(problem, state, c_std)
     except SolverError:
         # a breakdown from this start; the caller tries the next one
         return None
+
+
+def _farkas_failures(problem: LpProblem, ray: np.ndarray, tol: float) -> list[str]:
+    """Why ``ray`` fails to certify that ``problem`` is infeasible; empty
+    if it certifies. Checked on the ray scaled to a largest entry of 1."""
+    norm = float(np.abs(ray).max(initial=0.0))
+    if norm <= tol:
+        return ["zero Farkas ray"]
+    failures = []
+    r = ray / norm
+    le = problem.senses == "<"
+    if le.any() and float(r[le].max(initial=0.0)) > tol:
+        failures.append("Farkas sign on <= rows")
+    aty = problem.A.T @ r
+    boxed = problem.upper < np.inf
+    if float(aty[~boxed].max(initial=0.0)) > tol * 100:
+        failures.append("Farkas column condition A'y <= 0")
+    # y'b against the largest (A'y)'x over the box
+    reach = problem.lower @ np.minimum(aty, 0.0) + problem.upper[boxed] @ np.maximum(aty[boxed], 0.0)
+    if float(r @ problem.rhs - reach) <= tol:
+        failures.append("Farkas ray fails to certify: y'b not above (A'y)'x on the box")
+    return failures
 
 
 @dataclass(frozen=True)
@@ -717,7 +783,7 @@ def verify_certificate(
 ) -> CertificateReport:
     """Independently re-check the invariant bundle for an LpOutcome."""
     failures: list[str] = []
-    A = problem.A.tocsr() if sp.issparse(problem.A) else problem.A
+    A = problem.A.tocsr() if issparse(problem.A) else problem.A
     le = problem.senses == "<"
     eq = ~le
     lower, upper = problem.lower, problem.upper
@@ -753,22 +819,9 @@ def verify_certificate(
         if abs(cx - yb) > tol * (1.0 + abs(cx)) * 10:
             failures.append(f"strong-duality gap {cx - yb:.3e}")
     elif outcome.status == STATUS_INFEASIBLE:
-        ray = outcome.farkas_ray
-        if ray is None:
+        if outcome.farkas_ray is None:
             return CertificateReport(False, ["infeasible outcome lacks Farkas ray"])
-        norm = float(np.abs(ray).max(initial=0.0))
-        if norm <= tol:
-            return CertificateReport(False, ["zero Farkas ray"])
-        r = ray / norm
-        if le.any() and float(r[le].max(initial=0.0)) > tol:
-            failures.append("Farkas sign on <= rows")
-        aty = A.T @ r
-        if float(aty[~boxed].max(initial=0.0)) > tol * 100:
-            failures.append("Farkas column condition A'y <= 0")
-        # y'b against the largest (A'y)'x over the box
-        reach = lower @ np.minimum(aty, 0.0) + upper[boxed] @ np.maximum(aty[boxed], 0.0)
-        if float(r @ problem.rhs - reach) <= tol:
-            failures.append("Farkas ray fails to certify: y'b not above (A'y)'x on the box")
+        failures = _farkas_failures(problem, outcome.farkas_ray, tol)
     else:
         failures.append(f"unknown status {outcome.status!r}")
     return CertificateReport(ok=not failures, failures=failures)

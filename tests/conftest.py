@@ -163,6 +163,12 @@ def assert_instances_equal(a: Instance, b: Instance) -> None:
             assert da[key] == pytest.approx(db[key], rel=1e-12), (name, key)
 
 
+def as_array(A) -> np.ndarray:
+    """The entries of a constraint matrix, stored dense or sparse, as a
+    dense array."""
+    return A.toarray() if sp.issparse(A) else np.asarray(A)
+
+
 def solution_vector(model, assignments: dict) -> np.ndarray:
     """Dense solution vector from {column: value}."""
     x = np.zeros(model.num_vars)
@@ -266,13 +272,14 @@ def strong_lp_bound(model) -> float:
     path model's root rounds must reach where every product has one
     pickup: there the two models' linking rows are the same rows."""
     link = model.linking
-    linking_rows = link.block(np.arange(len(link.u_cols)), model.num_vars)
+    A = sp.csr_matrix(model.A)
+    linking_rows = link.block(np.arange(len(link.u_cols)), A)
     le = model.senses == "<"
     res = linprog(
         model.objective,
-        A_ub=sp.vstack([model.A[le], linking_rows]),
+        A_ub=sp.vstack([A[le], linking_rows]),
         b_ub=np.concatenate([model.rhs[le], np.zeros(len(link.u_cols))]),
-        A_eq=model.A[~le],
+        A_eq=A[~le],
         b_eq=model.rhs[~le],
         bounds=(0, None),
         method="highs",

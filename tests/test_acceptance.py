@@ -9,17 +9,23 @@ pass/fail line per guarantee.
 
 import itertools
 import math
+import os
 import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from intransit import (
     MODE_EXACT_DAY,
     MODE_WINDOW,
     GeneratorConfig,
     Instance,
+    LpProblem,
     audit_flows,
     build_mip,
     default_zone_table,
@@ -30,6 +36,7 @@ from intransit import (
     lp_relaxation,
     rate_class_params,
     run_benders,
+    save_instance,
     simplex,
     solve_lp,
     solve_milp,
@@ -39,10 +46,12 @@ from intransit import (
 )
 from intransit.benders import _master_row, _prepare, _solve_sub
 from intransit.errors import SolverError
+from intransit.model import DENSE_ROWS
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
 from arc_model import build_mip as build_arc
 from conftest import (
+    as_array,
     build_instance,
     expected_shape,
     highs_objective,
@@ -54,6 +63,7 @@ from test_report import phantom_prone_instance
 from test_simplex import enumerate_vertices, random_problem
 
 GIGABYTE = 1024**3
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def port_network_instance():
@@ -196,13 +206,13 @@ def test_every_column_sits_in_a_row_and_no_gateway_row_outlives_its_departures(
     balance rows."""
     inst = instance()
     model = build_mip(inst, mode)
-    A = model.A
-    assert (np.diff(A.tocsc().indptr) > 0).all(), "a column appears in no row"
+    A = as_array(model.A)
+    assert (A != 0).any(axis=0).all(), "a column appears in no row"
     assert set(model.family_counts()) <= {"pickup", "capacity", "due"}
     n_t = len(model.integer_columns)
     paths = model.paths
     for r in np.flatnonzero(model.row_tags == "capacity"):
-        cols = A.indices[A.indptr[r] : A.indptr[r + 1]]
+        cols = np.flatnonzero(A[r])
         (t,) = cols[cols < n_t]
         h, d = model.t_gateway[t], model.t_day[t]
         assert d < inst.horizon_days - inst.second_leg_time[inst.gateways[h]], f"row {r}"
@@ -674,6 +684,62 @@ def test_cold_relaxation_pivot_count(instance, most_pivots):
     out = solve_lp(lp_from_mip(build_mip(instance(), MODE_WINDOW)))
     assert out.status == STATUS_OPTIMAL
     assert out.pivots <= most_pivots
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [readme_instance, port_network_instance, *map(generated_20x5x3x30, (1, 2, 3))],
+    ids=["readme", "port", "gen-1", "gen-2", "gen-3"],
+)
+def test_dense_and_sparse_storage_solve_alike(instance):
+    """The LP relaxation stored dense and stored sparse, which runs it on
+    the explicit inverse or on the sparse LU, ends in the same status and
+    objective, each with duals that certify it."""
+    lp = lp_from_mip(build_mip(instance(), MODE_WINDOW))
+    outcomes = []
+    for A in (as_array(lp.A), sp.csr_matrix(lp.A)):
+        problem = LpProblem(lp.objective, A, lp.senses, lp.rhs)
+        outcomes.append(solve_lp(problem))
+        assert verify_certificate(problem, outcomes[-1]).ok
+    dense, sparse = outcomes
+    assert dense.status == sparse.status == STATUS_OPTIMAL
+    assert dense.objective == pytest.approx(sparse.objective, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "instance, sparse",
+    [(readme_instance, False), (port_network_instance, False), (generated_20x5x3x30(1), True)],
+    ids=["readme", "port", "gen-1"],
+)
+def test_models_above_dense_rows_are_stored_sparse(instance, sparse):
+    """``build_mip`` stores a model of at most ``DENSE_ROWS`` rows as a
+    dense array and a taller one as a scipy sparse matrix."""
+    model = build_mip(instance(), MODE_WINDOW)
+    assert (model.num_rows > DENSE_ROWS) == sparse
+    assert sp.issparse(model.A) == sparse
+
+
+def test_cli_on_a_short_model_never_imports_scipy(tmp_path):
+    """In a fresh interpreter, importing the CLI and running ``validate``
+    and ``relax`` on the README example loads no scipy module: a short
+    model is stored dense, and scipy is imported only to build or factor
+    a sparse matrix."""
+    instance_dir = save_instance(readme_instance(), tmp_path / "readme")
+    script = (
+        "import sys\n"
+        "import intransit.cli as cli\n"
+        f"assert cli.run(['validate', '--instance', {str(instance_dir)!r}]) == 0\n"
+        f"assert cli.run(['relax', '--instance', {str(instance_dir)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_scale_assembly_and_full_solve():

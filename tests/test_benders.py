@@ -30,6 +30,7 @@ from intransit.simplex import STATUS_OPTIMAL, solve_lp
 
 from arc_model import build_mip as build_arc
 from conftest import (
+    as_array,
     build_instance,
     highs_objective,
     random_small_config,
@@ -203,13 +204,12 @@ class TestSubproblem:
         n_t = len(sub.t_cols)
         for _ in range(3):
             _solve_sub(sub, rng.uniform(0.0, 1.0, n_t))
-        extra = sub.lp.A[m:]
+        extra = as_array(sub.lp.A)[m:]
         assert extra.shape[0] > 0
         # each row holds one U column, which names its entry
         entries = np.asarray(extra[:, link.u_cols].argmax(axis=1)).ravel()
         np.testing.assert_array_equal(np.sort(entries), np.flatnonzero(sub.link_joined))
-        want = link.block(entries, model.num_vars)
-        np.testing.assert_array_equal(extra.toarray(), want.toarray())
+        np.testing.assert_array_equal(extra, as_array(link.block(entries, model.A)))
         assert sub.lp.rhs[m:].tolist() == [0.0] * len(entries)
         assert sub.lp.senses[m:].tolist() == ["<"] * len(entries)
         np.testing.assert_array_equal(sub.lp.rhs[:m], model.rhs)

@@ -18,7 +18,7 @@ from intransit import (
 from intransit.errors import SolverError
 from intransit.simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
-from conftest import readme_instance
+from conftest import as_array, readme_instance
 
 ORACLE_TOL = 1e-7
 
@@ -29,7 +29,7 @@ def enumerate_vertices(problem: LpProblem):
     Returns (best objective or None, any feasible vertex exists). Only for
     tiny problems: tries every basis of [A | slacks].
     """
-    A = problem.A.toarray() if hasattr(problem.A, "toarray") else np.asarray(problem.A)
+    A = as_array(problem.A)
     m, n = A.shape
     le_rows = np.flatnonzero(problem.senses == "<")
     slacks = np.zeros((m, len(le_rows)))
@@ -199,6 +199,20 @@ class TestBasicOutcomes:
         # decided cold by the dual path from the slack basis
         assert len(dual_path) == 1 and dual_path[0].status == STATUS_INFEASIBLE
         assert verify_certificate(problem, out).ok
+
+    def test_ray_that_fails_to_certify_is_a_breakdown(self, dual_path, monkeypatch):
+        # the start checks its ray as verify_certificate does; one that
+        # fails gives the start up, and with no other start the solve raises
+        monkeypatch.setattr(simplex, "_farkas_failures", lambda *args: ["forced"])
+        problem = LpProblem(
+            objective=np.array([1.0]),
+            A=np.array([[1.0], [1.0]]),
+            senses=np.array(["=", "="]),
+            rhs=np.array([1.0, 2.0]),
+        )
+        with pytest.raises(SolverError):
+            solve_lp(problem)
+        assert dual_path == [None]
 
     @pytest.mark.parametrize(
         "representation", [np.asarray, sp.csr_matrix], ids=["dense", "sparse"]
@@ -478,6 +492,54 @@ class TestWarmStart:
         assert checked > 50
 
 
+def infeasible_lps():
+    """The infeasible LPs of these tests: the hand-built ones, and the
+    random draws of the vertex-enumeration and HiGHS oracles, dense and
+    sparse, among which the solver finds infeasible ones."""
+    for A, rhs in (([[1.0], [1.0]], [1.0, 2.0]), ([[-1.0, -2.0], [1.0, 0.0]], [3.0, 1.0])):
+        yield LpProblem(np.ones(len(A[0])), np.array(A), np.array(["=", "="]), np.array(rhs))
+    yield LpProblem(np.ones(2), np.ones((2, 2)), np.array(["=", "="]), np.array([1.0, 1.0 + 1e-6]))
+    yield LpProblem(
+        np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array(["="]), np.array([5.0]),
+        upper=np.array([1.0, 2.0]),
+    )
+    for representation in (np.asarray, sp.csr_matrix):
+        for seed in range(6800, 6810):
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                yield stored_as(random_problem(rng), representation)
+        for seed in range(9800, 9805):
+            rng = np.random.default_rng(seed)
+            for _ in range(80):
+                yield bounded_problem(rng, representation)
+
+
+def test_every_infeasible_exit_is_at_a_fresh_basis_and_certifies(monkeypatch):
+    # the dual loop calls a row infeasible only right after refactoring
+    # the basis and recomputing x_B, never on values tracked through
+    # pivots, and the ray it returns passes the independent check
+    exits = []
+    original = simplex._dual_iterate
+
+    def recorded(state, reduced, from_slack):
+        row = original(state, reduced, from_slack)
+        if row is not None:
+            exits.append((state.fresh_at, state.pivots))
+        return row
+
+    monkeypatch.setattr(simplex, "_dual_iterate", recorded)
+    infeasible = 0
+    for problem in infeasible_lps():
+        exits.clear()
+        outcome = solve_lp(problem)
+        if outcome.status != STATUS_INFEASIBLE:
+            continue
+        infeasible += 1
+        assert exits and all(fresh_at == pivots for fresh_at, pivots in exits), exits
+        assert verify_certificate(problem, outcome).ok
+    assert infeasible > 100
+
+
 class TestDualPivotRules:
     def test_harris_ratio_test_takes_the_larger_pivot(self):
         # min x1 + (2 + 2e-10) x2  s.t.  x1 + 2 x2 >= 1, x3 <= 1: from either
@@ -628,7 +690,7 @@ class TestScaling:
         model = build_mip(readme_instance(), mode)
         t_cols = np.asarray(model.integer_columns)
         flow = np.setdiff1d(np.arange(model.num_vars), t_cols)
-        A = model.A.tocsc()
+        A = as_array(model.A)
         objective = model.objective.copy()
         objective[t_cols] = 0.0
         rng = np.random.default_rng(3)
@@ -654,7 +716,7 @@ class TestScaling:
             split = solve_lp(
                 LpProblem(
                     objective=model.objective[flow],
-                    A=A[:, flow].tocsr(),
+                    A=A[:, flow],
                     senses=model.senses,
                     rhs=model.rhs - A[:, t_cols] @ t,
                 )
@@ -784,7 +846,7 @@ def highs(problem: LpProblem):
     """``scipy.optimize.linprog`` (HiGHS) on the same LP, bounds included."""
     from scipy.optimize import linprog
 
-    A = problem.A.toarray() if sp.issparse(problem.A) else problem.A
+    A = as_array(problem.A)
     le = problem.senses == "<"
     return linprog(
         problem.objective,
@@ -940,7 +1002,7 @@ class TestBounds:
             extra = np.round(rng.uniform(-2, 3, size=(k, problem.num_cols)), 1)
             # each new row cuts the optimum off by a margin
             rhs = np.round(extra @ base.x - rng.uniform(0.1, 1.0, size=k), 1)
-            A = np.vstack([sp.csr_matrix(problem.A).toarray(), extra])
+            A = np.vstack([as_array(problem.A), extra])
             grown = LpProblem(
                 problem.objective,
                 representation(A),

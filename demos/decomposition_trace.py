@@ -46,7 +46,7 @@ def main() -> None:
     for rec in result.trace.records:
         ub = f"{rec.upper:12.2f}" if rec.upper < float("inf") else f"{'--':>12}"
         print(f"{rec.iteration:>5} {rec.candidate:>10} {rec.lower:12.2f} {ub} {rec.gap:10.2e}  "
-              f"{rec.cut_kind or '--'}")
+              f"{'optimality' if rec.cut else '--'}")
 
     print(f"\nstatus: {result.status}, objective ${result.objective:,.2f} "
           f"after {result.iterations} subproblem solves")

@@ -6,11 +6,11 @@ its duals yield an optimality cut.
 The master minimizes ``q + fcl_costs . T`` with T integral, from the one
 row ``q >= 0``. It is solved as one branch-and-cut tree, and a cut is a
 row of that tree's LP from the moment it is made. While the root's LP
-optimum is fractional the subproblem is priced in rounds, each re-solved
-with the strong linking rows ``u <= W·T`` its flow violates there until
-it violates none, and a cut that cuts off the root's (T, q) re-solves the
-root: the LP phase of McDaniel & Devine (1977), which lifts the root bound
-to the LP bound of the model plus its linking rows before any branching.
+optimum is fractional the subproblem, which holds the strong linking rows
+``u <= W·T``, is priced in rounds, and a cut that cuts off the root's
+(T, q) re-solves the root: the LP phase of McDaniel & Devine (1977), which
+lifts the root bound to the LP bound of the model plus its linking rows
+before any branching.
 The rounds are stabilised in-out (Ben-Ameur & Neto, 2007; Fischetti,
 Ljubić & Sinnl, 2017): a round prices ``(T_root + core) / 2`` first, where
 the core starts at ``min(container bound, ceil(T_root) + 1)`` at the first
@@ -24,12 +24,11 @@ tree's bound is the global lower bound. The search ends when the
 tree closes or its node limit stops it.
 
 The subproblem is the model's own LP with T's cost set to zero and T
-fixed by its bounds, ``lower = upper = T_bar``, followed by the linking
-rows that joined (``u - W·T <= 0``). The linking rows cut off no
-integral T, so ``q(T)`` at integral T is the same with or without them.
-Its optimal duals y give the cut ``y'(b - A_T·T) <= q``, with ``A_T`` the
-T columns of its rows: valid at every T, tight at T_bar, and still valid
-once more rows join, since they only raise ``q``.
+fixed by its bounds, ``lower = upper = T_bar``, followed by every linking
+row (``u - W·T <= 0``). The linking rows cut off no integral T, so
+``q(T)`` at integral T is the same with or without them. Its optimal
+duals y give the cut ``y'(b - A_T·T) <= q``, with ``A_T`` the T columns
+of its rows: valid at every T and tight at T_bar.
 
 The subproblem has complete recourse, so this one cut family is all the
 decomposition needs (Van Slyke & Wets, 1969). A container column has the
@@ -83,8 +82,6 @@ from .simplex import (
     solve_lp,
 )
 
-CUT_OPTIMALITY = "optimality"
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -94,7 +91,7 @@ class IterationRecord:
     gap: float
     t_candidate: np.ndarray
     subproblem_value: float
-    cut_kind: str | None  # None when the solve added no cut
+    cut: bool  # the solve added its optimality cut
     fractional: bool  # a root round, not an integral node
     stabilised: bool  # a root round's in-out point, not the root's own T
 
@@ -123,7 +120,7 @@ class BendersTrace:
                     f"{r.lower:.9f}",
                     f"{r.upper:.9f}" if math.isfinite(r.upper) else "inf",
                     f"{r.gap:.3e}" if math.isfinite(r.gap) else "inf",
-                    r.cut_kind or "",
+                    "optimality" if r.cut else "",
                     f"{r.subproblem_value:.9f}",
                 ]
             )
@@ -151,8 +148,7 @@ class BendersResult:
 class _SubStructure:
     model: MipModel
     t_cols: np.ndarray
-    lp: LpProblem  # the model's LP, T costless, then the linking rows that joined
-    link_joined: np.ndarray  # which linking entries joined the subproblem
+    lp: LpProblem  # the model's LP, T costless, then every linking row
     warm_basis: BasisLabels | None = None  # optimal basis of the previous solve
     stabilised_basis: BasisLabels | None = None  # ... of the previous in-out solve
 
@@ -161,52 +157,36 @@ def _prepare(model: MipModel) -> _SubStructure:
     t_cols = np.asarray(model.integer_columns)
     objective = model.objective.copy()
     objective[t_cols] = 0.0
-    return _SubStructure(
-        model=model,
-        t_cols=t_cols,
-        lp=replace(lp_from_mip(model), objective=objective),
-        link_joined=np.zeros(len(model.linking.u_cols), dtype=bool),
-    )
+    every = np.arange(len(model.linking.u_cols))
+    lp = append_rows(lp_from_mip(model), model.linking.block(every, model.A), np.zeros(len(every)))
+    return _SubStructure(model=model, t_cols=t_cols, lp=replace(lp, objective=objective))
 
 
 def _solve_sub(
     sub: _SubStructure, t_fixed: np.ndarray, stabilised: bool = False
 ) -> LpOutcome:
     """Price the flows at ``t_fixed``: the outcome's ``x`` is over the
-    model's columns, T among them. The linking rows the optimal flow
-    violates there join the subproblem, which is solved again until it
-    violates none; at integral T it never does. A ``stabilised`` solve (an
-    in-out point of the root rounds) starts from the optimal basis of the
-    previous stabilised solve, cold the first time; any other solve from
-    that of the previous non-stabilised one."""
-    link = sub.model.linking
+    model's columns, T among them. A ``stabilised`` solve (an in-out point
+    of the root rounds) starts from the optimal basis of the previous
+    stabilised solve, cold the first time; any other solve from that of
+    the previous non-stabilised one."""
     lower = np.zeros(sub.lp.num_cols)
     lower[sub.t_cols] = t_fixed
     upper = sub.lp.upper.copy()
     upper[sub.t_cols] = t_fixed
-    while True:
-        # consecutive subproblems differ only in T's bounds (or in rows that
-        # join with their slacks basic), so the previous optimal basis is
-        # dual feasible and a short warm run replaces a full solve. The
-        # in-out points lie far from the root's T, so each kind keeps its
-        # own chain
-        warm = sub.stabilised_basis if stabilised else sub.warm_basis
-        outcome = solve_lp(sub.lp.with_bounds(lower, upper), warm=warm)
-        if outcome.status == STATUS_INFEASIBLE:
-            raise SolverError("the subproblem of a route-valid model is infeasible")
-        if stabilised:
-            sub.stabilised_basis = outcome.basis
-        else:
-            sub.warm_basis = outcome.basis
-        # a row that joined already is met up to the LP's own tolerance
-        entries = link.violated(outcome.x)
-        entries = entries[~sub.link_joined[entries]]
-        if not len(entries):
-            return outcome
-        # the warm basis names the rows before them, so the next solve
-        # starts with their slacks basic
-        sub.link_joined[entries] = True
-        sub.lp = append_rows(sub.lp, link.block(entries, sub.lp.A), np.zeros(len(entries)))
+    # consecutive subproblems differ only in T's bounds, so the previous
+    # optimal basis is dual feasible and a short warm run replaces a full
+    # solve. The in-out points lie far from the root's T, so each kind
+    # keeps its own chain
+    warm = sub.stabilised_basis if stabilised else sub.warm_basis
+    outcome = solve_lp(sub.lp.with_bounds(lower, upper), warm=warm)
+    if outcome.status == STATUS_INFEASIBLE:
+        raise SolverError("the subproblem of a route-valid model is infeasible")
+    if stabilised:
+        sub.stabilised_basis = outcome.basis
+    else:
+        sub.warm_basis = outcome.basis
+    return outcome
 
 
 def _master_row(
@@ -288,10 +268,10 @@ def run_benders(
 
     Returns the incumbent container schedule, the assembled full solution
     vector over the monolithic columns, the cost breakdown, and the trace,
-    one record per T the subproblem prices (with its re-solves as linking
-    rows join). The master's node limit bounds the subproblem solves too,
-    at most two per node LP; reaching it returns status ``node_limit``,
-    unproven, with the best incumbent (if any) and the proven bounds.
+    one record per T the subproblem prices, each one LP. The master's node
+    limit bounds the subproblem solves too, at most two per node LP;
+    reaching it returns status ``node_limit``, unproven, with the best
+    incumbent (if any) and the proven bounds.
     An instance that fails route validation raises
     :class:`InfeasibleInstanceError` from :func:`build_mip`.
     """
@@ -352,7 +332,7 @@ def run_benders(
                 gap=relative_gap(ub, lb),
                 t_candidate=t.copy(),
                 subproblem_value=value,
-                cut_kind=None if row is None else CUT_OPTIMALITY,
+                cut=row is not None,
                 fractional=fractional,
                 stabilised=stabilised,
             )

@@ -189,7 +189,7 @@ def _cmd_benders(args) -> int:
         for r in result.trace.records:
             print(
                 f"  iter {r.iteration}: lb {r.lower:,.2f} ub {r.upper:,.2f} "
-                f"{r.cut_kind or 'no'} cut at {r.candidate} T"
+                f"{'optimality' if r.cut else 'no'} cut at {r.candidate} T"
             )
     share = consolidation_share(result.model, result.x_full)
     if share is not None:

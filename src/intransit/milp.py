@@ -103,7 +103,7 @@ def append_rows(base: LpProblem, extra, rhs) -> LpProblem:
         A = sp.vstack([base.A, sp.csr_matrix(extra)], format="csr")
     else:
         extra = extra.toarray() if issparse(extra) else np.asarray(extra, dtype=np.float64)
-        extra = extra.reshape(len(rhs), -1)
+        extra = extra.reshape(len(rhs), base.num_cols)
         A = np.concatenate([base.A, extra], axis=0)
     senses = np.concatenate([base.senses, np.full(len(rhs), "<")])
     return replace(base, A=A, senses=senses, rhs=np.concatenate([base.rhs, rhs]))

@@ -98,11 +98,12 @@ FAMILY_DUE = "due"
 LINKING_TOL = 1e-6
 
 # A model of at most this many rows stores A as a dense array, a taller one
-# as CSR; the storage picks the simplex basis. In alternating runs the
-# dense basis solved the relaxation, the tree and the decomposition of
-# every generated model up to 42 rows faster; from 43 rows the
-# decomposition, whose subproblem grows by the linking rows that join,
-# ran slower, as every warm start's dense inverse costs O(m^3)
+# as CSR; the storage picks the simplex basis. The Benders subproblem, the
+# model's rows plus one linking row per container column, is stored as
+# its model is. In alternating runs the dense basis solved the relaxation,
+# the tree and the decomposition of every generated model up to 42 rows
+# faster; from 43 rows the decomposition ran slower, as every warm start's
+# dense inverse costs O(m^3)
 DENSE_ROWS = 42
 
 

@@ -186,6 +186,29 @@ def test_readme_example_decomposition_matches_monolithic(mode, expected):
     assert_flows_trace(inst, model, mono.x, "milp")
 
 
+@pytest.mark.parametrize("mode", [MODE_WINDOW, MODE_EXACT_DAY])
+@pytest.mark.parametrize(
+    "instance", [readme_instance, port_network_instance], ids=["readme", "port"]
+)
+def test_each_priced_point_is_one_subproblem_lp(monkeypatch, instance, mode):
+    """The subproblem holds every linking row from its first solve, so
+    ``run_benders`` solves one LP, of the model's rows plus one linking row
+    per container column, for each T it prices: one per trace record."""
+    import intransit.benders as bd
+
+    rows = []
+
+    def counted(problem, **kwargs):
+        rows.append(problem.num_rows)
+        return solve_lp(problem, **kwargs)
+
+    monkeypatch.setattr(bd, "solve_lp", counted)
+    res = run_benders(instance(), mode)
+    assert res.status == "optimal"
+    assert len(rows) == len(res.trace.records)
+    assert set(rows) == {res.model.num_rows + len(res.model.linking.u_cols)}
+
+
 def generated_20x5x3x30(seed):
     return lambda: generate_synthetic(GeneratorConfig(20, 5, 3, 30), seed=seed)
 
@@ -572,12 +595,12 @@ def test_bounds_monotone_and_cuts_tight_at_generator():
         assert final.gap <= 1e-9
 
         # re-price every solve, with or without a cut added, and check the
-        # tightness of the optimality cut its duals give. The solves are replayed in order on a fresh subproblem, so each starts
-        # from the linking rows that had joined before it and adds the ones
-        # its flow violates, as in the run
+        # tightness of the optimality cut its duals give. The solves are
+        # replayed in order on a fresh subproblem, each kind on its own warm
+        # chain, so each starts from the basis it started from in the run
         sub = _prepare(build_mip(inst, MODE_WINDOW))
         for rec in res.trace.records:
-            priced = _solve_sub(sub, rec.t_candidate)
+            priced = _solve_sub(sub, rec.t_candidate, rec.stabilised)
             assert priced.status == STATUS_OPTIMAL
             assert priced.objective == pytest.approx(rec.subproblem_value, rel=1e-9)
             coefficients, rhs = _master_row(priced.y, sub.lp, sub.t_cols)
@@ -720,19 +743,23 @@ def test_models_above_dense_rows_are_stored_sparse(instance, sparse):
 
 
 def test_cli_on_a_short_model_never_imports_scipy(tmp_path):
-    """In a fresh interpreter, importing the CLI and running ``validate``
-    and ``relax`` on the README example loads no scipy module: a short
-    model is stored dense, and scipy is imported only to build or factor
-    a sparse matrix."""
-    instance_dir = save_instance(readme_instance(), tmp_path / "readme")
-    script = (
-        "import sys\n"
-        "import intransit.cli as cli\n"
-        f"assert cli.run(['validate', '--instance', {str(instance_dir)!r}]) == 0\n"
-        f"assert cli.run(['relax', '--instance', {str(instance_dir)!r}, "
-        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-    )
+    """In a fresh interpreter, importing the CLI and running ``validate``,
+    ``relax``, ``solve`` and ``benders`` on the README example and the port
+    network loads no scipy module: a short model is stored dense, its
+    Benders subproblem (the port's is 30 model rows plus 32 linking rows)
+    as the model is, and scipy is imported only to build or factor a
+    sparse matrix."""
+    script = "import sys\nimport intransit.cli as cli\n"
+    for name, instance in (("readme", readme_instance), ("port", port_network_instance)):
+        instance_dir = str(save_instance(instance(), tmp_path / name))
+        script += f"assert cli.run(['validate', '--instance', {instance_dir!r}]) == 0\n"
+        for command in ("relax", "solve", "benders"):
+            out = str(tmp_path / f"{name}-{command}")
+            script += (
+                f"assert cli.run([{command!r}, '--instance', {instance_dir!r}, "
+                f"'--out', {out!r}]) == 0\n"
+            )
+    script += "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(

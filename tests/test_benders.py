@@ -183,9 +183,8 @@ class TestSubproblem:
         assert result.objective == pytest.approx(500.0 - 200.0 / 48.0, rel=1e-9)
         link = sub.model.linking
         assert not len(link.violated(result.x))
-        assert sub.link_joined.sum() == 1
         # the cut is tight at the fractional T and valid at integral ones,
-        # whose value the joined row leaves unchanged
+        # whose value the linking rows leave unchanged
         row = optimality_row(sub, result)
         assert cut_value(row, t) == pytest.approx(result.objective, rel=1e-9)
         t[t_column(sub.model, "g0", 2)] = 1.0
@@ -193,25 +192,24 @@ class TestSubproblem:
         assert whole.objective == pytest.approx(300.0, rel=1e-9)
         assert cut_value(row, t) <= whole.objective + 1e-6
 
-    def test_joined_linking_rows_equal_the_split_model_rows(self):
-        # the rows past the model's are the linking block of the entries
-        # that joined, each once, over the model's columns
+    def test_every_linking_row_follows_the_model_rows(self):
+        # the rows past the model's are the linking block of every entry,
+        # in entry order over the model's columns, each <= 0, and no
+        # solve adds to them
         model = build_mip(readme_instance(), MODE_WINDOW)
         link = model.linking
         sub = _prepare(model)
-        m = model.num_rows
+        m, k = model.num_rows, len(link.u_cols)
         rng = np.random.default_rng(5)
-        n_t = len(sub.t_cols)
         for _ in range(3):
-            _solve_sub(sub, rng.uniform(0.0, 1.0, n_t))
-        extra = as_array(sub.lp.A)[m:]
-        assert extra.shape[0] > 0
-        # each row holds one U column, which names its entry
-        entries = np.asarray(extra[:, link.u_cols].argmax(axis=1)).ravel()
-        np.testing.assert_array_equal(np.sort(entries), np.flatnonzero(sub.link_joined))
-        np.testing.assert_array_equal(extra, as_array(link.block(entries, model.A)))
-        assert sub.lp.rhs[m:].tolist() == [0.0] * len(entries)
-        assert sub.lp.senses[m:].tolist() == ["<"] * len(entries)
+            _solve_sub(sub, rng.uniform(0.0, 1.0, len(sub.t_cols)))
+        assert sub.lp.num_rows == m + k
+        np.testing.assert_array_equal(as_array(sub.lp.A)[:m], as_array(model.A))
+        np.testing.assert_array_equal(
+            as_array(sub.lp.A)[m:], as_array(link.block(np.arange(k), model.A))
+        )
+        assert sub.lp.rhs[m:].tolist() == [0.0] * k
+        assert sub.lp.senses[m:].tolist() == ["<"] * k
         np.testing.assert_array_equal(sub.lp.rhs[:m], model.rhs)
 
     def test_priced_flow_holds_t_fixed_bitwise(self):
@@ -408,8 +406,7 @@ class TestRunBenders:
         inst = generate_synthetic(cfg, seed=2)
         res = run_benders(inst, MODE_WINDOW)
         assert res.status == "optimal"
-        kinds = {r.cut_kind for r in res.trace.records}
-        assert "optimality" in kinds
+        assert any(r.cut for r in res.trace.records)
 
     def test_trace_export(self, tiny_instance):
         res = run_benders(tiny_instance, MODE_WINDOW)
@@ -544,7 +541,7 @@ class TestInOutRounds:
             np.testing.assert_array_equal(t_in, core)
             first_record = next(records)
             assert first_record.candidate == "stabilised"
-            if first_record.cut_kind is not None:
+            if first_record.cut:
                 assert rest == []
                 continue
             missed += 1

@@ -6,11 +6,11 @@ its duals yield an optimality cut.
 The master minimizes ``q + fcl_costs . T`` with T integral, from the one
 row ``q >= 0``. It is solved as one branch-and-cut tree, and a cut is a
 row of that tree's LP from the moment it is made. While the root's LP
-optimum is fractional the subproblem, which holds the strong linking rows
-``u <= W·T``, is priced in rounds, and a cut that cuts off the root's
-(T, q) re-solves the root: the LP phase of McDaniel & Devine (1977), which
-lifts the root bound to the LP bound of the model plus its linking rows
-before any branching.
+optimum is fractional the subproblem, which bounds its flows by the strong
+linking rows ``u <= W·T``, is priced in rounds, and a cut that cuts off
+the root's (T, q) re-solves the root: the LP phase of McDaniel & Devine
+(1977), which lifts the root bound to the LP bound of the model plus its
+linking rows before any branching.
 The rounds are stabilised in-out (Ben-Ameur & Neto, 2007; Fischetti,
 Ljubić & Sinnl, 2017): a round prices ``(T_root + core) / 2`` first, where
 the core starts at ``min(container bound, ceil(T_root) + 1)`` at the first
@@ -24,16 +24,22 @@ tree's bound is the global lower bound. The search ends when the
 tree closes or its node limit stops it.
 
 The subproblem is the model's own LP with T's cost set to zero and T
-fixed by its bounds, ``lower = upper = T_bar``, followed by every linking
-row (``u - W·T <= 0``). The linking rows cut off no integral T, so
-``q(T)`` at integral T is the same with or without them. Its optimal
-duals y give the cut ``y'(b - A_T·T) <= q``, with ``A_T`` the T columns
-of its rows: valid at every T and tight at T_bar.
+fixed by its bounds, ``lower = upper = T_bar``. At a fixed T each linking
+row ``u - W·T <= 0`` has one free column, so it enters as that column's
+bound ``u <= W·T_bar``, and the LP keeps the model's rows only. The
+linking rows cut off no integral T, so ``q(T)`` at integral T is the same
+with or without them. Its optimal duals y and reduced costs
+``d = c - A'y`` give the cut
+``q >= y'(b - A_T·T) + sum_j W_j·min(0, d_j)·T[c(j)]``, with ``A_T`` the
+T columns of its rows and the sum over the container columns j, each on
+the gateway and day c(j): valid at every T and tight at T_bar (see
+:func:`_master_row`).
 
 The subproblem has complete recourse, so this one cut family is all the
 decomposition needs (Van Slyke & Wets, 1969). A container column has the
 entries of the LCL column of its pickup and due bucket but in the
-capacity and linking rows, which hold no LCL column, so any flow stays
+capacity rows, which hold no LCL column, and it has the linking bound,
+which the LCL column lacks, so any flow stays
 feasible at every T once its container weight moves to LCL: the
 subproblem is feasible at every T or at none.
 :func:`~intransit.model.build_mip` refuses an instance that fails route
@@ -62,7 +68,6 @@ from .milp import (
     MilpOutcome,
     MilpProblem,
     Separator,
-    append_rows,
     lp_from_mip,
     relative_gap,
     solve_milp,
@@ -148,7 +153,7 @@ class BendersResult:
 class _SubStructure:
     model: MipModel
     t_cols: np.ndarray
-    lp: LpProblem  # the model's LP, T costless, then every linking row
+    lp: LpProblem  # the model's LP with T costless
     warm_basis: BasisLabels | None = None  # optimal basis of the previous solve
     stabilised_basis: BasisLabels | None = None  # ... of the previous in-out solve
 
@@ -157,9 +162,9 @@ def _prepare(model: MipModel) -> _SubStructure:
     t_cols = np.asarray(model.integer_columns)
     objective = model.objective.copy()
     objective[t_cols] = 0.0
-    every = np.arange(len(model.linking.u_cols))
-    lp = append_rows(lp_from_mip(model), model.linking.block(every, model.A), np.zeros(len(every)))
-    return _SubStructure(model=model, t_cols=t_cols, lp=replace(lp, objective=objective))
+    return _SubStructure(
+        model=model, t_cols=t_cols, lp=replace(lp_from_mip(model), objective=objective)
+    )
 
 
 def _solve_sub(
@@ -170,10 +175,13 @@ def _solve_sub(
     of the root rounds) starts from the optimal basis of the previous
     stabilised solve, cold the first time; any other solve from that of
     the previous non-stabilised one."""
+    link = sub.model.linking
     lower = np.zeros(sub.lp.num_cols)
     lower[sub.t_cols] = t_fixed
     upper = sub.lp.upper.copy()
     upper[sub.t_cols] = t_fixed
+    # the T columns come first, so an entry's T column indexes t_fixed
+    upper[link.u_cols] = link.weights * t_fixed[link.t_cols]
     # consecutive subproblems differ only in T's bounds, so the previous
     # optimal basis is dual feasible and a short warm run replaces a full
     # solve. The in-out points lie far from the root's T, so each kind
@@ -189,16 +197,29 @@ def _solve_sub(
     return outcome
 
 
-def _master_row(
-    y: np.ndarray, lp: LpProblem, t_cols: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The cut ``y'(b - A_T·T) <= q`` from the duals y of the optimal
-    subproblem ``lp``, as the master row ``-(A'y)[t_cols]·T - q <= -y'b``
-    over the master's columns [T..., q]."""
+def _master_row(y: np.ndarray, sub: _SubStructure) -> tuple[np.ndarray, float]:
+    """The cut ``q >= y'(b - A_T·T) + sum_j W_j·v_j·T[c(j)]`` from the duals
+    y of an optimal solve of ``sub``, as a master row ``a·T - q <= -y'b``
+    over the master's columns [T..., q].
+
+    ``v_j = min(0, d_j)``, with ``d = c - A'y``, is the dual of the bound
+    ``u_j <= W_j·T[c(j)]`` of container column j. Only the bounds move with
+    T, and ``d_j - v_j >= 0``, so (y, v) is dual feasible at every T and the
+    cut is valid there by weak duality; every other column has no upper
+    bound and prices ``d >= 0`` at an optimum. At the T it was priced at,
+    the cut is tight by complementary slackness. A column that a zero entry
+    of that T fixed at zero may price ``d_j < 0``, and its term enters the
+    cut all the same.
+    """
+    lp, link = sub.lp, sub.model.linking
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (lp.num_rows,):
         raise SolverError(f"dual vector length {y.shape} does not match {lp.num_rows} rows")
-    return np.append(-np.asarray(lp.A.T @ y)[t_cols], -1.0), -float(y @ lp.rhs)
+    priced = np.asarray(lp.A.T @ y)
+    v = np.minimum(0.0, lp.objective[link.u_cols] - priced[link.u_cols])
+    bound_terms = np.bincount(link.t_cols, link.weights * v, minlength=len(sub.t_cols))
+    coefficients = bound_terms - priced[sub.t_cols]
+    return np.append(coefficients, -1.0), -float(y @ lp.rhs)
 
 
 def solve_master(
@@ -304,8 +325,8 @@ def run_benders(
         lb = max(lb, bound)
         result = _solve_sub(sub, t, stabilised)
         value = result.objective
-        coefficients, rhs = _master_row(result.y, sub.lp, sub.t_cols)
-        at_t = float(coefficients[:n_t] @ t) - rhs  # the cut's y'(b - A_T·t)
+        coefficients, rhs = _master_row(result.y, sub)
+        at_t = float(coefficients[:n_t] @ t) - rhs  # the cut's bound on q at t
         if abs(at_t - value) > 1e-6 * (1.0 + abs(value)):
             raise SolverError(
                 f"optimality cut not tight at its generator: "

@@ -317,22 +317,10 @@ def _num(path: Path, row_no: int, field_name: str, raw: str, kind=float):
 
 
 def _load_config(path: Path) -> dict:
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json" or text.lstrip().startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path.name}: invalid JSON ({exc})") from None
-    cfg = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SchemaError(f"{path.name} line {line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
-    return cfg
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path.name}: invalid JSON ({exc})") from None
 
 
 def load_instance(source: str | Path) -> Instance:
@@ -341,14 +329,12 @@ def load_instance(source: str | Path) -> Instance:
     Expected files (CSV with header row): suppliers, gateways, pickups, and
     either explicit per-pair rates (rates_override.csv) or zone files
     (zone_matrix.csv + rate_classes.csv) covering every supplier/gateway
-    zone pair. A config file supplies horizon_days and window_days.
+    zone pair. config.json supplies horizon_days and window_days.
     """
     base = Path(source)
     paths = {}
     for key, name in _FILE_NAMES.items():
         candidate = base / name
-        if key == "config" and not candidate.exists():
-            candidate = base / "config.txt"
         if candidate.exists():
             paths[key] = candidate
 

@@ -98,12 +98,12 @@ FAMILY_DUE = "due"
 LINKING_TOL = 1e-6
 
 # A model of at most this many rows stores A as a dense array, a taller one
-# as CSR; the storage picks the simplex basis. The Benders subproblem, the
-# model's rows plus one linking row per container column, is stored as
-# its model is. In alternating runs the dense basis solved the relaxation,
-# the tree and the decomposition of every generated model up to 42 rows
-# faster; from 43 rows the decomposition ran slower, as every warm start's
-# dense inverse costs O(m^3)
+# as CSR; the storage picks the simplex basis. The Benders subproblem is the
+# model's own LP, its linking rows column bounds, so it has the model's
+# rows and storage. In alternating runs the dense basis solved the
+# relaxation, the tree and the decomposition of every generated model up to
+# 42 rows faster; from 43 rows the decomposition ran slower, as every warm
+# start's dense inverse costs O(m^3)
 DENSE_ROWS = 42
 
 
@@ -337,7 +337,8 @@ def build_mip(instance: Instance, mode: str = MODE_WINDOW) -> MipModel:
     lands = paths.day + t2[paths.gateway]
     for p in range(len(instance.products)):
         mine = product == p
-        for day in np.unique(due[mine])[:-1]:
+        # not np.unique: its bare form imports numpy.ma
+        for day in sorted(set(due[mine].tolist()))[:-1]:
             if mode == MODE_WINDOW:
                 # arrivals by day cover what is due by then, as a <= row
                 on = (path_product == p) & (lands <= day)

@@ -714,7 +714,8 @@ def _try_warm_start(
     # appended since, and their slacks join it
     appended = np.arange(len(struct) + len(slack_rows), m)
     cols = np.concatenate([struct, n + slack_rows, n + appended])
-    if len(cols) != m or len(np.unique(cols)) != m:
+    # not np.unique: its bare form imports numpy.ma
+    if len(cols) != m or len(set(cols.tolist())) != m:
         return None
 
     B = fresh_basis()

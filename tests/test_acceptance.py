@@ -191,22 +191,29 @@ def test_readme_example_decomposition_matches_monolithic(mode, expected):
     "instance", [readme_instance, port_network_instance], ids=["readme", "port"]
 )
 def test_each_priced_point_is_one_subproblem_lp(monkeypatch, instance, mode):
-    """The subproblem holds every linking row from its first solve, so
-    ``run_benders`` solves one LP, of the model's rows plus one linking row
-    per container column, for each T it prices: one per trace record."""
+    """``run_benders`` solves one LP for each T it prices, one per trace
+    record: the model's own rows, with T fixed by its bounds and each
+    container column bounded by ``W·T`` of its gateway and day, the bound
+    its strong linking row becomes at that T."""
     import intransit.benders as bd
 
-    rows = []
+    problems = []
 
     def counted(problem, **kwargs):
-        rows.append(problem.num_rows)
+        problems.append(problem)
         return solve_lp(problem, **kwargs)
 
     monkeypatch.setattr(bd, "solve_lp", counted)
     res = run_benders(instance(), mode)
     assert res.status == "optimal"
-    assert len(rows) == len(res.trace.records)
-    assert set(rows) == {res.model.num_rows + len(res.model.linking.u_cols)}
+    assert len(problems) == len(res.trace.records)
+    link = res.model.linking
+    for problem, record in zip(problems, res.trace.records):
+        t = record.t_candidate
+        assert problem.num_rows == res.model.num_rows
+        assert problem.lower[: len(t)].tobytes() == t.tobytes()
+        assert problem.upper[: len(t)].tobytes() == t.tobytes()
+        np.testing.assert_array_equal(problem.upper[link.u_cols], link.weights * t[link.t_cols])
 
 
 def generated_20x5x3x30(seed):
@@ -581,8 +588,8 @@ def test_bounds_monotone_and_cuts_tight_at_generator():
     bound, and a closed final gap; every optimality cut, priced at the
     root's fractional containers or at an integral node, touches its
     generating subproblem value within 1e-6."""
-    rng = np.random.default_rng(17)
-    fractional_checked = 0
+    rng = np.random.default_rng(3)
+    stabilised_checked = fractional_checked = 0
     for seed in range(8):
         inst = generate_synthetic(random_small_config(rng), seed=seed)
         res = run_benders(inst, MODE_WINDOW)
@@ -603,12 +610,13 @@ def test_bounds_monotone_and_cuts_tight_at_generator():
             priced = _solve_sub(sub, rec.t_candidate, rec.stabilised)
             assert priced.status == STATUS_OPTIMAL
             assert priced.objective == pytest.approx(rec.subproblem_value, rel=1e-9)
-            coefficients, rhs = _master_row(priced.y, sub.lp, sub.t_cols)
+            coefficients, rhs = _master_row(priced.y, sub)
             t = rec.t_candidate
             slack = float(coefficients[: len(t)] @ t) - rhs - priced.objective
             assert abs(slack) <= 1e-6 * (1 + abs(priced.objective))
-            fractional_checked += rec.fractional
-    assert fractional_checked > 0
+            stabilised_checked += rec.stabilised
+            fractional_checked += rec.candidate == "fractional"
+    assert stabilised_checked > 0 and fractional_checked > 0
 
 
 def test_delivery_lag_never_exceeds_window():
@@ -746,9 +754,9 @@ def test_cli_on_a_short_model_never_imports_scipy(tmp_path):
     """In a fresh interpreter, importing the CLI and running ``validate``,
     ``relax``, ``solve`` and ``benders`` on the README example and the port
     network loads no scipy module: a short model is stored dense, its
-    Benders subproblem (the port's is 30 model rows plus 32 linking rows)
-    as the model is, and scipy is imported only to build or factor a
-    sparse matrix."""
+    Benders subproblem (the model's own rows, 30 on the port) as the model
+    is, and scipy is imported only to build or factor a sparse matrix. Nor
+    does it load ``numpy.ma``, which a bare ``np.unique`` imports."""
     script = "import sys\nimport intransit.cli as cli\n"
     for name, instance in (("readme", readme_instance), ("port", port_network_instance)):
         instance_dir = str(save_instance(instance(), tmp_path / name))
@@ -759,7 +767,10 @@ def test_cli_on_a_short_model_never_imports_scipy(tmp_path):
                 f"assert cli.run([{command!r}, '--instance', {instance_dir!r}, "
                 f"'--out', {out!r}]) == 0\n"
             )
-    script += "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    script += (
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('scipy') or m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(

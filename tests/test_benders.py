@@ -1,6 +1,7 @@
 """Decomposition loop: cuts, master, bounds, and oracle agreement."""
 
 import io
+import itertools
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ import intransit.benders as bd
 from intransit.benders import _master_row, _prepare, _solve_sub
 from intransit.cli import run
 from intransit.errors import InfeasibleInstanceError, SolverError
-from intransit.milp import MILP_NODE_LIMIT, lp_from_mip
+from intransit.milp import MILP_NODE_LIMIT, append_rows, lp_from_mip
 from intransit.model import FAMILY_CAPACITY
 from intransit.simplex import STATUS_OPTIMAL, solve_lp
 
@@ -43,7 +44,7 @@ from conftest import (
 
 def optimality_row(sub, result):
     """The master row of the optimality cut an optimal subproblem gives."""
-    return _master_row(result.y, sub.lp, sub.t_cols)
+    return _master_row(result.y, sub)
 
 
 def tight_instance(rng):
@@ -192,25 +193,30 @@ class TestSubproblem:
         assert whole.objective == pytest.approx(300.0, rel=1e-9)
         assert cut_value(row, t) <= whole.objective + 1e-6
 
-    def test_every_linking_row_follows_the_model_rows(self):
-        # the rows past the model's are the linking block of every entry,
-        # in entry order over the model's columns, each <= 0, and no
-        # solve adds to them
+    def test_linking_bounds_price_as_the_linking_rows(self):
+        # the subproblem is the model's own LP, and no solve adds to it; at
+        # a fixed T each linking row is the bound u <= W·T of its container
+        # column, so every T prices as the LP with the linking rows does
         model = build_mip(readme_instance(), MODE_WINDOW)
         link = model.linking
         sub = _prepare(model)
-        m, k = model.num_rows, len(link.u_cols)
+        every = np.arange(len(link.u_cols))
+        rows = append_rows(sub.lp, link.block(every, model.A), np.zeros(len(every)))
         rng = np.random.default_rng(5)
-        for _ in range(3):
-            _solve_sub(sub, rng.uniform(0.0, 1.0, len(sub.t_cols)))
-        assert sub.lp.num_rows == m + k
-        np.testing.assert_array_equal(as_array(sub.lp.A)[:m], as_array(model.A))
-        np.testing.assert_array_equal(
-            as_array(sub.lp.A)[m:], as_array(link.block(np.arange(k), model.A))
-        )
-        assert sub.lp.rhs[m:].tolist() == [0.0] * k
-        assert sub.lp.senses[m:].tolist() == ["<"] * k
-        np.testing.assert_array_equal(sub.lp.rhs[:m], model.rhs)
+        n_t = len(sub.t_cols)
+        for t in (np.zeros(n_t), rng.uniform(0.0, 1.0, n_t), rng.integers(0, 3, n_t) + 0.0):
+            result = _solve_sub(sub, t)
+            fixed = np.zeros(rows.num_cols)
+            fixed[sub.t_cols] = t
+            upper = rows.upper.copy()
+            upper[sub.t_cols] = t
+            with_rows = solve_lp(rows.with_bounds(fixed, upper))
+            assert result.objective == pytest.approx(with_rows.objective, rel=1e-9)
+            assert not len(link.violated(result.x))
+        assert sub.lp.num_rows == model.num_rows
+        np.testing.assert_array_equal(as_array(sub.lp.A), as_array(model.A))
+        np.testing.assert_array_equal(sub.lp.rhs, model.rhs)
+        assert sub.lp.senses.tolist() == model.senses.tolist()
 
     def test_priced_flow_holds_t_fixed_bitwise(self):
         # T is fixed by its bounds, so the subproblem's x carries T as given
@@ -250,14 +256,56 @@ class TestOptimalityCuts:
             tol = 1e-6 * (1.0 + abs(other.objective))
             assert cut_value(row, t) <= other.objective + tol
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bound_duals_keep_each_cut_under_every_integral_t(self, seed):
+        # at a T_bar with zero entries a container column is fixed at zero
+        # and may price d_j < 0; its bound's dual enters the cut at W_j·T.
+        # Against brute force, each cut is tight at T_bar and no higher
+        # than the subproblem's value at any integral T of the box
+        cfg = GeneratorConfig(
+            n_products=3,
+            n_suppliers=2,
+            n_gateways=2,
+            horizon_days=6,
+            window_days=4,
+            weight_min=500.0,
+            weight_max=60000.0,
+            container_capacity=40000.0,
+        )
+        inst = generate_synthetic(cfg, seed=seed)
+        sub = _prepare(build_mip(inst, MODE_WINDOW))
+        n_t = len(sub.t_cols)
+        bound = inst.container_bound()
+        box = np.array(list(itertools.product(range(bound + 1), repeat=n_t)), dtype=np.float64)
+        values = np.array([_solve_sub(sub, t).objective for t in box])
+        rng = np.random.default_rng(seed)
+        t_bars = [np.zeros(n_t)]
+        for _ in range(4):
+            t = rng.choice([0.0, 0.5, 1.0, float(bound)], size=n_t)
+            t[rng.integers(n_t)] = 0.0
+            t_bars.append(t)
+        lifted = 0
+        for t_bar in t_bars:
+            result = _solve_sub(sub, t_bar)
+            row = optimality_row(sub, result)
+            tol = 1e-6 * (1.0 + abs(result.objective))
+            assert abs(cut_value(row, t_bar) - result.objective) <= tol
+            cuts = box @ row[0][:n_t] - row[1]
+            assert (cuts <= values + 1e-6 * (1.0 + np.abs(values))).all()
+            # the row's own -(A'y)_T misses the bound term: a zero entry
+            # whose coefficient lies below it carries one
+            own = -(as_array(sub.lp.A).T @ result.y)[sub.t_cols]
+            lifted += bool((row[0][:n_t] < own - 1e-9)[t_bar == 0].any())
+        assert lifted
+
     def test_dimension_mismatch(self, tiny_instance):
         sub, _, _ = self._sub_and_result(tiny_instance)
         with pytest.raises(SolverError, match="rows"):
-            _master_row(np.zeros(sub.lp.num_rows + 1), sub.lp, sub.t_cols)
+            _master_row(np.zeros(sub.lp.num_rows + 1), sub)
 
     def test_zero_duals_give_the_master_row(self, tiny_instance, monkeypatch):
         sub, t = tiny_sub(tiny_instance)
-        row, rhs = _master_row(np.zeros(sub.lp.num_rows), sub.lp, sub.t_cols)
+        row, rhs = _master_row(np.zeros(sub.lp.num_rows), sub)
         problems = []
         solve = bd.solve_milp
 
@@ -516,7 +564,11 @@ class TestInOutRounds:
     def test_a_stabilised_cut_that_misses_prices_the_root_in_the_same_round(
         self, monkeypatch
     ):
-        inst = readme_instance()
+        # the README example's config at seed 9, whose last in-out cut misses
+        cfg = GeneratorConfig(
+            n_products=5, n_suppliers=2, n_gateways=2, horizon_days=12, window_days=6
+        )
+        inst = generate_synthetic(cfg, seed=9)
         res, calls = self._logged_run(monkeypatch, inst)
         assert res.status == "optimal"
         records = iter(res.trace.records)

@@ -8,7 +8,7 @@ import pytest
 from intransit import load_instance, save_instance
 from intransit.cli import run
 
-from conftest import route_invalid_instance
+from conftest import readme_instance, route_invalid_instance
 
 
 @pytest.fixture
@@ -124,12 +124,15 @@ class TestSolve:
 
 
 class TestBenders:
-    def test_window_run(self, instance_dir, tmp_path, capsys):
+    def test_window_run(self, tmp_path, capsys):
+        # the README example: 5 products, 2 suppliers, 2 gateways, 12 days,
+        # window 6
+        readme = str(save_instance(readme_instance(), tmp_path / "readme"))
         out = tmp_path / "out"
-        code = run(["benders", "--instance", instance_dir, "--out", str(out)])
+        code = run(["benders", "--instance", readme, "--out", str(out)])
         assert code == 0
         captured = capsys.readouterr().out
-        assert "500.00" in captured
+        assert "36,272.85" in captured
         assert "consolidated" in captured
         with open(out / "trace.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -145,7 +148,7 @@ class TestBenders:
             assert r["cut_kind"] in cut_kinds
         with open(out / "histogram.csv", newline="") as fh:
             hist = list(csv.DictReader(fh))
-        assert all(int(r["lag_days"]) <= 4 for r in hist)
+        assert all(int(r["lag_days"]) <= 6 for r in hist)
 
     def test_exact_day_histogram_at_window(self, instance_dir, tmp_path):
         out = tmp_path / "out"

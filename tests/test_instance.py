@@ -258,16 +258,6 @@ class TestLoading:
         # air still derived from the zone tariff
         assert inst.air_time["s0", "g0"] == 4
 
-    def test_config_txt_fallback(self, tmp_path):
-        self._zone_dir(tmp_path)
-        (tmp_path / "config.json").unlink()
-        self._write(
-            tmp_path, "config.txt", "# comment\nhorizon_days = 15\nwindow_days = 7\n"
-        )
-        inst = load_instance(tmp_path)
-        assert inst.horizon_days == 15
-        assert inst.window_days == 7
-
     def test_missing_required_file(self, tmp_path):
         self._zone_dir(tmp_path)
         (tmp_path / "pickups.csv").unlink()
